@@ -38,7 +38,7 @@ from adol.charfn import (
 )
 from adol.do_process import nu_t
 from adol.model import AdolModel, m_t
-from adol.numerics import QuadratureSpec, integrate_adaptive
+from adol.numerics import QuadratureError, QuadratureSpec, integrate_adaptive
 
 
 # ----------------------------------------------------------- coefficients
@@ -325,16 +325,14 @@ def test_flow_reproduces_zero_order(table1):
     m = table1
     co = cfm._coeffs_for(u, m, MODE_AFFINE)
     tables = cfm._flow_tables(m)
-    z00 = cfm._z0_slice_fn(co, 0.0)(m.sigma0, m.v0)
+    z00 = cfm._z0_slices(co, np.array([0.0]))(m.sigma0, m.v0)[0]
     x_h, w_h = cfm._hermite_rule(24)
-    for chi in (0.15, 0.35, 0.5):
-        s_tr = cfm._sigma_ray(m, m.sigma0, chi)
-        mean, var = cfm._flow_mean_var(m, u, 0.0, chi, m.sigma0, m.v0, tables)
-        nodes = mean + math.sqrt(2.0 * var) * x_h
-        vals = cfm._z0_slice_fn(co, chi)(s_tr, nodes)
-        pref = cmath.exp(cfm._ray_exponent(m, u, 0.0, chi, m.sigma0))
-        towed = pref * complex(np.dot(w_h, vals))
-        assert abs(towed - z00) <= 1e-12, chi
+    chis = np.array([0.15, 0.35, 0.5])
+    s_tr, nodes, pref = cfm._flow_state(m, u, tables, 0.0, m.sigma0, m.v0,
+                                        chis, x_h)
+    towed = pref * (cfm._z0_slices(co, chis)(s_tr[:, None], nodes) @ w_h)
+    for chi, val in zip(chis, towed):
+        assert abs(val - z00) <= 1e-12, chi
 
 
 def test_stencil_richardson_ratio(table1):
@@ -347,10 +345,82 @@ def test_stencil_richardson_ratio(table1):
     for k in range(3):
         cfg = CorrectionConfig(mode=MODE_AFFINE, sigma_step=base / 2 ** k,
                                v_step=base / 2 ** k)
-        vals.append(cfm._z1_point(table1, co, cfg, tables, 0.0,
-                                  table1.sigma0, table1.v0))
+        vals.append(cfm._z1_value(table1, co, cfg, tables))
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     assert 3.0 <= ratio <= 5.0, ratio
+
+
+def test_first_order_kernel_refuses_missed_tolerance(table1):
+    # steps at the rounding floor make the source noise, which no halving of
+    # the time step can integrate to 1e-7: the kernel must say so
+    noisy = CorrectionConfig(mode=MODE_PAPER, sigma_step=1e-13, v_step=1e-13)
+    with pytest.raises(QuadratureError):
+        correction(1, 1.0, table1, noisy)
+    strict = CorrectionConfig(mode=MODE_PAPER, quad=QuadratureSpec(
+        abs_tol=1e-300, rel_tol=1e-15))
+    with pytest.raises(QuadratureError):
+        correction(1, 1.0, table1, strict)
+
+
+class _AdaptiveFlow:
+    """The flow transforms, each integrated adaptively from 0 at every s.
+    Values are kept by s: adaptive bisection revisits the same nodes."""
+
+    def __init__(self, m: AdolModel):
+        c = m.constants
+        big_m = lambda r: cfm._m_cum(r, m)
+        self.ders = (
+            lambda r: math.exp(big_m(r)) * nu_t(r, c),
+            lambda r: math.exp(big_m(r) - m.kappa * r) * nu_t(r, c),
+            lambda r: math.exp(2.0 * big_m(r)) * nu_t(r, c) ** 2,
+        )
+        self.spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13,
+                                   max_subdivisions=4000)
+        self.seen: dict[float, tuple[float, float, float]] = {}
+
+    def at(self, s: float) -> tuple[float, float, float]:
+        if s not in self.seen:
+            self.seen[s] = tuple(integrate_adaptive(d, 0.0, s, self.spec).real
+                                 for d in self.ders)
+        return self.seen[s]
+
+    def __call__(self, s):
+        vals = np.array([self.at(float(x)) for x in np.ravel(s)])
+        return tuple(col.reshape(np.shape(s)) for col in vals.T)
+
+
+@pytest.fixture(scope="module")
+def adaptive_flow(table1):
+    return _AdaptiveFlow(table1)
+
+
+def _reference_z1(m: AdolModel, u: complex, mode: str, flow) -> complex:
+    """z1 from the kernel's integrand with both of its numerical pieces
+    swapped out: adaptive quadrature in time over adaptive flow transforms."""
+    cfg = CorrectionConfig(mode=mode)
+    co = cfm._coeffs_for(complex(u), m, mode)
+
+    def integrand(chi: float) -> complex:
+        return complex(cfm._z1_integrand(m, co, cfg, flow, 0.0, m.sigma0, m.v0,
+                                         np.array([chi]))[0])
+
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=4000)
+    return integrate_adaptive(integrand, 0.0, m.t_mat, spec)
+
+
+@pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
+def test_first_order_kernel_matches_adaptive_on_damped_contour(table1, mode,
+                                                               adaptive_flow):
+    # the frequencies the damped Fourier pricer visits, u = v - 2.5i.  At
+    # v = 80, |z1| ~ 1e-25 sits far below cfg.quad.abs_tol, so the kernel
+    # rightly stops at its first step; the agreement there is looser
+    cfg = CorrectionConfig(mode=mode)
+    for v in (0.0, 5.0, 20.0, 80.0):
+        u = complex(v, -2.5)
+        got = correction(1, u, table1, cfg)
+        ref = _reference_z1(table1, u, mode, adaptive_flow)
+        rel = 1e-9 if abs(ref) > cfg.quad.abs_tol else 1e-6
+        assert abs(got - ref) <= rel * abs(ref), (v, got, ref)
 
 
 def test_corrections_vanish_at_zero_frequency(table1):
@@ -360,21 +430,23 @@ def test_corrections_vanish_at_zero_frequency(table1):
 
 
 def test_first_order_golden(table1):
+    # z1 pins here and below: adaptive quadrature in time at rel_tol 1e-11
+    # over adaptively integrated flow transforms, as in _reference_z1
     cfg = CorrectionConfig(mode=MODE_AFFINE)
     z1 = correction(1, 1.0, table1, cfg)
-    assert z1.real == pytest.approx(0.003369068651061527, rel=1e-9)
-    assert z1.imag == pytest.approx(0.007121238425077838, rel=1e-9)
+    assert z1.real == pytest.approx(0.003369068529142478, rel=1e-9)
+    assert z1.imag == pytest.approx(0.007121238546929628, rel=1e-9)
     z1b = correction(1, 2.5, table1, cfg)
-    assert z1b.real == pytest.approx(0.019992391232016567, rel=1e-9)
-    assert z1b.imag == pytest.approx(0.04030800962585457, rel=1e-9)
+    assert z1b.real == pytest.approx(0.019992390814217033, rel=1e-9)
+    assert z1b.imag == pytest.approx(0.040308010668291365, rel=1e-9)
 
 
 def test_first_order_decays_with_reversion_speed(table1):
     # golden file: faster sigma-reversion damps the first-order term
     pins = {
-        2.0: 0.003369068651061527 + 0.007121238425077838j,
-        4.0: 0.0010365624663139252 + 0.0024960685623745533j,
-        8.0: 0.00015129141379953718 + 0.0005998873463939074j,
+        2.0: 0.003369068529142478 + 0.007121238546929628j,
+        4.0: 0.0010365624261316438 + 0.0024960686021983968j,
+        8.0: 0.000151291401950316 + 0.0005998873580728601j,
     }
     cfg = CorrectionConfig(mode=MODE_AFFINE)
     mags = []
@@ -409,10 +481,10 @@ def test_second_order_golden_and_grid_insensitive(table1):
 def test_paper_mode_correction_goldens(table1):
     cfg = CorrectionConfig(mode=MODE_PAPER)
     z1 = correction(1, 1.0, table1, cfg)
-    assert z1 == pytest.approx(-0.04434939093879167 - 0.10060766384879538j,
+    assert z1 == pytest.approx(-0.04434939512705193 - 0.10060767192180553j,
                                rel=1e-8)
     z2 = correction(2, 1.0, table1, cfg)
-    assert z2 == pytest.approx(-0.199728219226159 + 0.161477610834981j,
+    assert z2 == pytest.approx(-0.1997282046434488 + 0.1614776082040144j,
                                rel=1e-8)
 
 
