@@ -10,14 +10,11 @@ Monte Carlo, PDE residuals).
 
 from .numerics import (
     QuadratureSpec,
-    OdeSpec,
     QuadratureError,
     gamma_fn,
     beta_sym,
     exp_integral_e,
     integrate_adaptive,
-    integrate_ode,
-    solve_quartic,
 )
 from .do_process import (
     DoConstants,

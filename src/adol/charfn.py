@@ -6,17 +6,16 @@ inception.  The zero order z0 is exponential-affine,
     z0(t) = exp[alpha(t) + gamma(t) sigma^2 + beta_bar(t) sigma v],
 
 and is available in two independent modes: a closed-form coefficient set
-("paper-closed-form") and a numerically integrated terminal-value ODE
-system ("affine-ode").  The two differ in their correlation structure; the
-gap between them is measured, never hidden.
+("paper-closed-form") and the exact solution of the terminal-value ODEs
+of the xi = 0 reduction ("affine-ode").  The two differ in their
+correlation structure; the gap between them is measured, never hidden.
 
 Corrections z1, z2 come from a Green's-function convolution: the v-state
 diffuses on a transformed clock tau(t) under a heat kernel, the sigma-state
 rides a transport factor, and the source operators Phi1, Phi2 are applied
 by central differences at the source time.  The inner spatial integral J
-has an adaptive-quadrature route and two quadratic-in-the-exponent closed
-forms (expansion at the substituted center, or at the stationary point of
-the exponent, the latter found through a quartic).
+has an adaptive-quadrature route and a quadratic-in-the-exponent closed
+form (expansion at the substituted center).
 """
 
 from __future__ import annotations
@@ -32,19 +31,10 @@ import numpy as np
 
 from .do_process import nu_t
 from .model import AdolModel, m_t
-from .numerics import (
-    OdeSpec,
-    QuadratureError,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_ode,
-    exp_integral_e,
-    solve_quartic,
-)
+from .numerics import QuadratureError, QuadratureSpec, exp_integral_e, integrate_adaptive
 
 __all__ = [
     "CfCoefficients",
-    "CfMode",
     "CorrectionConfig",
     "GreenPieces",
     "MethodError",
@@ -66,34 +56,23 @@ MODE_AFFINE = "affine-ode"
 
 J_QUADRATURE = "quadrature"
 J_QUAD_CENTER = "quadratic-at-center"
-J_QUAD_STATIONARY = "quadratic-at-stationary-point"
 
 
 class MethodError(RuntimeError):
     """A closed-form route is inapplicable at this point; fall back to quadrature."""
 
 
-@dataclass(frozen=True)
-class CfMode:
-    variant: str
-
-    def __post_init__(self) -> None:
-        if self.variant not in (MODE_PAPER, MODE_AFFINE):
-            raise ValueError(f"unknown cf mode {self.variant!r}")
-
-
-def _variant(mode: CfMode | str) -> str:
-    v = mode.variant if isinstance(mode, CfMode) else mode
-    if v not in (MODE_PAPER, MODE_AFFINE):
-        raise ValueError(f"unknown cf mode {v!r}")
-    return v
+def _variant(mode: str) -> str:
+    if mode not in (MODE_PAPER, MODE_AFFINE):
+        raise ValueError(f"unknown cf mode {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
 class CfCoefficients:
     """Coefficient functions of the exponential-affine zero order.
 
-    All four vanish at t = T (terminal condition z(T) = 1).  The frequency
+    All three vanish at t = T (terminal condition z(T) = 1).  The frequency
     u they were built for is carried along because the correction operators
     need it.
     """
@@ -101,7 +80,6 @@ class CfCoefficients:
     alpha: Callable[[float], complex]
     gamma: Callable[[float], complex]
     beta_bar: Callable[[float], complex]
-    gamma_bar: Callable[[float], complex]
     u: complex
 
 
@@ -113,14 +91,12 @@ class CorrectionConfig:
     source operators; quad drives the source-time quadrature; order
     truncates the expansion; mode selects the zero-order slices being
     perturbed.  hermite_n sizes the Gaussian rule over the auxiliary state
-    and z2_panels the fixed grid of the nested first-order field.  j_method
-    is consumed by the J diagnostics only, never by the corrections.
+    and z2_panels the fixed grid of the nested first-order field.
     """
 
     sigma_step: float = 1e-3
     v_step: float = 1e-3
     quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-7, max_subdivisions=800)
-    j_method: str = J_QUAD_CENTER
     order: int = 1
     mode: str = MODE_AFFINE
     hermite_n: int = 12
@@ -129,8 +105,6 @@ class CorrectionConfig:
     def __post_init__(self) -> None:
         if self.sigma_step <= 0.0 or self.v_step <= 0.0:
             raise ValueError("stencil steps must be positive")
-        if self.j_method not in (J_QUADRATURE, J_QUAD_CENTER, J_QUAD_STATIONARY):
-            raise ValueError(f"unknown j method {self.j_method!r}")
         if self.order not in (0, 1, 2):
             raise ValueError("order must be 0, 1, or 2")
         if self.hermite_n < 2:
@@ -151,6 +125,15 @@ class ResidualStats:
 # zero-order coefficients, closed-form mode
 # --------------------------------------------------------------------------
 
+def _unit_response(kappa: float, tau):
+    """G = (1 - exp(-2 kappa tau)) / (2 kappa), or tau at kappa = 0: the
+    solution of G' = 2 kappa G - 1, G(T) = 0, at time to maturity tau.
+    Both modes' quadratic coefficients are multiples of it.  Accepts arrays."""
+    if kappa == 0.0:
+        return tau
+    return -np.expm1(-2.0 * kappa * tau) / (2.0 * kappa)
+
+
 def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
     """Closed-form coefficient set; requires H < 1/2 (1/nu(0) = 0 there)."""
     if model.h >= 0.5:
@@ -165,9 +148,7 @@ def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
         return -1j * u * r_minus_q * (t - T)
 
     def gamma(t: float) -> complex:
-        if kappa < 1e-12:
-            return -g_amp * 0.5 * (T - t)
-        return -g_amp / (4.0 * kappa) * (1.0 - math.exp(2.0 * kappa * (t - T)))
+        return -0.5 * g_amp * _unit_response(kappa, T - t)
 
     # primitive of (kappa + m(s))/nu(s); plain power laws since m is one
     e1 = 1.5 - c.h
@@ -184,113 +165,48 @@ def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
             math.exp(kappa * (t - T)) * inv_nu_T - inv_nu_t - (_ikm(t) - _ikm(T))
         )
 
-    def gamma_bar(t: float) -> complex:
-        if model.theta == 0.0:
-            return 0.0 + 0.0j
-        if kappa < 1e-12:
-            return model.theta * u * (u + 1.0) * (t - T)
-        return model.theta * u * (u + 1.0) / kappa * (math.exp(kappa * (t - T)) - 1.0)
-
-    return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=beta_bar,
-                          gamma_bar=gamma_bar, u=u)
+    return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=beta_bar, u=u)
 
 
 # --------------------------------------------------------------------------
-# zero-order coefficients, ODE mode
+# zero-order coefficients, affine-ode mode
 # --------------------------------------------------------------------------
 
-class _HermiteCurve:
-    """Cubic Hermite interpolant on decreasing-or-increasing knots with exact
-    nodal derivatives; O(h^4) accurate."""
-
-    __slots__ = ("knots", "vals", "ders")
-
-    def __init__(self, knots: np.ndarray, vals: np.ndarray, ders: np.ndarray) -> None:
-        self.knots = knots
-        self.vals = vals
-        self.ders = ders
-
-    def __call__(self, t: float) -> complex:
-        k = self.knots
-        if t <= k[0]:
-            return complex(self.vals[0])
-        if t >= k[-1]:
-            return complex(self.vals[-1])
-        j = int(np.searchsorted(k, t, side="right")) - 1
-        h = k[j + 1] - k[j]
-        s = (t - k[j]) / h
-        s2, s3 = s * s, s * s * s
-        return complex(
-            (2 * s3 - 3 * s2 + 1) * self.vals[j]
-            + (s3 - 2 * s2 + s) * h * self.ders[j]
-            + (-2 * s3 + 3 * s2) * self.vals[j + 1]
-            + (s3 - s2) * h * self.ders[j + 1]
-        )
-
-
-@functools.lru_cache(maxsize=64)
-def _affine_unit_curve(model: AdolModel, n_nodes: int) -> _HermiteCurve:
-    """Unit-forcing response of the quadratic-coefficient ODE, integrated
-    backward from G(T) = 0.  Every u shares it by linear superposition."""
-    kappa = model.kappa
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([2.0 * kappa * y[0] - 1.0], dtype=complex)
-
-    T = model.t_mat
-    knots = np.linspace(0.0, T, n_nodes + 1)
-    vals = np.empty(n_nodes + 1, dtype=complex)
-    ders = np.empty(n_nodes + 1, dtype=complex)
-    y = np.zeros(1, dtype=complex)
-    vals[n_nodes] = 0.0
-    ders[n_nodes] = -1.0
-    spec = OdeSpec(rel_tol=1e-12, abs_tol=1e-14, max_step=max(T / 50.0, 1e-6))
-    for j in range(n_nodes - 1, -1, -1):
-        y = integrate_ode(rhs, knots[j + 1], knots[j], y, spec)
-        vals[j] = y[0]
-        ders[j] = 2.0 * kappa * y[0] - 1.0
-    return _HermiteCurve(knots, vals, ders)
-
-
-def coeffs_affine_ode(u: complex, model: AdolModel,
-                      n_nodes: int = 240) -> CfCoefficients:
+def coeffs_affine_ode(u: complex, model: AdolModel) -> CfCoefficients:
     """Independently derived coefficient set from the xi = 0 reduction.
 
     The exponential-affine substitution turns the xi = 0 pricing equation
     into terminal-value ODEs: the cross coefficient closes at exactly
     zero, the drift coefficient integrates a constant, and the quadratic
-    coefficient is -u(u+i)/2 times the unit-forcing response, integrated
-    backward from T numerically (once per model).  No closed form is
-    consumed here, so the result can arbitrate the closed-form mode.
+    coefficient is -u(u+i)/2 times the unit-forcing response G of
+    G' = 2 kappa G - 1, G(T) = 0, solved exactly.  Only G is shared with
+    the closed-form mode, whose amplitude and cross coefficient differ, so
+    the result can arbitrate it; the PDE residual checks G independently.
     """
-    if model.theta != 0.0:
-        raise ValueError("affine-ode mode requires theta = 0")
     u = complex(u)
-    base = _affine_unit_curve(model, n_nodes)
     drift = 1j * u * (model.r - model.q)
     scale = -0.5 * u * (1j + u)
-    T = model.t_mat
+    kappa, T = model.kappa, model.t_mat
 
     def alpha(t: float) -> complex:
         return drift * (T - t)
 
     def gamma(t: float) -> complex:
-        return scale * base(t)
+        return scale * _unit_response(kappa, T - t)
 
     def zero(t: float) -> complex:
         return 0.0 + 0.0j
 
-    return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=zero,
-                          gamma_bar=zero, u=u)
+    return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=zero, u=u)
 
 
-def _coeffs_for(u: complex, model: AdolModel, mode: CfMode | str) -> CfCoefficients:
+def _coeffs_for(u: complex, model: AdolModel, mode: str) -> CfCoefficients:
     if _variant(mode) == MODE_PAPER:
         return coeffs_paper(u, model)
     return coeffs_affine_ode(u, model)
 
 
-def cf_zero(u: complex, model: AdolModel, mode: CfMode | str = MODE_AFFINE) -> complex:
+def cf_zero(u: complex, model: AdolModel, mode: str = MODE_AFFINE) -> complex:
     """Zero-order CF value at inception (x = 0)."""
     co = _coeffs_for(u, model, mode)
     return _cf_zero_from(co, model)
@@ -298,19 +214,18 @@ def cf_zero(u: complex, model: AdolModel, mode: CfMode | str = MODE_AFFINE) -> c
 
 def _cf_zero_from(co: CfCoefficients, model: AdolModel) -> complex:
     s0, v0 = model.sigma0, model.v0
-    expo = co.alpha(0.0) + co.gamma(0.0) * s0 * s0 + co.beta_bar(0.0) * s0 * v0 \
-        + co.gamma_bar(0.0) * s0
+    expo = co.alpha(0.0) + co.gamma(0.0) * s0 * s0 + co.beta_bar(0.0) * s0 * v0
     return cmath.exp(expo)
 
 
 def zero_order_fn(u: complex, model: AdolModel,
-                  mode: CfMode | str = MODE_AFFINE) -> Callable[[float, float, float], complex]:
+                  mode: str = MODE_AFFINE) -> Callable[[float, float, float], complex]:
     """The zero-order solution as a function of (t, sigma, v), for residual checks."""
     co = _coeffs_for(u, model, mode)
 
     def fn(t: float, sigma: float, v: float) -> complex:
         return cmath.exp(co.alpha(t) + co.gamma(t) * sigma * sigma
-                         + co.beta_bar(t) * sigma * v + co.gamma_bar(t) * sigma)
+                         + co.beta_bar(t) * sigma * v)
 
     return fn
 
@@ -592,29 +507,6 @@ def j_integral(s_center: float, omega: complex, chi: float, model: AdolModel,
         a2 = -1.0 / (4.0 * w) + 3.0 * k / x ** 4
         return _gaussian_from_quadratic(a0, a1, a2)
 
-    if method == J_QUAD_STATIONARY:
-        if abs(k.imag) > 1e-12 * max(1.0, abs(k)):
-            raise MethodError("stationary-point route needs a real exponent "
-                              "coefficient; use the quadrature method")
-        k_re = k.real
-        big_a = s_center + 2.0 * w
-        roots = solve_quartic(
-            1.0,
-            -(big_a + 6.0 * chi),
-            6.0 * big_a * chi + 12.0 * chi ** 2,
-            -(12.0 * big_a * chi ** 2 + 8.0 * chi ** 3),
-            8.0 * big_a * chi ** 3 + 4.0 * w * k_re,
-        )
-        cands = [r for r in roots if abs(r - pole) > 1e-12]
-        if not cands:
-            raise MethodError("no admissible stationary point; use the quadrature method")
-        x0 = min(cands, key=lambda r: abs(r - s_center))
-        d = x0 - pole
-        a0 = k_re / d ** 2 + x0 - (x0 - s_center) ** 2 / (4.0 * w)
-        a1 = -2.0 * k_re / d ** 3 + 1.0 - (x0 - s_center) / (2.0 * w)
-        a2 = 3.0 * k_re / d ** 4 - 1.0 / (4.0 * w)
-        return _gaussian_from_quadratic(a0, a1, a2)
-
     raise ValueError(f"unknown j method {method!r}")
 
 
@@ -679,14 +571,13 @@ _Z1_RULE = _tanh_sinh(0.075, 42)
 def _flow_tables(model: AdolModel) -> Callable:
     """Cumulative transforms of the auxiliary-state flow,
 
-        e_full(s) = int_0^s exp(M(r)) nu(r) dr
         e_damp(s) = int_0^s exp(M(r) - kappa r) nu(r) dr
         f_quad(s) = int_0^s exp(2 M(r)) nu(r)^2 dr
 
     with M the cumulative reversion speed.  The returned function evaluates
-    all three at an array of s by one tanh-sinh rule in y, r = s y^(1/2H):
+    both at an array of s by one tanh-sinh rule in y, r = s y^(1/2H):
     the substitution makes every integrand regular at r = 0, so the values
-    are exact to rounding and analytic in s.  All three enter only through
+    are exact to rounding and analytic in s.  Both enter only through
     differences, so one function per model covers every (t, s) pair.
     """
     q = 0.5 / model.h
@@ -695,12 +586,11 @@ def _flow_tables(model: AdolModel) -> Callable:
     keep = y > 0.0  # very rough H underflows the outermost nodes
     y, w = y[keep], (q * x ** (q - 1.0) * w)[keep]
 
-    def tables(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tables(s) -> tuple[np.ndarray, np.ndarray]:
         s = np.asarray(s, dtype=float)
         r = s[..., None] * y
         enu = np.exp(_m_cum(r, model)) * model.constants.b_h * r ** (model.h - 0.5)
-        return ((enu @ w) * s, (enu * np.exp(-model.kappa * r)) @ w * s,
-                (enu * enu) @ w * s)
+        return (enu * np.exp(-model.kappa * r)) @ w * s, (enu * enu) @ w * s
 
     return tables
 
@@ -714,38 +604,32 @@ def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
     integrated along the ray in closed form.  The states broadcast against
     each other; the results gain a trailing time axis, the nodes one more.
     """
-    kap, th = model.kappa, model.theta
+    kap = model.kappa
     sigma = np.asarray(sigma, dtype=float)[..., None]
     v = np.asarray(v, dtype=complex)[..., None]
     dt = chis - t
     ms = _m_cum(chis, model)
-    e_full, e_damp, f_quad = tables(chis)
+    e_damp, f_quad = tables(chis)
     if t > 0.0:
         at_t = tables(t)
-        e_full, e_damp, f_quad = e_full - at_t[0], e_damp - at_t[1], f_quad - at_t[2]
-    a = sigma - th
-    shift = a * math.exp(kap * t) * e_damp + th * e_full
+        e_damp, f_quad = e_damp - at_t[0], f_quad - at_t[1]
+    shift = sigma * math.exp(kap * t) * e_damp
     mean = np.exp(_m_cum(t, model) - ms) * v + 1j * u * model.rho * np.exp(-ms) * shift
     var = np.maximum(np.exp(-2.0 * ms) * f_quad, 0.0)
     nodes = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x_h
-    if kap > 0.0:
-        e1 = -np.expm1(-kap * dt) / kap
-        e2 = -np.expm1(-2.0 * kap * dt) / (2.0 * kap)
-    else:
-        e1 = e2 = dt
-    sig2 = th * th * dt + 2.0 * th * a * e1 + a * a * e2
+    sig2 = sigma * sigma * _unit_response(kap, dt)
     pref = np.exp(1j * u * (model.r - model.q) * dt - 0.5 * u * (u + 1j) * sig2)
-    return th + a * np.exp(-kap * dt), nodes, pref
+    return sigma * np.exp(-kap * dt), nodes, pref
 
 
 def _z0_slices(co: CfCoefficients, chis: np.ndarray):
     """z0 at each time chi as a function of (sigma, v) arrays whose second
     to last axis runs over chis."""
-    a, g, b, gb = (np.array([complex(f(c)) for c in chis])[:, None]
-                   for f in (co.alpha, co.gamma, co.beta_bar, co.gamma_bar))
+    a, g, b = (np.array([complex(f(c)) for c in chis])[:, None]
+               for f in (co.alpha, co.gamma, co.beta_bar))
 
     def z0(s, v):
-        return np.exp(a + g * s * s + b * s * v + gb * s)
+        return np.exp(a + g * s * s + b * s * v)
 
     return z0
 

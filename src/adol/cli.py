@@ -21,7 +21,7 @@ import numpy as np
 from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, cf_total,
                      cf_zero, coeffs_affine_ode, coeffs_paper, correction,
                      green_pieces, j_integral, pde_residual, zero_order_fn,
-                     J_QUADRATURE, J_QUAD_CENTER, J_QUAD_STATIONARY)
+                     J_QUADRATURE, J_QUAD_CENTER)
 from .do_process import do_constants
 from .model import AdolModel, small_param_check
 from .montecarlo import McSpec, mc_price, mc_quadratic_variation
@@ -45,9 +45,7 @@ _MODEL_KEYS = {
     "r": ("num", 0.0), "q": ("num", 0.0), "kappa": ("num", 2.0),
     "xi": ("num", 0.0), "rho": ("num", -0.5), "h": ("num", 0.3),
     "m_rho": ("num", 1.0), "m_pi": ("num", 0.5), "t_mat": ("num", 0.5),
-    "theta": ("num", 0.0), "lambda": ("num", 0.0), "eps": ("num", 1e-4),
-    # drift under the physical measure: accepted, echoed, never used
-    "mu": ("num", 0.0),
+    "eps": ("num", 1e-4),
 }
 
 _SCHEMA = {
@@ -57,15 +55,12 @@ _SCHEMA = {
         "order": ("int", 1),
         "sigma_step": ("num", 1e-3),
         "v_step": ("num", 1e-3),
-        "j_method": ("enum", J_QUAD_CENTER,
-                     (J_QUADRATURE, J_QUAD_CENTER, J_QUAD_STATIONARY)),
         "u_max": ("num", 5.0),
         "n_u": ("int", 21),
     },
     "pricing": {
         "damping": ("num", 1.5),
         "u_max": ("num", 150.0),
-        "n_points": ("int", 1024),
         "strikes": ("numlist", [0.8, 0.9, 1.0, 1.1, 1.2]),
         "varswap": {
             "observation_times": ("numlist", [0.25, 0.5]),
@@ -163,9 +158,8 @@ def _model_from(cfg: dict) -> AdolModel:
         return AdolModel(
             s0=m["s0"], sigma0=m["sigma0"], v0=m["v0"], r=m["r"], q=m["q"],
             kappa=m["kappa"], xi=m["xi"], rho=m["rho"], h=m["h"],
-            m_rho=m["m_rho"], m_pi=m["m_pi"], t_mat=m["t_mat"],
-            theta=m["theta"], lambda_=m["lambda"], eps=m["eps"])
-    except (ValueError, AssertionError) as exc:
+            m_rho=m["m_rho"], m_pi=m["m_pi"], t_mat=m["t_mat"], eps=m["eps"])
+    except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
 
@@ -173,8 +167,7 @@ def _corr_cfg(cfg: dict) -> CorrectionConfig:
     c = cfg["cf"]
     try:
         return CorrectionConfig(sigma_step=c["sigma_step"], v_step=c["v_step"],
-                                j_method=c["j_method"], order=c["order"],
-                                mode=c["mode"])
+                                order=c["order"], mode=c["mode"])
     except ValueError as exc:
         raise ConfigError(f"cf: {exc}") from exc
 
@@ -350,8 +343,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
     model = _model_from(cfg)
     ccfg = _corr_cfg(cfg)
     p = cfg["pricing"]
-    fspec = FourierPricingSpec(damping=p["damping"], u_max=p["u_max"],
-                               n_points=p["n_points"])
+    fspec = FourierPricingSpec(damping=p["damping"], u_max=p["u_max"])
     mspec = _mc_spec(cfg)
     breaches = 0
     admissible = small_param_check(model).admissible

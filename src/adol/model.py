@@ -25,9 +25,8 @@ __all__ = ["AdolModel", "SmallParamReport", "m_t", "q_drifts", "p_drift_v", "sma
 class AdolModel:
     """Complete risk-neutral parameterization.
 
-    lambda_ (price of volatility risk) exists only to document the
-    convention: it must be 0.  theta is stored for forward compatibility
-    but the characteristic-function engine requires theta = 0.
+    The price of volatility risk is zero by convention, so the dynamics in
+    the module docstring are the pricing dynamics as written.
     """
 
     s0: float
@@ -42,8 +41,6 @@ class AdolModel:
     m_rho: float
     m_pi: float
     t_mat: float
-    theta: float = 0.0
-    lambda_: float = 0.0
     eps: float = 1e-4
     constants: DoConstants = field(init=False, repr=False, compare=False)
 
@@ -54,8 +51,6 @@ class AdolModel:
             raise ValueError("initial volatility must be positive")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
-        if self.theta < 0.0:
-            raise ValueError("theta must be nonnegative")
         if self.xi < 0.0:
             raise ValueError("xi must be nonnegative")
         if not -1.0 <= self.rho <= 1.0:
@@ -68,8 +63,6 @@ class AdolModel:
             raise ValueError("eps must be positive")
         if self.t_mat <= 0.0:
             raise ValueError("maturity must be positive")
-        # pricing convention, not a free parameter
-        assert self.lambda_ == 0.0, "price of volatility risk is fixed to zero"
         object.__setattr__(self, "constants", do_constants(self.h))
 
 

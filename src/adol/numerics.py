@@ -4,8 +4,7 @@ Provides the handful of numerical tools the rest of the package is built
 on: real-argument gamma via a fixed Lanczos approximation with reflection,
 the symmetric beta function, the generalized exponential integral E(nu, z)
 on the principal branch, adaptive Gauss-Kronrod quadrature for
-complex-valued integrands, a Dormand-Prince 4(5) stepper for complex ODE
-systems, and a closed-form quartic solver with Newton polish.
+complex-valued integrands, and the standard normal CDF.
 
 All functions are pure; there is no module state.
 """
@@ -16,9 +15,7 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
-
-import numpy as np
+from typing import Callable
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +33,6 @@ class QuadratureSpec:
             raise ValueError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
-class OdeSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = 1.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.max_step > 0.0):
-            raise ValueError("ode tolerances and max_step must be positive")
 
 
 class QuadratureError(RuntimeError):
@@ -314,239 +300,6 @@ def integrate_adaptive(
         counter += 1
         n_panels += 1
     return sign * total
-
-
-# ---------------------------------------------------------------------------
-# Dormand-Prince 4(5) for complex systems
-# ---------------------------------------------------------------------------
-
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_B4 = (
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
-)
-
-
-def integrate_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    t1: float,
-    y0: Sequence[complex],
-    spec: OdeSpec | None = None,
-) -> np.ndarray:
-    """Integrate y' = rhs(t, y) from t0 to t1 (either direction).
-
-    y is a complex vector; local error is controlled per component by
-    abs_tol + rel_tol * |y|.  Returns y(t1).
-    """
-    spec = spec or OdeSpec()
-    y = np.asarray(y0, dtype=complex).copy()
-    if t0 == t1:
-        return y
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    t = t0
-    h = direction * min(spec.max_step, span / 10.0 if span > 0 else spec.max_step)
-    k = [np.zeros_like(y) for _ in range(7)]
-    k[0] = np.asarray(rhs(t, y), dtype=complex)
-    while (t1 - t) * direction > 0.0:
-        if abs(h) < 1e-14 * span:
-            raise RuntimeError(f"ode step size underflow at t={t}")
-        if (t + h - t1) * direction > 0.0:
-            h = t1 - t
-        for i in range(1, 7):
-            yi = y.copy()
-            for j, aij in enumerate(_DP_A[i]):
-                if aij != 0.0:
-                    yi += h * aij * k[j]
-            k[i] = np.asarray(rhs(t + _DP_C[i] * h, yi), dtype=complex)
-            if not np.all(np.isfinite(k[i].view(float))):
-                raise RuntimeError(f"non-finite rhs at t={t + _DP_C[i] * h}")
-        y5 = y.copy()
-        y4 = y.copy()
-        for i in range(7):
-            if _DP_B5[i] != 0.0:
-                y5 += h * _DP_B5[i] * k[i]
-            if _DP_B4[i] != 0.0:
-                y4 += h * _DP_B4[i] * k[i]
-        scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean((np.abs(y5 - y4) / scale) ** 2))) if y.size else 0.0
-        if err <= 1.0:
-            t += h
-            y = y5
-            k[0] = k[6]  # FSAL
-        factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
-        factor = min(5.0, max(0.2, factor))
-        h = direction * min(abs(h) * factor, spec.max_step)
-    return y
-
-
-# ---------------------------------------------------------------------------
-# polynomial roots (quartic and below), real coefficients, real roots
-# ---------------------------------------------------------------------------
-
-def _poly_eval(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _solve_quadratic(a: float, b: float, c: float) -> List[float]:
-    if a == 0.0:
-        return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
-    # a double root computes as disc ~ +-eps; a hard zero test drops it
-    floor = 1e-12 * (b * b + 4.0 * abs(a * c))
-    if disc < -floor:
-        return []
-    if disc <= floor:
-        return [-0.5 * b / a]
-    sq = math.sqrt(disc)
-    # Citardauq form avoids cancellation when b dominates
-    q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
-    if q == 0.0:
-        return [0.0]
-    r1 = q / a
-    r2 = c / q
-    return sorted({r1, r2})
-
-
-def _solve_cubic(a: float, b: float, c: float, d: float) -> List[float]:
-    """Real roots of a x^3 + b x^2 + c x + d with a != 0."""
-    b, c, d = b / a, c / a, d / a
-    # depressed: t^3 + p t + q with x = t - b/3
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    roots: List[float]
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + sq) ** (1.0 / 3.0), -q / 2.0 + sq)
-        v = math.copysign(abs(-q / 2.0 - sq) ** (1.0 / 3.0), -q / 2.0 - sq)
-        roots = [u + v + shift]
-    elif p == 0.0 and q == 0.0:
-        roots = [shift]
-    else:
-        # three real roots, trigonometric form
-        rho = math.sqrt(-p ** 3 / 27.0)
-        theta = math.acos(max(-1.0, min(1.0, -q / (2.0 * rho))))
-        m = 2.0 * math.sqrt(-p / 3.0)
-        roots = [m * math.cos((theta + 2.0 * math.pi * kk) / 3.0) + shift for kk in range(3)]
-    return sorted(roots)
-
-
-def solve_quartic(c4: float, c3: float, c2: float, c1: float, c0: float) -> List[float]:
-    """All real roots of c4 x^4 + ... + c0, ascending, multiplicity collapsed.
-
-    Degrades to cubic/quadratic/linear when leading coefficients vanish.
-    Each returned root is Newton-polished on the original polynomial.
-    """
-    coeffs = [float(c4), float(c3), float(c2), float(c1), float(c0)]
-    scale = max(abs(c) for c in coeffs)
-    if scale == 0.0:
-        return []
-    lead_tol = 1e-14 * scale
-    if abs(coeffs[0]) <= lead_tol:
-        if abs(coeffs[1]) <= lead_tol:
-            raw = _solve_quadratic(coeffs[2], coeffs[3], coeffs[4])
-        else:
-            raw = _solve_cubic(coeffs[1], coeffs[2], coeffs[3], coeffs[4])
-    else:
-        a, b, c, d = (coeffs[1] / coeffs[0], coeffs[2] / coeffs[0],
-                      coeffs[3] / coeffs[0], coeffs[4] / coeffs[0])
-        # depressed quartic y^4 + p y^2 + q y + r, x = y - a/4
-        p = b - 3.0 * a * a / 8.0
-        q = c - a * b / 2.0 + a ** 3 / 8.0
-        r = d - a * c / 4.0 + a * a * b / 16.0 - 3.0 * a ** 4 / 256.0
-        shift = -a / 4.0
-        raw = []
-        if abs(q) <= 1e-13 * max(1.0, abs(p), abs(r)):
-            # biquadratic; same knife-edge at z = 0 as the discriminant above
-            z_tol = 1e-13 * max(1.0, abs(p), abs(r))
-            for z in _solve_quadratic(1.0, p, r):
-                if z > z_tol:
-                    raw.extend([shift - math.sqrt(z), shift + math.sqrt(z)])
-                elif z >= -z_tol:
-                    raw.append(shift)
-        else:
-            # Ferrari: m solves 8 m^3 + 8 p m^2 + (2 p^2 - 8 r) m - q^2 = 0
-            lin = 2.0 * p * p - 8.0 * r
-            cand = [m for m in _solve_cubic(8.0, 8.0 * p, lin, -q * q) if m > 0.0]
-            if lin > 0.0:
-                # for small q the needed root is ~ q^2/lin, which the cubic
-                # closed form can drop once it sits many orders below the
-                # other coefficients; it is well conditioned there (the
-                # resolvent is nearly linear), so seed it as a candidate
-                cand.append(q * q / lin)
-            good = []
-            for m in cand:
-                g = ((8.0 * m + 8.0 * p) * m + lin) * m - q * q
-                for _ in range(40):
-                    # guarded Newton: accept a step only if it shrinks the
-                    # residual, else an exact multiple root (dg ~ 0, g ~ 0)
-                    # takes a noise/noise kick away from where it belongs
-                    dg = (24.0 * m + 16.0 * p) * m + lin
-                    if dg == 0.0:
-                        break
-                    m_new = m - g / dg
-                    if not math.isfinite(m_new):
-                        break
-                    g_new = ((8.0 * m_new + 8.0 * p) * m_new + lin) * m_new - q * q
-                    if abs(g_new) >= abs(g):
-                        break
-                    m, g = m_new, g_new
-                # drop candidates the polish could not land (a far-off seed,
-                # a mangled closed-form root): judged against the resolvent's
-                # own evaluation scale at m
-                scale_g = ((8.0 * m + 8.0 * abs(p)) * m + abs(lin)) * m + q * q
-                if m > 0.0 and abs(g) <= 1e-7 * scale_g:
-                    good.append(m)
-            if good:
-                m = max(good)
-                s = math.sqrt(2.0 * m)
-                t_ = q / (2.0 * s)
-                for y in _solve_quadratic(1.0, s, p / 2.0 + m - t_):
-                    raw.append(y + shift)
-                for y in _solve_quadratic(1.0, -s, p / 2.0 + m + t_):
-                    raw.append(y + shift)
-    # polish on the original quartic and collapse near-duplicates
-    deriv = [4.0 * coeffs[0], 3.0 * coeffs[1], 2.0 * coeffs[2], coeffs[3]]
-    polished = []
-    for x in raw:
-        for _ in range(3):
-            fx = _poly_eval(coeffs, x)
-            dfx = _poly_eval(deriv, x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            if not math.isfinite(step):
-                break
-            x -= step
-        polished.append(x)
-    polished.sort()
-    out: List[float] = []
-    span = 1.0 + max(abs(x) for x in polished) if polished else 1.0
-    for x in polished:
-        if not out or abs(x - out[-1]) > 1e-8 * span:
-            out.append(x)
-    return out
 
 
 def norm_cdf(x: float) -> float:

@@ -236,8 +236,7 @@ def _zero_order_at(u: complex, t1: float, t2: float, model: AdolModel,
     vector of states."""
     inner = replace(model, t_mat=t2)
     co = _coeffs_for(u, inner, mode)
-    expo = (co.alpha(t1) + co.gamma(t1) * sig * sig
-            + co.beta_bar(t1) * sig * v + co.gamma_bar(t1) * sig)
+    expo = co.alpha(t1) + co.gamma(t1) * sig * sig + co.beta_bar(t1) * sig * v
     return np.exp(expo)
 
 

@@ -33,11 +33,19 @@ def test_empty_config_resolves_to_defaults(tmp_path):
     assert cfg["output"]["directory"] == "out"
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"model": {"vol_of_vol": 0.1}}))
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"pricing": {"varswap": {"steps": 3}}}))
+    # no field reads these, so naming one is an error, not a silent no-op
+    for block, key in (("model", "theta"), ("model", "lambda"), ("model", "mu"),
+                       ("cf", "j_method"), ("pricing", "n_points")):
+        with pytest.raises(ConfigError, match=f"unknown key '{block}.{key}'"):
+            load_config(_write(tmp_path, {block: {key: 0}}))
+    theta = _write(tmp_path, {"model": {"theta": 0.0}}, "theta.json")
+    assert main(["constants", "--config", theta, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'model.theta'" in capsys.readouterr().err
 
 
 def test_type_errors_rejected(tmp_path):

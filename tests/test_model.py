@@ -18,7 +18,7 @@ def _base(**kw) -> AdolModel:
 
 @pytest.mark.parametrize("kw", [
     {"s0": 0.0}, {"s0": -1.0}, {"sigma0": 0.0}, {"kappa": -0.1},
-    {"theta": -0.2}, {"xi": -1e-9}, {"rho": -1.01}, {"rho": 1.01},
+    {"xi": -1e-9}, {"rho": -1.01}, {"rho": 1.01},
     {"h": 0.0}, {"h": 1.0}, {"m_pi": -0.5}, {"eps": 0.0}, {"t_mat": 0.0},
 ])
 def test_invalid_parameters_raise(kw):

@@ -12,16 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adol.numerics import (
-    OdeSpec,
     QuadratureError,
     QuadratureSpec,
     beta_sym,
     exp_integral_e,
     gamma_fn,
     integrate_adaptive,
-    integrate_ode,
     norm_cdf,
-    solve_quartic,
 )
 
 mp.mp.dps = 40
@@ -172,85 +169,6 @@ def test_quadrature_budget_failure_reports_estimate():
         integrate_adaptive(lambda x: x ** -0.9, 0.0, 1.0, spec)
     assert exc.value.error_bound > 0.0
     assert abs(exc.value.estimate) > 0.0
-
-
-# ----------------------------------------------------------------------- ode
-
-def test_ode_scalar_growth():
-    y = integrate_ode(lambda t, y: y, 0.0, 1.0, [1.0 + 0j], OdeSpec(1e-12, 1e-14, 1.0))
-    assert y[0].real == pytest.approx(math.e, rel=1e-10)
-
-
-def test_ode_decay_and_backward():
-    kappa = 2.0
-    y = integrate_ode(lambda t, y: -2.0 * kappa * y, 0.0, 0.5, [1.0 + 0j])
-    assert y[0].real == pytest.approx(math.exp(-2.0), rel=1e-9)
-    # backward integration recovers the initial state
-    y0 = integrate_ode(lambda t, y: -2.0 * kappa * y, 0.5, 0.0, y)
-    assert y0[0].real == pytest.approx(1.0, rel=1e-9)
-
-
-def test_ode_coupled_linear_system():
-    # y1' = y2, y2' = -4 y1, y1(0)=1, y2(0)=0  ->  y1 = cos 2t, y2 = -2 sin 2t
-    def rhs(t, y):
-        return np.array([y[1], -4.0 * y[0]], dtype=complex)
-
-    y = integrate_ode(rhs, 0.0, 0.7, [1.0 + 0j, 0.0 + 0j], OdeSpec(1e-12, 1e-14, 0.5))
-    assert y[0].real == pytest.approx(math.cos(1.4), abs=1e-10)
-    assert y[1].real == pytest.approx(-2.0 * math.sin(1.4), abs=1e-10)
-
-
-def test_ode_complex_coefficients():
-    lam = 0.7 - 1.3j
-    y = integrate_ode(lambda t, y: lam * y, 0.0, 1.0, [1.0 + 0j])
-    ref = np.exp(lam)
-    assert abs(y[0] - ref) < 1e-9
-
-
-# ------------------------------------------------------------------- quartic
-
-def test_quartic_trivial():
-    assert solve_quartic(1.0, 0.0, 0.0, 0.0, -1.0) == pytest.approx([-1.0, 1.0], abs=1e-12)
-    # (x-2)^4, multiplicity collapses to one root
-    roots = solve_quartic(1.0, -8.0, 24.0, -32.0, 16.0)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(2.0, abs=1e-4)
-
-
-def test_quartic_degenerate_orders():
-    # cubic: (x-1)(x+2)(x-3)
-    roots = solve_quartic(0.0, 1.0, -2.0, -5.0, 6.0)
-    assert roots == pytest.approx([-2.0, 1.0, 3.0], abs=1e-9)
-    # quadratic
-    roots = solve_quartic(0.0, 0.0, 1.0, -3.0, 2.0)
-    assert roots == pytest.approx([1.0, 2.0], abs=1e-10)
-    # no real roots
-    assert solve_quartic(1.0, 0.0, 0.0, 0.0, 1.0) == []
-
-
-@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))
-@settings(max_examples=250, deadline=None)
-def test_quartic_vs_companion_eigenvalues(cs):
-    # round the draw so near-zero coefficients cannot manufacture roots of
-    # modulus ~1e-75 whose real/complex classification is ill-posed (an
-    # absolute imag filter on np.roots miscounts those)
-    c3, c2, c1, c0 = (round(c, 3) for c in cs)
-    coeffs = [1.0, c3, c2, c1, c0]
-    got = solve_quartic(*coeffs)
-    scale = max(abs(c) for c in coeffs)
-
-    # soundness: everything returned really is a root
-    for g in got:
-        res = ((((coeffs[0] * g + coeffs[1]) * g + coeffs[2]) * g + coeffs[3]) * g + coeffs[4])
-        assert abs(res) <= 1e-7 * scale * max(1.0, abs(g)) ** 4
-
-    # completeness: every companion root that is unambiguously real must be
-    # recovered; roots with borderline imaginary parts (multiple roots have
-    # O(sqrt(eps)) imag noise in np.roots) prove nothing either way
-    for r in np.roots(coeffs):
-        if abs(r.imag) <= 1e-12 * (1.0 + abs(r.real)):
-            assert got, f"missed real root near {r.real}"
-            assert min(abs(g - r.real) for g in got) <= 1e-5 * (1.0 + abs(r.real))
 
 
 def test_norm_cdf():
