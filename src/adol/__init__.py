@@ -52,7 +52,7 @@ from .pricing import (
     forward_cf,
     varswap_strike,
 )
-from .montecarlo import McSpec, PathStats, simulate_q, mc_price, mc_quadratic_variation
+from .montecarlo import McSpec, PathStats, simulate_q, mc_price, mc_prices, mc_quadratic_variation
 
 __version__ = "0.1.0"
 

@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, cf_total,
-                     cf_zero, coeffs_affine_ode, coeffs_paper, correction,
-                     green_pieces, j_integral, pde_residual, zero_order_fn,
-                     J_QUADRATURE, J_QUAD_CENTER)
+                     cf_zero, coeffs_paper, green_pieces, j_integral,
+                     pde_residual, zero_order_fn, J_QUADRATURE, J_QUAD_CENTER)
 from .do_process import do_constants
 from .model import AdolModel, small_param_check
-from .montecarlo import McSpec, mc_price, mc_quadratic_variation
+from .montecarlo import McSpec, mc_prices, mc_quadratic_variation
 from .numerics import QuadratureError
 from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_price,
                       varswap_strike, varswap_strike_analytic)
@@ -350,11 +349,10 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
     rows = []
     var0 = model.sigma0 ** 2 * (1.0 - math.exp(-2.0 * model.kappa * model.t_mat)) \
         / (2.0 * model.kappa) if model.kappa > 0 else model.sigma0 ** 2 * model.t_mat
-    for strike in p["strikes"]:
+    for strike, mc in zip(p["strikes"], mc_prices(model, mspec, p["strikes"])):
         cf0 = lambda u: cf_total(u, model, CorrectionConfig(order=0, mode=ccfg.mode))
         px_cf0 = fourier_price(cf0, model.s0, strike, model.r, model.q,
                                model.t_mat, fspec)
-        mc = mc_price(model, mspec, strike)
         rows.append([strike, "cf-order-0", px_cf0, math.nan,
                      px_cf0 - mc.estimate])
         if model.xi != 0.0 and ccfg.order >= 1:
@@ -413,12 +411,13 @@ def cmd_varswap(cfg: dict, out_dir: Path, check: bool) -> int:
 def cmd_mc(cfg: dict, out_dir: Path, check: bool) -> int:
     model = _model_from(cfg)
     mspec = _mc_spec(cfg)
+    strikes = cfg["pricing"]["strikes"]
+    # strike 0 prices the discounted forward off the same paths
+    *calls, fwd = mc_prices(model, mspec, strikes + [0.0])
     rows = []
-    for strike in cfg["pricing"]["strikes"]:
-        st = mc_price(model, mspec, strike)
+    for strike, st in zip(strikes, calls):
         rows.append([f"call@{_fmt(strike)}", st.estimate, st.std_error,
                      st.n_effective])
-    fwd = mc_price(model, mspec, 0.0)
     drift_off = fwd.estimate / (model.s0 * math.exp(-model.q * model.t_mat)) - 1.0
     rows.append(["discounted-forward", fwd.estimate, fwd.std_error,
                  fwd.n_effective])

@@ -14,7 +14,8 @@ on [0, eps].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .do_process import DoConstants, do_constants
 
@@ -45,6 +46,10 @@ class AdolModel:
     constants: DoConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # NaN passes every range comparison below, so it is refused first
+        for name in (f.name for f in fields(self) if f.init):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s0 <= 0.0:
             raise ValueError("spot must be positive")
         if self.sigma0 <= 0.0:

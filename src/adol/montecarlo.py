@@ -15,6 +15,10 @@ sigma-shock share one Gaussian (they ride the same Brownian); the x-shock
 correlates with it at rho.  Draws come from one counter-based generator in
 a fixed (step, path) layout, so results are bitwise reproducible and
 independent of any execution schedule.
+
+One simulation serves a whole strike ladder: `mc_prices` reads every strike's
+payoff off the same terminal states, so a ladder of any length costs one
+march of the paths.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .do_process import nu_t
 from .model import AdolModel, m_t
 
 __all__ = ["McSpec", "PathStats", "TerminalStates", "simulate_q", "mc_price",
-           "mc_quadratic_variation"]
+           "mc_prices", "mc_quadratic_variation"]
 
 # nodes/weights of 8-point Gauss-Legendre on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
@@ -161,17 +165,26 @@ def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
     return PathStats(estimate=est, std_error=se, n_effective=n)
 
 
+def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float],
+              is_call: bool = True) -> list[PathStats]:
+    """Discounted payoff mean per strike, all read off one simulation; SE
+    over independent units (pairs if antithetic)."""
+    if any(strike < 0.0 for strike in strikes):
+        raise ValueError("strike must be nonnegative")
+    s_term = model.s0 * np.exp(simulate_q(model, spec).x)
+    df = math.exp(-model.r * model.t_mat)
+    out = []
+    for strike in strikes:
+        payoff = np.maximum(s_term - strike, 0.0) if is_call \
+            else np.maximum(strike - s_term, 0.0)
+        out.append(_stats(df * payoff, spec.antithetic))
+    return out
+
+
 def mc_price(model: AdolModel, spec: McSpec, strike: float,
              is_call: bool = True) -> PathStats:
-    """Discounted payoff mean; SE over independent units (pairs if antithetic)."""
-    if strike < 0.0:
-        raise ValueError("strike must be nonnegative")
-    st = simulate_q(model, spec)
-    s_term = model.s0 * np.exp(st.x)
-    payoff = np.maximum(s_term - strike, 0.0) if is_call \
-        else np.maximum(strike - s_term, 0.0)
-    df = math.exp(-model.r * model.t_mat)
-    return _stats(df * payoff, spec.antithetic)
+    """Discounted payoff mean at one strike; see `mc_prices`."""
+    return mc_prices(model, spec, [strike], is_call)[0]
 
 
 def mc_quadratic_variation(model: AdolModel, spec: McSpec,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -230,16 +230,6 @@ def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
 # forward characteristic function and variance swaps
 # --------------------------------------------------------------------------
 
-def _zero_order_at(u: complex, t1: float, t2: float, model: AdolModel,
-                   mode: str, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Zero-order CF with maturity t2, evaluated at absolute time t1 on a
-    vector of states."""
-    inner = replace(model, t_mat=t2)
-    co = _coeffs_for(u, inner, mode)
-    expo = co.alpha(t1) + co.gamma(t1) * sig * sig + co.beta_bar(t1) * sig * v
-    return np.exp(expo)
-
-
 def _states_at(t1: float, model: AdolModel, cfg: McSpec) -> tuple[np.ndarray, np.ndarray]:
     if model.xi == 0.0 or t1 <= model.eps:
         # deterministic (or inception) state: no outer sampling needed
@@ -252,22 +242,34 @@ def _states_at(t1: float, model: AdolModel, cfg: McSpec) -> tuple[np.ndarray, np
     return states.sigma, states.v
 
 
-def forward_cf(u: complex, t1: float, t2: float, model: AdolModel,
-               cfg: McSpec | None = None, mode: str = MODE_AFFINE,
-               with_se: bool = False):
-    """E[exp(iu (x_{t2} - x_{t1}))]: outer state sample, inner zero order."""
+def _check_leg(t1: float, t2: float, model: AdolModel) -> None:
     if not 0.0 <= t1 < t2 <= model.t_mat * (1.0 + 1e-12):
         raise ValueError(f"need 0 <= t1 < t2 <= maturity, got ({t1}, {t2})")
-    if u == 0.0:
-        return (1.0 + 0.0j, 0.0) if with_se else 1.0 + 0.0j
-    cfg = cfg or McSpec(n_paths=4096, n_steps=64, seed=20177, t_start=model.eps)
-    sig, v = _states_at(t1, model, cfg)
-    vals = _zero_order_at(u, t1, t2, model, mode, sig, v)
-    mean = complex(vals.mean())
+
+
+def _forward_cf_on(u: complex, t1: float, t2: float, model: AdolModel,
+                   mode: str, sig: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
+    """Forward CF over sampled time-t1 states, with its standard error: the
+    mean of the zero-order CF with maturity t2, evaluated at t1 per state."""
+    co = _coeffs_for(u, replace(model, t_mat=t2), mode)
+    expo = co.alpha(t1) + co.gamma(t1) * sig * sig + co.beta_bar(t1) * sig * v
+    vals = np.exp(expo)
     if len(vals) > 1:
         se = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / len(vals))
     else:
         se = 0.0
+    return complex(vals.mean()), se
+
+
+def forward_cf(u: complex, t1: float, t2: float, model: AdolModel,
+               cfg: McSpec | None = None, mode: str = MODE_AFFINE,
+               with_se: bool = False):
+    """E[exp(iu (x_{t2} - x_{t1}))]: outer state sample, inner zero order."""
+    _check_leg(t1, t2, model)
+    if u == 0.0:
+        return (1.0 + 0.0j, 0.0) if with_se else 1.0 + 0.0j
+    cfg = cfg or McSpec(n_paths=4096, n_steps=64, seed=20177, t_start=model.eps)
+    mean, se = _forward_cf_on(u, t1, t2, model, mode, *_states_at(t1, model, cfg))
     return (mean, se) if with_se else mean
 
 
@@ -278,7 +280,10 @@ def _leg_curvature(phi: Callable[[float], complex], h: float) -> complex:
 def varswap_strike(model: AdolModel, spec: VarSwapSpec,
                    cfg: McSpec | None = None, mode: str = MODE_AFFINE,
                    richardson: bool = True) -> float:
-    """Fair variance strike, annualized: -(1/T) sum of CF curvatures at u = 0."""
+    """Fair variance strike, annualized: -(1/T) sum of CF curvatures at u = 0.
+
+    Each leg's time-t1 states are sampled once and serve every stencil point.
+    """
     times = (0.0,) + spec.observation_times
     horizon = times[-1]
     cfg = cfg or McSpec(n_paths=spec.mc_states, n_steps=64, seed=20177,
@@ -286,8 +291,11 @@ def varswap_strike(model: AdolModel, spec: VarSwapSpec,
     total = 0.0 + 0.0j
     h = spec.u_step
     for t1, t2 in zip(times, times[1:]):
-        def phi(x: float, _t1=t1, _t2=t2) -> complex:
-            return forward_cf(x, _t1, _t2, model, cfg, mode)
+        _check_leg(t1, t2, model)
+        sig, v = _states_at(t1, model, cfg)
+
+        def phi(x: float) -> complex:
+            return _forward_cf_on(x, t1, t2, model, mode, sig, v)[0]
 
         d_h = _leg_curvature(phi, h)
         if richardson:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from adol import montecarlo
 from adol.cli import ConfigError, load_config, main
 
 
@@ -67,6 +68,13 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
     bad_model = _write(tmp_path, {"model": {"sigma0": -1.0}})
     assert main(["constants", "--config", bad_model,
                  "--out", str(tmp_path / "o1")]) == 1
+
+    # NaN is valid JSON for Python's reader, but no model parameter
+    nan_model = _write(tmp_path, {"model": {"sigma0": float("nan")},
+                                  "cf": {"n_u": 3}}, "nan.json")
+    capsys.readouterr()
+    assert main(["cf", "--config", nan_model, "--out", str(tmp_path / "o3")]) == 1
+    assert "model: sigma0 must be finite" in capsys.readouterr().err
 
     unknown = _write(tmp_path, {"nope": {}}, "u.json")
     assert main(["constants", "--config", unknown,
@@ -240,3 +248,62 @@ def test_varswap_clean_schedule_passes(tmp_path):
     names = [r[0] for r in rows[1:]]
     assert names == ["fd-richardson", "affine-analytic", "mc-qv",
                      "integrated-variance"]
+
+
+# ------------------------------------------------------ Monte Carlo rows
+
+# A small xi > 0 config whose Monte Carlo rows are pinned below.  The pins
+# come from the earlier code, which simulated once per strike: reading every
+# strike off one simulation must reproduce them bit for bit.
+_PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
+            "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
+
+_PIN_MC = {
+    "call@0.9": (0.11722882343280572, 0.00262426131934714),
+    "call@1.0": (0.055734681019069914, 0.0019439237886529378),
+    "call@1.1": (0.020831394572901125, 0.001227161006837809),
+    "discounted-forward": (0.998643235788976, 0.0031818416204553576),
+    "martingale-offset": (-0.0013567642110240419, 0.0031818416204553576),
+}
+
+
+def test_mc_rows_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["mc", "--config", _write(tmp_path, _PIN_CFG), "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "mc.csv")
+    assert {r[0]: (float(r[1]), float(r[2])) for r in rows[1:]} == _PIN_MC
+
+
+def test_price_mc_rows_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["price", "--config", _write(tmp_path, _PIN_CFG),
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "price.csv")
+    got = {r[0]: (float(r[2]), float(r[3])) for r in rows[1:] if r[1] == "mc"}
+    assert got == {k[len("call@"):]: v for k, v in _PIN_MC.items()
+                   if k.startswith("call@")}
+
+
+@pytest.mark.parametrize("command, cfg, code, sims", [
+    ("mc", _PIN_CFG, 0, 1),
+    ("price", _PIN_CFG, 0, 1),
+    # two legs: the first starts at inception and needs no states; the
+    # second leg's states are drawn once for the stencil and once for the
+    # analytic cross-check, and the realized variance takes one more
+    ("varswap", _PIN_CFG, 0, 3),
+    ("check", {}, 3, 3),
+], ids=["mc", "price", "varswap", "check"])
+def test_simulations_per_command(tmp_path, monkeypatch, capsys, command, cfg,
+                                 code, sims):
+    calls = []
+    run = montecarlo._run
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_run", counted)
+    assert main([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == code
+    capsys.readouterr()
+    assert len(calls) == sims

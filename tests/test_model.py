@@ -1,7 +1,7 @@
 """Parameter validation and coefficient functions."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,14 @@ def _base(**kw) -> AdolModel:
 def test_invalid_parameters_raise(kw):
     with pytest.raises(ValueError):
         _base(**kw)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(AdolModel) if f.init])
+def test_non_finite_parameters_raise(name, value):
+    # NaN passes every range comparison, so finiteness is checked first
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _base(**{name: value})
 
 
 def test_boundary_parameters_accepted():

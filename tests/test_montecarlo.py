@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adol.model import AdolModel
 from adol.montecarlo import (
@@ -19,6 +20,7 @@ from adol.montecarlo import (
     PathStats,
     TerminalStates,
     mc_price,
+    mc_prices,
     mc_quadratic_variation,
     simulate_q,
 )
@@ -133,6 +135,30 @@ def test_price_converges_to_closed_form_without_volofvol(table1_xi0):
 def test_negative_strike_rejected(table1):
     with pytest.raises(ValueError):
         mc_price(table1, McSpec(n_paths=16, n_steps=4, seed=1), -1.0)
+    with pytest.raises(ValueError):
+        mc_prices(table1, McSpec(n_paths=16, n_steps=4, seed=1), [1.0, -1.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(strikes=st.lists(st.floats(0.0, 200.0), min_size=3, max_size=6,
+                        unique=True).map(sorted),
+       is_call=st.booleans(), antithetic=st.booleans())
+def test_ladder_is_monotone_convex_and_matches_single_strikes(
+        table1, strikes, is_call, antithetic):
+    # every price is a mean of payoffs monotone and convex in the strike;
+    # rounding is monotone, so only convexity needs a rounding allowance
+    spec = McSpec(n_paths=512, n_steps=8, seed=13, antithetic=antithetic)
+    ladder = mc_prices(table1, spec, strikes, is_call=is_call)
+    assert len(ladder) == len(strikes)
+    for strike, got in zip(strikes, ladder):
+        assert got == mc_price(table1, spec, strike, is_call=is_call)
+    px = [p.estimate for p in ladder]
+    steps = np.diff(px)
+    assert np.all(steps <= 0.0) if is_call else np.all(steps >= 0.0)
+    for (k0, k1, k2), (c0, c1, c2) in zip(zip(strikes, strikes[1:], strikes[2:]),
+                                          zip(px, px[1:], px[2:])):
+        w = (k2 - k1) / (k2 - k0)
+        assert c1 <= w * c0 + (1.0 - w) * c2 + 1e-12 * table1.s0
 
 
 def test_explosive_steps_warn(table1):

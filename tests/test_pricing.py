@@ -213,6 +213,28 @@ def test_varswap_consistent_with_path_quadratic_variation(table1_xi0):
     assert abs(strike - qv.estimate) <= 3.0 * qv.std_error
 
 
+def test_varswap_stencil_matches_forward_cf_route(table1):
+    # the strike reads each leg's sampled states once for all four stencil
+    # points; forward_cf samples them afresh per point from the same seed,
+    # so both routes do the same arithmetic and must agree bit for bit
+    spec = VarSwapSpec(observation_times=(0.25, 0.5))
+    mc = McSpec(n_paths=512, n_steps=16, seed=3, t_start=table1.eps)
+    h = spec.u_step
+    total = 0.0 + 0.0j
+    for t1, t2 in ((0.0, 0.25), (0.25, 0.5)):
+        def curv(step, t1=t1, t2=t2):
+            return (forward_cf(step, t1, t2, table1, mc) - 2.0
+                    + forward_cf(-step, t1, t2, table1, mc)) / (step * step)
+        total += (4.0 * curv(0.5 * h) - curv(h)) / 3.0
+    assert varswap_strike(table1, spec, cfg=mc) == (-total / 0.5).real
+
+
+def test_varswap_rejects_observations_past_maturity(table1):
+    spec = VarSwapSpec(observation_times=(0.25, table1.t_mat * 1.5))
+    with pytest.raises(ValueError):
+        varswap_strike(table1, spec)
+
+
 def test_varswap_spec_validation():
     with pytest.raises(ValueError):
         VarSwapSpec(observation_times=())
