@@ -624,12 +624,22 @@ def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
 
 def _z0_slices(co: CfCoefficients, chis: np.ndarray):
     """z0 at each time chi as a function of (sigma, v) arrays whose second
-    to last axis runs over chis."""
+    to last axis runs over chis.
+
+    Where beta_bar is zero at every chi (always so in affine-ode mode), z0
+    does not depend on v: the slice is then evaluated on sigma's shape
+    alone and left for the caller's arithmetic to broadcast across v.  Its
+    values equal the full evaluation's, whose cross term is an exact zero.
+    """
     a, g, b = (np.array([complex(f(c)) for c in chis])[:, None]
                for f in (co.alpha, co.gamma, co.beta_bar))
 
-    def z0(s, v):
-        return np.exp(a + g * s * s + b * s * v)
+    if not b.any():
+        def z0(s, v):
+            return np.exp(a + g * s * s)
+    else:
+        def z0(s, v):
+            return np.exp(a + g * s * s + b * s * v)
 
     return z0
 
@@ -642,8 +652,8 @@ def _nu_m(model: AdolModel, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _phi1_legs(s, v, hs, hv):
     """The six points of the Phi1 stencil, in the order _stencil_phi1 reads."""
-    return ((s + hs, v + hv), (s + hs, v - hv), (s - hs, v + hv),
-            (s - hs, v - hv), (s + hs, v), (s - hs, v))
+    sp, sm, vp, vm = s + hs, s - hs, v + hv, v - hv
+    return ((sp, vp), (sp, vm), (sm, vp), (sm, vm), (sp, v), (sm, v))
 
 
 def _stencil_phi1(f, nu, m, u: complex, rho: float, s, v, hs, hv):
@@ -753,7 +763,9 @@ def _z2_point(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     s_tr = s_tr[:, None]
     hs, hv = _steps(cfg, s_tr, nodes)
     nu, m = _nu_m(model, chis)
-    src = _stencil_phi2(_z0_slices(co, chis), nu, s_tr, nodes, hs)
+    # a v-free slice leaves Phi2 z0 without the node axis the z1 field needs
+    src = np.broadcast_to(_stencil_phi2(_z0_slices(co, chis), nu, s_tr, nodes, hs),
+                          nodes.shape).copy()
     nh = len(x_h)
     for j, chi in enumerate(chis):
         sj, hsj, hvj, vj = s_tr[j, 0], hs[j, 0], hv[j], nodes[j]
@@ -793,6 +805,8 @@ def cf_total(u: complex, model: AdolModel,
     if model.xi != 0.0 and cfg.order >= 1:
         if model.h >= 0.5:
             raise ValueError("correction pipeline requires H < 1/2")
+        if u == 0:
+            return z  # every CF is 1 at u = 0: z0 is 1 and both corrections 0
         tables = _flow_tables(model)
         z = z + model.xi * _z1_value(model, co, cfg, tables)
         if cfg.order >= 2:

@@ -81,6 +81,19 @@ _SCHEMA = {
 }
 
 
+def _finite(x, here: str) -> float:
+    """x as a float; NaN, infinities and integers past the float range are
+    refused with the key's name, as the model's own checks word it."""
+    try:
+        val = float(x)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        block, _, name = here.rpartition(".")
+        raise ConfigError(f"{block}: {name} must be finite, got {val}")
+    return val
+
+
 def _validate_block(schema: dict, data: dict, path: str) -> dict:
     out = {}
     for key in data:
@@ -99,7 +112,7 @@ def _validate_block(schema: dict, data: dict, path: str) -> dict:
         if kind == "num":
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"'{here}' must be a number, got {val!r}")
-            val = float(val)
+            val = _finite(val, here)
         elif kind == "int":
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"'{here}' must be an integer, got {val!r}")
@@ -117,13 +130,13 @@ def _validate_block(schema: dict, data: dict, path: str) -> dict:
                     or any(isinstance(x, bool) or not isinstance(x, (int, float))
                            for x in val)):
                 raise ConfigError(f"'{here}' must be a nonempty list of numbers")
-            val = [float(x) for x in val]
+            val = [_finite(x, here) for x in val]
         elif kind == "numornull":
             if val is not None and (isinstance(val, bool)
                                     or not isinstance(val, (int, float))):
                 raise ConfigError(f"'{here}' must be a number or null")
             if val is not None:
-                val = float(val)
+                val = _finite(val, here)
         out[key] = val
     return out
 

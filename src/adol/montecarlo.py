@@ -169,8 +169,8 @@ def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float],
               is_call: bool = True) -> list[PathStats]:
     """Discounted payoff mean per strike, all read off one simulation; SE
     over independent units (pairs if antithetic)."""
-    if any(strike < 0.0 for strike in strikes):
-        raise ValueError("strike must be nonnegative")
+    if not all(math.isfinite(strike) and strike >= 0.0 for strike in strikes):
+        raise ValueError("strike must be finite and nonnegative")
     s_term = model.s0 * np.exp(simulate_q(model, spec).x)
     df = math.exp(-model.r * model.t_mat)
     out = []

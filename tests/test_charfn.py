@@ -331,7 +331,9 @@ def test_flow_reproduces_zero_order(table1):
         z00 = cfm._z0_slices(co, np.array([0.0]))(m.sigma0, m.v0)[0]
         s_tr, nodes, pref = cfm._flow_state(m, u, tables, 0.0, m.sigma0, m.v0,
                                             chis, x_h)
-        towed = pref * (cfm._z0_slices(co, chis)(s_tr[:, None], nodes) @ w_h)
+        # the affine slice ignores v, so it comes back without the node axis
+        z0 = cfm._z0_slices(co, chis)(s_tr[:, None], nodes)
+        towed = pref * (np.broadcast_to(z0, nodes.shape) @ w_h)
         for chi, val in zip(chis, towed):
             assert abs(val - z00) <= 1e-12, (kap, chi)
 
@@ -424,9 +426,39 @@ def test_first_order_kernel_matches_adaptive_on_damped_contour(table1, mode,
 
 
 def test_corrections_vanish_at_zero_frequency(table1):
-    cfg = CorrectionConfig(mode=MODE_AFFINE)
-    assert abs(correction(1, 0.0, table1, cfg)) <= 1e-12
-    assert abs(correction(2, 0.0, table1, cfg)) <= 1e-12
+    # at u = 0 every zero-order slice is 1, so every stencil difference is
+    # an exact zero; cf_total skips the corrections there and must still
+    # return what the series would
+    for mode in (MODE_AFFINE, MODE_PAPER):
+        cfg = CorrectionConfig(mode=mode)
+        assert correction(1, 0.0, table1, cfg) == 0, mode
+        assert correction(2, 0.0, table1, cfg) == 0, mode
+        for order in (0, 1, 2):
+            assert cf_total(0.0, table1, replace(cfg, order=order)) == 1, (mode, order)
+
+
+def test_v_free_slices_equal_the_full_evaluation(table1):
+    # a cross coefficient of 1e-300 rounds away in every exponent, yet sends
+    # z0 through the full (state, time, Hermite) evaluation; the affine
+    # slice that skips v must give the same numbers, not just close ones
+    cfg = CorrectionConfig(mode=MODE_AFFINE, z2_panels=3)
+    co = cfm._coeffs_for(1.0 + 0.0j, table1, MODE_AFFINE)
+    full = replace(co, beta_bar=lambda t: 1e-300 + 0.0j)
+    tables = cfm._flow_tables(table1)
+    x_h, _ = cfm._hermite_rule(cfg.hermite_n)
+    chis, _ = cfm._power_nodes(0.0, table1.t_mat, table1.h, 16, 10)
+    s_tr, nodes, _ = cfm._flow_state(table1, co.u, tables, 0.0, table1.sigma0,
+                                     table1.v0, chis, x_h)
+    assert cfm._z0_slices(co, chis)(s_tr[:, None], nodes).shape == (len(chis), 1)
+    assert cfm._z0_slices(full, chis)(s_tr[:, None], nodes).shape == nodes.shape
+
+    def integrand(c):
+        return cfm._z1_integrand(table1, c, cfg, tables, 0.0, table1.sigma0,
+                                 table1.v0, chis)
+
+    assert np.array_equal(integrand(co), integrand(full))
+    assert cfm._z1_value(table1, co, cfg, tables) == cfm._z1_value(table1, full, cfg, tables)
+    assert cfm._z2_point(table1, co, cfg, tables) == cfm._z2_point(table1, full, cfg, tables)
 
 
 def test_first_order_golden(table1):

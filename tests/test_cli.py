@@ -76,6 +76,21 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
     assert main(["cf", "--config", nan_model, "--out", str(tmp_path / "o3")]) == 1
     assert "model: sigma0 must be finite" in capsys.readouterr().err
 
+    # NaN and infinities pass every range comparison downstream, so every
+    # number is refused by name where the config is read
+    nan, inf = float("nan"), float("inf")
+    for cmd, cfg, msg in (
+            ("mc", {"pricing": {"strikes": [nan, 1.0]}}, "pricing: strikes"),
+            ("price", {"pricing": {"damping": nan}}, "pricing: damping"),
+            ("cf", {"cf": {"u_max": inf, "n_u": 3}}, "cf: u_max"),
+            ("mc", {"mc": {"t_start": nan}}, "mc: t_start"),
+            ("varswap", {"pricing": {"varswap": {"observation_times": [0.25, -inf]}}},
+             "pricing.varswap: observation_times"),
+            ("cf", {"model": {"xi": 10 ** 400}}, "model: xi")):
+        path = _write(tmp_path, cfg, "nonfinite.json")
+        assert main([cmd, "--config", path, "--out", str(tmp_path / "o4")]) == 1, msg
+        assert f"{msg} must be finite" in capsys.readouterr().err, msg
+
     unknown = _write(tmp_path, {"nope": {}}, "u.json")
     assert main(["constants", "--config", unknown,
                  "--out", str(tmp_path / "o2")]) == 1

@@ -137,6 +137,10 @@ def test_negative_strike_rejected(table1):
         mc_price(table1, McSpec(n_paths=16, n_steps=4, seed=1), -1.0)
     with pytest.raises(ValueError):
         mc_prices(table1, McSpec(n_paths=16, n_steps=4, seed=1), [1.0, -1.0])
+    # NaN fails every comparison, so it must be refused as not finite
+    for strike in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mc_prices(table1, McSpec(n_paths=16, n_steps=4, seed=1), [strike, 1.0])
 
 
 @settings(max_examples=30, deadline=None)
