@@ -26,7 +26,8 @@ from .model import AdolModel, small_param_check
 from .montecarlo import McSpec, mc_prices, mc_quadratic_variation
 from .numerics import QuadratureError
 from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_price,
-                      varswap_strike, varswap_strike_analytic)
+                      varswap_leg_states, varswap_strike,
+                      varswap_strike_analytic)
 
 __all__ = ["main", "load_config"]
 
@@ -400,8 +401,12 @@ def cmd_varswap(cfg: dict, out_dir: Path, check: bool) -> int:
         raise ConfigError("pricing.varswap: observations beyond the maturity")
     mspec = _mc_spec(cfg)
     breaches = 0
-    k_fd = varswap_strike(model, vspec, cfg=mspec)
-    k_an = varswap_strike_analytic(model, vspec, cfg=mspec)
+    # one sample of each leg serves both estimators; it is dropped before the
+    # realized variance marches its own paths
+    legs = varswap_leg_states(model, vspec, mspec)
+    k_fd = varswap_strike(model, vspec, legs=legs)
+    k_an = varswap_strike_analytic(model, vspec, legs=legs)
+    del legs
     qv = mc_quadratic_variation(model, mspec, vspec.observation_times)
     rows = [["fd-richardson", k_fd, math.nan, k_fd - qv.estimate],
             ["affine-analytic", k_an, math.nan, k_an - qv.estimate],

@@ -14,7 +14,10 @@ nu and m are read at the right endpoint of each step.  The v-shock and the
 sigma-shock share one Gaussian (they ride the same Brownian); the x-shock
 correlates with it at rho.  Draws come from one counter-based generator in
 a fixed (step, path) layout, so results are bitwise reproducible and
-independent of any execution schedule.
+independent of any execution schedule.  One helper thread per simulation
+owns the generator and draws each step's normals one step ahead, while the
+caller marches the step before; it reads the stream in the same order, so
+the stream and every result are the same as with the draws made in line.
 
 One simulation serves a whole strike ladder: `mc_prices` reads every strike's
 payoff off the same terminal states, so a ladder of any length costs one
@@ -24,6 +27,7 @@ march of the paths.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -102,6 +106,63 @@ def _v_step_tables(model: AdolModel, grid: np.ndarray) -> tuple[np.ndarray, np.n
     return decay, np.sqrt(np.maximum(var, 0.0))
 
 
+class _DrawAhead:
+    """Each step's (2, m) standard normals, drawn one step ahead.
+
+    A helper thread owns the generator and fills two buffers in turn: while
+    the caller marches step n on one, it fills step n + 1 into the other.
+    numpy releases the GIL both while drawing and in the caller's ufuncs, so
+    the two overlap.  The stream is read in step order, as drawing in line
+    would read it.  Leaving the `with` block joins the helper, also when the
+    march raised; an exception in the helper is raised by `take`.
+    """
+
+    def __init__(self, gen: np.random.Generator, m_draw: int, n_steps: int) -> None:
+        # two blocks, not one (2, 2, m): the allocator raises its mmap
+        # threshold to the largest block freed, and a double-size block moves
+        # later arrays onto the heap, where they raise the peak RSS
+        self._bufs = (np.empty((2, m_draw)), np.empty((2, m_draw)))
+        self._free = threading.Semaphore(2)  # buffers the helper may fill
+        self._full = threading.Semaphore(0)  # buffers the caller may read
+        self._taken = 0
+        self._stop = False
+        self._error: BaseException | None = None
+        self._helper = threading.Thread(target=self._fill, args=(gen, n_steps),
+                                        name="adol-draws")
+
+    def _fill(self, gen: np.random.Generator, n_steps: int) -> None:
+        try:
+            for n in range(n_steps):
+                self._free.acquire()
+                if self._stop:
+                    return
+                gen.standard_normal(out=self._bufs[n % 2])
+                self._full.release()
+        except BaseException as exc:  # re-raised in the caller by take()
+            self._error = exc
+            self._full.release()
+
+    def __enter__(self) -> _DrawAhead:
+        self._helper.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()
+        self._helper.join()
+
+    def take(self) -> np.ndarray:
+        """The next step's normals; hands the previous step's buffer back."""
+        if self._taken:
+            self._free.release()
+        self._full.acquire()
+        if self._error is not None:
+            raise self._error
+        z = self._bufs[self._taken % 2]
+        self._taken += 1
+        return z
+
+
 def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None):
     """March the system; optionally capture x at the given grid indices."""
     grid = _grid(model, spec)
@@ -123,24 +184,26 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None):
         snaps[0] = x.copy()
     sig_peak = model.sigma0
 
-    for n in range(n_steps):
-        t_right = grid[n + 1]
-        dt = grid[n + 1] - grid[n]
-        sq_dt = math.sqrt(dt)
-        z = gen.standard_normal((2, m_draw))
-        if spec.antithetic:
-            z = np.concatenate([z, -z], axis=1)
-        z1 = rho * z[1] + rho_perp * z[0]
-        nu_r = nu_t(float(t_right), c)
-        m_r = m_t(float(t_right), model)
-        x += (drift_x - 0.5 * sig * sig) * dt + sig * sq_dt * z1
-        sig_new = sig * np.exp(-(kappa + xi * m_r * v) * dt) \
-            + sig * (xi * nu_r * sq_dt) * z[1]
-        v = decay[n] * v + diff_sd[n] * z[1]
-        sig = sig_new
-        sig_peak = max(sig_peak, float(np.max(np.abs(sig))))
-        if capture is not None and (n + 1) in capture:
-            snaps[n + 1] = x.copy()
+    with _DrawAhead(gen, m_draw, n_steps) as draws:
+        for n in range(n_steps):
+            z = draws.take()
+            t_right = grid[n + 1]
+            dt = grid[n + 1] - grid[n]
+            sq_dt = math.sqrt(dt)
+            if spec.antithetic:
+                z = np.concatenate([z, -z], axis=1)
+            z1 = rho * z[1] + rho_perp * z[0]
+            nu_r = nu_t(float(t_right), c)
+            m_r = m_t(float(t_right), model)
+            x += (drift_x - 0.5 * sig * sig) * dt + sig * sq_dt * z1
+            del z1  # freed before the sigma step, whose temporaries set the peak
+            sig_new = sig * np.exp(-(kappa + xi * m_r * v) * dt) \
+                + sig * (xi * nu_r * sq_dt) * z[1]
+            v = decay[n] * v + diff_sd[n] * z[1]
+            sig = sig_new
+            sig_peak = max(sig_peak, float(np.max(np.abs(sig))))
+            if capture is not None and (n + 1) in capture:
+                snaps[n + 1] = x.copy()
 
     if sig_peak > 1e3 * model.sigma0:
         warnings.warn(

@@ -27,7 +27,7 @@ import numpy as np
 from .charfn import MODE_AFFINE, _coeffs_for
 from .model import AdolModel
 from .montecarlo import McSpec, simulate_q
-from .numerics import QuadratureSpec, integrate_adaptive, norm_cdf
+from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
 
 __all__ = [
     "FourierPricingSpec",
@@ -37,6 +37,7 @@ __all__ = [
     "fourier_prices_fft",
     "implied_vol",
     "forward_cf",
+    "varswap_leg_states",
     "varswap_strike",
     "varswap_strike_analytic",
 ]
@@ -119,8 +120,11 @@ def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
                   spec: FourierPricingSpec | None = None,
                   is_call: bool = True) -> float:
     """Single-strike damped-contour inversion with adaptive quadrature."""
-    if spot <= 0.0 or strike <= 0.0:
-        raise ValueError("spot and strike must be positive")
+    # NaN fails every comparison, so finiteness is checked on its own
+    if not (math.isfinite(spot) and math.isfinite(strike)) \
+            or spot <= 0.0 or strike <= 0.0:
+        raise ValueError(f"spot and strike must be finite and positive, "
+                         f"got {spot} and {strike}")
     spec = spec or FourierPricingSpec()
     _check_normalized(cf)
     a = spec.damping
@@ -132,6 +136,12 @@ def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
         return cmath.exp(-1j * v * m) * cf(u) / denom
 
     val = integrate_adaptive(integrand, 0.0, spec.u_max, spec.quad)
+    # past u_max the denominator alone decays like 1/v^2, so while |cf| keeps
+    # falling the dropped tail is at most about u_max |integrand(u_max)|
+    tail = spec.u_max * abs(integrand(spec.u_max))
+    if tail > max(spec.quad.abs_tol, spec.quad.rel_tol * abs(val)):
+        raise QuadratureError(f"integrand has not decayed at u_max {spec.u_max}; "
+                              f"raise u_max", estimate=val, error_bound=tail)
     call = spot * math.exp(-a * m - r * t_mat) / math.pi * val.real
     if call < -1e-6 * spot:
         raise RuntimeError(f"inversion produced a materially negative price {call}")
@@ -231,6 +241,13 @@ def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
 # --------------------------------------------------------------------------
 
 def _states_at(t1: float, model: AdolModel, cfg: McSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled time-t1 states (sigma, v), one per path of `cfg`.
+
+    Unless the state is deterministic, each call marches a fresh simulation.
+    The variance-swap estimators take their legs' states from
+    `varswap_leg_states`, so the CLI samples each leg once and shares it
+    between both estimators.
+    """
     if model.xi == 0.0 or t1 <= model.eps:
         # deterministic (or inception) state: no outer sampling needed
         sig = model.sigma0 * math.exp(-model.kappa * t1)
@@ -277,22 +294,47 @@ def _leg_curvature(phi: Callable[[float], complex], h: float) -> complex:
     return (phi(h) - 2.0 + phi(-h)) / (h * h)
 
 
+def varswap_leg_states(model: AdolModel, spec: VarSwapSpec,
+                       cfg: McSpec | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each leg's sampled time-t1 states (sigma, v), in schedule order.
+
+    Pass the list as `legs` to `varswap_strike` and `varswap_strike_analytic`
+    to let one sample serve both; each samples its own when given none.
+    """
+    times = (0.0,) + spec.observation_times
+    cfg = cfg or McSpec(n_paths=spec.mc_states, n_steps=64, seed=20177,
+                        t_start=model.eps)
+    legs = []
+    for t1, t2 in zip(times, times[1:]):
+        _check_leg(t1, t2, model)
+        legs.append(_states_at(t1, model, cfg))
+    return legs
+
+
+def _legs_for(model: AdolModel, spec: VarSwapSpec, cfg: McSpec | None,
+              legs: list | None) -> list[tuple[np.ndarray, np.ndarray]]:
+    if legs is None:
+        return varswap_leg_states(model, spec, cfg)
+    if len(legs) != len(spec.observation_times):
+        raise ValueError(f"need one state sample per leg, "
+                         f"{len(spec.observation_times)}, got {len(legs)}")
+    return legs
+
+
 def varswap_strike(model: AdolModel, spec: VarSwapSpec,
                    cfg: McSpec | None = None, mode: str = MODE_AFFINE,
-                   richardson: bool = True) -> float:
+                   richardson: bool = True, *, legs: list | None = None) -> float:
     """Fair variance strike, annualized: -(1/T) sum of CF curvatures at u = 0.
 
-    Each leg's time-t1 states are sampled once and serve every stencil point.
+    Each leg's time-t1 states are sampled once and serve every stencil point;
+    `legs` (from `varswap_leg_states`) supplies them instead of `cfg`.
     """
     times = (0.0,) + spec.observation_times
     horizon = times[-1]
-    cfg = cfg or McSpec(n_paths=spec.mc_states, n_steps=64, seed=20177,
-                        t_start=model.eps)
     total = 0.0 + 0.0j
     h = spec.u_step
-    for t1, t2 in zip(times, times[1:]):
-        _check_leg(t1, t2, model)
-        sig, v = _states_at(t1, model, cfg)
+    for t1, t2, (sig, v) in zip(times, times[1:],
+                                _legs_for(model, spec, cfg, legs)):
 
         def phi(x: float) -> complex:
             return _forward_cf_on(x, t1, t2, model, mode, sig, v)[0]
@@ -310,21 +352,22 @@ def varswap_strike(model: AdolModel, spec: VarSwapSpec,
 
 
 def varswap_strike_analytic(model: AdolModel, spec: VarSwapSpec,
-                            cfg: McSpec | None = None) -> float:
+                            cfg: McSpec | None = None, *,
+                            legs: list | None = None) -> float:
     """Cross-check from differentiating the affine zero-order exponent.
 
     With exponent g(u) = iu(r-q)D - u(u+i) C sigma1^2, C = (1-e^(-2 kappa D))
     / (4 kappa), the curvature at zero is E[-((r-q)D - C sigma1^2)^2
-    - 2 C sigma1^2] per leg; no finite differences involved.
+    - 2 C sigma1^2] per leg; no finite differences involved.  The CLI passes
+    the `legs` it sampled for `varswap_strike`, so both estimators read the
+    same states from one simulation per leg.
     """
     times = (0.0,) + spec.observation_times
     horizon = times[-1]
-    cfg = cfg or McSpec(n_paths=spec.mc_states, n_steps=64, seed=20177,
-                        t_start=model.eps)
     rq = model.r - model.q
     acc = 0.0
-    for t1, t2 in zip(times, times[1:]):
-        sig, _ = _states_at(t1, model, cfg)
+    for t1, t2, (sig, _) in zip(times, times[1:],
+                                _legs_for(model, spec, cfg, legs)):
         delta = t2 - t1
         if model.kappa < 1e-12:
             c_leg = 0.5 * delta

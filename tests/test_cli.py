@@ -303,9 +303,10 @@ def test_price_mc_rows_pinned(tmp_path):
     ("mc", _PIN_CFG, 0, 1),
     ("price", _PIN_CFG, 0, 1),
     # two legs: the first starts at inception and needs no states; the
-    # second leg's states are drawn once for the stencil and once for the
+    # second leg's states are drawn once and shared by the stencil and the
     # analytic cross-check, and the realized variance takes one more
-    ("varswap", _PIN_CFG, 0, 3),
+    ("varswap", _PIN_CFG, 0, 2),
+    # at xi = 0 no leg draws states: price, mc and the realized variance
     ("check", {}, 3, 3),
 ], ids=["mc", "price", "varswap", "check"])
 def test_simulations_per_command(tmp_path, monkeypatch, capsys, command, cfg,

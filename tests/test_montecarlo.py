@@ -8,13 +8,16 @@ discretization bias.
 """
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from adol.model import AdolModel
+from adol import montecarlo
+from adol.do_process import nu_t
+from adol.model import AdolModel, m_t
 from adol.montecarlo import (
     McSpec,
     PathStats,
@@ -196,3 +199,137 @@ def test_quadratic_variation_input_validation(table1):
     # an observation indistinguishable from the grid start has no increment
     with pytest.raises(ValueError):
         mc_quadratic_variation(table1, spec, (table1.eps * 1.0001,))
+
+
+# ------------------------------------------------------------ draw-ahead
+
+def _serial_run(model, spec, capture=None):
+    """The march with each step's normals drawn in line on the calling
+    thread: the serial reference for the draw-ahead engine."""
+    grid = montecarlo._grid(model, spec)
+    m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
+    gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
+    c = model.constants
+    rho = model.rho
+    rho_perp = math.sqrt(1.0 - rho * rho)
+    xi, kappa = model.xi, model.kappa
+    drift_x = model.r - model.q
+    decay, diff_sd = montecarlo._v_step_tables(model, grid)
+    x = np.zeros(spec.n_paths)
+    sig = np.full(spec.n_paths, model.sigma0)
+    v = np.full(spec.n_paths, model.v0)
+    snaps = {0: x.copy()} if capture is not None and 0 in capture else {}
+    for n in range(spec.n_steps):
+        t_right = grid[n + 1]
+        dt = grid[n + 1] - grid[n]
+        sq_dt = math.sqrt(dt)
+        z = gen.standard_normal((2, m_draw))
+        if spec.antithetic:
+            z = np.concatenate([z, -z], axis=1)
+        z1 = rho * z[1] + rho_perp * z[0]
+        nu_r = nu_t(float(t_right), c)
+        m_r = m_t(float(t_right), model)
+        x += (drift_x - 0.5 * sig * sig) * dt + sig * sq_dt * z1
+        sig_new = sig * np.exp(-(kappa + xi * m_r * v) * dt) \
+            + sig * (xi * nu_r * sq_dt) * z[1]
+        v = decay[n] * v + diff_sd[n] * z[1]
+        sig = sig_new
+        if capture is not None and (n + 1) in capture:
+            snaps[n + 1] = x.copy()
+    return grid, x, sig, v, snaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(1, 300),
+       n_steps=st.integers(1, 40), antithetic=st.booleans())
+@example(seed=0, n_paths=1, n_steps=1, antithetic=False)
+@example(seed=1, n_paths=2, n_steps=1, antithetic=True)
+def test_draw_ahead_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
+    if antithetic:
+        n_paths += n_paths % 2
+    spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
+                  antithetic=antithetic)
+    got = simulate_q(table1, spec)
+    _, x, sig, v, _ = _serial_run(table1, spec)
+    assert got.x.tobytes() == x.tobytes()
+    assert got.sigma.tobytes() == sig.tobytes()
+    assert got.v.tobytes() == v.tobytes()
+    obs = (table1.t_mat,) if n_steps == 1 else (0.5 * table1.t_mat, table1.t_mat)
+    qv = mc_quadratic_variation(table1, spec, obs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_run", _serial_run)
+        assert qv == mc_quadratic_variation(table1, spec, obs)
+
+
+def test_one_helper_thread_per_simulation_and_none_left(table1, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    simulate_q(table1, McSpec(n_paths=64, n_steps=12, seed=4))
+    assert len(started) == 1
+    assert threading.active_count() == before
+    assert not started[0].is_alive()
+
+
+def _raised_within(seconds, fn):
+    """What fn raises, run on a daemon thread so that a hung hand-over fails
+    the test instead of stalling the suite."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # inspected by the test
+            raised.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"simulation still running after {seconds} s"
+    return raised[0] if raised else None
+
+
+def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
+    boom = ArithmeticError("march failed at step 3")
+    calls = []
+
+    def failing_nu(t, c):
+        calls.append(t)
+        if len(calls) == 4:
+            raise boom
+        return nu_t(t, c)
+
+    monkeypatch.setattr(montecarlo, "nu_t", failing_nu)
+    before = threading.active_count()
+    spec = McSpec(n_paths=64, n_steps=10, seed=4)
+    assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom
+    assert threading.active_count() == before
+
+
+def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
+    # the helper thread owns the generator; make its third fill fail
+    boom = MemoryError("draws failed")
+    real = np.random.Generator
+
+    class FailingGenerator:
+        def __init__(self, bit_generator):
+            self._gen = real(bit_generator)
+            self.fills = 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.fills += 1
+            if self.fills == 3:
+                raise boom
+            return self._gen.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+    before = threading.active_count()
+    spec = McSpec(n_paths=64, n_steps=10, seed=4)
+    assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom
+    assert threading.active_count() == before

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adol.charfn import MODE_AFFINE, cf_zero
+from adol.model import AdolModel
 from adol.montecarlo import McSpec, mc_quadratic_variation
+from adol.numerics import QuadratureError
 from adol.pricing import (
     FourierPricingSpec,
     VarSwapSpec,
@@ -17,6 +19,7 @@ from adol.pricing import (
     fourier_price,
     fourier_prices_fft,
     implied_vol,
+    varswap_leg_states,
     varswap_strike,
     varswap_strike_analytic,
 )
@@ -96,6 +99,61 @@ def test_fourier_rejects_unnormalized_cf(table1_xi0):
     m = table1_xi0
     with pytest.raises(ValueError):
         fourier_price(lambda u: 0.9 + 0.0j, m.s0, m.s0, m.r, m.q, m.t_mat)
+
+
+def test_fourier_rejects_non_finite_spot_and_strike(table1_xi0):
+    # NaN fails every comparison and log(inf) passes through, so both
+    # once came back as a nan price
+    m = table1_xi0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fourier_price(_cf0(m), m.s0, bad, m.r, m.q, m.t_mat)
+        with pytest.raises(ValueError):
+            fourier_price(_cf0(m), bad, m.s0, m.r, m.q, m.t_mat)
+
+
+def test_fourier_refuses_an_undecayed_integrand(table1_xi0):
+    # total variance 8e-5: |cf| at u_max = 150 is still 0.4, so the dropped
+    # tail costs 0.02 at the money (0.377 against Black-Scholes 0.355)
+    m = replace(table1_xi0, sigma0=0.05, kappa=10.0, t_mat=0.05)
+    with pytest.raises(QuadratureError, match="u_max"):
+        fourier_price(_cf0(m), m.s0, m.s0, m.r, m.q, m.t_mat)
+    got = fourier_price(_cf0(m), m.s0, m.s0, m.r, m.q, m.t_mat,
+                        spec=FourierPricingSpec(u_max=1500.0))
+    ref = bs_price(m.s0, m.s0, m.r, m.q, _flat_variance(m), True, m.t_mat)
+    assert abs(got - ref) <= 1e-6 * m.s0
+
+
+# admissible models, drawn as for the zero-order properties in test_charfn
+_MODELS = st.builds(
+    AdolModel, s0=st.just(100.0), sigma0=st.floats(0.05, 1.0), v0=st.just(5.0),
+    r=st.floats(-0.05, 0.1), q=st.floats(0.0, 0.1),
+    kappa=st.just(0.0) | st.floats(0.0, 10.0), xi=st.just(0.05),
+    rho=st.floats(-1.0, 1.0), h=st.floats(0.05, 0.95), m_rho=st.just(1.0),
+    m_pi=st.just(0.5), t_mat=st.floats(0.05, 3.0))
+
+
+@given(m=_MODELS)
+@settings(max_examples=30, deadline=None)
+def test_fourier_ladder_parity_monotone_convex(m):
+    cf = _cf0(m)
+    strikes = [m.s0 * (0.6 + 0.1 * i) for i in range(11)]
+    try:
+        calls = [fourier_price(cf, m.s0, k, m.r, m.q, m.t_mat) for k in strikes]
+    except QuadratureError:
+        # a total variance too small for the default u_max is refused
+        # loudly (see test_fourier_refuses_an_undecayed_integrand)
+        assume(False)
+    for k, c in zip(strikes, calls):
+        p = fourier_price(cf, m.s0, k, m.r, m.q, m.t_mat, is_call=False)
+        fwd = m.s0 * math.exp(-m.q * m.t_mat) - k * math.exp(-m.r * m.t_mat)
+        assert abs(c - p - fwd) <= 1e-9
+    # rounding allowance: the integral's absolute tolerance, 1e-11, in price
+    # units (the worst residual seen over 1000 drawn models was 7e-12)
+    slack = 1e-11 * m.s0
+    assert np.all(np.diff(calls) <= slack)
+    for c0, c1, c2 in zip(calls, calls[1:], calls[2:]):
+        assert c1 <= 0.5 * (c0 + c2) + slack
 
 
 def test_fft_ladder_agrees_with_single_strike(table1_xi0):
@@ -229,10 +287,28 @@ def test_varswap_stencil_matches_forward_cf_route(table1):
     assert varswap_strike(table1, spec, cfg=mc) == (-total / 0.5).real
 
 
+def test_varswap_estimators_share_one_leg_sample(table1):
+    # one sample per leg handed to both estimators gives what each gets
+    # sampling on its own from the same seed
+    spec = VarSwapSpec(observation_times=(0.2, 0.35, 0.5))
+    mc = McSpec(n_paths=512, n_steps=16, seed=3, t_start=table1.eps)
+    legs = varswap_leg_states(table1, spec, mc)
+    assert len(legs) == 3
+    assert varswap_strike(table1, spec, legs=legs) \
+        == varswap_strike(table1, spec, cfg=mc)
+    assert varswap_strike_analytic(table1, spec, legs=legs) \
+        == varswap_strike_analytic(table1, spec, cfg=mc)
+    for estimator in (varswap_strike, varswap_strike_analytic):
+        with pytest.raises(ValueError):
+            estimator(table1, spec, legs=legs[:2])
+
+
 def test_varswap_rejects_observations_past_maturity(table1):
     spec = VarSwapSpec(observation_times=(0.25, table1.t_mat * 1.5))
     with pytest.raises(ValueError):
         varswap_strike(table1, spec)
+    with pytest.raises(ValueError):
+        varswap_strike_analytic(table1, spec)
 
 
 def test_varswap_spec_validation():
