@@ -103,8 +103,9 @@ class CorrectionConfig:
     z2_panels: int = 10
 
     def __post_init__(self) -> None:
-        if self.sigma_step <= 0.0 or self.v_step <= 0.0:
-            raise ValueError("stencil steps must be positive")
+        # written so that NaN fails the comparison too
+        if not (0.0 < self.sigma_step < math.inf and 0.0 < self.v_step < math.inf):
+            raise ValueError("stencil steps must be positive and finite")
         if self.order not in (0, 1, 2):
             raise ValueError("order must be 0, 1, or 2")
         if self.hermite_n < 2:
@@ -596,13 +597,14 @@ def _flow_tables(model: AdolModel) -> Callable:
 
 
 def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
-                sigma, v, chis: np.ndarray, x_h: np.ndarray):
+                sigma, v, chis: np.ndarray, x_h: np.ndarray, at_t=None):
     """The exact zero-order flow from states (sigma, v) at t to each chi.
 
     Returns the sigma ray, the Gaussian rule over the auxiliary state (its
     mean carries the complex correlation shift) and the reaction term
     integrated along the ray in closed form.  The states broadcast against
     each other; the results gain a trailing time axis, the nodes one more.
+    at_t, if given, is tables(t), for callers that start many flows at t.
     """
     kap = model.kappa
     sigma = np.asarray(sigma, dtype=float)[..., None]
@@ -611,7 +613,8 @@ def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
     ms = _m_cum(chis, model)
     e_damp, f_quad = tables(chis)
     if t > 0.0:
-        at_t = tables(t)
+        if at_t is None:
+            at_t = tables(t)
         e_damp, f_quad = e_damp - at_t[0], f_quad - at_t[1]
     shift = sigma * math.exp(kap * t) * e_damp
     mean = np.exp(_m_cum(t, model) - ms) * v + 1j * u * model.rho * np.exp(-ms) * shift
@@ -630,6 +633,7 @@ def _z0_slices(co: CfCoefficients, chis: np.ndarray):
     does not depend on v: the slice is then evaluated on sigma's shape
     alone and left for the caller's arithmetic to broadcast across v.  Its
     values equal the full evaluation's, whose cross term is an exact zero.
+    The returned function's v_free attribute says which case holds.
     """
     a, g, b = (np.array([complex(f(c)) for c in chis])[:, None]
                for f in (co.alpha, co.gamma, co.beta_bar))
@@ -641,6 +645,7 @@ def _z0_slices(co: CfCoefficients, chis: np.ndarray):
         def z0(s, v):
             return np.exp(a + g * s * s + b * s * v)
 
+    z0.v_free = not b.any()
     return z0
 
 
@@ -651,18 +656,37 @@ def _nu_m(model: AdolModel, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phi1_legs(s, v, hs, hv):
-    """The six points of the Phi1 stencil, in the order _stencil_phi1 reads."""
-    sp, sm, vp, vm = s + hs, s - hs, v + hv, v - hv
-    return ((sp, vp), (sp, vm), (sm, vp), (sm, vm), (sp, v), (sm, v))
+    """The points of the Phi1 stencil, in the order _stencil_phi1 reads:
+    the two sigma legs, then, unless hv is None, the four mixed ones."""
+    sp, sm = s + hs, s - hs
+    if hv is None:
+        return (sp, v), (sm, v)
+    vp, vm = v + hv, v - hv
+    return (sp, v), (sm, v), (sp, vp), (sp, vm), (sm, vp), (sm, vm)
 
 
 def _stencil_phi1(f, nu, m, u: complex, rho: float, s, v, hs, hv):
     """xi-linear generator piece by central differences at the source point:
     nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds, from the values f of
-    the operand at the _phi1_legs points.  Accepts arrays."""
-    f_sv = (f[0] - f[1] - f[2] + f[3]) / (4.0 * hs * hv)
-    f_s = (f[4] - f[5]) / (2.0 * hs)
-    return nu * nu * s * f_sv + (1j * u * rho * nu * s - m * v) * s * f_s
+    the operand at the _phi1_legs points.  Accepts arrays.
+
+    hv = None marks an operand that does not depend on v (a v-free z0
+    slice): its mixed difference f(s+,v+) - f(s+,v-) - f(s-,v+) + f(s-,v-)
+    subtracts equal values and is an exact zero, so that term is skipped
+    and f holds the two sigma legs only; the result equals the full
+    stencil's.
+    """
+    f_s = (f[0] - f[1]) / (2.0 * hs)
+    # (i u rho nu s - m v) s f_s built in place: a chain of full-size
+    # temporaries made the heap grow and shrink on every call
+    drift = m * v
+    np.subtract(1j * u * rho * nu * s, drift, out=drift)
+    drift *= s
+    drift *= f_s
+    if hv is None:
+        return drift
+    f_sv = (f[2] - f[3] - f[4] + f[5]) / (4.0 * hs * hv)
+    return nu * nu * s * f_sv + drift
 
 
 def _stencil_phi2(fn, nu, s, v, hs):
@@ -672,25 +696,29 @@ def _stencil_phi2(fn, nu, s, v, hs):
 
 
 def _steps(cfg: "CorrectionConfig", s, nodes):
-    return (cfg.sigma_step * np.maximum(1.0, np.abs(s)),
-            cfg.v_step * np.maximum(1.0, np.abs(nodes)))
+    """Relative stencil steps in sigma and v; no v step for nodes = None."""
+    hv = None if nodes is None else cfg.v_step * np.maximum(1.0, np.abs(nodes))
+    return cfg.sigma_step * np.maximum(1.0, np.abs(s)), hv
 
 
 def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
                   tables: Callable, t: float, sigma, v,
-                  chis: np.ndarray) -> np.ndarray:
+                  chis: np.ndarray, at_t=None) -> np.ndarray:
     """The first-order integrand: the source Phi1 z0 at each time chi in
     (t, T], carried back along the flow to the states (sigma, v) at t.
 
-    Vectorised over (state, time node, Hermite node); the result has the
-    states' shape plus a trailing time axis.
+    Vectorised over (state, time node, Hermite node); the states broadcast
+    against each other, and the result has their shape plus a trailing
+    time axis.  at_t is passed on to _flow_state.  On a v-free z0 slice
+    (affine-ode mode) the stencil's mixed difference is an exact zero, so
+    neither it nor the v steps over the Hermite nodes are formed.
     """
     x_h, w_h = _hermite_rule(cfg.hermite_n)
-    s_tr, nodes, pref = _flow_state(model, co.u, tables, t, sigma, v, chis, x_h)
+    s_tr, nodes, pref = _flow_state(model, co.u, tables, t, sigma, v, chis, x_h, at_t)
     s_tr = s_tr[..., None]
-    hs, hv = _steps(cfg, s_tr, nodes)
-    nu, m = _nu_m(model, chis)
     z0 = _z0_slices(co, chis)
+    hs, hv = _steps(cfg, s_tr, None if z0.v_free else nodes)
+    nu, m = _nu_m(model, chis)
     src = _stencil_phi1([z0(a, b) for a, b in _phi1_legs(s_tr, nodes, hs, hv)],
                         nu, m, co.u, model.rho, s_tr, nodes, hs, hv)
     return pref * (src @ w_h)
@@ -769,15 +797,18 @@ def _z2_point(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     nh = len(x_h)
     for j, chi in enumerate(chis):
         sj, hsj, hvj, vj = s_tr[j, 0], hs[j, 0], hv[j], nodes[j]
-        # one fused batch holding all six stencil legs of the z1 field
-        legs = _phi1_legs(sj, vj, hsj, hvj)
-        sb = np.repeat([a for a, _ in legs], nh)
-        vb = np.concatenate([b for _, b in legs])
+        # the z1 field at the six stencil legs, as a grid of the two sigma
+        # legs by the three v legs: the sigma-only work runs on 2 states
+        sg = np.array([[sj + hsj], [sj - hsj]])
+        vg = np.concatenate([vj + hvj, vj - hvj, vj])[None, :]
         inner, iw = _power_nodes(chi, T, model.h, cfg.z2_panels, 8)
-        z1b = sum(_z1_integrand(model, co, cfg, tables, chi, sb, vb, inner[i:i + 8])
+        at_chi = tables(chi)
+        # one 8-node panel per call: larger blocks measured slower end to end
+        z1g = sum(_z1_integrand(model, co, cfg, tables, chi, sg, vg, inner[i:i + 8], at_chi)
                   @ iw[i:i + 8] for i in range(0, len(inner), 8))
-        src[j] += _stencil_phi1(z1b.reshape(6, nh), nu[j], m[j], co.u, model.rho,
-                                sj, vj, hsj, hvj)
+        (sp_vp, sp_vm, sp_v), (sm_vp, sm_vm, sm_v) = z1g.reshape(2, 3, nh)
+        src[j] += _stencil_phi1([sp_v, sm_v, sp_vp, sp_vm, sm_vp, sm_vm], nu[j], m[j],
+                                co.u, model.rho, sj, vj, hsj, hvj)
     return complex(wts @ (pref * (src @ w_h)))
 
 

@@ -54,8 +54,9 @@ class McSpec:
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be at least 1")
-        if self.t_start is not None and self.t_start <= 0.0:
-            raise ValueError("t_start must be positive")
+        # written so that NaN fails the comparison too
+        if self.t_start is not None and not 0.0 < self.t_start < math.inf:
+            raise ValueError(f"t_start must be positive and finite, got {self.t_start}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic mode needs an even n_paths")
 

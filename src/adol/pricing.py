@@ -52,10 +52,11 @@ class FourierPricingSpec:
                                           max_subdivisions=2000)
 
     def __post_init__(self) -> None:
-        if self.damping <= 0.0:
-            raise ValueError("damping must be positive")
-        if self.u_max <= 0.0:
-            raise ValueError("u_max must be positive")
+        # written so that NaN fails the comparison too
+        if not 0.0 < self.damping < math.inf:
+            raise ValueError(f"damping must be positive and finite, got {self.damping}")
+        if not 0.0 < self.u_max < math.inf:
+            raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
         if self.n_points < 64:
             raise ValueError("n_points must be at least 64")
 
@@ -83,9 +84,18 @@ class VarSwapSpec:
 # Black-Scholes reference
 # --------------------------------------------------------------------------
 
+def _require_finite(**values: float) -> None:
+    # NaN fails every range comparison, so finiteness is checked on its own
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
 def bs_price(spot: float, strike: float, r: float, q: float,
              total_variance: float, is_call: bool, t_mat: float) -> float:
     """Price with an aggregate variance; t_mat only sets the discounting."""
+    _require_finite(spot=spot, strike=strike, r=r, q=q,
+                    total_variance=total_variance, t_mat=t_mat)
     if spot <= 0.0 or strike <= 0.0:
         raise ValueError("spot and strike must be positive")
     if total_variance < 0.0:
@@ -190,6 +200,7 @@ def fourier_prices_fft(cf: Callable[[complex], complex], spot: float, r: float,
 def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
                 t_mat: float, is_call: bool = True) -> float:
     """Annualized Black-Scholes vol; iterates to convergence in vol space."""
+    _require_finite(price=price, spot=spot, strike=strike, r=r, q=q, t_mat=t_mat)
     if spot <= 0.0 or strike <= 0.0 or t_mat <= 0.0:
         raise ValueError("spot, strike and maturity must be positive")
     disc_s = spot * math.exp(-q * t_mat)

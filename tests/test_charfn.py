@@ -461,6 +461,91 @@ def test_v_free_slices_equal_the_full_evaluation(table1):
     assert cfm._z2_point(table1, co, cfg, tables) == cfm._z2_point(table1, full, cfg, tables)
 
 
+def _six_leg_integrand(m, co, cfg, tables, t, sigma, v, chis):
+    """_z1_integrand with the full six-leg Phi1 stencil written out: the mixed
+    difference is formed even where the z0 slice ignores v."""
+    x_h, w_h = cfm._hermite_rule(cfg.hermite_n)
+    s_tr, nodes, pref = cfm._flow_state(m, co.u, tables, t, sigma, v, chis, x_h)
+    s = s_tr[..., None]
+    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
+    hv = cfg.v_step * np.maximum(1.0, np.abs(nodes))
+    nu, mr = cfm._nu_m(m, chis)
+    z0 = cfm._z0_slices(co, chis)
+    f_sv = (z0(s + hs, nodes + hv) - z0(s + hs, nodes - hv)
+            - z0(s - hs, nodes + hv) + z0(s - hs, nodes - hv)) / (4.0 * hs * hv)
+    f_s = (z0(s + hs, nodes) - z0(s - hs, nodes)) / (2.0 * hs)
+    src = nu * nu * s * f_sv + (1j * co.u * m.rho * nu * s - mr * nodes) * s * f_s
+    return pref * (src @ w_h)
+
+
+def _fused_leg_z2(m, co, cfg, tables):
+    """z2 with the inner z1 field on one fused batch of 6 x hermite_n states,
+    one per (stencil leg, Hermite node), in blocks of 8 inner nodes."""
+    T = m.t_mat
+    x_h, w_h = cfm._hermite_rule(cfg.hermite_n)
+    chis, wts = cfm._power_nodes(0.0, T, m.h, cfg.z2_panels + 6, 10)
+    s_tr, nodes, pref = cfm._flow_state(m, co.u, tables, 0.0, m.sigma0, m.v0, chis, x_h)
+    s_tr = s_tr[:, None]
+    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s_tr))
+    hv = cfg.v_step * np.maximum(1.0, np.abs(nodes))
+    nu, mr = cfm._nu_m(m, chis)
+    src = np.broadcast_to(cfm._stencil_phi2(cfm._z0_slices(co, chis), nu, s_tr, nodes, hs),
+                          nodes.shape).copy()
+    nh = len(x_h)
+    for j, chi in enumerate(chis):
+        sj, hsj, hvj, vj = s_tr[j, 0], hs[j, 0], hv[j], nodes[j]
+        sp, sm, vp, vm = sj + hsj, sj - hsj, vj + hvj, vj - hvj
+        legs = ((sp, vp), (sp, vm), (sm, vp), (sm, vm), (sp, vj), (sm, vj))
+        sb = np.repeat([a for a, _ in legs], nh)
+        vb = np.concatenate([b for _, b in legs])
+        inner, iw = cfm._power_nodes(chi, T, m.h, cfg.z2_panels, 8)
+        f = sum(_six_leg_integrand(m, co, cfg, tables, chi, sb, vb, inner[i:i + 8])
+                @ iw[i:i + 8] for i in range(0, len(inner), 8)).reshape(6, nh)
+        f_sv = (f[0] - f[1] - f[2] + f[3]) / (4.0 * hsj * hvj)
+        f_s = (f[4] - f[5]) / (2.0 * hsj)
+        src[j] += nu[j] * nu[j] * sj * f_sv \
+            + (1j * co.u * m.rho * nu[j] * sj - mr[j] * vj) * sj * f_s
+    return complex(wts @ (pref * (src @ w_h)))
+
+
+@pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
+@pytest.mark.parametrize("panels", [2, 3])
+@pytest.mark.parametrize("hermite_n", [7, 12])
+def test_z2_two_sigma_grid_is_bitwise_the_fused_batch(table1, mode, panels, hermite_n):
+    cfg = CorrectionConfig(mode=mode, z2_panels=panels, hermite_n=hermite_n)
+    tables = cfm._flow_tables(table1)
+    for u in (1.0, 2.5 - 1.5j):
+        co = cfm._coeffs_for(complex(u), table1, mode)
+        assert cfm._z2_point(table1, co, cfg, tables) == \
+            _fused_leg_z2(table1, co, cfg, tables), u
+
+
+@pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
+def test_z1_integrand_is_bitwise_the_six_leg_stencil(table1, mode):
+    # affine slices are v-free, so the kernel skips the mixed difference
+    # there; the paper slices take the full stencil.  Both at inception and
+    # from a (sigma, v) grid at a later t, as z2 calls it
+    cfg = CorrectionConfig(mode=mode)
+    tables = cfm._flow_tables(table1)
+    chis, _ = cfm._power_nodes(0.0, table1.t_mat, table1.h, 2, 8)
+    t = 0.2
+    inner, _ = cfm._power_nodes(t, table1.t_mat, table1.h, 2, 8)
+    sg = np.array([[0.31], [0.29]])
+    vg = np.array([[4.0 + 0.1j, 5.0, 6.0 - 0.2j]])
+    for u in (1.0, 2.5 - 1.5j):
+        co = cfm._coeffs_for(complex(u), table1, mode)
+        assert cfm._z0_slices(co, chis).v_free == (mode == MODE_AFFINE)
+        got = cfm._z1_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
+                                table1.v0, chis)
+        want = _six_leg_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
+                                  table1.v0, chis)
+        assert np.array_equal(got, want), u
+        got = cfm._z1_integrand(table1, co, cfg, tables, t, sg, vg, inner, tables(t))
+        want = _six_leg_integrand(table1, co, cfg, tables, t, sg, vg, inner)
+        assert got.shape == (2, 3, len(inner))
+        assert np.array_equal(got, want), u
+
+
 def test_first_order_golden(table1):
     # z1 pins here and below: adaptive quadrature in time at rel_tol 1e-11
     # over adaptively integrated flow transforms, as in _reference_z1
@@ -553,6 +638,14 @@ def test_correction_guards(table1):
         CorrectionConfig(hermite_n=1)
     with pytest.raises(ValueError):
         CorrectionConfig(mode="no-such-mode")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stencil_steps_must_be_finite(bad):
+    # a NaN step used to surface only as a QuadratureError with a nan estimate
+    for field in ("sigma_step", "v_step"):
+        with pytest.raises(ValueError, match="stencil steps"):
+            CorrectionConfig(**{field: bad})
 
 
 # ----------------------------------------------------------- PDE residual

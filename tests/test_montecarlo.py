@@ -51,6 +51,13 @@ def test_spec_validation():
     McSpec(n_paths=100, n_steps=10, seed=1, antithetic=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_start_time_must_be_finite(bad):
+    # refused when the spec is built, not later by the grid
+    with pytest.raises(ValueError, match="t_start"):
+        McSpec(n_paths=16, n_steps=4, seed=1, t_start=bad)
+
+
 def test_start_time_must_precede_maturity(table1):
     spec = McSpec(n_paths=16, n_steps=4, seed=1, t_start=table1.t_mat)
     with pytest.raises(ValueError):

@@ -63,6 +63,29 @@ def test_bs_rejects_bad_inputs():
         bs_price(100.0, 100.0, 0.0, 0.0, 0.04, True, -1.0)
 
 
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_black_scholes_refuses_non_finite_inputs(bad):
+    # a NaN passes every range check and used to come back as a nan price
+    good = dict(spot=1.0, strike=1.0, r=0.0, q=0.0, total_variance=0.04, t_mat=0.5)
+    for name in good:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            bs_price(**{**good, name: bad}, is_call=True)
+    good_iv = dict(price=0.05, spot=1.0, strike=1.0, r=0.0, q=0.0, t_mat=0.5)
+    for name in good_iv:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            implied_vol(**{**good_iv, name: bad})
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("field", ["damping", "u_max"])
+def test_fourier_spec_refuses_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        FourierPricingSpec(**{field: bad})
+
+
 # ------------------------------------------------------------- inversion
 
 def test_fourier_matches_closed_form(table1_xi0):
