@@ -20,7 +20,6 @@ form (expansion at the substituted center).
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -237,58 +236,19 @@ def zero_order_fn(u: complex, model: AdolModel,
 
 @dataclass(frozen=True)
 class GreenPieces:
-    """Transformed-clock pieces for the convolution pipeline.
+    """Transformed-clock pieces for the spatial J integral.
 
-    tau is quadrature-backed and authoritative; tau_closed is the
-    exponential-integral form kept for comparison (tau_closed_gap is their
-    max relative gap on a probe grid).  a1 takes the frequency as a second
-    argument because the transport coefficient is linear in u.
+    tau(t) = 1/2 int_t^T nu^2 alpha1^2 dr is read off the exact flow
+    tables (see _flow_tables), with alpha1(t) = exp(M(t) - M(T)) the
+    transport scale and M the cumulative reversion speed.  tau_closed_gap
+    is the max relative gap of the paper's exponential-integral clock
+    from tau on a probe grid: a known deviation, carried, never patched.
     """
 
     tau: Callable[[float], float]
     alpha1: Callable[[float], float]
-    t_of_tau: Callable[[float], float]
-    a1: Callable[..., complex]
-    g_jac: Callable[[float], float]
-    a1_int: Callable[[float], float]
-    tau_closed: Callable[[float], float]
     tau_closed_gap: float
     t_mat: float
-
-
-class _PowerCurve:
-    """Hermite interpolant whose first segment [0, t1] follows a power law,
-    matching the integrable endpoint singularity of the integrand."""
-
-    __slots__ = ("knots", "vals", "ders", "v0", "p0")
-
-    def __init__(self, knots, vals, ders, v0, p0):
-        self.knots = list(knots)
-        self.vals = vals
-        self.ders = ders
-        self.v0 = v0
-        self.p0 = p0
-
-    def __call__(self, t: float) -> float:
-        k = self.knots
-        if t < -1e-15:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        if t <= 0.0:
-            return self.v0
-        if t >= k[-1]:
-            if t > k[-1] * (1.0 + 1e-12) + 1e-15:
-                raise ValueError(f"time {t} beyond the cached horizon {k[-1]}")
-            return self.vals[-1]
-        if t < k[0]:
-            return self.v0 + (self.vals[0] - self.v0) * (t / k[0]) ** self.p0
-        j = bisect.bisect_right(k, t) - 1
-        h = k[j + 1] - k[j]
-        s = (t - k[j]) / h
-        s2, s3 = s * s, s * s * s
-        return ((2 * s3 - 3 * s2 + 1) * self.vals[j]
-                + (s3 - 2 * s2 + s) * h * self.ders[j]
-                + (-2 * s3 + 3 * s2) * self.vals[j + 1]
-                + (s3 - s2) * h * self.ders[j + 1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -297,80 +257,22 @@ def _green_build(model: AdolModel) -> GreenPieces:
         raise ValueError("green machinery requires H < 1/2")
     c = model.constants
     T = model.t_mat
-    kappa = model.kappa
     p_exp = 1.0 + model.m_pi
     m_scale = model.m_rho / p_exp
+    m_T = _m_cum(T, model)
+    tables = _flow_tables(model)
+    half_scale = 0.5 * math.exp(-2.0 * m_T)
+    f_T = float(tables(T)[1])
 
     def alpha1(t: float) -> float:
-        return math.exp(-m_scale * (T ** p_exp - t ** p_exp))
-
-    def neg_dtau(t: float) -> float:
-        n = nu_t(t, c)
-        a = alpha1(t)
-        return 0.5 * n * n * a * a
-
-    def a1_unit(t: float) -> float:
-        n = nu_t(t, c)
-        n_prime = c.b_h * (c.h - 0.5) * t ** (c.h - 1.5)
-        a = alpha1(t)
-        return 2.0 * (n * (kappa + m_t(t, model)) + n_prime) / n ** 4 \
-            * math.exp(-kappa * t) / (a * a)
-
-    # graded knots cluster near the singular origin
-    n_knots = 400
-    grading = 2.5
-    knots = [T * (j / n_knots) ** grading for j in range(1, n_knots + 1)]
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=4000)
-
-    def _panel(f, a, b):
-        return integrate_adaptive(f, a, b, spec).real
-
-    tau_first = _panel(neg_dtau, 0.0, knots[0])
-    tau_panels = [_panel(neg_dtau, knots[j], knots[j + 1]) for j in range(n_knots - 1)]
-    tau_vals = [0.0] * n_knots
-    acc = 0.0
-    for j in range(n_knots - 2, -1, -1):
-        acc += tau_panels[j]
-        tau_vals[j] = acc
-    tau_at_zero = tau_vals[0] + tau_first
-    tau_ders = [-neg_dtau(t) for t in knots]
-    tau_curve = _PowerCurve(knots, tau_vals, tau_ders, tau_at_zero, 2.0 * c.h)
-
-    a1_first = _panel(a1_unit, 0.0, knots[0])
-    a1_vals = [a1_first]
-    for j in range(n_knots - 1):
-        a1_vals.append(a1_vals[-1] + _panel(a1_unit, knots[j], knots[j + 1]))
-    a1_ders = [a1_unit(t) for t in knots]
-    a1_curve = _PowerCurve(knots, a1_vals, a1_ders, 0.0, 1.5 - 3.0 * c.h)
+        return math.exp(_m_cum(t, model) - m_T)
 
     def tau(t: float) -> float:
-        return tau_curve(t)
-
-    def a1_int(x: float) -> float:
-        return a1_curve(x)
-
-    def a1(t: float, u: complex = 1.0) -> complex:
-        return 1j * model.rho * u * a1_unit(t)
-
-    def g_jac(t: float) -> float:
-        return -1.0 / neg_dtau(t)
-
-    def t_of_tau(tv: float) -> float:
-        if tv < -1e-12 or tv > tau_at_zero + 1e-12:
-            raise ValueError(
-                f"tau value {tv} outside the invertible range [0, {tau_at_zero}]")
-        lo, hi = 0.0, T
-        f_lo = tau_at_zero - tv
-        for _ in range(200):
-            if hi - lo <= 1e-13 * max(1.0, T):
-                break
-            mid = 0.5 * (lo + hi)
-            f_mid = tau_curve(mid) - tv
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if not 0.0 <= t <= T * (1.0 + 1e-12):
+            raise ValueError(f"time {t} outside [0, {T}]")
+        # f_quad(0) = 0; the tables' nodes would all sit on the origin there
+        f_t = float(tables(t)[1]) if t > 0.0 else 0.0
+        return half_scale * (f_T - f_t)
 
     def tau_closed(t: float) -> float:
         # exponential-integral form; imaginary parts of the two E terms
@@ -388,16 +290,12 @@ def _green_build(model: AdolModel) -> GreenPieces:
         val = b_sq / (2.0 * p_exp) * math.exp(zT) * bracket
         return val.real
 
-    probe = np.linspace(0.02 * T, T, 40)
     gap = 0.0
-    for t in probe:
-        q = tau_curve(float(t))
-        cl = tau_closed(float(t))
-        gap = max(gap, abs(cl - q) / max(abs(q), 1e-30))
+    for t in np.linspace(0.02 * T, T, 40):
+        q = tau(float(t))
+        gap = max(gap, abs(tau_closed(float(t)) - q) / max(abs(q), 1e-30))
 
-    return GreenPieces(tau=tau, alpha1=alpha1, t_of_tau=t_of_tau, a1=a1,
-                       g_jac=g_jac, a1_int=a1_int, tau_closed=tau_closed,
-                       tau_closed_gap=gap, t_mat=T)
+    return GreenPieces(tau=tau, alpha1=alpha1, tau_closed_gap=gap, t_mat=T)
 
 
 def green_pieces(model: AdolModel) -> GreenPieces:
@@ -579,7 +477,8 @@ def _flow_tables(model: AdolModel) -> Callable:
     both at an array of s by one tanh-sinh rule in y, r = s y^(1/2H):
     the substitution makes every integrand regular at r = 0, so the values
     are exact to rounding and analytic in s.  Both enter only through
-    differences, so one function per model covers every (t, s) pair.
+    differences, so one function per model covers every (t, s) pair: the
+    flows of the corrections read both, the Green clock tau reads f_quad.
     """
     q = 0.5 / model.h
     x, _, w = _tanh_sinh(3.2 / 60, 60)

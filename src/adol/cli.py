@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, cf_total,
-                     cf_zero, coeffs_paper, green_pieces, j_integral,
+from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _unit_response,
+                     cf_total, cf_zero, coeffs_paper, green_pieces, j_integral,
                      pde_residual, zero_order_fn, J_QUADRATURE, J_QUAD_CENTER)
 from .do_process import do_constants
 from .model import AdolModel, small_param_check
@@ -361,8 +361,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
     breaches = 0
     admissible = small_param_check(model).admissible
     rows = []
-    var0 = model.sigma0 ** 2 * (1.0 - math.exp(-2.0 * model.kappa * model.t_mat)) \
-        / (2.0 * model.kappa) if model.kappa > 0 else model.sigma0 ** 2 * model.t_mat
+    var0 = model.sigma0 ** 2 * float(_unit_response(model.kappa, model.t_mat))
     for strike, mc in zip(p["strikes"], mc_prices(model, mspec, p["strikes"])):
         cf0 = lambda u: cf_total(u, model, CorrectionConfig(order=0, mode=ccfg.mode))
         px_cf0 = fourier_price(cf0, model.s0, strike, model.r, model.q,
@@ -413,9 +412,7 @@ def cmd_varswap(cfg: dict, out_dir: Path, check: bool) -> int:
             ["mc-qv", qv.estimate, qv.std_error, 0.0]]
     if model.xi == 0.0:
         T = model.t_mat
-        closed = model.sigma0 ** 2 * (1.0 - math.exp(-2.0 * model.kappa * T)) \
-            / (2.0 * model.kappa * T) if model.kappa > 0 \
-            else model.sigma0 ** 2
+        closed = model.sigma0 ** 2 * float(_unit_response(model.kappa, T)) / T
         rows.append(["integrated-variance", closed, math.nan, closed - qv.estimate])
         if check and abs(k_fd - closed) > 0.01 * closed:
             breaches += 1

@@ -6,8 +6,8 @@ log-return by the damped transform
     C(K) = S e^(-a m - r T) / pi * Re ∫_0^umax e^(-i v m) phi(v - (a+1)i)
            / ((a + iv)(a + 1 + iv)) dv,       m = ln(K/S),
 
-integrated adaptively so single-strike accuracy is controlled; a fixed-grid
-FFT variant serves strike ladders.  Puts always go through parity.
+integrated adaptively so single-strike accuracy is controlled.  Puts
+always go through parity.
 
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 state, which is sampled by
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charfn import MODE_AFFINE, _coeffs_for
+from .charfn import MODE_AFFINE, _coeffs_for, _unit_response
 from .model import AdolModel
 from .montecarlo import McSpec, simulate_q
 from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
@@ -34,7 +34,6 @@ __all__ = [
     "VarSwapSpec",
     "bs_price",
     "fourier_price",
-    "fourier_prices_fft",
     "implied_vol",
     "forward_cf",
     "varswap_leg_states",
@@ -47,7 +46,6 @@ __all__ = [
 class FourierPricingSpec:
     damping: float = 1.5
     u_max: float = 150.0
-    n_points: int = 1024
     quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9,
                                           max_subdivisions=2000)
 
@@ -57,8 +55,6 @@ class FourierPricingSpec:
             raise ValueError(f"damping must be positive and finite, got {self.damping}")
         if not 0.0 < self.u_max < math.inf:
             raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
-        if self.n_points < 64:
-            raise ValueError("n_points must be at least 64")
 
 
 @dataclass(frozen=True)
@@ -159,38 +155,6 @@ def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
     if is_call:
         return call
     return call - spot * math.exp(-q * t_mat) + strike * math.exp(-r * t_mat)
-
-
-def fourier_prices_fft(cf: Callable[[complex], complex], spot: float, r: float,
-                       q: float, t_mat: float,
-                       spec: FourierPricingSpec | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Call-price ladder on the FFT's own log-strike grid.
-
-    Returns (strikes, call prices); the grid is centered on the spot.
-    Throughput mode: per-strike accuracy is set by the grid, not monitored.
-    """
-    spec = spec or FourierPricingSpec()
-    _check_normalized(cf)
-    a = spec.damping
-    n = spec.n_points
-    eta = spec.u_max / n
-    lam = 2.0 * math.pi / (n * eta)
-    b = 0.5 * n * lam
-    v = eta * np.arange(n)
-    psi = np.empty(n, dtype=complex)
-    for j, vj in enumerate(v):
-        u = complex(vj, -(a + 1.0))
-        psi[j] = cf(u) / (complex(a, vj) * complex(a + 1.0, vj))
-    # Simpson weights keep the grid integral O(eta^4)
-    w = np.ones(n)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= eta / 3.0
-    x = np.exp(1j * b * v) * psi * w
-    m_grid = -b + lam * np.arange(n)
-    calls = spot * np.exp(-a * m_grid - r * t_mat) / math.pi * np.fft.fft(x).real
-    strikes = spot * np.exp(m_grid)
-    return strikes, np.maximum(calls, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -367,9 +331,10 @@ def varswap_strike_analytic(model: AdolModel, spec: VarSwapSpec,
                             legs: list | None = None) -> float:
     """Cross-check from differentiating the affine zero-order exponent.
 
-    With exponent g(u) = iu(r-q)D - u(u+i) C sigma1^2, C = (1-e^(-2 kappa D))
-    / (4 kappa), the curvature at zero is E[-((r-q)D - C sigma1^2)^2
-    - 2 C sigma1^2] per leg; no finite differences involved.  The CLI passes
+    With exponent g(u) = iu(r-q)D - u(u+i) C sigma1^2, C = G(D) / 2 for
+    the unit response G of charfn._unit_response, the curvature at zero is
+    E[-((r-q)D - C sigma1^2)^2 - 2 C sigma1^2] per leg; no finite
+    differences involved.  The CLI passes
     the `legs` it sampled for `varswap_strike`, so both estimators read the
     same states from one simulation per leg.
     """
@@ -380,10 +345,6 @@ def varswap_strike_analytic(model: AdolModel, spec: VarSwapSpec,
     for t1, t2, (sig, _) in zip(times, times[1:],
                                 _legs_for(model, spec, cfg, legs)):
         delta = t2 - t1
-        if model.kappa < 1e-12:
-            c_leg = 0.5 * delta
-        else:
-            c_leg = (1.0 - math.exp(-2.0 * model.kappa * delta)) / (4.0 * model.kappa)
-        cv = c_leg * sig * sig
+        cv = 0.5 * _unit_response(model.kappa, delta) * sig * sig
         acc += float(np.mean(2.0 * cv + (rq * delta - cv) ** 2))
     return acc / horizon

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,18 +174,39 @@ def test_tau_shape_and_round_trip(table1):
     assert all(a > b for a, b in zip(vals, vals[1:]))  # strictly decreasing
     assert all(v > 0.0 for v in vals)
     assert g.tau(T) == pytest.approx(0.0, abs=1e-14)
-    for t in probes:
-        assert g.t_of_tau(g.tau(t)) == pytest.approx(t, abs=1e-8)
-    with pytest.raises(ValueError):
-        g.t_of_tau(g.tau(0.01) * 2.0 + 1.0)
+    for t in (-1e-3, T * 1.01):
+        with pytest.raises(ValueError):
+            g.tau(t)
 
 
 def test_tau_derivative_matches_jacobian(table1):
+    # d tau / dt = -nu^2 alpha1^2 / 2, the clock's own definition
     g = green_pieces(table1)
+    c = table1.constants
     h = 1e-5
     for t in (0.1, 0.25, 0.4):
         fd = (g.tau(t + h) - g.tau(t - h)) / (2.0 * h)
-        assert fd == pytest.approx(1.0 / g.g_jac(t), rel=1e-4), t
+        exact = -0.5 * (nu_t(t, c) * g.alpha1(t)) ** 2
+        assert fd == pytest.approx(exact, rel=1e-8), t
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.45])
+def test_tau_matches_high_precision_integral(table1, h):
+    m = replace(table1, h=h)
+    c, T, p = m.constants, m.t_mat, 1.0 + m.m_pi
+    g = green_pieces(m)
+
+    def big_m(r):
+        return m.m_rho * r ** p / p
+
+    def integrand(r):
+        return (c.b_h * r ** (m.h - 0.5)) ** 2 * mp.exp(2 * (big_m(r) - big_m(T)))
+
+    for frac in (1e-6, 1e-3, 0.5):
+        t = frac * T
+        with mp.workdps(30):
+            ref = 0.5 * mp.quad(integrand, [t, T])
+        assert float(abs(g.tau(t) - ref) / ref) <= 1e-13, (h, frac)
 
 
 def test_transport_scale_shape(table1):
@@ -194,16 +216,15 @@ def test_transport_scale_shape(table1):
     xs = [g.alpha1(t) for t in (0.05, 0.2, 0.35, T)]
     assert all(0.0 < x <= 1.0 for x in xs)
     assert all(a < b for a, b in zip(xs, xs[1:]))
-    assert g.a1_int(0.0) == 0.0
-    ys = [g.a1_int(t) for t in (0.1, 0.3, 0.5)]
-    assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
 def test_tau_closed_form_gap_is_recorded(table1):
-    # the exponential-integral form disagrees with the quadrature route;
-    # the gap is measured and carried, never silently patched over
+    # the exponential-integral form disagrees with the exact clock; the
+    # gap is measured and carried, never silently patched over
     g = green_pieces(table1)
-    assert g.tau_closed_gap == pytest.approx(0.16642248752948324, rel=1e-9)
+    assert g.tau_closed_gap == pytest.approx(0.166422487382887, rel=1e-9)
+    # at m_rho = 0 the closed form is a plain power law and must agree
+    assert green_pieces(replace(table1, m_rho=0.0)).tau_closed_gap <= 1e-13
 
 
 def test_heat_kernel_moments():

@@ -265,6 +265,20 @@ def test_varswap_clean_schedule_passes(tmp_path):
                      "integrated-variance"]
 
 
+def test_tiny_kappa_reaches_the_lognormal_limit(tmp_path):
+    # (1 - exp(-2 kappa T)) / (2 kappa) cancels to a few digits at kappa =
+    # 1e-13; the unit response keeps the limit sigma0^2 T
+    cfgp = _write(tmp_path, {"model": {"kappa": 1e-13},
+                             "pricing": {"strikes": [0.9, 1.0, 1.1]},
+                             "mc": {"n_paths": 2000, "n_steps": 20}})
+    out = tmp_path / "out"
+    assert main(["price", "--config", cfgp, "--out", str(out), "--check"]) == 0
+    assert main(["varswap", "--config", cfgp, "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "varswap.csv")
+    closed = {r[0]: float(r[1]) for r in rows[1:]}["integrated-variance"]
+    assert closed == pytest.approx(0.3 ** 2, rel=1e-12)
+
+
 # ------------------------------------------------------ Monte Carlo rows
 
 # A small xi > 0 config whose Monte Carlo rows are pinned below.  The pins

@@ -17,7 +17,6 @@ from adol.pricing import (
     bs_price,
     forward_cf,
     fourier_price,
-    fourier_prices_fft,
     implied_vol,
     varswap_leg_states,
     varswap_strike,
@@ -177,18 +176,6 @@ def test_fourier_ladder_parity_monotone_convex(m):
     assert np.all(np.diff(calls) <= slack)
     for c0, c1, c2 in zip(calls, calls[1:], calls[2:]):
         assert c1 <= 0.5 * (c0 + c2) + slack
-
-
-def test_fft_ladder_agrees_with_single_strike(table1_xi0):
-    m = table1_xi0
-    cf = _cf0(m)
-    strikes, calls = fourier_prices_fft(cf, m.s0, m.r, m.q, m.t_mat)
-    assert strikes.shape == calls.shape
-    # probe three grid strikes around the money
-    sel = np.argsort(np.abs(strikes - m.s0))[:3]
-    for i in sel:
-        ref = fourier_price(cf, m.s0, float(strikes[i]), m.r, m.q, m.t_mat)
-        assert abs(calls[i] - ref) <= 1e-4 * m.s0
 
 
 # ----------------------------------------------------------- implied vol
