@@ -48,6 +48,7 @@ from .pricing import (
     VarSwapSpec,
     bs_price,
     fourier_price,
+    fourier_prices,
     implied_vol,
     forward_cf,
     varswap_strike,

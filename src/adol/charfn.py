@@ -71,9 +71,10 @@ def _variant(mode: str) -> str:
 class CfCoefficients:
     """Coefficient functions of the exponential-affine zero order.
 
-    All three vanish at t = T (terminal condition z(T) = 1).  The frequency
-    u they were built for is carried along because the correction operators
-    need it.
+    All three vanish at t = T (terminal condition z(T) = 1).  Each takes a
+    time or an array of times; a coefficient that is one constant may
+    return it as a scalar.  The frequency u they were built for is carried
+    along because the correction operators need it.
     """
 
     alpha: Callable[[float], complex]
@@ -157,12 +158,15 @@ def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
     def _ikm(s: float) -> float:
         return (kappa * s ** e1 / e1 + model.m_rho * s ** e2 / e2) / c.b_h
 
-    inv_nu_T = 1.0 / nu_t(T, c)
+    # 1/nu(t) = t^(1/2-H) / B_H, which is 0 at t = 0 for H < 1/2
+    inv_nu_T = T ** (0.5 - c.h) / c.b_h
 
     def beta_bar(t: float) -> complex:
-        inv_nu_t = 0.0 if t == 0.0 else 1.0 / nu_t(t, c)
+        if np.any(np.less(t, 0.0)):
+            raise ValueError(f"time must be nonnegative, got {t}")
+        inv_nu_t = t ** (0.5 - c.h) / c.b_h
         return 1j * rho * u * (
-            math.exp(kappa * (t - T)) * inv_nu_T - inv_nu_t - (_ikm(t) - _ikm(T))
+            np.exp(kappa * (t - T)) * inv_nu_T - inv_nu_t - (_ikm(t) - _ikm(T))
         )
 
     return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=beta_bar, u=u)
@@ -466,6 +470,13 @@ def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _Z1_RULE = _tanh_sinh(0.075, 42)
 
 
+def _z1_rule(t_mat: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_Z1_RULE on [0, t_mat]: the times, the weights and each node's k."""
+    x, xc, w = _Z1_RULE
+    k = np.arange(len(w)) - len(w) // 2
+    return np.where(k < 0, t_mat * x, t_mat - t_mat * xc), t_mat * w, k
+
+
 @functools.lru_cache(maxsize=32)
 def _flow_tables(model: AdolModel) -> Callable:
     """Cumulative transforms of the auxiliary-state flow,
@@ -479,6 +490,10 @@ def _flow_tables(model: AdolModel) -> Callable:
     are exact to rounding and analytic in s.  Both enter only through
     differences, so one function per model covers every (t, s) pair: the
     flows of the corrections read both, the Green clock tau reads f_quad.
+
+    The inception rule of _z1_value visits the same times at every u, so
+    the returned function carries its values there as z1_rule_values:
+    tables at the rule's even nodes, then at its odd ones.
     """
     q = 0.5 / model.h
     x, _, w = _tanh_sinh(3.2 / 60, 60)
@@ -492,25 +507,30 @@ def _flow_tables(model: AdolModel) -> Callable:
         enu = np.exp(_m_cum(r, model)) * model.constants.b_h * r ** (model.h - 0.5)
         return (enu * np.exp(-model.kappa * r)) @ w * s, (enu * enu) @ w * s
 
+    chis, _, k = _z1_rule(model.t_mat)
+    even = k % 2 == 0
+    tables.z1_rule_values = tables(chis[even]), tables(chis[~even])
     return tables
 
 
 def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
-                sigma, v, chis: np.ndarray, x_h: np.ndarray, at_t=None):
+                sigma, v, chis: np.ndarray, x_h: np.ndarray, at_t=None,
+                at_chis=None):
     """The exact zero-order flow from states (sigma, v) at t to each chi.
 
     Returns the sigma ray, the Gaussian rule over the auxiliary state (its
     mean carries the complex correlation shift) and the reaction term
     integrated along the ray in closed form.  The states broadcast against
     each other; the results gain a trailing time axis, the nodes one more.
-    at_t, if given, is tables(t), for callers that start many flows at t.
+    at_t, if given, is tables(t), for callers that start many flows at t;
+    at_chis likewise is tables(chis), for callers that reuse one time rule.
     """
     kap = model.kappa
     sigma = np.asarray(sigma, dtype=float)[..., None]
     v = np.asarray(v, dtype=complex)[..., None]
     dt = chis - t
     ms = _m_cum(chis, model)
-    e_damp, f_quad = tables(chis)
+    e_damp, f_quad = tables(chis) if at_chis is None else at_chis
     if t > 0.0:
         if at_t is None:
             at_t = tables(t)
@@ -524,27 +544,36 @@ def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
     return sigma * np.exp(-kap * dt), nodes, pref
 
 
+def _column(f: Callable, chis: np.ndarray) -> np.ndarray:
+    """f on the whole chis array as a complex column; a scalar serves every chi."""
+    val = np.asarray(f(chis), dtype=complex)
+    if val.shape != chis.shape:
+        val = np.full(chis.shape, val)
+    return val[:, None]
+
+
 def _z0_slices(co: CfCoefficients, chis: np.ndarray):
     """z0 at each time chi as a function of (sigma, v) arrays whose second
     to last axis runs over chis.
 
-    Where beta_bar is zero at every chi (always so in affine-ode mode), z0
-    does not depend on v: the slice is then evaluated on sigma's shape
-    alone and left for the caller's arithmetic to broadcast across v.  Its
-    values equal the full evaluation's, whose cross term is an exact zero.
-    The returned function's v_free attribute says which case holds.
+    Each coefficient is evaluated once, on the whole chis array.  Where
+    beta_bar is zero at every chi (always so in affine-ode mode), z0 does
+    not depend on v: the slice is then evaluated on sigma's shape alone and
+    left for the caller's arithmetic to broadcast across v.  Its values
+    equal the full evaluation's, whose cross term is an exact zero.  The
+    returned function's v_free attribute says which case holds.
     """
-    a, g, b = (np.array([complex(f(c)) for c in chis])[:, None]
-               for f in (co.alpha, co.gamma, co.beta_bar))
+    a, g, b = (_column(f, chis) for f in (co.alpha, co.gamma, co.beta_bar))
+    v_free = not b.any()
 
-    if not b.any():
+    if v_free:
         def z0(s, v):
             return np.exp(a + g * s * s)
     else:
         def z0(s, v):
             return np.exp(a + g * s * s + b * s * v)
 
-    z0.v_free = not b.any()
+    z0.v_free = v_free
     return z0
 
 
@@ -602,18 +631,20 @@ def _steps(cfg: "CorrectionConfig", s, nodes):
 
 def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
                   tables: Callable, t: float, sigma, v,
-                  chis: np.ndarray, at_t=None) -> np.ndarray:
+                  chis: np.ndarray, at_t=None, at_chis=None) -> np.ndarray:
     """The first-order integrand: the source Phi1 z0 at each time chi in
     (t, T], carried back along the flow to the states (sigma, v) at t.
 
     Vectorised over (state, time node, Hermite node); the states broadcast
     against each other, and the result has their shape plus a trailing
-    time axis.  at_t is passed on to _flow_state.  On a v-free z0 slice
-    (affine-ode mode) the stencil's mixed difference is an exact zero, so
-    neither it nor the v steps over the Hermite nodes are formed.
+    time axis.  at_t and at_chis are passed on to _flow_state.  On a
+    v-free z0 slice (affine-ode mode) the stencil's mixed difference is an
+    exact zero, so neither it nor the v steps over the Hermite nodes are
+    formed.
     """
     x_h, w_h = _hermite_rule(cfg.hermite_n)
-    s_tr, nodes, pref = _flow_state(model, co.u, tables, t, sigma, v, chis, x_h, at_t)
+    s_tr, nodes, pref = _flow_state(model, co.u, tables, t, sigma, v, chis, x_h,
+                                    at_t, at_chis)
     s_tr = s_tr[..., None]
     z0 = _z0_slices(co, chis)
     hs, hv = _steps(cfg, s_tr, None if z0.v_free else nodes)
@@ -632,28 +663,31 @@ def _z1_value(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     the step is halved once; if the halved rule still misses, the
     estimate is refused.
     """
-    T = model.t_mat
-    x, xc, w = _Z1_RULE
-    k = np.arange(len(w)) - len(w) // 2
-    chis = np.where(k < 0, T * x, T - T * xc)
-    w = T * w
+    chis, w, k = _z1_rule(model.t_mat)
+    at_even, at_odd = tables.z1_rule_values
     tol = cfg.quad
 
-    def integral_terms(nodes: np.ndarray) -> np.ndarray:
-        return _z1_integrand(model, co, cfg, tables, 0.0, model.sigma0, model.v0, nodes)
+    def integral_terms(nodes: np.ndarray, at_nodes) -> np.ndarray:
+        return _z1_integrand(model, co, cfg, tables, 0.0, model.sigma0, model.v0,
+                             nodes, at_chis=at_nodes)
 
     even = k % 2 == 0
-    f_even = integral_terms(chis[even])
+    f_even = integral_terms(chis[even], at_even)
     fine = 2.0 * complex(f_even @ w[even])
     coarse = 4.0 * complex(f_even[k[even] % 4 == 0] @ w[k % 4 == 0])
     if abs(fine - coarse) <= max(tol.abs_tol, tol.rel_tol * abs(fine)):
         return fine
-    finer = 0.5 * fine + complex(integral_terms(chis[~even]) @ w[~even])
+    finer = 0.5 * fine + complex(integral_terms(chis[~even], at_odd) @ w[~even])
     err = abs(finer - fine)
     if err <= max(tol.abs_tol, tol.rel_tol * abs(finer)):
         return finer
     raise QuadratureError("tanh-sinh rule for z1 missed its tolerance at the halved step",
                           estimate=finer, error_bound=err)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
@@ -666,10 +700,13 @@ def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
     stays singular, so the panels converge only algebraically: the
     second-order term at u = 5 moves the CF by 0, 6.2e-9 and 9.8e-9 at 10,
     20 and 40 panels against 1.3e-8 converged.
+
+    The Gauss-Legendre rule itself is built once per size (_legendre_rule):
+    z2 asks for these nodes once per outer node, on a new interval each time.
     """
     p = 2.0 * h
     beta = 1.0 / p
-    gx, gw = np.polynomial.legendre.leggauss(gl_n)
+    gx, gw = _legendre_rule(gl_n)
     z_edges = np.linspace(lo ** p, hi ** p, n_pan + 1)
     mid = 0.5 * (z_edges[1:] + z_edges[:-1])
     half = 0.5 * (z_edges[1:] - z_edges[:-1])

@@ -25,7 +25,7 @@ from .do_process import do_constants
 from .model import AdolModel, small_param_check
 from .montecarlo import McSpec, mc_prices, mc_quadratic_variation
 from .numerics import QuadratureError
-from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_price,
+from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_prices,
                       varswap_leg_states, varswap_strike,
                       varswap_strike_analytic)
 
@@ -362,16 +362,20 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
     admissible = small_param_check(model).admissible
     rows = []
     var0 = model.sigma0 ** 2 * float(_unit_response(model.kappa, model.t_mat))
-    for strike, mc in zip(p["strikes"], mc_prices(model, mspec, p["strikes"])):
-        cf0 = lambda u: cf_total(u, model, CorrectionConfig(order=0, mode=ccfg.mode))
-        px_cf0 = fourier_price(cf0, model.s0, strike, model.r, model.q,
-                               model.t_mat, fspec)
+    strikes = p["strikes"]
+    mcs = mc_prices(model, mspec, strikes)
+
+    def ladder(order_cfg: CorrectionConfig) -> list[float]:
+        return fourier_prices(lambda u: cf_total(u, model, order_cfg), model.s0,
+                              strikes, model.r, model.q, model.t_mat, fspec)
+
+    px0 = ladder(CorrectionConfig(order=0, mode=ccfg.mode))
+    corrected = model.xi != 0.0 and ccfg.order >= 1
+    pxn = ladder(ccfg) if corrected else [math.nan] * len(strikes)
+    for strike, mc, px_cf0, px_cfn in zip(strikes, mcs, px0, pxn):
         rows.append([strike, "cf-order-0", px_cf0, math.nan,
                      px_cf0 - mc.estimate])
-        if model.xi != 0.0 and ccfg.order >= 1:
-            cfn = lambda u: cf_total(u, model, ccfg)
-            px_cfn = fourier_price(cfn, model.s0, strike, model.r, model.q,
-                                   model.t_mat, fspec)
+        if corrected:
             gap = px_cfn - mc.estimate
             rows.append([strike, f"cf-order-{ccfg.order}", px_cfn, math.nan, gap])
             if check and admissible and abs(gap) > 3.0 * mc.std_error:

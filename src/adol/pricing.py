@@ -7,7 +7,9 @@ log-return by the damped transform
            / ((a + iv)(a + 1 + iv)) dv,       m = ln(K/S),
 
 integrated adaptively so single-strike accuracy is controlled.  Puts
-always go through parity.
+always go through parity.  A strike ladder (fourier_prices) runs the same
+integral per strike, but every strike reads its CF values from one memo,
+so each distinct u is evaluated once per ladder.
 
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 state, which is sampled by
@@ -34,6 +36,7 @@ __all__ = [
     "VarSwapSpec",
     "bs_price",
     "fourier_price",
+    "fourier_prices",
     "implied_vol",
     "forward_cf",
     "varswap_leg_states",
@@ -155,6 +158,27 @@ def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
     if is_call:
         return call
     return call - spot * math.exp(-q * t_mat) + strike * math.exp(-r * t_mat)
+
+
+def fourier_prices(cf: Callable[[complex], complex], spot: float, strikes,
+                   r: float, q: float, t_mat: float,
+                   spec: FourierPricingSpec | None = None,
+                   is_call: bool = True) -> list[float]:
+    """fourier_price at each strike, in order, off one memo of cf.
+
+    The strikes' adaptive integrals visit many of the same u, so the memo,
+    keyed by complex(u) and dropped on return, evaluates cf once per
+    distinct u.  Each price equals fourier_price's for that strike.
+    """
+    memo: dict[complex, complex] = {}
+
+    def shared(u: complex) -> complex:
+        key = complex(u)
+        if key not in memo:
+            memo[key] = cf(u)
+        return memo[key]
+
+    return [fourier_price(shared, spot, k, r, q, t_mat, spec, is_call) for k in strikes]
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ finite-difference stencil route.
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -480,6 +481,75 @@ def test_v_free_slices_equal_the_full_evaluation(table1):
     assert np.array_equal(integrand(co), integrand(full))
     assert cfm._z1_value(table1, co, cfg, tables) == cfm._z1_value(table1, full, cfg, tables)
     assert cfm._z2_point(table1, co, cfg, tables) == cfm._z2_point(table1, full, cfg, tables)
+
+
+def _z1_value_untabulated(m, co, cfg, tables):
+    """_z1_value with the flow tables evaluated at the rule's nodes on every
+    call, in place of the per-model tabulation."""
+    chis, w, k = cfm._z1_rule(m.t_mat)
+    even = k % 2 == 0
+
+    def terms(nodes):
+        return cfm._z1_integrand(m, co, cfg, tables, 0.0, m.sigma0, m.v0, nodes)
+
+    f_even = terms(chis[even])
+    fine = 2.0 * complex(f_even @ w[even])
+    coarse = 4.0 * complex(f_even[k[even] % 4 == 0] @ w[k % 4 == 0])
+    if abs(fine - coarse) <= max(cfg.quad.abs_tol, cfg.quad.rel_tol * abs(fine)):
+        return fine
+    return 0.5 * fine + complex(terms(chis[~even]) @ w[~even])
+
+
+@pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
+def test_z1_reads_the_tabulated_rule_bitwise(table1, mode):
+    # at rel_tol 1e-8 every u takes the halved rule, so both tabulated
+    # halves are read
+    tables = cfm._flow_tables(table1)
+    for rel_tol in (1e-7, 1e-8):
+        cfg = CorrectionConfig(mode=mode, quad=QuadratureSpec(
+            abs_tol=1e-10, rel_tol=rel_tol, max_subdivisions=800))
+        for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
+            co = cfm._coeffs_for(complex(u), table1, mode)
+            assert cfm._z1_value(table1, co, cfg, tables) == \
+                _z1_value_untabulated(table1, co, cfg, tables), (rel_tol, u)
+
+
+def _looped_exponent(co, chis, s, v):
+    """The z0 exponent as the slices once formed it: each coefficient called
+    once per node, on a scalar."""
+    a, g, b = (np.array([complex(f(float(c))) for c in chis])[:, None]
+               for f in (co.alpha, co.gamma, co.beta_bar))
+    return a + g * s * s + b * s * v
+
+
+@pytest.mark.parametrize("kappa", [2.0, 0.0])
+def test_z0_slices_equal_the_per_node_loop(table1, kappa):
+    # one array call per coefficient in place of a scalar call per node: the
+    # affine arithmetic is unchanged, so the slices are the same numbers.
+    # The paper beta_bar's numpy powers and exp may round differently from
+    # their scalar forms by an ulp, which exp turns into a relative error of
+    # an ulp times the exponent.  t = 0 is a node, where 1/nu = 0
+    m = replace(table1, kappa=kappa)
+    assert m.r != m.q
+    T = m.t_mat
+    chis = np.concatenate([[0.0], cfm._z1_rule(T)[0],
+                           cfm._power_nodes(0.0, T, m.h, 4, 10)[0]])
+    s = (m.sigma0 * np.exp(-kappa * chis))[:, None]
+    v = m.v0 + np.array([-1.5 + 0.2j, 0.0, 2.0 - 0.1j])
+    for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
+        co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
+        want = np.exp(_looped_exponent(co, chis, s, v))
+        got = np.broadcast_to(cfm._z0_slices(co, chis)(s, v), want.shape)
+        assert np.array_equal(got, want), u
+        co = coeffs_paper(u, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cfm._z0_slices(co, chis)(s, v)
+        expo = _looped_exponent(co, chis, s, v)
+        scale = np.abs(np.exp(expo)) * np.maximum(1.0, np.abs(expo))
+        assert np.all(np.abs(got - np.exp(expo)) <= 1e-15 * scale), u
+    with pytest.raises(ValueError, match="nonnegative"):
+        co.beta_bar(np.array([0.1, -1e-3]))
 
 
 def _six_leg_integrand(m, co, cfg, tables, t, sigma, v, chis):

@@ -21,7 +21,13 @@ from adol.numerics import (
     norm_cdf,
 )
 
-mp.mp.dps = 40
+
+@pytest.fixture(scope="module", autouse=True)
+def _mp_40_digits():
+    # the live mpmath references below run at 40 digits; workdps restores the
+    # precision on leaving, so no other test module inherits it
+    with mp.workdps(40):
+        yield
 
 
 # ---------------------------------------------------------------------- gamma

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adol.charfn import MODE_AFFINE, cf_zero
+from adol.charfn import MODE_AFFINE, CorrectionConfig, cf_total, cf_zero
 from adol.model import AdolModel
 from adol.montecarlo import McSpec, mc_quadratic_variation
 from adol.numerics import QuadratureError
@@ -17,6 +17,7 @@ from adol.pricing import (
     bs_price,
     forward_cf,
     fourier_price,
+    fourier_prices,
     implied_vol,
     varswap_leg_states,
     varswap_strike,
@@ -25,9 +26,11 @@ from adol.pricing import (
 
 
 def _flat_variance(m) -> float:
-    # total variance of the deterministic-vol limit on [0, T]
-    return m.sigma0 ** 2 * (1.0 - math.exp(-2.0 * m.kappa * m.t_mat)) \
-        / (2.0 * m.kappa)
+    # total variance of the deterministic-vol limit on [0, T], sigma0^2 times
+    # int_0^T exp(-2 kappa t) dt; expm1 keeps it exact as kappa -> 0
+    if m.kappa == 0.0:
+        return m.sigma0 ** 2 * m.t_mat
+    return -m.sigma0 ** 2 * math.expm1(-2.0 * m.kappa * m.t_mat) / (2.0 * m.kappa)
 
 
 def _cf0(m):
@@ -88,14 +91,16 @@ def test_fourier_spec_refuses_non_finite(field, bad):
 # ------------------------------------------------------------- inversion
 
 def test_fourier_matches_closed_form(table1_xi0):
-    m = table1_xi0
-    tv = _flat_variance(m)
-    cf = _cf0(m)
-    for ks in (0.85, 1.0, 1.15):
-        strike = ks * m.s0
-        got = fourier_price(cf, m.s0, strike, m.r, m.q, m.t_mat)
-        ref = bs_price(m.s0, strike, m.r, m.q, tv, True, m.t_mat)
-        assert abs(got - ref) <= 1e-6 * m.s0, ks
+    # also at kappa = 0, where the volatility stands still
+    for kap in (2.0, 0.0):
+        m = replace(table1_xi0, kappa=kap)
+        tv = _flat_variance(m)
+        cf = _cf0(m)
+        for ks in (0.85, 1.0, 1.15):
+            strike = ks * m.s0
+            got = fourier_price(cf, m.s0, strike, m.r, m.q, m.t_mat)
+            ref = bs_price(m.s0, strike, m.r, m.q, tv, True, m.t_mat)
+            assert abs(got - ref) <= 1e-6 * m.s0, (kap, ks)
 
 
 def test_fourier_put_via_parity(table1_xi0):
@@ -144,6 +149,46 @@ def test_fourier_refuses_an_undecayed_integrand(table1_xi0):
                         spec=FourierPricingSpec(u_max=1500.0))
     ref = bs_price(m.s0, m.s0, m.r, m.q, _flat_variance(m), True, m.t_mat)
     assert abs(got - ref) <= 1e-6 * m.s0
+
+
+# the reference model and strikes of the benchmark's order-1 smile
+_SMILE = AdolModel(s0=1.0, sigma0=0.3, v0=5.0, r=0.0, q=0.0, kappa=2.0, xi=0.05,
+                   rho=-0.5, h=0.3, m_rho=1.0, m_pi=0.5, t_mat=0.5)
+_SMILE_STRIKES = [0.8, 0.9, 1.0, 1.1, 1.2]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_ladder_equals_single_strike_prices(table1, order):
+    # the memo changes which strike evaluates a CF value, never the value, so
+    # the ladder's prices are the one-strike prices to the last bit
+    cfg = CorrectionConfig(order=order)
+    m = table1
+    strikes = [80.0, 95.0, 100.0, 105.0, 120.0]
+    cf = lambda u: cf_total(u, m, cfg)
+    for is_call in (True, False):
+        got = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat, is_call=is_call)
+        want = [fourier_price(cf, m.s0, k, m.r, m.q, m.t_mat, is_call=is_call)
+                for k in strikes]
+        assert got == want, is_call
+
+
+@pytest.mark.parametrize("order, distinct, per_strike", [(0, 227, 1135), (1, 257, 1165)])
+def test_ladder_evaluates_each_frequency_once(order, distinct, per_strike):
+    m, cfg = _SMILE, CorrectionConfig(order=order)
+    seen = []
+
+    def counted(u):
+        seen.append(complex(u))
+        return cf_total(u, m, cfg)
+
+    fourier_prices(counted, m.s0, _SMILE_STRIKES, m.r, m.q, m.t_mat)
+    assert len(seen) == len(set(seen)) == distinct
+    ladder = set(seen)
+    seen.clear()
+    for k in _SMILE_STRIKES:
+        fourier_price(counted, m.s0, k, m.r, m.q, m.t_mat)
+    # strike by strike the integrals ask again for values an earlier one had
+    assert len(seen) == per_strike and set(seen) == ladder
 
 
 # admissible models, drawn as for the zero-order properties in test_charfn
