@@ -23,10 +23,11 @@ from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _unit_response,
                      pde_residual, zero_order_fn, J_QUADRATURE, J_QUAD_CENTER)
 from .do_process import do_constants
 from .model import AdolModel, small_param_check
-from .montecarlo import McSpec, mc_prices, mc_quadratic_variation
+from .montecarlo import (McSpec, Paths, mc_prices, mc_quadratic_variation,
+                         simulate_paths)
 from .numerics import QuadratureError
 from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_prices,
-                      varswap_leg_states, varswap_strike,
+                      varswap_leg_states, varswap_leg_times, varswap_strike,
                       varswap_strike_analytic)
 
 __all__ = ["main", "load_config"]
@@ -65,7 +66,6 @@ _SCHEMA = {
         "varswap": {
             "observation_times": ("numlist", [0.25, 0.5]),
             "u_step": ("num", 1e-2),
-            "mc_states": ("int", 2048),
         },
     },
     "mc": {
@@ -352,7 +352,27 @@ def cmd_cf(cfg: dict, out_dir: Path, check: bool) -> int:
     return 0
 
 
-def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
+def _varswap_spec(cfg: dict, model: AdolModel) -> VarSwapSpec:
+    vs = cfg["pricing"]["varswap"]
+    try:
+        vspec = VarSwapSpec(observation_times=tuple(vs["observation_times"]),
+                            u_step=vs["u_step"])
+    except ValueError as exc:
+        raise ConfigError(f"pricing.varswap: {exc}") from exc
+    if vspec.observation_times[-1] > model.t_mat * (1.0 + 1e-12):
+        raise ConfigError("pricing.varswap: observations beyond the maturity")
+    return vspec
+
+
+def _path_set(model: AdolModel, mspec: McSpec, vspec: VarSwapSpec) -> Paths:
+    """One march for every Monte Carlo output of a run: the terminal states,
+    x at the observation times and the states of each sampled leg."""
+    return simulate_paths(model, mspec, vspec.observation_times,
+                          varswap_leg_times(model, vspec))
+
+
+def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
+              paths: Paths | None = None) -> int:
     model = _model_from(cfg)
     ccfg = _corr_cfg(cfg)
     p = cfg["pricing"]
@@ -363,7 +383,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
     rows = []
     var0 = model.sigma0 ** 2 * float(_unit_response(model.kappa, model.t_mat))
     strikes = p["strikes"]
-    mcs = mc_prices(model, mspec, strikes)
+    mcs = mc_prices(model, mspec, strikes, paths=paths)
 
     def ladder(order_cfg: CorrectionConfig) -> list[float]:
         return fourier_prices(lambda u: cf_total(u, model, order_cfg), model.s0,
@@ -392,25 +412,20 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool) -> int:
     return breaches
 
 
-def cmd_varswap(cfg: dict, out_dir: Path, check: bool) -> int:
+def cmd_varswap(cfg: dict, out_dir: Path, check: bool, *,
+                paths: Paths | None = None) -> int:
     model = _model_from(cfg)
-    vs = cfg["pricing"]["varswap"]
-    try:
-        vspec = VarSwapSpec(observation_times=tuple(vs["observation_times"]),
-                            u_step=vs["u_step"], mc_states=vs["mc_states"])
-    except ValueError as exc:
-        raise ConfigError(f"pricing.varswap: {exc}") from exc
-    if vspec.observation_times[-1] > model.t_mat * (1.0 + 1e-12):
-        raise ConfigError("pricing.varswap: observations beyond the maturity")
+    vspec = _varswap_spec(cfg, model)
     mspec = _mc_spec(cfg)
     breaches = 0
-    # one sample of each leg serves both estimators; it is dropped before the
-    # realized variance marches its own paths
-    legs = varswap_leg_states(model, vspec, mspec)
+    # one march samples each leg and the realized variance; the legs' states
+    # serve both estimators
+    if paths is None:
+        paths = _path_set(model, mspec, vspec)
+    legs = varswap_leg_states(model, vspec, paths=paths)
     k_fd = varswap_strike(model, vspec, legs=legs)
     k_an = varswap_strike_analytic(model, vspec, legs=legs)
-    del legs
-    qv = mc_quadratic_variation(model, mspec, vspec.observation_times)
+    qv = mc_quadratic_variation(model, mspec, vspec.observation_times, paths=paths)
     rows = [["fd-richardson", k_fd, math.nan, k_fd - qv.estimate],
             ["affine-analytic", k_an, math.nan, k_an - qv.estimate],
             ["mc-qv", qv.estimate, qv.std_error, 0.0]]
@@ -427,12 +442,13 @@ def cmd_varswap(cfg: dict, out_dir: Path, check: bool) -> int:
     return breaches
 
 
-def cmd_mc(cfg: dict, out_dir: Path, check: bool) -> int:
+def cmd_mc(cfg: dict, out_dir: Path, check: bool, *,
+           paths: Paths | None = None) -> int:
     model = _model_from(cfg)
     mspec = _mc_spec(cfg)
     strikes = cfg["pricing"]["strikes"]
     # strike 0 prices the discounted forward off the same paths
-    *calls, fwd = mc_prices(model, mspec, strikes + [0.0])
+    *calls, fwd = mc_prices(model, mspec, strikes + [0.0], paths=paths)
     rows = []
     for strike, st in zip(strikes, calls):
         rows.append([f"call@{_fmt(strike)}", st.estimate, st.std_error,
@@ -489,10 +505,15 @@ def cmd_ledger(cfg: dict, out_dir: Path, check: bool) -> int:
 
 def cmd_check(cfg: dict, out_dir: Path, check: bool) -> int:
     total = 0
-    for fn in (cmd_constants, cmd_figures, cmd_cf, cmd_price, cmd_varswap,
-               cmd_mc, cmd_ledger):
+    for fn in (cmd_constants, cmd_figures, cmd_cf):
         total += fn(cfg, out_dir, True)
-    return total
+    # price, varswap and mc all read the one path set
+    model = _model_from(cfg)
+    paths = _path_set(model, _mc_spec(cfg), _varswap_spec(cfg, model))
+    for fn in (cmd_price, cmd_varswap, cmd_mc):
+        total += fn(cfg, out_dir, True, paths=paths)
+    del paths
+    return total + cmd_ledger(cfg, out_dir, True)
 
 
 _COMMANDS = {

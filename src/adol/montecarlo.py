@@ -19,9 +19,14 @@ owns the generator and draws each step's normals one step ahead, while the
 caller marches the step before; it reads the stream in the same order, so
 the stream and every result are the same as with the draws made in line.
 
-One simulation serves a whole strike ladder: `mc_prices` reads every strike's
-payoff off the same terminal states, so a ladder of any length costs one
-march of the paths.
+One march serves every Monte Carlo estimator of a run.  `mc_prices` reads a
+whole strike ladder off the same terminal states, and `simulate_paths`
+marches, off the same per-step normals, the terminal states, x at the
+realized variance's observation times and the (sigma, v) of each
+variance-swap leg horizon on its own grid.  `mc_prices`,
+`mc_quadratic_variation` and `pricing.varswap_leg_states` all read that one
+path set, so each `adol` command reads its draw stream once, and each result
+is bitwise what its own simulation would give.
 """
 
 from __future__ import annotations
@@ -30,14 +35,15 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .do_process import nu_t
 from .model import AdolModel, m_t
 
-__all__ = ["McSpec", "PathStats", "TerminalStates", "simulate_q", "mc_price",
-           "mc_prices", "mc_quadratic_variation"]
+__all__ = ["McSpec", "PathStats", "Paths", "TerminalStates", "simulate_q",
+           "simulate_paths", "mc_price", "mc_prices", "mc_quadratic_variation"]
 
 # nodes/weights of 8-point Gauss-Legendre on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
@@ -79,11 +85,13 @@ class TerminalStates:
     v: np.ndarray
 
 
-def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
+def _grid(model: AdolModel, spec: McSpec, t_end: float | None = None) -> np.ndarray:
+    """The time grid up to `t_end`, the maturity unless given."""
+    t_end = model.t_mat if t_end is None else t_end
     t0 = model.eps if spec.t_start is None else spec.t_start
-    if not t0 < model.t_mat:
-        raise ValueError(f"t_start {t0} must sit below the maturity {model.t_mat}")
-    return np.linspace(t0, model.t_mat, spec.n_steps + 1)
+    if not t0 < t_end:
+        raise ValueError(f"t_start {t0} must sit below the horizon {t_end}")
+    return np.linspace(t0, t_end, spec.n_steps + 1)
 
 
 def _v_step_tables(model: AdolModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,46 +172,98 @@ class _DrawAhead:
         return z
 
 
-def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None):
-    """March the system; optionally capture x at the given grid indices."""
+class Paths(NamedTuple):
+    """One march of a draw stream."""
+    grid: np.ndarray
+    x: np.ndarray       # terminal log S_T / S_0 per path
+    sigma: np.ndarray
+    v: np.ndarray
+    snaps: dict[int, np.ndarray]  # x at each captured grid index
+    legs: dict[float, tuple[np.ndarray, np.ndarray]]  # (sigma, v) at each leg horizon
+
+
+def _sigma_v_step(sig: np.ndarray, v: np.ndarray, z_vol: np.ndarray,
+                  tmp: np.ndarray, model: AdolModel, t_right: float, dt: float,
+                  decay: float, diff_sd: float) -> None:
+    """One step of (sigma, v) in place, with `tmp` as scratch:
+
+        sigma <- sigma exp(-(kappa + xi m v) dt) + sigma (xi nu sqrt(dt)) z
+        v     <- decay v + diff_sd z
+
+    Each product and sum is the one the formula rounds, so the result is the
+    same bit for bit as evaluating the formula on fresh arrays.
+    """
+    xi = model.xi
+    nu_r = nu_t(t_right, model.constants)
+    m_r = m_t(t_right, model)
+    np.multiply(v, xi * m_r, out=tmp)
+    tmp += model.kappa
+    tmp *= -dt
+    np.exp(tmp, out=tmp)
+    tmp *= sig
+    sig *= xi * nu_r * math.sqrt(dt)
+    sig *= z_vol
+    sig += tmp
+    v *= decay
+    np.multiply(z_vol, diff_sd, out=tmp)
+    v += tmp
+
+
+def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None,
+         legs: tuple[float, ...] = ()) -> Paths:
+    """March the system to maturity; optionally capture x at the given grid
+    indices.  Each leg horizon t1 in `legs` marches (sigma, v) alone on its
+    own grid of spec.n_steps steps up to t1, off the same per-step normals:
+    the states a separate simulation to t1 with the same spec would end in,
+    at the cost of one draw stream for all horizons."""
     grid = _grid(model, spec)
-    n_steps = spec.n_steps
-    m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
+    leg_grids = [_grid(model, spec, t1) for t1 in legs]
+    n_paths, n_steps = spec.n_paths, spec.n_steps
+    m_draw = n_paths // 2 if spec.antithetic else n_paths
     gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
-    c = model.constants
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
-    xi, kappa = model.xi, model.kappa
     drift_x = model.r - model.q
-    decay, diff_sd = _v_step_tables(model, grid)
-
-    x = np.zeros(spec.n_paths)
-    sig = np.full(spec.n_paths, model.sigma0)
-    v = np.full(spec.n_paths, model.v0)
+    # per horizon: its grid, v-step tables and (sigma, v), the main one first
+    marches = [(g, *_v_step_tables(model, g), np.full(n_paths, model.sigma0),
+                np.full(n_paths, model.v0)) for g in [grid] + leg_grids]
+    _, _, _, sig, v = marches[0]
+    x = np.zeros(n_paths)
+    tmp = np.empty(n_paths)  # scratch of every in-place step
+    both = np.empty((2, n_paths)) if spec.antithetic else None
+    # the snapshot at index 0 is all zeros and the last one is x itself, so
+    # neither needs a copy
+    copies = set() if capture is None else set(capture) - {0, n_steps}
     snaps = {}
-    if capture is not None and 0 in capture:
-        snaps[0] = x.copy()
     sig_peak = model.sigma0
 
     with _DrawAhead(gen, m_draw, n_steps) as draws:
         for n in range(n_steps):
             z = draws.take()
-            t_right = grid[n + 1]
-            dt = grid[n + 1] - grid[n]
-            sq_dt = math.sqrt(dt)
             if spec.antithetic:
-                z = np.concatenate([z, -z], axis=1)
-            z1 = rho * z[1] + rho_perp * z[0]
-            nu_r = nu_t(float(t_right), c)
-            m_r = m_t(float(t_right), model)
-            x += (drift_x - 0.5 * sig * sig) * dt + sig * sq_dt * z1
-            del z1  # freed before the sigma step, whose temporaries set the peak
-            sig_new = sig * np.exp(-(kappa + xi * m_r * v) * dt) \
-                + sig * (xi * nu_r * sq_dt) * z[1]
-            v = decay[n] * v + diff_sd[n] * z[1]
-            sig = sig_new
-            sig_peak = max(sig_peak, float(np.max(np.abs(sig))))
-            if capture is not None and (n + 1) in capture:
+                both[:, :m_draw] = z
+                np.negative(z, out=both[:, m_draw:])
+                z = both
+            # x += (r - q - sigma^2 / 2) dt + sigma sqrt(dt) z1, with the
+            # x-shock z1 = rho z[1] + rho_perp z[0] and the diffusion term
+            # formed in z[0], which nothing reads after
+            dt = grid[n + 1] - grid[n]
+            np.multiply(z[1], rho, out=tmp)
+            z[0] *= rho_perp
+            z[0] += tmp
+            np.multiply(sig, math.sqrt(dt), out=tmp)
+            z[0] *= tmp
+            np.multiply(sig, 0.5, out=tmp)
+            tmp *= sig
+            np.subtract(drift_x, tmp, out=tmp)
+            tmp *= dt
+            tmp += z[0]
+            x += tmp
+            for g, decay, diff_sd, sig_h, v_h in marches:
+                _sigma_v_step(sig_h, v_h, z[1], tmp, model, float(g[n + 1]),
+                              g[n + 1] - g[n], decay[n], diff_sd[n])
+                sig_peak = max(sig_peak, float(np.abs(sig_h, out=tmp).max()))
+            if n + 1 in copies:
                 snaps[n + 1] = x.copy()
 
     if sig_peak > 1e3 * model.sigma0:
@@ -211,12 +271,29 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None):
             f"sigma path reached {sig_peak:.3g}, over 1000x its start value "
             f"{model.sigma0}; the step size is likely too coarse",
             RuntimeWarning, stacklevel=2)
-    return grid, x, sig, v, snaps
+    if capture is not None:
+        if 0 in capture:
+            snaps[0] = np.zeros(n_paths)
+        if n_steps in capture:
+            snaps[n_steps] = x
+    return Paths(grid, x, sig, v, snaps,
+                 {t1: march[3:] for t1, march in zip(legs, marches[1:])})
 
 
 def simulate_q(model: AdolModel, spec: McSpec) -> TerminalStates:
-    _, x, sig, v, _ = _run(model, spec)
-    return TerminalStates(x=x, sigma=sig, v=v)
+    paths = _run(model, spec)
+    return TerminalStates(x=paths.x, sigma=paths.sigma, v=paths.v)
+
+
+def simulate_paths(model: AdolModel, spec: McSpec, observation_times=(),
+                   leg_times=()) -> Paths:
+    """One march that serves every estimator of a run: the terminal states
+    (`mc_prices`), x at each of `observation_times` (`mc_quadratic_variation`)
+    and (sigma, v) at each horizon in `leg_times`
+    (`pricing.varswap_leg_states`).  Pass it to them as `paths`."""
+    capture = set(_qv_indices(_grid(model, spec), observation_times)) \
+        if observation_times else None
+    return _run(model, spec, capture=capture, legs=tuple(leg_times))
 
 
 def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
@@ -230,12 +307,14 @@ def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
 
 
 def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float],
-              is_call: bool = True) -> list[PathStats]:
-    """Discounted payoff mean per strike, all read off one simulation; SE
+              is_call: bool = True, *, paths: Paths | None = None) -> list[PathStats]:
+    """Discounted payoff mean per strike, all read off one simulation (or
+    off `paths`, from `simulate_paths` with the same model and spec); SE
     over independent units (pairs if antithetic)."""
     if not all(math.isfinite(strike) and strike >= 0.0 for strike in strikes):
         raise ValueError("strike must be finite and nonnegative")
-    s_term = model.s0 * np.exp(simulate_q(model, spec).x)
+    x = simulate_q(model, spec).x if paths is None else paths.x
+    s_term = model.s0 * np.exp(x)
     df = math.exp(-model.r * model.t_mat)
     out = []
     for strike in strikes:
@@ -251,10 +330,8 @@ def mc_price(model: AdolModel, spec: McSpec, strike: float,
     return mc_prices(model, spec, [strike], is_call)[0]
 
 
-def mc_quadratic_variation(model: AdolModel, spec: McSpec,
-                           observation_times) -> PathStats:
-    """(1/T) sum of squared log-price increments over the observation grid."""
-    grid = _grid(model, spec)
+def _qv_indices(grid: np.ndarray, observation_times) -> list[int]:
+    """The grid index nearest each observation time, validated."""
     t0, t_end = grid[0], grid[-1]
     dt = grid[1] - grid[0]
     times = [float(t) for t in observation_times]
@@ -265,13 +342,24 @@ def mc_quadratic_variation(model: AdolModel, spec: McSpec,
     idx = sorted({int(round((t - t0) / dt)) for t in times})
     if idx[0] == 0:
         raise ValueError("first observation collapses onto the grid start")
-    capture = {0} | set(idx)
-    _, _, _, _, snaps = _run(model, spec, capture=capture)
-    horizon = times[-1]
-    prev = snaps[0]
-    acc = np.zeros_like(prev)
-    for i in idx:
-        cur = snaps[i]
-        acc += (cur - prev) ** 2
-        prev = cur
-    return _stats(acc / horizon, spec.antithetic)
+    return idx
+
+
+def mc_quadratic_variation(model: AdolModel, spec: McSpec, observation_times,
+                           *, paths: Paths | None = None) -> PathStats:
+    """(1/T) sum of squared log-price increments over the observation grid,
+    from one simulation or from `paths` (from `simulate_paths` with the same
+    model, spec and observation times)."""
+    observation_times = tuple(observation_times)
+    idx = _qv_indices(_grid(model, spec), observation_times)
+    if paths is None:
+        snaps = _run(model, spec, capture=set(idx))[4]
+    else:
+        snaps = paths.snaps
+        if not snaps.keys() >= set(idx):
+            raise ValueError("paths lack x at some observation time")
+    # x starts at 0, so the first increment is x itself
+    acc = snaps[idx[0]] ** 2
+    for prev, cur in zip(idx, idx[1:]):
+        acc += (snaps[cur] - snaps[prev]) ** 2
+    return _stats(acc / float(observation_times[-1]), spec.antithetic)

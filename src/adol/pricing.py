@@ -14,7 +14,8 @@ so each distinct u is evaluated once per ladder.
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 state, which is sampled by
 the Monte Carlo engine; the inner expectation is the exponential-affine
-zero order with maturity moved to t2.
+zero order with maturity moved to t2.  All legs' states come from one
+march of one draw stream, which can also serve the realized variance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .charfn import MODE_AFFINE, _coeffs_for, _unit_response
 from .model import AdolModel
-from .montecarlo import McSpec, simulate_q
+from .montecarlo import McSpec, Paths, simulate_paths, simulate_q
 from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "implied_vol",
     "forward_cf",
     "varswap_leg_states",
+    "varswap_leg_times",
     "varswap_strike",
     "varswap_strike_analytic",
 ]
@@ -239,22 +241,31 @@ def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
 # forward characteristic function and variance swaps
 # --------------------------------------------------------------------------
 
-def _states_at(t1: float, model: AdolModel, cfg: McSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled time-t1 states (sigma, v), one per path of `cfg`.
+def _sampled(t1: float, model: AdolModel) -> bool:
+    """Whether the time-t1 state is random; at xi = 0 or at inception it is
+    deterministic and needs no outer sampling."""
+    return model.xi != 0.0 and t1 > model.eps
 
-    Unless the state is deterministic, each call marches a fresh simulation.
-    The variance-swap estimators take their legs' states from
-    `varswap_leg_states`, so the CLI samples each leg once and shares it
-    between both estimators.
+
+def _fixed_state(t1: float, model: AdolModel) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic time-t1 state (sigma, v) of an unsampled leg."""
+    sig = model.sigma0 * math.exp(-model.kappa * t1)
+    p = 1.0 + model.m_pi
+    v = model.v0 * math.exp(-model.m_rho * t1 ** p / p)
+    return np.array([sig]), np.array([v])
+
+
+def _states_at(t1: float, model: AdolModel, cfg: McSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled time-t1 states (sigma, v), one per path of `cfg`, for
+    `forward_cf`.
+
+    Unless the state is deterministic, each call marches a fresh simulation
+    to t1.  The variance-swap estimators take their legs' states instead
+    from `varswap_leg_states`, which marches every leg off one draw stream.
     """
-    if model.xi == 0.0 or t1 <= model.eps:
-        # deterministic (or inception) state: no outer sampling needed
-        sig = model.sigma0 * math.exp(-model.kappa * t1)
-        p = 1.0 + model.m_pi
-        v = model.v0 * math.exp(-model.m_rho * t1 ** p / p)
-        return np.array([sig]), np.array([v])
-    horizon = replace(model, t_mat=t1)
-    states = simulate_q(horizon, cfg)
+    if not _sampled(t1, model):
+        return _fixed_state(t1, model)
+    states = simulate_q(replace(model, t_mat=t1), cfg)
     return states.sigma, states.v
 
 
@@ -293,20 +304,39 @@ def _leg_curvature(phi: Callable[[float], complex], h: float) -> complex:
     return (phi(h) - 2.0 + phi(-h)) / (h * h)
 
 
-def varswap_leg_states(model: AdolModel, spec: VarSwapSpec,
-                       cfg: McSpec | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each leg's sampled time-t1 states (sigma, v), in schedule order.
-
-    Pass the list as `legs` to `varswap_strike` and `varswap_strike_analytic`
-    to let one sample serve both; each samples its own when given none.
-    """
+def varswap_leg_times(model: AdolModel, spec: VarSwapSpec) -> tuple[float, ...]:
+    """The start time t1 of each leg whose time-t1 states are sampled, for
+    `montecarlo.simulate_paths(..., leg_times=...)`."""
     times = (0.0,) + spec.observation_times
-    cfg = cfg or McSpec(n_paths=spec.mc_states, n_steps=64, seed=20177,
-                        t_start=model.eps)
-    legs = []
     for t1, t2 in zip(times, times[1:]):
         _check_leg(t1, t2, model)
-        legs.append(_states_at(t1, model, cfg))
+    return tuple(t1 for t1 in times[:-1] if _sampled(t1, model))
+
+
+def varswap_leg_states(model: AdolModel, spec: VarSwapSpec,
+                       cfg: McSpec | None = None, *,
+                       paths: Paths | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each leg's time-t1 states (sigma, v), in schedule order.
+
+    Every sampled leg is marched off one draw stream, or read off `paths`
+    (from `simulate_paths` with `leg_times=varswap_leg_times(model, spec)`);
+    each leg's states are bitwise those of its own simulation to t1.  Pass
+    the list as `legs` to `varswap_strike` and `varswap_strike_analytic` to
+    let one sample serve both; each samples its own when given none.
+    """
+    sampled = varswap_leg_times(model, spec)
+    if paths is None and sampled:
+        cfg = cfg or McSpec(n_paths=spec.mc_states, n_steps=64, seed=20177,
+                            t_start=model.eps)
+        paths = simulate_paths(model, cfg, leg_times=sampled)
+    legs = []
+    for t1 in (0.0,) + spec.observation_times[:-1]:
+        if t1 not in sampled:
+            legs.append(_fixed_state(t1, model))
+        elif t1 in paths.legs:
+            legs.append(paths.legs[t1])
+        else:
+            raise ValueError(f"paths hold no states at the leg start {t1}")
     return legs
 
 

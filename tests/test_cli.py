@@ -47,6 +47,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
     theta = _write(tmp_path, {"model": {"theta": 0.0}}, "theta.json")
     assert main(["constants", "--config", theta, "--out", str(tmp_path / "o")]) == 1
     assert "unknown key 'model.theta'" in capsys.readouterr().err
+    # the leg states come from the mc block's paths, so a separate path count
+    # for them would be accepted and ignored
+    states = _write(tmp_path, {"pricing": {"varswap": {"mc_states": 2048}}},
+                    "states.json")
+    assert main(["varswap", "--config", states, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'pricing.varswap.mc_states'" in capsys.readouterr().err
 
 
 def test_type_errors_rejected(tmp_path):
@@ -282,8 +288,10 @@ def test_tiny_kappa_reaches_the_lognormal_limit(tmp_path):
 # ------------------------------------------------------ Monte Carlo rows
 
 # A small xi > 0 config whose Monte Carlo rows are pinned below.  The pins
-# come from the earlier code, which simulated once per strike: reading every
-# strike off one simulation must reproduce them bit for bit.
+# come from earlier code, which simulated once per strike, and once each for
+# the variance-swap leg, the realized variance and every command of `adol
+# check`: reading them all off one draw stream must reproduce them bit for
+# bit.
 _PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
             "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
 
@@ -294,6 +302,15 @@ _PIN_MC = {
     "discounted-forward": (0.998643235788976, 0.0031818416204553576),
     "martingale-offset": (-0.0013567642110240419, 0.0031818416204553576),
 }
+
+
+# varswap.csv on _PIN_CFG, as written: one random leg (from t1 = 0.25) and
+# the realized variance
+_PIN_VARSWAP = [
+    ["fd-richardson", "0.03877155952440129", "nan", "-0.0017182175223165036"],
+    ["affine-analytic", "0.03877155951611379", "nan", "-0.0017182175306040062"],
+    ["mc-qv", "0.040489777046717794", "0.0011423293850468556", "0.0"],
+]
 
 
 def test_mc_rows_pinned(tmp_path):
@@ -313,16 +330,41 @@ def test_price_mc_rows_pinned(tmp_path):
                    if k.startswith("call@")}
 
 
+def test_varswap_rows_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["varswap", "--config", _write(tmp_path, _PIN_CFG),
+                 "--out", str(out)]) == 0
+    assert _read_csv(out / "varswap.csv")[1][1:] == _PIN_VARSWAP
+
+
+def test_check_mc_rows_pinned(tmp_path, capsys):
+    # price, varswap and mc of `adol check` read one path set, which holds
+    # the terminal states, the realized variance's snapshots and the leg
+    out = tmp_path / "out"
+    assert main(["check", "--config", _write(tmp_path, _PIN_CFG),
+                 "--out", str(out)]) == 3
+    capsys.readouterr()
+    _, rows = _read_csv(out / "mc.csv")
+    assert {r[0]: (float(r[1]), float(r[2])) for r in rows[1:]} == _PIN_MC
+    _, rows = _read_csv(out / "price.csv")
+    got = {r[0]: (float(r[2]), float(r[3])) for r in rows[1:] if r[1] == "mc"}
+    assert got == {k[len("call@"):]: v for k, v in _PIN_MC.items()
+                   if k.startswith("call@")}
+    assert _read_csv(out / "varswap.csv")[1][1:] == _PIN_VARSWAP
+
+
 @pytest.mark.parametrize("command, cfg, code, sims", [
     ("mc", _PIN_CFG, 0, 1),
     ("price", _PIN_CFG, 0, 1),
     # two legs: the first starts at inception and needs no states; the
-    # second leg's states are drawn once and shared by the stencil and the
-    # analytic cross-check, and the realized variance takes one more
-    ("varswap", _PIN_CFG, 0, 2),
+    # second leg's states and the realized variance come from one march
+    ("varswap", _PIN_CFG, 0, 1),
     # at xi = 0 no leg draws states: price, mc and the realized variance
-    ("check", {}, 3, 3),
-], ids=["mc", "price", "varswap", "check"])
+    # share one march
+    ("check", {}, 3, 1),
+    # and at xi > 0 the random leg rides the same march
+    ("check", _PIN_CFG, 3, 1),
+], ids=["mc", "price", "varswap", "check", "check-xi"])
 def test_simulations_per_command(tmp_path, monkeypatch, capsys, command, cfg,
                                  code, sims):
     calls = []

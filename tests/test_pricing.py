@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from adol.charfn import MODE_AFFINE, CorrectionConfig, cf_total, cf_zero
 from adol.model import AdolModel
-from adol.montecarlo import McSpec, mc_quadratic_variation
+from adol.montecarlo import McSpec, mc_quadratic_variation, simulate_paths
 from adol.numerics import QuadratureError
 from adol.pricing import (
     FourierPricingSpec,
@@ -20,6 +20,7 @@ from adol.pricing import (
     fourier_prices,
     implied_vol,
     varswap_leg_states,
+    varswap_leg_times,
     varswap_strike,
     varswap_strike_analytic,
 )
@@ -356,6 +357,24 @@ def test_varswap_estimators_share_one_leg_sample(table1):
     for estimator in (varswap_strike, varswap_strike_analytic):
         with pytest.raises(ValueError):
             estimator(table1, spec, legs=legs[:2])
+
+
+def test_varswap_legs_read_off_a_shared_path_set(table1):
+    # only legs that start after inception are sampled; a path set that
+    # marched them gives each leg the states of its own simulation
+    spec = VarSwapSpec(observation_times=(0.2, 0.35, 0.5))
+    mc = McSpec(n_paths=512, n_steps=16, seed=3, t_start=table1.eps)
+    assert varswap_leg_times(table1, spec) == (0.2, 0.35)
+    assert varswap_leg_times(replace(table1, xi=0.0), spec) == ()
+    paths = simulate_paths(table1, mc, spec.observation_times,
+                           varswap_leg_times(table1, spec))
+    shared = varswap_leg_states(table1, spec, paths=paths)
+    for (sig, v), (own_sig, own_v) in zip(shared, varswap_leg_states(table1, spec, mc)):
+        assert sig.tobytes() == own_sig.tobytes()
+        assert v.tobytes() == own_v.tobytes()
+    short = simulate_paths(table1, mc, leg_times=(0.2,))
+    with pytest.raises(ValueError, match="leg start 0.35"):
+        varswap_leg_states(table1, spec, paths=short)
 
 
 def test_varswap_rejects_observations_past_maturity(table1):
