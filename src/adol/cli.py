@@ -27,8 +27,7 @@ from .montecarlo import (McSpec, Paths, mc_prices, mc_quadratic_variation,
                          simulate_paths)
 from .numerics import QuadratureError
 from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_prices,
-                      varswap_leg_states, varswap_leg_times, varswap_strike,
-                      varswap_strike_analytic)
+                      varswap_strike, varswap_strike_analytic)
 
 __all__ = ["main", "load_config"]
 
@@ -364,13 +363,6 @@ def _varswap_spec(cfg: dict, model: AdolModel) -> VarSwapSpec:
     return vspec
 
 
-def _path_set(model: AdolModel, mspec: McSpec, vspec: VarSwapSpec) -> Paths:
-    """One march for every Monte Carlo output of a run: the terminal states,
-    x at the observation times and the states of each sampled leg."""
-    return simulate_paths(model, mspec, vspec.observation_times,
-                          varswap_leg_times(model, vspec))
-
-
 def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
               paths: Paths | None = None) -> int:
     model = _model_from(cfg)
@@ -418,13 +410,9 @@ def cmd_varswap(cfg: dict, out_dir: Path, check: bool, *,
     vspec = _varswap_spec(cfg, model)
     mspec = _mc_spec(cfg)
     breaches = 0
-    # one march samples each leg and the realized variance; the legs' states
-    # serve both estimators
-    if paths is None:
-        paths = _path_set(model, mspec, vspec)
-    legs = varswap_leg_states(model, vspec, paths=paths)
-    k_fd = varswap_strike(model, vspec, legs=legs)
-    k_an = varswap_strike_analytic(model, vspec, legs=legs)
+    # both strikes are exact expectations; only the realized variance marches
+    k_fd = varswap_strike(model, vspec)
+    k_an = varswap_strike_analytic(model, vspec)
     qv = mc_quadratic_variation(model, mspec, vspec.observation_times, paths=paths)
     rows = [["fd-richardson", k_fd, math.nan, k_fd - qv.estimate],
             ["affine-analytic", k_an, math.nan, k_an - qv.estimate],
@@ -509,7 +497,8 @@ def cmd_check(cfg: dict, out_dir: Path, check: bool) -> int:
         total += fn(cfg, out_dir, True)
     # price, varswap and mc all read the one path set
     model = _model_from(cfg)
-    paths = _path_set(model, _mc_spec(cfg), _varswap_spec(cfg, model))
+    paths = simulate_paths(model, _mc_spec(cfg),
+                           _varswap_spec(cfg, model).observation_times)
     for fn in (cmd_price, cmd_varswap, cmd_mc):
         total += fn(cfg, out_dir, True, paths=paths)
     del paths

@@ -21,12 +21,12 @@ the stream and every result are the same as with the draws made in line.
 
 One march serves every Monte Carlo estimator of a run.  `mc_prices` reads a
 whole strike ladder off the same terminal states, and `simulate_paths`
-marches, off the same per-step normals, the terminal states, x at the
-realized variance's observation times and the (sigma, v) of each
-variance-swap leg horizon on its own grid.  `mc_prices`,
-`mc_quadratic_variation` and `pricing.varswap_leg_states` all read that one
-path set, so each `adol` command reads its draw stream once, and each result
-is bitwise what its own simulation would give.
+marches the terminal states together with x at the realized variance's
+observation times.  `mc_prices` and `mc_quadratic_variation` both read that
+one path set, so each `adol` command reads its draw stream once, and each
+result is bitwise what its own simulation would give.  The variance-swap
+strikes need no paths: `pricing` takes their expectations over the exact
+Gaussian law of the vol factor.
 """
 
 from __future__ import annotations
@@ -85,13 +85,11 @@ class TerminalStates:
     v: np.ndarray
 
 
-def _grid(model: AdolModel, spec: McSpec, t_end: float | None = None) -> np.ndarray:
-    """The time grid up to `t_end`, the maturity unless given."""
-    t_end = model.t_mat if t_end is None else t_end
+def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
     t0 = model.eps if spec.t_start is None else spec.t_start
-    if not t0 < t_end:
-        raise ValueError(f"t_start {t0} must sit below the horizon {t_end}")
-    return np.linspace(t0, t_end, spec.n_steps + 1)
+    if not t0 < model.t_mat:
+        raise ValueError(f"t_start {t0} must sit below the maturity {model.t_mat}")
+    return np.linspace(t0, model.t_mat, spec.n_steps + 1)
 
 
 def _v_step_tables(model: AdolModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,55 +177,22 @@ class Paths(NamedTuple):
     sigma: np.ndarray
     v: np.ndarray
     snaps: dict[int, np.ndarray]  # x at each captured grid index
-    legs: dict[float, tuple[np.ndarray, np.ndarray]]  # (sigma, v) at each leg horizon
 
 
-def _sigma_v_step(sig: np.ndarray, v: np.ndarray, z_vol: np.ndarray,
-                  tmp: np.ndarray, model: AdolModel, t_right: float, dt: float,
-                  decay: float, diff_sd: float) -> None:
-    """One step of (sigma, v) in place, with `tmp` as scratch:
-
-        sigma <- sigma exp(-(kappa + xi m v) dt) + sigma (xi nu sqrt(dt)) z
-        v     <- decay v + diff_sd z
-
-    Each product and sum is the one the formula rounds, so the result is the
-    same bit for bit as evaluating the formula on fresh arrays.
-    """
-    xi = model.xi
-    nu_r = nu_t(t_right, model.constants)
-    m_r = m_t(t_right, model)
-    np.multiply(v, xi * m_r, out=tmp)
-    tmp += model.kappa
-    tmp *= -dt
-    np.exp(tmp, out=tmp)
-    tmp *= sig
-    sig *= xi * nu_r * math.sqrt(dt)
-    sig *= z_vol
-    sig += tmp
-    v *= decay
-    np.multiply(z_vol, diff_sd, out=tmp)
-    v += tmp
-
-
-def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None,
-         legs: tuple[float, ...] = ()) -> Paths:
+def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Paths:
     """March the system to maturity; optionally capture x at the given grid
-    indices.  Each leg horizon t1 in `legs` marches (sigma, v) alone on its
-    own grid of spec.n_steps steps up to t1, off the same per-step normals:
-    the states a separate simulation to t1 with the same spec would end in,
-    at the cost of one draw stream for all horizons."""
+    indices."""
     grid = _grid(model, spec)
-    leg_grids = [_grid(model, spec, t1) for t1 in legs]
     n_paths, n_steps = spec.n_paths, spec.n_steps
     m_draw = n_paths // 2 if spec.antithetic else n_paths
     gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
+    xi = model.xi
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
-    # per horizon: its grid, v-step tables and (sigma, v), the main one first
-    marches = [(g, *_v_step_tables(model, g), np.full(n_paths, model.sigma0),
-                np.full(n_paths, model.v0)) for g in [grid] + leg_grids]
-    _, _, _, sig, v = marches[0]
+    decay, diff_sd = _v_step_tables(model, grid)
+    sig = np.full(n_paths, model.sigma0)
+    v = np.full(n_paths, model.v0)
     x = np.zeros(n_paths)
     tmp = np.empty(n_paths)  # scratch of every in-place step
     both = np.empty((2, n_paths)) if spec.antithetic else None
@@ -259,10 +224,23 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None,
             tmp *= dt
             tmp += z[0]
             x += tmp
-            for g, decay, diff_sd, sig_h, v_h in marches:
-                _sigma_v_step(sig_h, v_h, z[1], tmp, model, float(g[n + 1]),
-                              g[n + 1] - g[n], decay[n], diff_sd[n])
-                sig_peak = max(sig_peak, float(np.abs(sig_h, out=tmp).max()))
+            # sigma <- sigma exp(-(kappa + xi m v) dt) + sigma (xi nu sqrt(dt)) z[1]
+            # and v <- decay v + diff_sd z[1], in place; each product and sum
+            # is the one the formula rounds, so the result is bitwise the
+            # formula's on fresh arrays
+            t_right = float(grid[n + 1])
+            np.multiply(v, xi * m_t(t_right, model), out=tmp)
+            tmp += model.kappa
+            tmp *= -dt
+            np.exp(tmp, out=tmp)
+            tmp *= sig
+            sig *= xi * nu_t(t_right, model.constants) * math.sqrt(dt)
+            sig *= z[1]
+            sig += tmp
+            v *= decay[n]
+            np.multiply(z[1], diff_sd[n], out=tmp)
+            v += tmp
+            sig_peak = max(sig_peak, float(np.abs(sig, out=tmp).max()))
             if n + 1 in copies:
                 snaps[n + 1] = x.copy()
 
@@ -276,8 +254,7 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None,
             snaps[0] = np.zeros(n_paths)
         if n_steps in capture:
             snaps[n_steps] = x
-    return Paths(grid, x, sig, v, snaps,
-                 {t1: march[3:] for t1, march in zip(legs, marches[1:])})
+    return Paths(grid, x, sig, v, snaps)
 
 
 def simulate_q(model: AdolModel, spec: McSpec) -> TerminalStates:
@@ -285,15 +262,13 @@ def simulate_q(model: AdolModel, spec: McSpec) -> TerminalStates:
     return TerminalStates(x=paths.x, sigma=paths.sigma, v=paths.v)
 
 
-def simulate_paths(model: AdolModel, spec: McSpec, observation_times=(),
-                   leg_times=()) -> Paths:
+def simulate_paths(model: AdolModel, spec: McSpec, observation_times=()) -> Paths:
     """One march that serves every estimator of a run: the terminal states
-    (`mc_prices`), x at each of `observation_times` (`mc_quadratic_variation`)
-    and (sigma, v) at each horizon in `leg_times`
-    (`pricing.varswap_leg_states`).  Pass it to them as `paths`."""
+    (`mc_prices`) and x at each of `observation_times`
+    (`mc_quadratic_variation`).  Pass it to them as `paths`."""
     capture = set(_qv_indices(_grid(model, spec), observation_times)) \
         if observation_times else None
-    return _run(model, spec, capture=capture, legs=tuple(leg_times))
+    return _run(model, spec, capture=capture)
 
 
 def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
@@ -331,7 +306,8 @@ def mc_price(model: AdolModel, spec: McSpec, strike: float,
 
 
 def _qv_indices(grid: np.ndarray, observation_times) -> list[int]:
-    """The grid index nearest each observation time, validated."""
+    """The grid index nearest each observation time, validated; two times
+    that snap to one index are refused, not merged."""
     t0, t_end = grid[0], grid[-1]
     dt = grid[1] - grid[0]
     times = [float(t) for t in observation_times]
@@ -339,7 +315,11 @@ def _qv_indices(grid: np.ndarray, observation_times) -> list[int]:
         raise ValueError("observation times must be strictly increasing")
     if times[0] <= t0 - 1e-12 or times[-1] > t_end * (1.0 + 1e-12):
         raise ValueError(f"observation times must lie in ({t0}, {t_end}]")
-    idx = sorted({int(round((t - t0) / dt)) for t in times})
+    idx = [int(round((t - t0) / dt)) for t in times]
+    for a, b, i, j in zip(times, times[1:], idx, idx[1:]):
+        if i == j:
+            raise ValueError(f"observation times {a} and {b} snap to one grid "
+                             f"index {i}; refine the grid")
     if idx[0] == 0:
         raise ValueError("first observation collapses onto the grid start")
     return idx

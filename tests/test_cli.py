@@ -304,11 +304,12 @@ _PIN_MC = {
 }
 
 
-# varswap.csv on _PIN_CFG, as written: one random leg (from t1 = 0.25) and
-# the realized variance
+# varswap.csv on _PIN_CFG, as written: both strikes are expectations over
+# the exact law of the leg's vol, 3.8e-10 relative apart; only the realized
+# variance (mc-qv) is a Monte Carlo value
 _PIN_VARSWAP = [
-    ["fd-richardson", "0.03877155952440129", "nan", "-0.0017182175223165036"],
-    ["affine-analytic", "0.03877155951611379", "nan", "-0.0017182175306040062"],
+    ["fd-richardson", "0.03873700994416751", "nan", "-0.001752767102550283"],
+    ["affine-analytic", "0.038737009958792104", "nan", "-0.0017527670879256899"],
     ["mc-qv", "0.040489777046717794", "0.0011423293850468556", "0.0"],
 ]
 
@@ -339,7 +340,7 @@ def test_varswap_rows_pinned(tmp_path):
 
 def test_check_mc_rows_pinned(tmp_path, capsys):
     # price, varswap and mc of `adol check` read one path set, which holds
-    # the terminal states, the realized variance's snapshots and the leg
+    # the terminal states and the realized variance's snapshots
     out = tmp_path / "out"
     assert main(["check", "--config", _write(tmp_path, _PIN_CFG),
                  "--out", str(out)]) == 3
@@ -356,13 +357,11 @@ def test_check_mc_rows_pinned(tmp_path, capsys):
 @pytest.mark.parametrize("command, cfg, code, sims", [
     ("mc", _PIN_CFG, 0, 1),
     ("price", _PIN_CFG, 0, 1),
-    # two legs: the first starts at inception and needs no states; the
-    # second leg's states and the realized variance come from one march
+    # the strikes march nothing; the realized variance marches once
     ("varswap", _PIN_CFG, 0, 1),
-    # at xi = 0 no leg draws states: price, mc and the realized variance
-    # share one march
+    # price, mc and the realized variance share one march, at xi = 0 and
+    # at xi > 0 alike
     ("check", {}, 3, 1),
-    # and at xi > 0 the random leg rides the same march
     ("check", _PIN_CFG, 3, 1),
 ], ids=["mc", "price", "varswap", "check", "check-xi"])
 def test_simulations_per_command(tmp_path, monkeypatch, capsys, command, cfg,

@@ -1,11 +1,14 @@
-"""Every name a module imports is used in it, and every dataclass field is read.
+"""Every name a module imports is used in it, every dataclass field is read,
+and every private definition is referenced.
 
 Standard-library checks, so the suite needs no linter: each module under
 src/adol is parsed with ast.  A name that an import binds but the module
 never references is reported; the package __init__ imports in order to
 re-export, so it is not scanned for that.  A dataclass field whose name is
 never read as an attribute (`.field`) anywhere in the package is reported
-too, unless it is allowed below with its reason.
+too, unless it is allowed below with its reason.  So is a module-level
+`_private` function or class that nothing in the package references
+outside its own definition.
 """
 
 import ast
@@ -92,3 +95,60 @@ def test_field_scanner_flags_only_unread_fields():
 def test_every_dataclass_field_is_read():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_fields(sources) == sorted(UNREAD_FIELDS_ALLOWED)
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name that node reads, as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {a.name for a in sub.names}
+    return names
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level _private function or class that no
+    top-level statement references, its own definition aside."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = _referenced(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((module, node.name))
+                names.discard(node.name)
+            used |= names
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_dead_definition_scanner_flags_only_unreferenced_privates():
+    sources = {
+        "a": ("import b\n"
+              "def _called():\n"
+              "    return _Kept()\n"
+              "class _Kept:\n"
+              "    pass\n"
+              "def _recursive(n):\n"
+              "    return _recursive(n - 1)\n"
+              "def _left_over():\n"
+              "    pass\n"
+              "def public():\n"
+              "    return _called() + b._by_attribute()\n"),
+        "b": ("from a import _imported\n"
+              "def _by_attribute():\n"
+              "    pass\n"
+              "def _imported():\n"
+              "    pass\n"
+              "def __dunder__():\n"
+              "    pass\n"),
+    }
+    assert dead_definitions(sources) == ["a._left_over", "a._recursive"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_definitions(sources) == []

@@ -209,6 +209,18 @@ def test_quadratic_variation_input_validation(table1):
         mc_quadratic_variation(table1, spec, (table1.eps * 1.0001,))
 
 
+def test_observation_times_on_one_grid_index_are_refused(table1):
+    # on a 4-step grid 0.24 and 0.26 both snap to index 2; merging them
+    # would price the schedule (0.25, 0.5) under another name
+    spec = McSpec(n_paths=16, n_steps=4, seed=1)
+    for estimate in (lambda obs: mc_quadratic_variation(table1, spec, obs),
+                     lambda obs: simulate_paths(table1, spec, obs)):
+        with pytest.raises(ValueError, match="0.24 and 0.26 snap to one grid index 2"):
+            estimate((0.24, 0.26, 0.5))
+        # times off the grid that snap to distinct indices still pass
+        estimate((0.25, 0.5))
+
+
 # ------------------------------------------------------------ draw-ahead
 
 def _serial_run(model, spec, capture=None):
@@ -343,37 +355,28 @@ def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
     assert threading.active_count() == before
 
 
-# ------------------------------------------------- one stream, many horizons
-
-_LEG = 0.25  # a leg horizon inside table1's maturity
-
+# ------------------------------------------------- one stream, many estimators
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(1, 300),
-       n_steps=st.integers(2, 40), antithetic=st.booleans(),
-       legs=st.lists(st.floats(0.01, 0.49), min_size=1, max_size=3, unique=True))
-@example(seed=0, n_paths=1, n_steps=2, antithetic=False, legs=[0.25])
-@example(seed=1, n_paths=2, n_steps=2, antithetic=True, legs=[0.49, 0.01])
+       n_steps=st.integers(2, 40), antithetic=st.booleans())
+@example(seed=0, n_paths=1, n_steps=2, antithetic=False)
+@example(seed=1, n_paths=2, n_steps=2, antithetic=True)
 def test_every_horizon_is_bitwise_its_own_simulation(table1, seed, n_paths, n_steps,
-                                                     antithetic, legs):
-    # one march off one draw stream ends each leg horizon where a separate
-    # serial simulation to it ends, and leaves the main horizon and its
-    # realized variance untouched
+                                                     antithetic):
+    # a march that also captures x for the realized variance ends where a
+    # serial simulation ends, and the realized variance read off it is the
+    # one its own serial run gives
     if antithetic:
         n_paths += n_paths % 2
     spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
                   antithetic=antithetic)
     obs = (0.5 * table1.t_mat, table1.t_mat)
-    paths = simulate_paths(table1, spec, obs, legs)
+    paths = simulate_paths(table1, spec, obs)
     _, x, sig, v, _ = _serial_run(table1, spec)
     assert paths.x.tobytes() == x.tobytes()
     assert paths.sigma.tobytes() == sig.tobytes()
     assert paths.v.tobytes() == v.tobytes()
-    assert paths.legs.keys() == set(legs)
-    for t1 in legs:
-        _, _, sig, v, _ = _serial_run(replace(table1, t_mat=t1), spec)
-        assert paths.legs[t1][0].tobytes() == sig.tobytes()
-        assert paths.legs[t1][1].tobytes() == v.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_run", _serial_run)
         serial = mc_quadratic_variation(table1, spec, obs)
@@ -383,7 +386,7 @@ def test_every_horizon_is_bitwise_its_own_simulation(table1, seed, n_paths, n_st
 def test_shared_paths_serve_each_estimator_as_its_own_run(table1):
     spec = McSpec(n_paths=256, n_steps=20, seed=8)
     obs = (0.1, 0.3, 0.5)
-    paths = simulate_paths(table1, spec, obs, (_LEG,))
+    paths = simulate_paths(table1, spec, obs)
     strikes = [90.0, 100.0, 110.0]
     assert mc_prices(table1, spec, strikes, paths=paths) \
         == mc_prices(table1, spec, strikes)
@@ -392,30 +395,6 @@ def test_shared_paths_serve_each_estimator_as_its_own_run(table1):
     # a path set captured for other observation times cannot serve these
     with pytest.raises(ValueError, match="observation time"):
         mc_quadratic_variation(table1, spec, (0.2, 0.5), paths=paths)
-
-
-def test_leg_horizon_must_follow_the_start(table1):
-    spec = McSpec(n_paths=16, n_steps=4, seed=1, t_start=0.3)
-    with pytest.raises(ValueError, match="t_start"):
-        simulate_paths(table1, spec, leg_times=(0.2,))
-
-
-def test_explosive_leg_horizon_warns(table1, monkeypatch):
-    # nu is huge at the leg horizon's grid times only, so the main horizon
-    # stays calm and only the leg can trip the warning
-    spec = McSpec(n_paths=64, n_steps=4, seed=2)
-    leg_times = {float(t) for t in montecarlo._grid(table1, spec, _LEG)[1:]}
-    assert not leg_times & {float(t) for t in montecarlo._grid(table1, spec)}
-
-    def wild_nu(t, c):
-        return 1e4 if t in leg_times else nu_t(t, c)
-
-    monkeypatch.setattr(montecarlo, "nu_t", wild_nu)
-    # the main horizon alone stays calm: tier-1 turns a RuntimeWarning into
-    # an error, so this call would fail if it warned
-    simulate_paths(table1, spec)
-    with pytest.warns(RuntimeWarning, match="sigma path reached"):
-        simulate_paths(table1, spec, leg_times=(_LEG,))
 
 
 def test_one_helper_thread_per_draw_stream_with_legs(table1, monkeypatch):
@@ -428,31 +407,10 @@ def test_one_helper_thread_per_draw_stream_with_legs(table1, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    simulate_paths(table1, McSpec(n_paths=64, n_steps=12, seed=4),
-                              (0.25, 0.5), (0.1, _LEG, 0.4))
+    simulate_paths(table1, McSpec(n_paths=64, n_steps=12, seed=4), (0.25, 0.5))
     assert len(started) == 1
     assert threading.active_count() == before
     assert not started[0].is_alive()
-
-
-def test_leg_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
-    # fail in the leg horizon's third step, after the main horizon's
-    boom = ArithmeticError("leg march failed at step 3")
-    spec = McSpec(n_paths=64, n_steps=10, seed=4)
-    fail_at = float(montecarlo._grid(table1, spec, _LEG)[3])
-    assert fail_at not in {float(t) for t in montecarlo._grid(table1, spec)}
-
-    def failing_nu(t, c):
-        if t == fail_at:
-            raise boom
-        return nu_t(t, c)
-
-    monkeypatch.setattr(montecarlo, "nu_t", failing_nu)
-    before = threading.active_count()
-    got = _raised_within(
-        60.0, lambda: simulate_paths(table1, spec, leg_times=(_LEG,)))
-    assert got is boom
-    assert threading.active_count() == before
 
 
 def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
@@ -465,5 +423,5 @@ def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
 
     monkeypatch.setattr(np, "negative", counted)
     spec = McSpec(n_paths=64, n_steps=7, seed=4, antithetic=True)
-    simulate_paths(table1, spec, leg_times=(0.1, _LEG, 0.4))
+    simulate_paths(table1, spec, (0.25, 0.5))
     assert calls == [(2, 32)] * spec.n_steps

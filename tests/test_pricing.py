@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adol.charfn import MODE_AFFINE, CorrectionConfig, cf_total, cf_zero
+from adol import montecarlo
+from adol.charfn import MODE_AFFINE, CorrectionConfig, _unit_response, cf_total, cf_zero
 from adol.model import AdolModel
-from adol.montecarlo import McSpec, mc_quadratic_variation, simulate_paths
+from adol.montecarlo import McSpec, mc_quadratic_variation, simulate_q
 from adol.numerics import QuadratureError
 from adol.pricing import (
     FourierPricingSpec,
@@ -18,9 +19,9 @@ from adol.pricing import (
     forward_cf,
     fourier_price,
     fourier_prices,
+    _leg_law,
+    _leg_sigmas,
     implied_vol,
-    varswap_leg_states,
-    varswap_leg_times,
     varswap_strike,
     varswap_strike_analytic,
 )
@@ -275,17 +276,17 @@ def test_forward_cf_composes_over_deterministic_legs(table1_xi0):
     assert legs == pytest.approx(full, rel=1e-10)
 
 
-def test_forward_cf_standard_error_vanishes_when_deterministic(table1_xi0):
-    val, se = forward_cf(1.0, 0.2, 0.5, table1_xi0, with_se=True)
-    assert se == 0.0
+def test_forward_cf_at_xi_zero_is_the_deterministic_leg(table1_xi0):
+    # at xi = 0 the time-t1 vol is sigma0 e^(-kappa t1) on every node, so
+    # the forward CF is the lognormal one of the leg
+    m = table1_xi0
+    u, t1, t2 = 1.0, 0.2, 0.5
+    sig = m.sigma0 * math.exp(-m.kappa * t1)
+    want = np.exp(1j * u * (m.r - m.q) * (t2 - t1)
+                  - 0.5 * u * (u + 1j) * _unit_response(m.kappa, t2 - t1) * sig * sig)
+    val = forward_cf(u, t1, t2, m)
+    assert val == pytest.approx(want, rel=1e-14)
     assert abs(val) <= 1.0 + 1e-12
-
-
-def test_forward_cf_sampled_outer_state(table1):
-    spec = McSpec(n_paths=512, n_steps=16, seed=7, t_start=table1.eps)
-    val, se = forward_cf(1.0, 0.2, 0.5, table1, cfg=spec, with_se=True)
-    assert se > 0.0
-    assert abs(val) <= 1.0 + 5.0 * se
 
 
 def test_forward_cf_rejects_bad_times(table1):
@@ -328,53 +329,85 @@ def test_varswap_consistent_with_path_quadratic_variation(table1_xi0):
 
 
 def test_varswap_stencil_matches_forward_cf_route(table1):
-    # the strike reads each leg's sampled states once for all four stencil
-    # points; forward_cf samples them afresh per point from the same seed,
-    # so both routes do the same arithmetic and must agree bit for bit
+    # the strike reads each leg's vol nodes once for all four stencil
+    # points; forward_cf builds them afresh per point, so both routes do
+    # the same arithmetic and must agree bit for bit
     spec = VarSwapSpec(observation_times=(0.25, 0.5))
-    mc = McSpec(n_paths=512, n_steps=16, seed=3, t_start=table1.eps)
     h = spec.u_step
     total = 0.0 + 0.0j
     for t1, t2 in ((0.0, 0.25), (0.25, 0.5)):
         def curv(step, t1=t1, t2=t2):
-            return (forward_cf(step, t1, t2, table1, mc) - 2.0
-                    + forward_cf(-step, t1, t2, table1, mc)) / (step * step)
+            return (forward_cf(step, t1, t2, table1) - 2.0
+                    + forward_cf(-step, t1, t2, table1)) / (step * step)
         total += (4.0 * curv(0.5 * h) - curv(h)) / 3.0
-    assert varswap_strike(table1, spec, cfg=mc) == (-total / 0.5).real
+    assert varswap_strike(table1, spec) == (-total / 0.5).real
 
 
-def test_varswap_estimators_share_one_leg_sample(table1):
-    # one sample per leg handed to both estimators gives what each gets
-    # sampling on its own from the same seed
+_REF = AdolModel(s0=1.0, sigma0=0.3, v0=5.0, r=0.0, q=0.0, kappa=2.0, xi=0.05,
+                 rho=-0.5, h=0.3, m_rho=1.0, m_pi=0.5, t_mat=0.5)
+
+
+@pytest.mark.parametrize("xi", [0.05, 0.2])
+@pytest.mark.parametrize("times", [(0.25, 0.5), (0.1, 0.2, 0.35, 0.5)])
+def test_varswap_strikes_agree_on_the_exact_leg_law(table1, xi, times):
+    # the curvature stencil over the Gauss-Hermite nodes against the closed
+    # lognormal moments: two routes to one expectation; what separates them
+    # is the stencil's rounding, about 4e-10 relative
+    spec = VarSwapSpec(observation_times=times)
+    for m in (replace(_REF, xi=xi), replace(table1, xi=xi)):
+        fd = varswap_strike(m, spec)
+        an = varswap_strike_analytic(m, spec)
+        assert fd == pytest.approx(an, rel=1e-8)
+
+
+@pytest.mark.parametrize("xi", [0.05, 0.2])
+def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
+    # E[sigma_t1^(2k)] = L^(2k) exp(2k xi (mean - v0) + 2 k^2 xi^2 var)
+    m = replace(_REF, xi=xi)
+    for t1 in (0.1, 0.25, 0.45):
+        big_l, mean, var = _leg_law(t1, m)
+        for k in (1, 2):
+            closed = big_l ** (2 * k) * math.exp(
+                2 * k * xi * (mean - m.v0) + 2 * k * k * xi * xi * var)
+            for n in (40, 80):
+                sig, w = _leg_sigmas(t1, m, n)
+                assert w @ sig ** (2 * k) == pytest.approx(closed, rel=1e-14)
+
+
+def test_leg_law_at_inception_is_the_start_state(table1):
+    assert _leg_law(0.0, table1) == (table1.sigma0, table1.v0, 0.0)
+    sig, w = _leg_sigmas(0.0, table1)
+    assert set(sig) == {table1.sigma0}
+
+
+def test_euler_sigma_approaches_the_leg_law_pathwise(table1):
+    # sigma_T = L exp(xi (V_T - v0)) on the march's own paths, with L taken
+    # from the march's start eps; the Euler sigma step closes the gap as
+    # the step shrinks
+    m = table1
+    c, T, eps = m.constants, m.t_mat, m.eps
+    nu_sq = c.b_h ** 2 * (T ** (2 * c.h) - eps ** (2 * c.h)) / (2 * c.h)
+    big_l = m.sigma0 * math.exp(-m.kappa * (T - eps) - 0.5 * m.xi ** 2 * nu_sq)
+    gaps = []
+    for n_steps in (50, 200, 1000):
+        st = simulate_q(m, McSpec(n_paths=20_000, n_steps=n_steps, seed=11))
+        exact = big_l * np.exp(m.xi * (st.v - m.v0))
+        gaps.append(float(np.median(np.abs(st.sigma / exact - 1.0))))
+    assert gaps[0] < 1e-2
+    assert gaps[2] < 2e-3
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_strikes_and_forward_cf_need_no_sampling(table1, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a path was marched")
+
+    monkeypatch.setattr(montecarlo, "_run", no_march)
     spec = VarSwapSpec(observation_times=(0.2, 0.35, 0.5))
-    mc = McSpec(n_paths=512, n_steps=16, seed=3, t_start=table1.eps)
-    legs = varswap_leg_states(table1, spec, mc)
-    assert len(legs) == 3
-    assert varswap_strike(table1, spec, legs=legs) \
-        == varswap_strike(table1, spec, cfg=mc)
-    assert varswap_strike_analytic(table1, spec, legs=legs) \
-        == varswap_strike_analytic(table1, spec, cfg=mc)
-    for estimator in (varswap_strike, varswap_strike_analytic):
-        with pytest.raises(ValueError):
-            estimator(table1, spec, legs=legs[:2])
-
-
-def test_varswap_legs_read_off_a_shared_path_set(table1):
-    # only legs that start after inception are sampled; a path set that
-    # marched them gives each leg the states of its own simulation
-    spec = VarSwapSpec(observation_times=(0.2, 0.35, 0.5))
-    mc = McSpec(n_paths=512, n_steps=16, seed=3, t_start=table1.eps)
-    assert varswap_leg_times(table1, spec) == (0.2, 0.35)
-    assert varswap_leg_times(replace(table1, xi=0.0), spec) == ()
-    paths = simulate_paths(table1, mc, spec.observation_times,
-                           varswap_leg_times(table1, spec))
-    shared = varswap_leg_states(table1, spec, paths=paths)
-    for (sig, v), (own_sig, own_v) in zip(shared, varswap_leg_states(table1, spec, mc)):
-        assert sig.tobytes() == own_sig.tobytes()
-        assert v.tobytes() == own_v.tobytes()
-    short = simulate_paths(table1, mc, leg_times=(0.2,))
-    with pytest.raises(ValueError, match="leg start 0.35"):
-        varswap_leg_states(table1, spec, paths=short)
+    assert table1.xi > 0.0
+    assert math.isfinite(varswap_strike(table1, spec))
+    assert math.isfinite(varswap_strike_analytic(table1, spec))
+    assert abs(forward_cf(1.0, 0.2, 0.5, table1)) <= 1.0
 
 
 def test_varswap_rejects_observations_past_maturity(table1):
@@ -394,5 +427,3 @@ def test_varswap_spec_validation():
         VarSwapSpec(observation_times=(-0.1, 0.2))
     with pytest.raises(ValueError):
         VarSwapSpec(observation_times=(0.1, 0.2), u_step=0.5)
-    with pytest.raises(ValueError):
-        VarSwapSpec(observation_times=(0.1, 0.2), mc_states=0)
