@@ -453,6 +453,12 @@ def _m_cum(t, model: AdolModel):
     return model.m_rho * t ** p / p
 
 
+def _nu_sq_cum(t, model: AdolModel):
+    """Integral of nu^2 from 0 to t, B_H^2 t^(2H) / (2H); accepts arrays."""
+    c = model.constants
+    return c.b_h * c.b_h * t ** (2.0 * c.h) / (2.0 * c.h)
+
+
 def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tanh-sinh rule on [0, 1] (Takahasi & Mori) at nodes k h, |k| <= n.
 

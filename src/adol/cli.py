@@ -18,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _unit_response,
-                     cf_total, cf_zero, coeffs_paper, green_pieces, j_integral,
-                     pde_residual, zero_order_fn, J_QUADRATURE, J_QUAD_CENTER)
+from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _j_k_value,
+                     _unit_response, cf_total, cf_zero, coeffs_paper, green_pieces,
+                     j_integral, pde_residual, zero_order_fn, J_QUADRATURE,
+                     J_QUAD_CENTER)
 from .do_process import do_constants
 from .model import AdolModel, small_param_check
-from .montecarlo import (McSpec, Paths, mc_prices, mc_quadratic_variation,
-                         simulate_paths)
+from .montecarlo import (McSpec, Paths, _grid, _qv_indices, mc_prices,
+                         mc_quadratic_variation, simulate_paths)
 from .numerics import QuadratureError
 from .pricing import (FourierPricingSpec, VarSwapSpec, bs_price, fourier_prices,
                       varswap_strike, varswap_strike_analytic)
@@ -157,10 +158,18 @@ def load_config(source) -> dict:
         raise ConfigError("config root must be a JSON object")
     resolved = _validate_block(_SCHEMA, raw, "")
     # value-level checks up front so every command rejects a bad config the
-    # same way, not just the commands that happen to build these objects
-    _model_from(resolved)
+    # same way, not just the commands that build these objects or the grid
+    model = _model_from(resolved)
     _corr_cfg(resolved)
-    _mc_spec(resolved)
+    mspec = _mc_spec(resolved)
+    times = _varswap_spec(resolved, model).observation_times
+    key = "model.eps" if mspec.t_start is None else "mc.t_start"
+    try:
+        grid = _grid(model, mspec)
+        key = "pricing.varswap.observation_times"
+        _qv_indices(grid, times)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     return resolved
 
 
@@ -261,12 +270,15 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     T = model.t_mat
     breaches = 0
 
+    def state(chi: float) -> tuple[float, float]:
+        """The transported state and the kernel center at source time chi."""
+        return (math.exp(model.kappa * chi) * sv,
+                green.alpha1(chi) * model.v0 + 2.0 * green.tau(chi))
+
     # figs 1-2: the spatial integrand against sigma' at two source times
     for name, chi in (("fig1_integrand.csv", 0.5 * T), ("fig2_integrand.csv", 0.9 * T)):
-        om = math.exp(model.kappa * chi) * sv
-        a1c = green.alpha1(chi)
-        sig = a1c * model.v0 + 2.0 * green.tau(chi)
-        k = co.gamma(chi) * a1c * a1c * om * math.exp(-model.kappa * chi)
+        om, sig = state(chi)
+        k = _j_k_value(om, chi, model, green, co)
         w = chi
         mean, half = sig + 2.0 * w, 6.0 * math.sqrt(2.0 * w)
         rows = []
@@ -284,8 +296,7 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     max_bps = 0.0
     for chi in chis:
         chi = float(chi)
-        om = math.exp(model.kappa * chi) * sv
-        sig = green.alpha1(chi) * model.v0 + 2.0 * green.tau(chi)
+        om, sig = state(chi)
         jq = j_integral(sig, om, chi, model, green, co, method=J_QUADRATURE)
         jc = j_integral(sig, om, chi, model, green, co, method=J_QUAD_CENTER)
         bps = abs(jc - jq) / abs(jq) * 1e4
@@ -301,10 +312,8 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     rows = []
     for chi in chis:
         chi = float(chi)
-        om = math.exp(model.kappa * chi) * sv
-        a1c = green.alpha1(chi)
-        sig = a1c * model.v0 + 2.0 * green.tau(chi)
-        k = co.gamma(chi) * a1c * a1c * om * math.exp(-model.kappa * chi)
+        om, sig = state(chi)
+        k = _j_k_value(om, chi, model, green, co)
         a2 = -1.0 / (4.0 * chi) + 3.0 * k / (sig - 2.0 * chi) ** 4
         if check and complex(a2).real >= 0.0:
             breaches += 1

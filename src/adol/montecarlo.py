@@ -1,23 +1,25 @@
 """Path simulation of the risk-neutral system, the model's brute-force oracle.
 
-Scheme per step, on a uniform grid starting at t_start > 0 (the vol weight
-t^(H-1/2) and the drift cutoff both live at the origin, so the clock never
-touches it):
+The march runs on a uniform grid from t0 = t_start > 0 (the vol weight
+t^(H-1/2) and the drift cutoff both live at the origin).  Per step:
 
-    x   : log-Euler, exact lognormal step conditional on the running sigma
-    sigma: drift -[kappa + xi m(t) v] sigma integrated by an exponential
-           factor over the step, diffusion xi nu(t) sigma by plain Euler
-    v   : exact solution of the linear drift -m(t) v, with the diffusion
-           variance of nu(t) dW accumulated by Gauss-Legendre per step
+    v    : exact Gaussian step of dV = -m V dt + nu dW; its decay and
+           deviation are read off M, the cumulative reversion speed, and
+           the flow tables' f_quad
+    sigma: exp(log L(t) + xi (v - v0)) at every node, exact: the m V drift
+           of sigma cancels against dV, so d log sigma = -kappa dt + xi dV
+           - xi^2 nu^2 dt / 2 and log L(t) = log sigma0 - kappa (t - t0)
+           - xi^2 int_t0^t nu^2 / 2
+    x    : log-Euler, exact lognormal step given sigma at the step's start
 
-nu and m are read at the right endpoint of each step.  The v-shock and the
-sigma-shock share one Gaussian (they ride the same Brownian); the x-shock
-correlates with it at rho.  Draws come from one counter-based generator in
-a fixed (step, path) layout, so results are bitwise reproducible and
-independent of any execution schedule.  One helper thread per simulation
-owns the generator and draws each step's normals one step ahead, while the
-caller marches the step before; it reads the stream in the same order, so
-the stream and every result are the same as with the draws made in line.
+The x-shock correlates with the v-shock at rho.  A march whose terminal x
+or sigma is not finite raises FloatingPointError.  Draws come from one
+counter-based generator in a fixed (step, path) layout, so results are
+bitwise reproducible and independent of any execution schedule.  One
+helper thread per simulation owns the generator and draws each step's
+normals one step ahead, while the caller marches the step before; it reads
+the stream in the same order, so the stream and every result are the same
+as with the draws made in line.
 
 One march serves every Monte Carlo estimator of a run.  `mc_prices` reads a
 whole strike ladder off the same terminal states, and `simulate_paths`
@@ -33,20 +35,16 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .do_process import nu_t
-from .model import AdolModel, m_t
+from .charfn import _flow_tables, _m_cum, _nu_sq_cum
+from .model import AdolModel
 
-__all__ = ["McSpec", "PathStats", "Paths", "TerminalStates", "simulate_q",
-           "simulate_paths", "mc_price", "mc_prices", "mc_quadratic_variation"]
-
-# nodes/weights of 8-point Gauss-Legendre on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+__all__ = ["McSpec", "PathStats", "Paths", "simulate_q", "simulate_paths",
+           "mc_price", "mc_prices", "mc_quadratic_variation"]
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,6 @@ class PathStats:
             raise ValueError("std_error must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TerminalStates:
-    x: np.ndarray       # log S_T / S_0 per path
-    sigma: np.ndarray
-    v: np.ndarray
-
-
 def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
     t0 = model.eps if spec.t_start is None else spec.t_start
     if not t0 < model.t_mat:
@@ -92,25 +83,18 @@ def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
     return np.linspace(t0, model.t_mat, spec.n_steps + 1)
 
 
-def _v_step_tables(model: AdolModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per step: decay factor of the linear drift and the stdev of the
-    accumulated diffusion, both exact up to the Gauss-Legendre rule."""
-    p = 1.0 + model.m_pi
-    scale = model.m_rho / p
-
-    def big_m(t: np.ndarray) -> np.ndarray:
-        return scale * t ** p
-
-    lo, hi = grid[:-1], grid[1:]
-    decay = np.exp(-(big_m(hi) - big_m(lo)))
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    c = model.constants
-    nu_sq = (c.b_h * nodes ** (c.h - 0.5)) ** 2
-    integrand = np.exp(-2.0 * (big_m(hi)[:, None] - big_m(nodes))) * nu_sq
-    var = half * (integrand * _GL_W[None, :]).sum(axis=1)
-    return decay, np.sqrt(np.maximum(var, 0.0))
+def _law_steps(model: AdolModel, grid: np.ndarray):
+    """Per step the decay and the deviation of V's exact Gaussian step, and
+    per node log L, the part of log sigma that V does not set."""
+    ms = _m_cum(grid, model)
+    # the tables take a row of quadrature nodes per time: 128 times at a go
+    f_quad = np.concatenate([_flow_tables(model)(part)[1]
+                             for part in np.split(grid, range(128, len(grid), 128))])
+    decay = np.exp(ms[:-1] - ms[1:])
+    dev = np.sqrt(np.exp(-2.0 * ms[1:]) * np.diff(f_quad))
+    log_l = math.log(model.sigma0) - model.kappa * (grid - grid[0]) \
+        - 0.5 * model.xi ** 2 * (_nu_sq_cum(grid, model) - _nu_sq_cum(grid[0], model))
+    return decay, dev, log_l
 
 
 class _DrawAhead:
@@ -186,11 +170,9 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     n_paths, n_steps = spec.n_paths, spec.n_steps
     m_draw = n_paths // 2 if spec.antithetic else n_paths
     gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
-    xi = model.xi
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
-    decay, diff_sd = _v_step_tables(model, grid)
     sig = np.full(n_paths, model.sigma0)
     v = np.full(n_paths, model.v0)
     x = np.zeros(n_paths)
@@ -200,9 +182,11 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     # neither needs a copy
     copies = set() if capture is None else set(capture) - {0, n_steps}
     snaps = {}
-    sig_peak = model.sigma0
 
-    with _DrawAhead(gen, m_draw, n_steps) as draws:
+    # an overflow shows as a non-finite terminal x or sigma, refused below
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _DrawAhead(gen, m_draw, n_steps) as draws:
+        decay, dev, log_l = _law_steps(model, grid)
         for n in range(n_steps):
             z = draws.take()
             if spec.antithetic:
@@ -224,31 +208,21 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
             tmp *= dt
             tmp += z[0]
             x += tmp
-            # sigma <- sigma exp(-(kappa + xi m v) dt) + sigma (xi nu sqrt(dt)) z[1]
-            # and v <- decay v + diff_sd z[1], in place; each product and sum
-            # is the one the formula rounds, so the result is bitwise the
-            # formula's on fresh arrays
-            t_right = float(grid[n + 1])
-            np.multiply(v, xi * m_t(t_right, model), out=tmp)
-            tmp += model.kappa
-            tmp *= -dt
-            np.exp(tmp, out=tmp)
-            tmp *= sig
-            sig *= xi * nu_t(t_right, model.constants) * math.sqrt(dt)
-            sig *= z[1]
-            sig += tmp
+            # v <- decay v + dev z[1] and sigma <- exp(log L + xi (v - v0)) in
+            # place, each product and sum rounded as the formula rounds it
             v *= decay[n]
-            np.multiply(z[1], diff_sd[n], out=tmp)
+            np.multiply(z[1], dev[n], out=tmp)
             v += tmp
-            sig_peak = max(sig_peak, float(np.abs(sig, out=tmp).max()))
+            np.subtract(v, model.v0, out=sig)
+            sig *= model.xi
+            sig += log_l[n + 1]
+            np.exp(sig, out=sig)
             if n + 1 in copies:
                 snaps[n + 1] = x.copy()
 
-    if sig_peak > 1e3 * model.sigma0:
-        warnings.warn(
-            f"sigma path reached {sig_peak:.3g}, over 1000x its start value "
-            f"{model.sigma0}; the step size is likely too coarse",
-            RuntimeWarning, stacklevel=2)
+    if not (np.isfinite(x).all() and np.isfinite(sig).all()):
+        raise FloatingPointError("the march left a non-finite log-price or vol: "
+                                 "the vol factor overflowed on this model")
     if capture is not None:
         if 0 in capture:
             snaps[0] = np.zeros(n_paths)
@@ -257,9 +231,9 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     return Paths(grid, x, sig, v, snaps)
 
 
-def simulate_q(model: AdolModel, spec: McSpec) -> TerminalStates:
-    paths = _run(model, spec)
-    return TerminalStates(x=paths.x, sigma=paths.sigma, v=paths.v)
+def simulate_q(model: AdolModel, spec: McSpec) -> Paths:
+    """One march to maturity; the terminal states are `.x`, `.sigma`, `.v`."""
+    return _run(model, spec)
 
 
 def simulate_paths(model: AdolModel, spec: McSpec, observation_times=()) -> Paths:

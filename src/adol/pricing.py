@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .charfn import _flow_tables, _hermite_rule, _m_cum, _unit_response, coeffs_affine_ode
+from .charfn import (_flow_tables, _hermite_rule, _m_cum, _nu_sq_cum, _unit_response,
+                     coeffs_affine_ode)
 from .model import AdolModel
 from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
 
@@ -126,7 +127,8 @@ def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
                   r: float, q: float, t_mat: float,
                   spec: FourierPricingSpec | None = None,
                   is_call: bool = True) -> float:
-    """Single-strike damped-contour inversion with adaptive quadrature."""
+    """Single-strike damped-contour inversion with adaptive quadrature; u_max
+    doubles, up to 64 times the spec's, until the integrand has decayed."""
     # NaN fails every comparison, so finiteness is checked on its own
     if not (math.isfinite(spot) and math.isfinite(strike)) \
             or spot <= 0.0 or strike <= 0.0:
@@ -142,13 +144,17 @@ def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
         denom = complex(a, v) * complex(a + 1.0, v)
         return cmath.exp(-1j * v * m) * cf(u) / denom
 
-    val = integrate_adaptive(integrand, 0.0, spec.u_max, spec.quad)
+    u_max = spec.u_max
+    val = integrate_adaptive(integrand, 0.0, u_max, spec.quad)
     # past u_max the denominator alone decays like 1/v^2, so while |cf| keeps
     # falling the dropped tail is at most about u_max |integrand(u_max)|
-    tail = spec.u_max * abs(integrand(spec.u_max))
-    if tail > max(spec.quad.abs_tol, spec.quad.rel_tol * abs(val)):
-        raise QuadratureError(f"integrand has not decayed at u_max {spec.u_max}; "
-                              f"raise u_max", estimate=val, error_bound=tail)
+    while (tail := u_max * abs(integrand(u_max))) \
+            > max(spec.quad.abs_tol, spec.quad.rel_tol * abs(val)):
+        if u_max >= 64.0 * spec.u_max:
+            raise QuadratureError(f"integrand has not decayed at u_max {u_max}; "
+                                  f"raise u_max", estimate=val, error_bound=tail)
+        val += integrate_adaptive(integrand, u_max, 2.0 * u_max, spec.quad)
+        u_max *= 2.0
     call = spot * math.exp(-a * m - r * t_mat) / math.pi * val.real
     if call < -1e-6 * spot:
         raise RuntimeError(f"inversion produced a materially negative price {call}")
@@ -252,12 +258,11 @@ def _leg_law(t1: float, model: AdolModel) -> tuple[float, float, float]:
     variance e^(-2M) f_quad, M the cumulative reversion speed, on the
     clock of the CF, which starts at 0.
     """
-    c = model.constants
     ms = _m_cum(t1, model)
     # f_quad(0) = 0; the tables' nodes would all sit on the origin there
     f_quad = float(_flow_tables(model)(t1)[1]) if t1 > 0.0 else 0.0
-    nu_sq = c.b_h * c.b_h * t1 ** (2.0 * c.h) / (2.0 * c.h)
-    big_l = model.sigma0 * math.exp(-model.kappa * t1 - 0.5 * model.xi ** 2 * nu_sq)
+    big_l = model.sigma0 * math.exp(-model.kappa * t1
+                                    - 0.5 * model.xi ** 2 * _nu_sq_cum(t1, model))
     return big_l, model.v0 * math.exp(-ms), math.exp(-2.0 * ms) * f_quad
 
 
@@ -299,15 +304,15 @@ def varswap_strike(model: AdolModel, spec: VarSwapSpec) -> float:
     """Fair variance strike, annualized: -(1/T) sum of forward-CF curvatures
     at u = 0, Richardson-extrapolated over the steps h and h / 2.
 
-    Each leg's vol nodes serve all four stencil points.  The stencil needs
+    Each leg's vol nodes serve all six stencil points.  The stencil needs
     the forward CF smooth at u = 0 on the scale of h, which the lognormal
-    tail of a wide vol law breaks: on the reference model with the
-    (0.25, 0.5) schedule the strike sits 7e-10 from varswap_strike_analytic
-    at xi = 0.05 (xi^2 Var V_t1 = 0.014), 8e-6 at xi = 0.4 (0.88) and 2e-2
-    at xi = 0.5 (1.4).
+    tail of a wide vol law breaks, so the call raises unless the same
+    extrapolation over h / 2 and h / 4 agrees to 1e-6 relative: on the
+    reference model and the (0.25, 0.5) schedule the two part by at most
+    6.4e-9 up to xi = 0.3, and by 5.5e-6 at xi = 0.4 (strike off by 7.6e-6).
     """
     times = (0.0,) + spec.observation_times
-    total = 0.0 + 0.0j
+    total = fine = 0.0 + 0.0j
     h = spec.u_step
     for t1, t2 in zip(times, times[1:]):
         _check_leg(t1, t2, model)
@@ -316,10 +321,15 @@ def varswap_strike(model: AdolModel, spec: VarSwapSpec) -> float:
         def phi(x: float) -> complex:
             return _forward_cf_on(x, t1, t2, model, *nodes)
 
-        total += (4.0 * _leg_curvature(phi, 0.5 * h) - _leg_curvature(phi, h)) / 3.0
-    strike = -total / times[-1]
+        half = _leg_curvature(phi, 0.5 * h)
+        total += (4.0 * half - _leg_curvature(phi, h)) / 3.0
+        fine += (4.0 * _leg_curvature(phi, 0.25 * h) - half) / 3.0
+    strike, check = -total / times[-1], -fine / times[-1]
     if abs(strike.imag) > 1e-8:
         raise RuntimeError(f"variance strike has imaginary residue {strike.imag}")
+    if abs(check.real - strike.real) > 1e-6 * abs(strike.real):
+        raise RuntimeError(f"variance strike has not converged in the stencil step: "
+                           f"{strike.real} at h = {h}, {check.real} at h / 2")
     return strike.real
 
 

@@ -103,6 +103,30 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_values_the_grid_rejects_are_config_errors(tmp_path, capsys):
+    # only the Monte Carlo grid can tell these apart from good values; they
+    # are still refused where the config is read, by key, with exit 1
+    for cmd, cfg, msg in (
+            ("varswap", {"pricing": {"varswap": {"observation_times": [0.24, 0.26, 0.5]}},
+                         "mc": {"n_steps": 4}},
+             "pricing.varswap.observation_times: observation times 0.24 and 0.26 "
+             "snap to one grid index 2"),
+            ("mc", {"mc": {"t_start": 0.7}},
+             "mc.t_start: t_start 0.7 must sit below the maturity 0.5")):
+        path = _write(tmp_path, cfg, "grid.json")
+        with pytest.raises(ConfigError, match=msg):
+            load_config(path)
+        assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 1, msg
+        assert msg in capsys.readouterr().err
+
+
+def test_overflowing_march_is_a_numerical_failure(tmp_path, capsys):
+    cfg = {"model": {"m_rho": -20.0, "xi": 5.0}, "mc": {"n_paths": 64, "n_steps": 50}}
+    path = _write(tmp_path, cfg)
+    assert main(["mc", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "numerical failure: the march left a non-finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- artifacts
 
 def test_constants_artifact(tmp_path):
@@ -287,20 +311,18 @@ def test_tiny_kappa_reaches_the_lognormal_limit(tmp_path):
 
 # ------------------------------------------------------ Monte Carlo rows
 
-# A small xi > 0 config whose Monte Carlo rows are pinned below.  The pins
-# come from earlier code, which simulated once per strike, and once each for
-# the variance-swap leg, the realized variance and every command of `adol
-# check`: reading them all off one draw stream must reproduce them bit for
-# bit.
+# A small xi > 0 config whose Monte Carlo rows are pinned below.  Each
+# command reads them off its own march, and `adol check` off one march
+# shared by price, varswap and mc: both must reproduce them bit for bit.
 _PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
             "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
 
 _PIN_MC = {
-    "call@0.9": (0.11722882343280572, 0.00262426131934714),
-    "call@1.0": (0.055734681019069914, 0.0019439237886529378),
-    "call@1.1": (0.020831394572901125, 0.001227161006837809),
-    "discounted-forward": (0.998643235788976, 0.0031818416204553576),
-    "martingale-offset": (-0.0013567642110240419, 0.0031818416204553576),
+    "call@0.9": (0.11730333326762507, 0.002624703034054908),
+    "call@1.0": (0.05579448943998892, 0.0019440525583979897),
+    "call@1.1": (0.02085549320011698, 0.0012268645640305554),
+    "discounted-forward": (0.9986328454345269, 0.003185067031380802),
+    "martingale-offset": (-0.0013671545654730943, 0.003185067031380802),
 }
 
 
@@ -308,9 +330,9 @@ _PIN_MC = {
 # the exact law of the leg's vol, 3.8e-10 relative apart; only the realized
 # variance (mc-qv) is a Monte Carlo value
 _PIN_VARSWAP = [
-    ["fd-richardson", "0.03873700994416751", "nan", "-0.001752767102550283"],
-    ["affine-analytic", "0.038737009958792104", "nan", "-0.0017527670879256899"],
-    ["mc-qv", "0.040489777046717794", "0.0011423293850468556", "0.0"],
+    ["fd-richardson", "0.03873700994416751", "nan", "-0.0018855908373372615"],
+    ["affine-analytic", "0.038737009958792104", "nan", "-0.0018855908227126683"],
+    ["mc-qv", "0.04062260078150477", "0.001148301868181694", "0.0"],
 ]
 
 

@@ -11,17 +11,17 @@ import math
 import threading
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adol import montecarlo
-from adol.do_process import nu_t
-from adol.model import AdolModel, m_t
+from adol.model import AdolModel
 from adol.montecarlo import (
     McSpec,
     PathStats,
-    TerminalStates,
+    Paths,
     mc_price,
     mc_prices,
     mc_quadratic_variation,
@@ -77,7 +77,7 @@ def test_reproducible_and_seed_sensitive(table1):
 
 def test_terminal_state_shapes(table1):
     st = simulate_q(table1, McSpec(n_paths=64, n_steps=8, seed=3))
-    assert isinstance(st, TerminalStates)
+    assert isinstance(st, Paths)
     assert st.x.shape == st.sigma.shape == st.v.shape == (64,)
 
 
@@ -176,11 +176,42 @@ def test_ladder_is_monotone_convex_and_matches_single_strikes(
         assert c1 <= w * c0 + (1.0 - w) * c2 + 1e-12 * table1.s0
 
 
-def test_explosive_steps_warn(table1):
+def test_violent_vol_of_vol_stays_on_the_exact_law(table1):
+    # an Euler sigma step explodes here (sigma reached 3e227 on four steps);
+    # read off V, sigma is L e^(xi (V - v0)), which underflows to 0 instead
     violent = replace(table1, xi=500.0)
-    spec = McSpec(n_paths=64, n_steps=4, seed=2)
-    with pytest.warns(RuntimeWarning):
-        simulate_q(violent, spec)
+    st = simulate_q(violent, McSpec(n_paths=64, n_steps=4, seed=2))
+    assert np.isfinite(st.x).all() and np.isfinite(st.sigma).all()
+    assert np.all(st.sigma >= 0.0)
+
+
+def test_overflowing_vol_factor_raises(table1):
+    # a negative reversion speed makes V grow like e^(-M); its exponential
+    # overflows, and the march refuses the paths instead of pricing NaN
+    runaway = replace(table1, m_rho=-20.0, xi=5.0)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        simulate_q(runaway, McSpec(n_paths=64, n_steps=50, seed=2))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.7])
+def test_v_step_deviations_match_high_precision_integrals(table1, h):
+    # each step's deviation is sqrt(int e^(-2 (M(t1) - M(s))) nu(s)^2 ds)
+    # over the step, here at 30 digits
+    m = replace(table1, h=h)
+    grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=50, seed=1))
+    decay, dev, _ = montecarlo._law_steps(m, grid)
+    p, b_h = 1.0 + m.m_pi, m.constants.b_h
+    with mp.workdps(30):
+        def big_m(t):
+            return m.m_rho * mp.mpf(t) ** p / p
+
+        for n in (0, 1, 24, 49):
+            t0, t1 = float(grid[n]), float(grid[n + 1])
+            var = mp.quad(lambda s: mp.exp(2 * (big_m(s) - big_m(t1)))
+                          * b_h ** 2 * s ** (2 * h - 1), [t0, t1])
+            assert dev[n] == pytest.approx(float(mp.sqrt(var)), rel=1e-12)
+            assert decay[n] == pytest.approx(float(mp.exp(big_m(t0) - big_m(t1))),
+                                             rel=1e-14)
 
 
 def test_quadratic_variation_estimates_integrated_variance(table1_xi0):
@@ -229,31 +260,23 @@ def _serial_run(model, spec, capture=None):
     grid = montecarlo._grid(model, spec)
     m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
     gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
-    c = model.constants
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
-    xi, kappa = model.xi, model.kappa
     drift_x = model.r - model.q
-    decay, diff_sd = montecarlo._v_step_tables(model, grid)
+    decay, dev, log_l = montecarlo._law_steps(model, grid)
     x = np.zeros(spec.n_paths)
     sig = np.full(spec.n_paths, model.sigma0)
     v = np.full(spec.n_paths, model.v0)
     snaps = {0: x.copy()} if capture is not None and 0 in capture else {}
     for n in range(spec.n_steps):
-        t_right = grid[n + 1]
         dt = grid[n + 1] - grid[n]
-        sq_dt = math.sqrt(dt)
         z = gen.standard_normal((2, m_draw))
         if spec.antithetic:
             z = np.concatenate([z, -z], axis=1)
         z1 = rho * z[1] + rho_perp * z[0]
-        nu_r = nu_t(float(t_right), c)
-        m_r = m_t(float(t_right), model)
-        x += (drift_x - 0.5 * sig * sig) * dt + sig * sq_dt * z1
-        sig_new = sig * np.exp(-(kappa + xi * m_r * v) * dt) \
-            + sig * (xi * nu_r * sq_dt) * z[1]
-        v = decay[n] * v + diff_sd[n] * z[1]
-        sig = sig_new
+        x += (drift_x - 0.5 * sig * sig) * dt + sig * math.sqrt(dt) * z1
+        v = decay[n] * v + dev[n] * z[1]
+        sig = np.exp(log_l[n + 1] + model.xi * (v - model.v0))
         if capture is not None and (n + 1) in capture:
             snaps[n + 1] = x.copy()
     return grid, x, sig, v, snaps
@@ -316,16 +339,19 @@ def _raised_within(seconds, fn):
 
 
 def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
+    # each step forms sigma by one in-place exp; make step 3's fail
     boom = ArithmeticError("march failed at step 3")
     calls = []
+    exp = np.exp
 
-    def failing_nu(t, c):
-        calls.append(t)
-        if len(calls) == 4:
-            raise boom
-        return nu_t(t, c)
+    def failing_exp(*args, **kwargs):
+        if "out" in kwargs:
+            calls.append(args)
+            if len(calls) == 4:
+                raise boom
+        return exp(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "nu_t", failing_nu)
+    monkeypatch.setattr(np, "exp", failing_exp)
     before = threading.active_count()
     spec = McSpec(n_paths=64, n_steps=10, seed=4)
     assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom
