@@ -158,17 +158,14 @@ def load_config(source) -> dict:
         raise ConfigError("config root must be a JSON object")
     resolved = _validate_block(_SCHEMA, raw, "")
     # value-level checks up front so every command rejects a bad config the
-    # same way, not just the commands that build these objects or the grid
+    # same way; the variance-swap schedule binds only the commands that read it
     model = _model_from(resolved)
     _corr_cfg(resolved)
     mspec = _mc_spec(resolved)
-    times = _varswap_spec(resolved, model).observation_times
-    key = "model.eps" if mspec.t_start is None else "mc.t_start"
     try:
-        grid = _grid(model, mspec)
-        key = "pricing.varswap.observation_times"
-        _qv_indices(grid, times)
+        _grid(model, mspec)
     except ValueError as exc:
+        key = "model.eps" if mspec.t_start is None else "mc.t_start"
         raise ConfigError(f"{key}: {exc}") from exc
     return resolved
 
@@ -367,8 +364,10 @@ def _varswap_spec(cfg: dict, model: AdolModel) -> VarSwapSpec:
                             u_step=vs["u_step"])
     except ValueError as exc:
         raise ConfigError(f"pricing.varswap: {exc}") from exc
-    if vspec.observation_times[-1] > model.t_mat * (1.0 + 1e-12):
-        raise ConfigError("pricing.varswap: observations beyond the maturity")
+    try:
+        _qv_indices(_grid(model, _mc_spec(cfg)), vspec.observation_times)
+    except ValueError as exc:
+        raise ConfigError(f"pricing.varswap.observation_times: {exc}") from exc
     return vspec
 
 

@@ -21,14 +21,12 @@ normals one step ahead, while the caller marches the step before; it reads
 the stream in the same order, so the stream and every result are the same
 as with the draws made in line.
 
-One march serves every Monte Carlo estimator of a run.  `mc_prices` reads a
-whole strike ladder off the same terminal states, and `simulate_paths`
+One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
-observation times.  `mc_prices` and `mc_quadratic_variation` both read that
-one path set, so each `adol` command reads its draw stream once, and each
-result is bitwise what its own simulation would give.  The variance-swap
-strikes need no paths: `pricing` takes their expectations over the exact
-Gaussian law of the vol factor.
+observation times, and `mc_prices` (a whole strike ladder) and
+`mc_quadratic_variation` both read that one path set, each result bitwise
+what its own simulation would give.  The variance-swap strikes need no
+paths: `pricing` takes them over the exact Gaussian law of the vol factor.
 """
 
 from __future__ import annotations
@@ -85,16 +83,19 @@ def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
 
 def _law_steps(model: AdolModel, grid: np.ndarray):
     """Per step the decay and the deviation of V's exact Gaussian step, and
-    per node log L, the part of log sigma that V does not set."""
+    per node log L, the part of log sigma that V does not set.  Like the
+    CF's corrections, the deviations need e^(2M(T)) finite (M(T) < 354)."""
     ms = _m_cum(grid, model)
-    # the tables take a row of quadrature nodes per time: 128 times at a go
-    f_quad = np.concatenate([_flow_tables(model)(part)[1]
-                             for part in np.split(grid, range(128, len(grid), 128))])
-    decay = np.exp(ms[:-1] - ms[1:])
-    dev = np.sqrt(np.exp(-2.0 * ms[1:]) * np.diff(f_quad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the tables take a row of quadrature nodes per time: 128 at a go
+        f_quad = np.concatenate([_flow_tables(model)(part)[1]
+                                 for part in np.split(grid, range(128, len(grid), 128))])
+        dev = np.sqrt(np.exp(-2.0 * ms[1:]) * np.diff(f_quad))
+    if not np.isfinite(dev).all():
+        raise FloatingPointError("V's step law overflowed: e^(2M(T)) is not finite")
     log_l = math.log(model.sigma0) - model.kappa * (grid - grid[0]) \
         - 0.5 * model.xi ** 2 * (_nu_sq_cum(grid, model) - _nu_sq_cum(grid[0], model))
-    return decay, dev, log_l
+    return np.exp(ms[:-1] - ms[1:]), dev, log_l
 
 
 class _DrawAhead:
@@ -183,10 +184,10 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     copies = set() if capture is None else set(capture) - {0, n_steps}
     snaps = {}
 
+    decay, dev, log_l = _law_steps(model, grid)
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"), \
             _DrawAhead(gen, m_draw, n_steps) as draws:
-        decay, dev, log_l = _law_steps(model, grid)
         for n in range(n_steps):
             z = draws.take()
             if spec.antithetic:

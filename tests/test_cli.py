@@ -105,19 +105,34 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
 
 def test_values_the_grid_rejects_are_config_errors(tmp_path, capsys):
     # only the Monte Carlo grid can tell these apart from good values; they
-    # are still refused where the config is read, by key, with exit 1
-    for cmd, cfg, msg in (
-            ("varswap", {"pricing": {"varswap": {"observation_times": [0.24, 0.26, 0.5]}},
-                         "mc": {"n_steps": 4}},
-             "pricing.varswap.observation_times: observation times 0.24 and 0.26 "
-             "snap to one grid index 2"),
-            ("mc", {"mc": {"t_start": 0.7}},
-             "mc.t_start: t_start 0.7 must sit below the maturity 0.5")):
+    # are still refused by key with exit 1, the start of the grid where the
+    # config is read and the observation times by the commands that read them
+    cases = (("varswap", {"pricing": {"varswap": {"observation_times": [0.24, 0.26, 0.5]}},
+                          "mc": {"n_steps": 4}},
+              "pricing.varswap.observation_times: observation times 0.24 and 0.26 "
+              "snap to one grid index 2"),
+             ("check", {"model": {"t_mat": 0.3}},
+              "pricing.varswap.observation_times: observation times must lie in"),
+             ("mc", {"mc": {"t_start": 0.7}},
+              "mc.t_start: t_start 0.7 must sit below the maturity 0.5"))
+    for cmd, cfg, msg in cases:
         path = _write(tmp_path, cfg, "grid.json")
-        with pytest.raises(ConfigError, match=msg):
-            load_config(path)
+        if cmd == "mc":
+            with pytest.raises(ConfigError, match=msg):
+                load_config(path)
         assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 1, msg
         assert msg in capsys.readouterr().err
+
+
+def test_observation_schedule_binds_only_the_variance_swap(tmp_path):
+    # the default schedule (0.25, 0.5) does not fit these grids, and only
+    # varswap and check read it
+    mc = {"n_paths": 200, "n_steps": 20}
+    for cmd, cfg in (("price", {"model": {"t_mat": 0.3}, "mc": mc}),
+                     ("mc", {"model": {"t_mat": 0.3}, "mc": mc}),
+                     ("mc", {"mc": dict(mc, t_start=0.3)})):
+        path = _write(tmp_path, cfg, "short.json")
+        assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 0, cfg
 
 
 def test_overflowing_march_is_a_numerical_failure(tmp_path, capsys):

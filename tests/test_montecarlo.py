@@ -193,6 +193,15 @@ def test_overflowing_vol_factor_raises(table1):
         simulate_q(runaway, McSpec(n_paths=64, n_steps=50, seed=2))
 
 
+def test_step_law_needs_a_finite_reversion_exponential(table1):
+    # M(T) = m_rho T^1.5 / 1.5 crosses 354.9, where e^(2M) overflows, at
+    # m_rho near 1506; the tables are finite below and refused above
+    spec = McSpec(n_paths=64, n_steps=50, seed=2)
+    assert np.isfinite(simulate_q(replace(table1, m_rho=1500.0), spec).x).all()
+    with pytest.raises(FloatingPointError, match="V's step law overflowed"):
+        simulate_q(replace(table1, m_rho=1510.0), spec)
+
+
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.7])
 def test_v_step_deviations_match_high_precision_integrals(table1, h):
     # each step's deviation is sqrt(int e^(-2 (M(t1) - M(s))) nu(s)^2 ds)
@@ -339,19 +348,21 @@ def _raised_within(seconds, fn):
 
 
 def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
-    # each step forms sigma by one in-place exp; make step 3's fail
+    # step n reads log L at node n + 1; make step 3's read fail
     boom = ArithmeticError("march failed at step 3")
-    calls = []
-    exp = np.exp
+    law_steps = montecarlo._law_steps
 
-    def failing_exp(*args, **kwargs):
-        if "out" in kwargs:
-            calls.append(args)
-            if len(calls) == 4:
+    class FailingNodes(list):
+        def __getitem__(self, i):
+            if i == 4:
                 raise boom
-        return exp(*args, **kwargs)
+            return super().__getitem__(i)
 
-    monkeypatch.setattr(np, "exp", failing_exp)
+    def failing_law(model, grid):
+        decay, dev, log_l = law_steps(model, grid)
+        return decay, dev, FailingNodes(log_l)
+
+    monkeypatch.setattr(montecarlo, "_law_steps", failing_law)
     before = threading.active_count()
     spec = McSpec(n_paths=64, n_steps=10, seed=4)
     assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom

@@ -165,6 +165,27 @@ def test_fourier_widens_u_max_until_the_integrand_decays(table1_xi0):
                                              m.t_mat), abs=5e-12)
 
 
+def test_widened_first_order_ladder_is_contour_independent(table1):
+    # the first-order CF refuses a missed tolerance at every u, and out to the
+    # widened u_max = 1200 its prices do not depend on the damped contour
+    m = replace(table1, s0=1.0, sigma0=0.05, kappa=10.0, t_mat=0.05)
+    strikes = [0.98, 0.99, 1.0, 1.01, 1.02]
+    reach = []
+
+    def cf1(u: complex) -> complex:
+        reach.append(u.real)
+        return cf_total(u, m, CorrectionConfig(order=1))
+
+    ladders = [fourier_prices(cf1, m.s0, strikes, m.r, m.q, m.t_mat,
+                              FourierPricingSpec(damping=a)) for a in (0.75, 1.5, 3.0)]
+    assert max(reach) > 1000.0
+    for ladder in ladders[1:]:
+        assert ladder == pytest.approx(ladders[0], rel=0, abs=1e-15)
+    # the first-order term moves the at-the-money price, unlike the contour
+    cf0 = fourier_price(_cf0(m), m.s0, 1.0, m.r, m.q, m.t_mat)
+    assert abs(ladders[1][2] - cf0) > 1e-7
+
+
 # the reference model and strikes of the benchmark's order-1 smile
 _SMILE = AdolModel(s0=1.0, sigma0=0.3, v0=5.0, r=0.0, q=0.0, kappa=2.0, xi=0.05,
                    rho=-0.5, h=0.3, m_rho=1.0, m_pi=0.5, t_mat=0.5)
