@@ -500,13 +500,16 @@ def cmd_ledger(cfg: dict, out_dir: Path, check: bool) -> int:
 
 
 def cmd_check(cfg: dict, out_dir: Path, check: bool) -> int:
+    # every spec is built before the first artifact is written, so a config
+    # that one command refuses leaves nothing behind
+    model = _model_from(cfg)
+    mspec = _mc_spec(cfg)
+    observation_times = _varswap_spec(cfg, model).observation_times
     total = 0
     for fn in (cmd_constants, cmd_figures, cmd_cf):
         total += fn(cfg, out_dir, True)
     # price, varswap and mc all read the one path set
-    model = _model_from(cfg)
-    paths = simulate_paths(model, _mc_spec(cfg),
-                           _varswap_spec(cfg, model).observation_times)
+    paths = simulate_paths(model, mspec, observation_times)
     for fn in (cmd_price, cmd_varswap, cmd_mc):
         total += fn(cfg, out_dir, True, paths=paths)
     del paths
@@ -539,6 +542,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["mc"]["seed"] = args.seed
+            _mc_spec(cfg)  # refused as the config's own seed would be
         if args.out is not None:
             cfg["output"]["directory"] = args.out
         out_dir = Path(cfg["output"]["directory"])

@@ -142,8 +142,11 @@ class TimeGrid:
 
 
 def _normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    # counter-based generator: stream for path j is a pure function of
-    # (seed, j), so results do not depend on execution schedule
+    # the draws are a pure function of the seed and the shape, so results do
+    # not depend on the execution schedule.  Row-major fill: path j's draws
+    # depend on the path count in the (n_times, n_paths) layout of
+    # simulate_mh and simulate_vh, and not in simulate_fbm_exact's
+    # (n_paths, n_times)
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     return gen.standard_normal(shape)
 

@@ -10,16 +10,21 @@ t^(H-1/2) and the drift cutoff both live at the origin).  Per step:
            of sigma cancels against dV, so d log sigma = -kappa dt + xi dV
            - xi^2 nu^2 dt / 2 and log L(t) = log sigma0 - kappa (t - t0)
            - xi^2 int_t0^t nu^2 / 2
-    x    : log-Euler, exact lognormal step given sigma at the step's start
+    x    : lognormal step with V held at the step's start and L(t)
+           integrated over the step, variance sigma_n^2 int (L(s) / L(t_n))^2
+           ds with log L taken linear across it: exact at xi = 0, and free
+           of the O(dt) bias a left-point variance takes from sigma's decay
 
 The x-shock correlates with the v-shock at rho.  A march whose terminal x
-or sigma is not finite raises FloatingPointError.  Draws come from one
-counter-based generator in a fixed (step, path) layout, so results are
-bitwise reproducible and independent of any execution schedule.  One
-helper thread per simulation owns the generator and draws each step's
-normals one step ahead, while the caller marches the step before; it reads
-the stream in the same order, so the stream and every result are the same
-as with the draws made in line.
+or sigma is not finite raises FloatingPointError.  Each Brownian has a
+stream of its own: `SeedSequence(seed).spawn(2)` seeds one SFC64 generator
+for the x-shock's own normal (row 0 of each step's draws) and one for the
+vol Brownian (row 1), so the vol path is a function of the second stream
+alone.  Each stream is read in a fixed (step, path) layout, so results are
+bitwise reproducible and independent of any execution schedule.  Each
+generator has a helper thread of its own that draws its row one step ahead,
+while the caller marches the step before; each reads its stream in the
+same order, so every result is the same as with the draws made in line.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -56,6 +61,8 @@ class McSpec:
     def __post_init__(self) -> None:
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # written so that NaN fails the comparison too
         if self.t_start is not None and not 0.0 < self.t_start < math.inf:
             raise ValueError(f"t_start must be positive and finite, got {self.t_start}")
@@ -82,9 +89,10 @@ def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
 
 
 def _law_steps(model: AdolModel, grid: np.ndarray):
-    """Per step the decay and the deviation of V's exact Gaussian step, and
-    per node log L, the part of log sigma that V does not set.  Like the
-    CF's corrections, the deviations need e^(2M(T)) finite (M(T) < 354)."""
+    """Per step the decay and the deviation of V's exact Gaussian step, per
+    node log L, the part of log sigma that V does not set, and per step the
+    x step's variance clock int (L(s) / L(t_n))^2 ds.  Like the CF's
+    corrections, the deviations need e^(2M(T)) finite (M(T) < 354)."""
     ms = _m_cum(grid, model)
     with np.errstate(over="ignore", invalid="ignore"):
         # the tables take a row of quadrature nodes per time: 128 at a go
@@ -95,59 +103,80 @@ def _law_steps(model: AdolModel, grid: np.ndarray):
         raise FloatingPointError("V's step law overflowed: e^(2M(T)) is not finite")
     log_l = math.log(model.sigma0) - model.kappa * (grid - grid[0]) \
         - 0.5 * model.xi ** 2 * (_nu_sq_cum(grid, model) - _nu_sq_cum(grid[0], model))
-    return np.exp(ms[:-1] - ms[1:]), dev, log_l
+    # log L linear across a step of slope a / (2 dt): the clock is
+    # dt (e^a - 1) / a, and dt where sigma does not decay (a = 0)
+    a = 2.0 * np.diff(log_l)
+    clock = np.diff(grid) * np.divide(np.expm1(a), a, out=np.ones_like(a),
+                                      where=a != 0.0)
+    return np.exp(ms[:-1] - ms[1:]), dev, log_l, clock
 
 
 class _DrawAhead:
     """Each step's (2, m) standard normals, drawn one step ahead.
 
-    A helper thread owns the generator and fills two buffers in turn: while
-    the caller marches step n on one, it fills step n + 1 into the other.
+    Row j of every step comes from generator j, which a helper thread of its
+    own owns.  The helpers fill two buffers in turn, each its own row: while
+    the caller marches step n on one, they fill step n + 1 into the other.
     numpy releases the GIL both while drawing and in the caller's ufuncs, so
-    the two overlap.  The stream is read in step order, as drawing in line
-    would read it.  Leaving the `with` block joins the helper, also when the
-    march raised; an exception in the helper is raised by `take`.
+    the three overlap.  Each stream is read in step order, as drawing in
+    line would read it, and `take` hands a step back only when both rows are
+    full.  Leaving the `with` block joins both helpers, also when the march
+    raised; an exception in either helper is raised by `take`.
     """
 
-    def __init__(self, gen: np.random.Generator, m_draw: int, n_steps: int) -> None:
+    def __init__(self, gens: tuple[np.random.Generator, ...], m_draw: int,
+                 n_steps: int) -> None:
         # two blocks, not one (2, 2, m): the allocator raises its mmap
         # threshold to the largest block freed, and a double-size block moves
         # later arrays onto the heap, where they raise the peak RSS
         self._bufs = (np.empty((2, m_draw)), np.empty((2, m_draw)))
-        self._free = threading.Semaphore(2)  # buffers the helper may fill
-        self._full = threading.Semaphore(0)  # buffers the caller may read
+        # per helper: the buffers whose row it may fill, and those it filled
+        self._free = [threading.Semaphore(2) for _ in gens]
+        self._full = [threading.Semaphore(0) for _ in gens]
         self._taken = 0
         self._stop = False
         self._error: BaseException | None = None
-        self._helper = threading.Thread(target=self._fill, args=(gen, n_steps),
-                                        name="adol-draws")
+        self._helpers = [threading.Thread(target=self._fill, args=(row, gen, n_steps),
+                                          name=f"adol-draws-{row}")
+                         for row, gen in enumerate(gens)]
 
-    def _fill(self, gen: np.random.Generator, n_steps: int) -> None:
+    def _fill(self, row: int, gen: np.random.Generator, n_steps: int) -> None:
+        free, full = self._free[row], self._full[row]
         try:
             for n in range(n_steps):
-                self._free.acquire()
+                free.acquire()
                 if self._stop:
                     return
-                gen.standard_normal(out=self._bufs[n % 2])
-                self._full.release()
+                gen.standard_normal(out=self._bufs[n % 2][row])
+                full.release()
         except BaseException as exc:  # re-raised in the caller by take()
             self._error = exc
-            self._full.release()
+            full.release()
 
     def __enter__(self) -> _DrawAhead:
-        self._helper.start()
+        try:
+            for helper in self._helpers:
+                helper.start()
+        except BaseException:
+            self.__exit__()  # a helper already started would wait forever
+            raise
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._stop = True
-        self._free.release()
-        self._helper.join()
+        for free in self._free:
+            free.release()
+        for helper in self._helpers:
+            if helper.ident is not None:  # started
+                helper.join()
 
     def take(self) -> np.ndarray:
         """The next step's normals; hands the previous step's buffer back."""
         if self._taken:
-            self._free.release()
-        self._full.acquire()
+            for free in self._free:
+                free.release()
+        for full in self._full:
+            full.acquire()
         if self._error is not None:
             raise self._error
         z = self._bufs[self._taken % 2]
@@ -170,7 +199,10 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     grid = _grid(model, spec)
     n_paths, n_steps = spec.n_paths, spec.n_steps
     m_draw = n_paths // 2 if spec.antithetic else n_paths
-    gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
+    # row 0 of each step's draws is the x-shock's own normal, row 1 the vol
+    # Brownian's, each from its own stream
+    gens = tuple(np.random.Generator(np.random.SFC64(child))
+                 for child in np.random.SeedSequence(spec.seed).spawn(2))
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
@@ -184,29 +216,27 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     copies = set() if capture is None else set(capture) - {0, n_steps}
     snaps = {}
 
-    decay, dev, log_l = _law_steps(model, grid)
+    decay, dev, log_l, clock = _law_steps(model, grid)
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"), \
-            _DrawAhead(gen, m_draw, n_steps) as draws:
+            _DrawAhead(gens, m_draw, n_steps) as draws:
         for n in range(n_steps):
             z = draws.take()
             if spec.antithetic:
                 both[:, :m_draw] = z
                 np.negative(z, out=both[:, m_draw:])
                 z = both
-            # x += (r - q - sigma^2 / 2) dt + sigma sqrt(dt) z1, with the
-            # x-shock z1 = rho z[1] + rho_perp z[0] and the diffusion term
-            # formed in z[0], which nothing reads after
-            dt = grid[n + 1] - grid[n]
+            # x += (r - q) dt - sigma^2 w / 2 + sigma sqrt(w) z1, with w the
+            # step's variance clock, the x-shock z1 = rho z[1] + rho_perp z[0]
+            # and the diffusion term formed in z[0], which nothing reads after
             np.multiply(z[1], rho, out=tmp)
             z[0] *= rho_perp
             z[0] += tmp
-            np.multiply(sig, math.sqrt(dt), out=tmp)
+            np.multiply(sig, math.sqrt(clock[n]), out=tmp)
             z[0] *= tmp
-            np.multiply(sig, 0.5, out=tmp)
+            np.multiply(sig, 0.5 * clock[n], out=tmp)
             tmp *= sig
-            np.subtract(drift_x, tmp, out=tmp)
-            tmp *= dt
+            np.subtract(drift_x * (grid[n + 1] - grid[n]), tmp, out=tmp)
             tmp += z[0]
             x += tmp
             # v <- decay v + dev z[1] and sigma <- exp(log L + xi (v - v0)) in

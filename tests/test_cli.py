@@ -124,6 +124,36 @@ def test_values_the_grid_rejects_are_config_errors(tmp_path, capsys):
         assert msg in capsys.readouterr().err
 
 
+def test_check_refuses_its_config_before_writing_artifacts(tmp_path, capsys):
+    # the default observation times do not fit a 0.3 maturity; check must
+    # say so before the constants, figures and CF work writes anything
+    out = tmp_path / "out"
+    path = _write(tmp_path, {"model": {"t_mat": 0.3}})
+    assert main(["check", "--config", path, "--out", str(out)]) == 1
+    assert "pricing.varswap.observation_times" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        montecarlo.McSpec(n_paths=16, n_steps=4, seed=-1)
+    path = _write(tmp_path, {"mc": {"seed": -3}})
+    with pytest.raises(ConfigError, match="mc: seed must be nonnegative, got -3"):
+        load_config(path)
+    assert main(["mc", "--config", path, "--out", str(tmp_path / "o1")]) == 1
+    assert "mc: seed must be nonnegative, got -3" in capsys.readouterr().err
+    # the command-line override is refused the same way, before any output
+    out = tmp_path / "o2"
+    assert main(["mc", "--config", _write(tmp_path, {}, "ok.json"),
+                 "--out", str(out), "--seed", "-5"]) == 1
+    assert "mc: seed must be nonnegative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+    # no ceiling above: a seed past 2**128 is a seed like any other
+    assert main(["mc", "--config", _write(tmp_path, {"mc": {"n_paths": 8, "n_steps": 2}},
+                                          "big.json"),
+                 "--out", str(tmp_path / "o3"), "--seed", str(2 ** 130)]) == 0
+
+
 def test_observation_schedule_binds_only_the_variance_swap(tmp_path):
     # the default schedule (0.25, 0.5) does not fit these grids, and only
     # varswap and check read it
@@ -333,11 +363,11 @@ _PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
             "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
 
 _PIN_MC = {
-    "call@0.9": (0.11730333326762507, 0.002624703034054908),
-    "call@1.0": (0.05579448943998892, 0.0019440525583979897),
-    "call@1.1": (0.02085549320011698, 0.0012268645640305554),
-    "discounted-forward": (0.9986328454345269, 0.003185067031380802),
-    "martingale-offset": (-0.0013671545654730943, 0.003185067031380802),
+    "call@0.9": (0.1153114865889401, 0.0025330470367345677),
+    "call@1.0": (0.05327683571925923, 0.0018594475306369937),
+    "call@1.1": (0.019454303871281508, 0.0011196584890192434),
+    "discounted-forward": (0.9980814728959201, 0.0030471615227576332),
+    "martingale-offset": (-0.0019185271040799146, 0.0030471615227576332),
 }
 
 
@@ -345,9 +375,9 @@ _PIN_MC = {
 # the exact law of the leg's vol, 3.8e-10 relative apart; only the realized
 # variance (mc-qv) is a Monte Carlo value
 _PIN_VARSWAP = [
-    ["fd-richardson", "0.03873700994416751", "nan", "-0.0018855908373372615"],
-    ["affine-analytic", "0.038737009958792104", "nan", "-0.0018855908227126683"],
-    ["mc-qv", "0.04062260078150477", "0.001148301868181694", "0.0"],
+    ["fd-richardson", "0.03873700994416751", "nan", "0.00023270922584597148"],
+    ["affine-analytic", "0.038737009958792104", "nan", "0.00023270924047056468"],
+    ["mc-qv", "0.03850430071832154", "0.0009929121772834638", "0.0"],
 ]
 
 

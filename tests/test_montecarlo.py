@@ -8,6 +8,7 @@ discretization bias.
 """
 
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -32,12 +33,12 @@ from adol.pricing import bs_price
 
 
 def _discrete_moments(m: AdolModel, spec: McSpec) -> tuple[float, float]:
-    """Exact mean/variance of terminal log-return for the xi = 0 scheme."""
+    """Exact mean/variance of terminal log-return for the xi = 0 scheme: its
+    steps integrate sigma0^2 e^(-2 kappa (t - t0)) exactly, so they sum to
+    the integral from t0 to T on every grid."""
     t0 = m.eps if spec.t_start is None else spec.t_start
-    grid = np.linspace(t0, m.t_mat, spec.n_steps + 1)
-    sig = m.sigma0 * np.exp(-m.kappa * (grid[:-1] - t0))
-    dt = np.diff(grid)
-    var = float(np.sum(sig * sig * dt))
+    var = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * (m.t_mat - t0)) \
+        / (2.0 * m.kappa)
     mean = (m.r - m.q) * (m.t_mat - t0) - 0.5 * var
     return mean, var
 
@@ -208,7 +209,7 @@ def test_v_step_deviations_match_high_precision_integrals(table1, h):
     # over the step, here at 30 digits
     m = replace(table1, h=h)
     grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=50, seed=1))
-    decay, dev, _ = montecarlo._law_steps(m, grid)
+    decay, dev, _, _ = montecarlo._law_steps(m, grid)
     p, b_h = 1.0 + m.m_pi, m.constants.b_h
     with mp.workdps(30):
         def big_m(t):
@@ -221,6 +222,25 @@ def test_v_step_deviations_match_high_precision_integrals(table1, h):
             assert dev[n] == pytest.approx(float(mp.sqrt(var)), rel=1e-12)
             assert decay[n] == pytest.approx(float(mp.exp(big_m(t0) - big_m(t1))),
                                              rel=1e-14)
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 200])
+def test_x_step_variance_clock_is_exact_without_vol_of_vol(table1_xi0, n_steps):
+    # at xi = 0 sigma is L(t) = sigma0 e^(-kappa (t - t0)), and each step's
+    # clock is int (L(s) / L(t_n))^2 ds over the step, in closed form
+    m = table1_xi0
+    grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=n_steps, seed=1))
+    _, _, log_l, clock = montecarlo._law_steps(m, grid)
+    dt = np.diff(grid)
+    want = -np.expm1(-2.0 * m.kappa * dt) / (2.0 * m.kappa)
+    np.testing.assert_allclose(clock, want, rtol=1e-13, atol=0.0)
+    total = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * (m.t_mat - m.eps)) \
+        / (2.0 * m.kappa)
+    assert float(np.sum(np.exp(2.0 * log_l[:-1]) * clock)) \
+        == pytest.approx(total, rel=1e-13)
+    # without decay the clock is the step itself
+    flat = montecarlo._law_steps(replace(m, kappa=0.0), grid)[3]
+    assert flat.tobytes() == dt.tobytes()
 
 
 def test_quadratic_variation_estimates_integrated_variance(table1_xi0):
@@ -263,27 +283,35 @@ def test_observation_times_on_one_grid_index_are_refused(table1):
 
 # ------------------------------------------------------------ draw-ahead
 
+def _streams(seed):
+    """The x-shock's own stream and the vol Brownian's, in that order."""
+    return [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(seed).spawn(2)]
+
+
 def _serial_run(model, spec, capture=None):
     """The march with each step's normals drawn in line on the calling
     thread: the serial reference for the draw-ahead engine."""
     grid = montecarlo._grid(model, spec)
     m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
-    gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
+    x_stream, v_stream = _streams(spec.seed)
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
-    decay, dev, log_l = montecarlo._law_steps(model, grid)
+    decay, dev, log_l, clock = montecarlo._law_steps(model, grid)
     x = np.zeros(spec.n_paths)
     sig = np.full(spec.n_paths, model.sigma0)
     v = np.full(spec.n_paths, model.v0)
     snaps = {0: x.copy()} if capture is not None and 0 in capture else {}
     for n in range(spec.n_steps):
         dt = grid[n + 1] - grid[n]
-        z = gen.standard_normal((2, m_draw))
+        z = np.stack([x_stream.standard_normal(m_draw),
+                      v_stream.standard_normal(m_draw)])
         if spec.antithetic:
             z = np.concatenate([z, -z], axis=1)
         z1 = rho * z[1] + rho_perp * z[0]
-        x += (drift_x - 0.5 * sig * sig) * dt + sig * math.sqrt(dt) * z1
+        x += (drift_x * dt - 0.5 * clock[n] * sig * sig) \
+            + sig * math.sqrt(clock[n]) * z1
         v = decay[n] * v + dev[n] * z[1]
         sig = np.exp(log_l[n + 1] + model.xi * (v - model.v0))
         if capture is not None and (n + 1) in capture:
@@ -313,7 +341,28 @@ def test_draw_ahead_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic
         assert qv == mc_quadratic_variation(table1, spec, obs)
 
 
-def test_one_helper_thread_per_simulation_and_none_left(table1, monkeypatch):
+def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
+    # V and sigma read only the vol Brownian's stream: a march of V alone,
+    # fed by stream 1, gives them bit for bit
+    for antithetic in (False, True):
+        spec = McSpec(n_paths=64, n_steps=12, seed=3, antithetic=antithetic)
+        grid = montecarlo._grid(table1, spec)
+        decay, dev, log_l, _ = montecarlo._law_steps(table1, grid)
+        v_stream = _streams(spec.seed)[1]
+        v = np.full(spec.n_paths, table1.v0)
+        for n in range(spec.n_steps):
+            w = v_stream.standard_normal(spec.n_paths // 2 if antithetic
+                                         else spec.n_paths)
+            if antithetic:
+                w = np.concatenate([w, -w])
+            v = decay[n] * v + dev[n] * w
+        sig = np.exp(log_l[-1] + table1.xi * (v - table1.v0))
+        got = simulate_q(table1, spec)
+        assert got.v.tobytes() == v.tobytes()
+        assert got.sigma.tobytes() == sig.tobytes()
+
+
+def test_two_helper_threads_per_simulation_and_none_left(table1, monkeypatch):
     started = []
     start = threading.Thread.start
 
@@ -324,9 +373,9 @@ def test_one_helper_thread_per_simulation_and_none_left(table1, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     simulate_q(table1, McSpec(n_paths=64, n_steps=12, seed=4))
-    assert len(started) == 1
+    assert len(started) == 2
     assert threading.active_count() == before
-    assert not started[0].is_alive()
+    assert not any(thread.is_alive() for thread in started)
 
 
 def _raised_within(seconds, fn):
@@ -347,6 +396,34 @@ def _raised_within(seconds, fn):
     return raised[0] if raised else None
 
 
+def test_hand_over_holds_under_fast_thread_switching(table1):
+    # three simulations at once, each a caller and two helpers, nine threads
+    # on a machine of a few cores, switching every microsecond: each must
+    # still read both rows of its own step, as the serial march does
+    specs = [McSpec(n_paths=16, n_steps=150, seed=seed, antithetic=seed == 1)
+             for seed in range(3)]
+    got = {}
+
+    def run_all():
+        runners = [threading.Thread(target=lambda s=spec: got.update({s: simulate_q(table1, s)}))
+                   for spec in specs]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _raised_within(120.0, run_all) is None
+    finally:
+        sys.setswitchinterval(interval)
+    for spec in specs:
+        _, x, sig, v, _ = _serial_run(table1, spec)
+        assert got[spec].x.tobytes() == x.tobytes()
+        assert got[spec].v.tobytes() == v.tobytes()
+
+
 def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
     # step n reads log L at node n + 1; make step 3's read fail
     boom = ArithmeticError("march failed at step 3")
@@ -359,8 +436,8 @@ def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
             return super().__getitem__(i)
 
     def failing_law(model, grid):
-        decay, dev, log_l = law_steps(model, grid)
-        return decay, dev, FailingNodes(log_l)
+        decay, dev, log_l, clock = law_steps(model, grid)
+        return decay, dev, FailingNodes(log_l), clock
 
     monkeypatch.setattr(montecarlo, "_law_steps", failing_law)
     before = threading.active_count()
@@ -369,19 +446,25 @@ def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
-    # the helper thread owns the generator; make its third fill fail
-    boom = MemoryError("draws failed")
+@pytest.mark.parametrize("failing", [0, 1])
+def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch,
+                                                          failing):
+    # each helper thread owns one generator; make the third fill of stream
+    # `failing` fail (the streams are made in row order)
+    boom = MemoryError(f"draws of stream {failing} failed")
     real = np.random.Generator
+    made = []
 
     class FailingGenerator:
         def __init__(self, bit_generator):
             self._gen = real(bit_generator)
             self.fills = 0
+            self.row = len(made)
+            made.append(self)
 
         def standard_normal(self, *args, **kwargs):
             self.fills += 1
-            if self.fills == 3:
+            if self.row == failing and self.fills == 3:
                 raise boom
             return self._gen.standard_normal(*args, **kwargs)
 
@@ -389,10 +472,11 @@ def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
     before = threading.active_count()
     spec = McSpec(n_paths=64, n_steps=10, seed=4)
     assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom
+    assert len(made) == 2
     assert threading.active_count() == before
 
 
-# ------------------------------------------------- one stream, many estimators
+# -------------------------------------------------- one march, many estimators
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(1, 300),
@@ -434,7 +518,7 @@ def test_shared_paths_serve_each_estimator_as_its_own_run(table1):
         mc_quadratic_variation(table1, spec, (0.2, 0.5), paths=paths)
 
 
-def test_one_helper_thread_per_draw_stream_with_legs(table1, monkeypatch):
+def test_two_helper_threads_per_simulation_with_legs(table1, monkeypatch):
     started = []
     start = threading.Thread.start
 
@@ -445,9 +529,9 @@ def test_one_helper_thread_per_draw_stream_with_legs(table1, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     simulate_paths(table1, McSpec(n_paths=64, n_steps=12, seed=4), (0.25, 0.5))
-    assert len(started) == 1
+    assert len(started) == 2
     assert threading.active_count() == before
-    assert not started[0].is_alive()
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
