@@ -449,13 +449,17 @@ def cmd_mc(cfg: dict, out_dir: Path, check: bool, *,
     for strike, st in zip(strikes, calls):
         rows.append([f"call@{_fmt(strike)}", st.estimate, st.std_error,
                      st.n_effective])
-    drift_off = fwd.estimate / (model.s0 * math.exp(-model.q * model.t_mat)) - 1.0
+    # the march's clock starts at t0, so the discounted forward it prices is
+    # s0 e^(-q T - (r - q) t0)
+    t0 = float(_grid(model, mspec)[0])
+    forward = model.s0 * math.exp(-model.q * model.t_mat - (model.r - model.q) * t0)
+    drift_off = fwd.estimate / forward - 1.0
+    off_se = fwd.std_error / forward
     rows.append(["discounted-forward", fwd.estimate, fwd.std_error,
                  fwd.n_effective])
-    rows.append(["martingale-offset", drift_off, fwd.std_error / model.s0,
-                 fwd.n_effective])
+    rows.append(["martingale-offset", drift_off, off_se, fwd.n_effective])
     breaches = 0
-    if check and abs(drift_off) > 4.0 * fwd.std_error / model.s0 + 1e-3:
+    if check and abs(drift_off) > 4.0 * off_se + 1e-3:
         breaches += 1
     _write_csv(out_dir, "mc.csv", "mc", cfg["output"]["format_version"],
                ["quantity", "estimate", "std_error", "n_effective"], rows)

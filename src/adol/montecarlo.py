@@ -11,20 +11,27 @@ t^(H-1/2) and the drift cutoff both live at the origin).  Per step:
            - xi^2 nu^2 dt / 2 and log L(t) = log sigma0 - kappa (t - t0)
            - xi^2 int_t0^t nu^2 / 2
     x    : lognormal step with V held at the step's start and L(t)
-           integrated over the step, variance sigma_n^2 int (L(s) / L(t_n))^2
-           ds with log L taken linear across it: exact at xi = 0, and free
-           of the O(dt) bias a left-point variance takes from sigma's decay
+           integrated over the step, variance sigma_n^2 w_n with the clock
+           w_n = int (L(s) / L(t_n))^2 ds and log L taken linear across the
+           step: exact at xi = 0, and free of the O(dt) bias a left-point
+           variance takes from sigma's decay
 
-The x-shock correlates with the v-shock at rho.  A march whose terminal x
-or sigma is not finite raises FloatingPointError.  Each Brownian has a
-stream of its own: `SeedSequence(seed).spawn(2)` seeds one SFC64 generator
-for the x-shock's own normal (row 0 of each step's draws) and one for the
-vol Brownian (row 1), so the vol path is a function of the second stream
-alone.  Each stream is read in a fixed (step, path) layout, so results are
-bitwise reproducible and independent of any execution schedule.  Each
-generator has a helper thread of its own that draws its row one step ahead,
-while the caller marches the step before; each reads its stream in the
-same order, so every result is the same as with the draws made in line.
+The x-shock is rho z_vol + sqrt(1 - rho^2) z_own.  The march adds only
+rho sigma_n sqrt(w_n) z_vol to x and sums q = sum sigma_n^2 w_n per path;
+given the vol path, the z_own part s is Gaussian with variance q (Romano &
+Touzi's conditioning), so it is drawn after the march: s_T = sqrt(q_T) z,
+then at each captured index, latest first, the bridge s_k = f s_next +
+sqrt(q_k (1 - f)) z with f = q_k / q_next.  Each x is rho-part +
+(r - q_div)(t - t0) - q / 2 + sqrt(1 - rho^2) s: the law of the terminal
+states and of every capture is the per-step march's, and terminal x does
+not depend on the captures.  A non-finite terminal x or sigma raises
+FloatingPointError.
+
+`SeedSequence(seed).spawn(2)` seeds one SFC64 stream for the z_own draws
+(maturity's row, then a row per capture) and one for z_vol (a row per
+step), so the vol path is a function of the second alone.  Each is read in
+a fixed layout: results are bitwise reproducible whatever the schedule.  A
+helper thread draws z_vol one step ahead of the march, in stream order.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -112,80 +119,64 @@ def _law_steps(model: AdolModel, grid: np.ndarray):
 
 
 class _DrawAhead:
-    """Each step's (2, m) standard normals, drawn one step ahead.
+    """Each step's m standard normals, drawn one step ahead.
 
-    Row j of every step comes from generator j, which a helper thread of its
-    own owns.  The helpers fill two buffers in turn, each its own row: while
-    the caller marches step n on one, they fill step n + 1 into the other.
+    A helper thread owns the generator and fills two buffers in turn: while
+    the caller marches step n on one, it fills step n + 1 into the other.
     numpy releases the GIL both while drawing and in the caller's ufuncs, so
-    the three overlap.  Each stream is read in step order, as drawing in
-    line would read it, and `take` hands a step back only when both rows are
-    full.  Leaving the `with` block joins both helpers, also when the march
-    raised; an exception in either helper is raised by `take`.
+    the two overlap.  The stream is read in step order, as drawing in line
+    would read it.  Leaving the `with` block joins the helper, also when the
+    march raised; an exception in the helper is raised by `take`.  Once the
+    block is left, `bufs` are the caller's scratch.
     """
 
-    def __init__(self, gens: tuple[np.random.Generator, ...], m_draw: int,
-                 n_steps: int) -> None:
-        # two blocks, not one (2, 2, m): the allocator raises its mmap
-        # threshold to the largest block freed, and a double-size block moves
-        # later arrays onto the heap, where they raise the peak RSS
-        self._bufs = (np.empty((2, m_draw)), np.empty((2, m_draw)))
-        # per helper: the buffers whose row it may fill, and those it filled
-        self._free = [threading.Semaphore(2) for _ in gens]
-        self._full = [threading.Semaphore(0) for _ in gens]
+    def __init__(self, gen: np.random.Generator, m_draw: int, n_steps: int) -> None:
+        self.bufs = (np.empty(m_draw), np.empty(m_draw))
+        self._free = threading.Semaphore(2)  # buffers the helper may fill
+        self._full = threading.Semaphore(0)  # buffers the caller may read
         self._taken = 0
         self._stop = False
         self._error: BaseException | None = None
-        self._helpers = [threading.Thread(target=self._fill, args=(row, gen, n_steps),
-                                          name=f"adol-draws-{row}")
-                         for row, gen in enumerate(gens)]
+        self._helper = threading.Thread(target=self._fill, args=(gen, n_steps),
+                                        name="adol-draws")
 
-    def _fill(self, row: int, gen: np.random.Generator, n_steps: int) -> None:
-        free, full = self._free[row], self._full[row]
+    def _fill(self, gen: np.random.Generator, n_steps: int) -> None:
         try:
             for n in range(n_steps):
-                free.acquire()
+                self._free.acquire()
                 if self._stop:
                     return
-                gen.standard_normal(out=self._bufs[n % 2][row])
-                full.release()
+                gen.standard_normal(out=self.bufs[n % 2])
+                self._full.release()
         except BaseException as exc:  # re-raised in the caller by take()
             self._error = exc
-            full.release()
+            self._full.release()
 
     def __enter__(self) -> _DrawAhead:
-        try:
-            for helper in self._helpers:
-                helper.start()
-        except BaseException:
-            self.__exit__()  # a helper already started would wait forever
-            raise
+        self._helper.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._stop = True
-        for free in self._free:
-            free.release()
-        for helper in self._helpers:
-            if helper.ident is not None:  # started
-                helper.join()
+        self._free.release()
+        self._helper.join()
 
     def take(self) -> np.ndarray:
         """The next step's normals; hands the previous step's buffer back."""
         if self._taken:
-            for free in self._free:
-                free.release()
-        for full in self._full:
-            full.acquire()
+            self._free.release()
+        self._full.acquire()
         if self._error is not None:
             raise self._error
-        z = self._bufs[self._taken % 2]
+        z = self.bufs[self._taken % 2]
         self._taken += 1
         return z
 
 
 class Paths(NamedTuple):
-    """One march of a draw stream."""
+    """One march, with the model and the spec it was marched with."""
+    model: AdolModel
+    spec: McSpec
     grid: np.ndarray
     x: np.ndarray       # terminal log S_T / S_0 per path
     sigma: np.ndarray
@@ -197,69 +188,113 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     """March the system to maturity; optionally capture x at the given grid
     indices."""
     grid = _grid(model, spec)
+    # first: its temporaries are freed before the march's arrays are made
+    decay, dev, log_l, clock = _law_steps(model, grid)
     n_paths, n_steps = spec.n_paths, spec.n_steps
     m_draw = n_paths // 2 if spec.antithetic else n_paths
-    # row 0 of each step's draws is the x-shock's own normal, row 1 the vol
-    # Brownian's, each from its own stream
-    gens = tuple(np.random.Generator(np.random.SFC64(child))
-                 for child in np.random.SeedSequence(spec.seed).spawn(2))
+    # the x-shock's own normals come from the first stream, the vol
+    # Brownian's from the second
+    own_gen, vol_gen = (np.random.Generator(np.random.SFC64(child))
+                        for child in np.random.SeedSequence(spec.seed).spawn(2))
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
     sig = np.full(n_paths, model.sigma0)
     v = np.full(n_paths, model.v0)
-    x = np.zeros(n_paths)
+    x = np.zeros(n_paths)    # the march's part of x: sum rho sigma sqrt(w) z_vol
+    var = np.zeros(n_paths)  # the integrated variance q: sum sigma^2 w
     tmp = np.empty(n_paths)  # scratch of every in-place step
-    both = np.empty((2, n_paths)) if spec.antithetic else None
-    # the snapshot at index 0 is all zeros and the last one is x itself, so
-    # neither needs a copy
-    copies = set() if capture is None else set(capture) - {0, n_steps}
-    snaps = {}
+    both = np.empty(n_paths) if spec.antithetic else None
 
-    decay, dev, log_l, clock = _law_steps(model, grid)
+    def paired(z: np.ndarray) -> np.ndarray:
+        """A draw of m normals as one per path: z, then -z if antithetic."""
+        if both is None:
+            return z
+        both[:m_draw] = z
+        np.negative(z, out=both[m_draw:])
+        return both
+
+    draws = _DrawAhead(vol_gen, m_draw, n_steps)
+
+    def own_normals() -> np.ndarray:
+        """The next row of the x-shock's own stream, drawn after the march
+        into a buffer of the helper, which is joined by then."""
+        own_gen.standard_normal(out=draws.bufs[0])
+        return paired(draws.bufs[0])
+
+    def finish(part: np.ndarray, var_k: np.ndarray, t: float, s: np.ndarray,
+               scratch: np.ndarray) -> None:
+        """x = part + (r - q) (t - t0) - q / 2 + rho_perp s, formed in part."""
+        part += drift_x * (t - grid[0])
+        np.multiply(var_k, 0.5, out=scratch)
+        part -= scratch
+        np.multiply(s, rho_perp, out=scratch)
+        part += scratch
+
+    # the snapshot at index 0 is all zeros and the last one is x itself, so
+    # neither needs a copy or a bridge draw
+    bridged = set() if capture is None else set(capture) - {0, n_steps}
+    parts = {}  # per captured index: the march's part of x and q there
+
     # an overflow shows as a non-finite terminal x or sigma, refused below
-    with np.errstate(over="ignore", invalid="ignore"), \
-            _DrawAhead(gens, m_draw, n_steps) as draws:
-        for n in range(n_steps):
-            z = draws.take()
-            if spec.antithetic:
-                both[:, :m_draw] = z
-                np.negative(z, out=both[:, m_draw:])
-                z = both
-            # x += (r - q) dt - sigma^2 w / 2 + sigma sqrt(w) z1, with w the
-            # step's variance clock, the x-shock z1 = rho z[1] + rho_perp z[0]
-            # and the diffusion term formed in z[0], which nothing reads after
-            np.multiply(z[1], rho, out=tmp)
-            z[0] *= rho_perp
-            z[0] += tmp
-            np.multiply(sig, math.sqrt(clock[n]), out=tmp)
-            z[0] *= tmp
-            np.multiply(sig, 0.5 * clock[n], out=tmp)
-            tmp *= sig
-            np.subtract(drift_x * (grid[n + 1] - grid[n]), tmp, out=tmp)
-            tmp += z[0]
-            x += tmp
-            # v <- decay v + dev z[1] and sigma <- exp(log L + xi (v - v0)) in
-            # place, each product and sum rounded as the formula rounds it
-            v *= decay[n]
-            np.multiply(z[1], dev[n], out=tmp)
-            v += tmp
-            np.subtract(v, model.v0, out=sig)
-            sig *= model.xi
-            sig += log_l[n + 1]
-            np.exp(sig, out=sig)
-            if n + 1 in copies:
-                snaps[n + 1] = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with draws:
+            for n in range(n_steps):
+                z = paired(draws.take())
+                # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the
+                # step's variance clock
+                np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)
+                tmp *= z
+                x += tmp
+                np.multiply(sig, clock[n], out=tmp)
+                tmp *= sig
+                var += tmp
+                # v <- decay v + dev z and sigma <- exp(log L + xi (v - v0))
+                # in place, each product and sum rounded as the formula
+                # rounds it
+                v *= decay[n]
+                np.multiply(z, dev[n], out=tmp)
+                v += tmp
+                np.subtract(v, model.v0, out=sig)
+                sig *= model.xi
+                sig += log_l[n + 1]
+                np.exp(sig, out=sig)
+                if n + 1 in bridged:
+                    parts[n + 1] = x.copy(), var.copy()
+
+        # s_T = sqrt(q_T) z, in tmp; z is the scratch of x_T once read
+        z = own_normals()
+        s = np.sqrt(var, out=tmp)
+        s *= z
+        finish(x, var, grid[-1], s, z)
 
     if not (np.isfinite(x).all() and np.isfinite(sig).all()):
         raise FloatingPointError("the march left a non-finite log-price or vol: "
                                  "the vol factor overflowed on this model")
+    snaps = {}
     if capture is not None:
         if 0 in capture:
             snaps[0] = np.zeros(n_paths)
         if n_steps in capture:
             snaps[n_steps] = x
-    return Paths(grid, x, sig, v, snaps)
+    # the bridge backward in q: s_k = f s_next + sqrt(q_k (1 - f)) z with
+    # f = q_k / q_next, and 0 where q_next is 0 (as q_k is then); f and the
+    # new term are formed in q_next, which nothing reads after
+    var_next = var
+    for k in sorted(bridged, reverse=True):
+        x_k, var_k = parts.pop(k)
+        f = np.divide(var_k, var_next, out=var_next, where=var_next > 0.0)
+        s *= f
+        np.subtract(1.0, f, out=f)
+        f *= var_k
+        np.sqrt(f, out=f)
+        z = own_normals()
+        f *= z
+        s += f
+        finish(x_k, var_k, grid[k], s, z)
+        snaps[k] = x_k
+        var_next = var_k
+    return Paths(model, spec, grid, x, sig, v, snaps)
 
 
 def simulate_q(model: AdolModel, spec: McSpec) -> Paths:
@@ -276,6 +311,14 @@ def simulate_paths(model: AdolModel, spec: McSpec, observation_times=()) -> Path
     return _run(model, spec, capture=capture)
 
 
+def _marched(paths: Paths, model: AdolModel, spec: McSpec) -> Paths:
+    """`paths`, refused unless marched with this model and spec: paths of
+    another spec would be read under its pairing and its grid."""
+    if paths.model != model or paths.spec != spec:
+        raise ValueError("paths were marched with another model or spec")
+    return paths
+
+
 def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
     if antithetic:
         half = len(samples) // 2
@@ -289,11 +332,11 @@ def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
 def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float],
               is_call: bool = True, *, paths: Paths | None = None) -> list[PathStats]:
     """Discounted payoff mean per strike, all read off one simulation (or
-    off `paths`, from `simulate_paths` with the same model and spec); SE
-    over independent units (pairs if antithetic)."""
+    off `paths`, from `simulate_paths` with the same model and spec, else
+    ValueError); SE over independent units (pairs if antithetic)."""
     if not all(math.isfinite(strike) and strike >= 0.0 for strike in strikes):
         raise ValueError("strike must be finite and nonnegative")
-    x = simulate_q(model, spec).x if paths is None else paths.x
+    x = simulate_q(model, spec).x if paths is None else _marched(paths, model, spec).x
     s_term = model.s0 * np.exp(x)
     df = math.exp(-model.r * model.t_mat)
     out = []
@@ -334,13 +377,13 @@ def mc_quadratic_variation(model: AdolModel, spec: McSpec, observation_times,
                            *, paths: Paths | None = None) -> PathStats:
     """(1/T) sum of squared log-price increments over the observation grid,
     from one simulation or from `paths` (from `simulate_paths` with the same
-    model, spec and observation times)."""
+    model, spec and observation times, else ValueError)."""
     observation_times = tuple(observation_times)
     idx = _qv_indices(_grid(model, spec), observation_times)
     if paths is None:
-        snaps = _run(model, spec, capture=set(idx))[4]
+        snaps = _run(model, spec, capture=set(idx)).snaps
     else:
-        snaps = paths.snaps
+        snaps = _marched(paths, model, spec).snaps
         if not snaps.keys() >= set(idx):
             raise ValueError("paths lack x at some observation time")
     # x starts at 0, so the first increment is x itself

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,29 @@ def test_mc_artifact_and_martingale_line(tmp_path):
     assert names == ["call@1.0", "discounted-forward", "martingale-offset"]
 
 
+@pytest.mark.parametrize("model, mc, forward", [
+    # e^(-q T - (r - q) t0) at q = 0.08, T = 2 and t0 = eps = 1e-4
+    ({"q": 0.08, "t_mat": 2.0}, {}, math.exp(-0.16 + 0.08e-4)),
+    # the march starts at t0 = 0.3: at r = 0.05 the forward it prices is
+    # e^(-0.015) below s0, which the gate read as an offset of -0.015
+    ({"r": 0.05}, {"t_start": 0.3}, math.exp(-0.05 * 0.3)),
+], ids=["dividend", "late-start"])
+def test_martingale_offset_is_relative_to_the_marched_forward(tmp_path, model, mc,
+                                                              forward):
+    # the march prices the discounted forward s0 e^(-q T - (r - q) t0); the
+    # offset and its standard error are both relative to it
+    cfgp = _write(tmp_path, {"model": model, "pricing": {"strikes": [1.0]},
+                             "mc": dict(mc, n_paths=20_000, n_steps=50)})
+    out = tmp_path / "out"
+    assert main(["mc", "--config", cfgp, "--out", str(out), "--check"]) == 0
+    _, rows = _read_csv(out / "mc.csv")
+    got = {r[0]: (float(r[1]), float(r[2])) for r in rows[1:]}
+    fwd, fwd_se = got["discounted-forward"]
+    off, off_se = got["martingale-offset"]
+    assert off == pytest.approx(fwd / forward - 1.0, rel=1e-12)
+    assert off_se == pytest.approx(fwd_se / forward, rel=1e-12)
+
+
 def test_ledger_artifact_contents(tmp_path):
     cfgp = _write(tmp_path, {})
     out = tmp_path / "out"
@@ -363,11 +387,11 @@ _PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
             "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
 
 _PIN_MC = {
-    "call@0.9": (0.1153114865889401, 0.0025330470367345677),
-    "call@1.0": (0.05327683571925923, 0.0018594475306369937),
-    "call@1.1": (0.019454303871281508, 0.0011196584890192434),
-    "discounted-forward": (0.9980814728959201, 0.0030471615227576332),
-    "martingale-offset": (-0.0019185271040799146, 0.0030471615227576332),
+    "call@0.9": (0.11369803149837077, 0.0025271044949395395),
+    "call@1.0": (0.052194863059504555, 0.0018522306748694976),
+    "call@1.1": (0.01889635575637201, 0.0011293092657264088),
+    "discounted-forward": (0.995946254295178, 0.0030546802383098867),
+    "martingale-offset": (-0.004053745704821976, 0.0030546802383098867),
 }
 
 
@@ -375,9 +399,9 @@ _PIN_MC = {
 # the exact law of the leg's vol, 3.8e-10 relative apart; only the realized
 # variance (mc-qv) is a Monte Carlo value
 _PIN_VARSWAP = [
-    ["fd-richardson", "0.03873700994416751", "nan", "0.00023270922584597148"],
-    ["affine-analytic", "0.038737009958792104", "nan", "0.00023270924047056468"],
-    ["mc-qv", "0.03850430071832154", "0.0009929121772834638", "0.0"],
+    ["fd-richardson", "0.03873700994416751", "nan", "-0.0004622913526947797"],
+    ["affine-analytic", "0.038737009958792104", "nan", "-0.0004622913380701865"],
+    ["mc-qv", "0.03919930129686229", "0.0010221597605016553", "0.0"],
 ]
 
 

@@ -181,9 +181,16 @@ def test_violent_vol_of_vol_stays_on_the_exact_law(table1):
     # an Euler sigma step explodes here (sigma reached 3e227 on four steps);
     # read off V, sigma is L e^(xi (V - v0)), which underflows to 0 instead
     violent = replace(table1, xi=500.0)
-    st = simulate_q(violent, McSpec(n_paths=64, n_steps=4, seed=2))
+    st = simulate_paths(violent, McSpec(n_paths=64, n_steps=4, seed=2), (0.125, 0.25))
     assert np.isfinite(st.x).all() and np.isfinite(st.sigma).all()
     assert np.all(st.sigma >= 0.0)
+    # q stops growing once sigma is 0, so the bridge holds x's own shock
+    assert all(np.isfinite(snap).all() for snap in st.snaps.values())
+    # at sigma0 = 1e-160 every sigma^2 underflows and q is 0: the bridge
+    # weight q_k / q_next is taken as 0, not 0 / 0
+    tiny = replace(violent, sigma0=1e-160)
+    st = simulate_paths(tiny, McSpec(n_paths=64, n_steps=4, seed=2), (0.125, 0.25))
+    assert all(np.isfinite(snap).all() for snap in st.snaps.values())
 
 
 def test_overflowing_vol_factor_raises(table1):
@@ -289,34 +296,79 @@ def _streams(seed):
             for child in np.random.SeedSequence(seed).spawn(2)]
 
 
+def _paired(spec, z):
+    """One normal per path from a draw of m: z, then -z if antithetic."""
+    return np.concatenate([z, -z]) if spec.antithetic else z
+
+
 def _serial_run(model, spec, capture=None):
-    """The march with each step's normals drawn in line on the calling
-    thread: the serial reference for the draw-ahead engine."""
+    """The march with every normal drawn in line on the calling thread: the
+    serial reference for the draw-ahead engine and its bridge.  The vol
+    stream gives one row per step; the x-shock's own stream one row for
+    maturity, then one per captured index, latest first."""
     grid = montecarlo._grid(model, spec)
     m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
-    x_stream, v_stream = _streams(spec.seed)
+    own_stream, vol_stream = _streams(spec.seed)
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
     decay, dev, log_l, clock = montecarlo._law_steps(model, grid)
+    part = np.zeros(spec.n_paths)  # sum rho sigma sqrt(w) z_vol
+    q = np.zeros(spec.n_paths)     # sum sigma^2 w
+    sig = np.full(spec.n_paths, model.sigma0)
+    v = np.full(spec.n_paths, model.v0)
+    capture = set() if capture is None else set(capture)
+    parts = {}
+    for n in range(spec.n_steps):
+        w = _paired(spec, vol_stream.standard_normal(m_draw))
+        part = part + sig * (rho * math.sqrt(clock[n])) * w
+        q = q + sig * clock[n] * sig
+        v = decay[n] * v + dev[n] * w
+        sig = np.exp(log_l[n + 1] + model.xi * (v - model.v0))
+        parts[n + 1] = part, q
+
+    def x_at(k, s):
+        part_k, q_k = parts[k]
+        return part_k + drift_x * (grid[k] - grid[0]) - 0.5 * q_k + rho_perp * s
+
+    s = np.sqrt(q) * _paired(spec, own_stream.standard_normal(m_draw))
+    x = x_at(spec.n_steps, s)
+    snaps = {0: np.zeros(spec.n_paths)} if 0 in capture else {}
+    if spec.n_steps in capture:
+        snaps[spec.n_steps] = x
+    q_next = q
+    for k in sorted(capture - {0, spec.n_steps}, reverse=True):
+        q_k = parts[k][1]
+        f = np.divide(q_k, q_next, out=np.zeros(spec.n_paths), where=q_next > 0.0)
+        s = f * s + np.sqrt(q_k * (1.0 - f)) \
+            * _paired(spec, own_stream.standard_normal(m_draw))
+        snaps[k] = x_at(k, s)
+        q_next = q_k
+    return Paths(model, spec, grid, x, sig, v, snaps)
+
+
+def _per_step_run(model, spec, capture):
+    """x marched step by step on both normals, each step drawing the x-shock's
+    own normal next to the vol Brownian's: the law oracle of the bridge."""
+    grid = montecarlo._grid(model, spec)
+    own_stream, vol_stream = _streams(spec.seed)
+    rho = model.rho
+    rho_perp = math.sqrt(1.0 - rho * rho)
+    decay, dev, log_l, clock = montecarlo._law_steps(model, grid)
     x = np.zeros(spec.n_paths)
     sig = np.full(spec.n_paths, model.sigma0)
     v = np.full(spec.n_paths, model.v0)
-    snaps = {0: x.copy()} if capture is not None and 0 in capture else {}
+    snaps = {}
     for n in range(spec.n_steps):
-        dt = grid[n + 1] - grid[n]
-        z = np.stack([x_stream.standard_normal(m_draw),
-                      v_stream.standard_normal(m_draw)])
-        if spec.antithetic:
-            z = np.concatenate([z, -z], axis=1)
-        z1 = rho * z[1] + rho_perp * z[0]
-        x += (drift_x * dt - 0.5 * clock[n] * sig * sig) \
-            + sig * math.sqrt(clock[n]) * z1
-        v = decay[n] * v + dev[n] * z[1]
+        z_own = own_stream.standard_normal(spec.n_paths)
+        z_vol = vol_stream.standard_normal(spec.n_paths)
+        x += (model.r - model.q) * (grid[n + 1] - grid[n]) - 0.5 * clock[n] * sig * sig \
+            + sig * math.sqrt(clock[n]) * (rho * z_vol + rho_perp * z_own)
+        v = decay[n] * v + dev[n] * z_vol
         sig = np.exp(log_l[n + 1] + model.xi * (v - model.v0))
-        if capture is not None and (n + 1) in capture:
+        if n + 1 in capture:
             snaps[n + 1] = x.copy()
-    return grid, x, sig, v, snaps
+    return Paths(model, spec, grid, x, sig, v, snaps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,10 +382,10 @@ def test_draw_ahead_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic
     spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
                   antithetic=antithetic)
     got = simulate_q(table1, spec)
-    _, x, sig, v, _ = _serial_run(table1, spec)
-    assert got.x.tobytes() == x.tobytes()
-    assert got.sigma.tobytes() == sig.tobytes()
-    assert got.v.tobytes() == v.tobytes()
+    ref = _serial_run(table1, spec)
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert got.sigma.tobytes() == ref.sigma.tobytes()
+    assert got.v.tobytes() == ref.v.tobytes()
     obs = (table1.t_mat,) if n_steps == 1 else (0.5 * table1.t_mat, table1.t_mat)
     qv = mc_quadratic_variation(table1, spec, obs)
     with pytest.MonkeyPatch.context() as mp:
@@ -362,7 +414,7 @@ def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
         assert got.sigma.tobytes() == sig.tobytes()
 
 
-def test_two_helper_threads_per_simulation_and_none_left(table1, monkeypatch):
+def test_one_helper_thread_per_simulation_and_none_left(table1, monkeypatch):
     started = []
     start = threading.Thread.start
 
@@ -373,7 +425,7 @@ def test_two_helper_threads_per_simulation_and_none_left(table1, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     simulate_q(table1, McSpec(n_paths=64, n_steps=12, seed=4))
-    assert len(started) == 2
+    assert len(started) == 1
     assert threading.active_count() == before
     assert not any(thread.is_alive() for thread in started)
 
@@ -397,9 +449,9 @@ def _raised_within(seconds, fn):
 
 
 def test_hand_over_holds_under_fast_thread_switching(table1):
-    # three simulations at once, each a caller and two helpers, nine threads
+    # three simulations at once, each a caller and its helper, six threads
     # on a machine of a few cores, switching every microsecond: each must
-    # still read both rows of its own step, as the serial march does
+    # still read its own step's normals, as the serial march does
     specs = [McSpec(n_paths=16, n_steps=150, seed=seed, antithetic=seed == 1)
              for seed in range(3)]
     got = {}
@@ -419,9 +471,9 @@ def test_hand_over_holds_under_fast_thread_switching(table1):
     finally:
         sys.setswitchinterval(interval)
     for spec in specs:
-        _, x, sig, v, _ = _serial_run(table1, spec)
-        assert got[spec].x.tobytes() == x.tobytes()
-        assert got[spec].v.tobytes() == v.tobytes()
+        ref = _serial_run(table1, spec)
+        assert got[spec].x.tobytes() == ref.x.tobytes()
+        assert got[spec].v.tobytes() == ref.v.tobytes()
 
 
 def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
@@ -449,9 +501,11 @@ def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
 @pytest.mark.parametrize("failing", [0, 1])
 def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch,
                                                           failing):
-    # each helper thread owns one generator; make the third fill of stream
-    # `failing` fail (the streams are made in row order)
+    # the helper thread owns the vol stream (1): make its third fill fail;
+    # the x-shock's own stream (0) is drawn in line after the march: make
+    # its first draw, maturity's row, fail (the streams are made in order)
     boom = MemoryError(f"draws of stream {failing} failed")
+    fails_at = 3 if failing else 1
     real = np.random.Generator
     made = []
 
@@ -464,7 +518,7 @@ def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch,
 
         def standard_normal(self, *args, **kwargs):
             self.fills += 1
-            if self.row == failing and self.fills == 3:
+            if self.row == failing and self.fills == fails_at:
                 raise boom
             return self._gen.standard_normal(*args, **kwargs)
 
@@ -494,10 +548,10 @@ def test_every_horizon_is_bitwise_its_own_simulation(table1, seed, n_paths, n_st
                   antithetic=antithetic)
     obs = (0.5 * table1.t_mat, table1.t_mat)
     paths = simulate_paths(table1, spec, obs)
-    _, x, sig, v, _ = _serial_run(table1, spec)
-    assert paths.x.tobytes() == x.tobytes()
-    assert paths.sigma.tobytes() == sig.tobytes()
-    assert paths.v.tobytes() == v.tobytes()
+    ref = _serial_run(table1, spec)
+    assert paths.x.tobytes() == ref.x.tobytes()
+    assert paths.sigma.tobytes() == ref.sigma.tobytes()
+    assert paths.v.tobytes() == ref.v.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_run", _serial_run)
         serial = mc_quadratic_variation(table1, spec, obs)
@@ -518,7 +572,7 @@ def test_shared_paths_serve_each_estimator_as_its_own_run(table1):
         mc_quadratic_variation(table1, spec, (0.2, 0.5), paths=paths)
 
 
-def test_two_helper_threads_per_simulation_with_legs(table1, monkeypatch):
+def test_one_helper_thread_per_simulation_with_legs(table1, monkeypatch):
     started = []
     start = threading.Thread.start
 
@@ -529,7 +583,7 @@ def test_two_helper_threads_per_simulation_with_legs(table1, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     simulate_paths(table1, McSpec(n_paths=64, n_steps=12, seed=4), (0.25, 0.5))
-    assert len(started) == 2
+    assert len(started) == 1
     assert threading.active_count() == before
     assert not any(thread.is_alive() for thread in started)
 
@@ -545,4 +599,77 @@ def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
     monkeypatch.setattr(np, "negative", counted)
     spec = McSpec(n_paths=64, n_steps=7, seed=4, antithetic=True)
     simulate_paths(table1, spec, (0.25, 0.5))
-    assert calls == [(2, 32)] * spec.n_steps
+    # a vol draw per step, then the x-shock's own at maturity and at 0.25
+    # (index 3); 0.5 is maturity itself
+    assert calls == [(32,)] * (spec.n_steps + 2)
+
+
+def test_paths_of_another_spec_or_model_are_refused(table1):
+    # a plain path set read under an antithetic spec would pair unrelated
+    # paths and report a wrong standard error
+    spec = McSpec(n_paths=256, n_steps=20, seed=8)
+    obs = (0.25, 0.5)
+    paths = simulate_paths(table1, spec, obs)
+    for model, other in ((table1, replace(spec, antithetic=True)),
+                         (table1, replace(spec, seed=9)),
+                         (replace(table1, xi=0.1), spec)):
+        with pytest.raises(ValueError, match="another model or spec"):
+            mc_prices(model, other, [100.0], paths=paths)
+        with pytest.raises(ValueError, match="another model or spec"):
+            mc_quadratic_variation(model, other, obs, paths=paths)
+
+
+# ------------------------------------------------------------ the bridge
+
+def test_bridge_keeps_the_law_of_the_per_step_march(table1):
+    # x's own shock drawn once per path and bridged to the captures has the
+    # law of the march that draws it at every step: pooled over four seeds,
+    # x at maturity and at each capture, three calls and the realized
+    # variance agree within 4 combined standard errors.  Both read the same
+    # vol paths, which only narrows their gap, so the band is conservative
+    m = replace(table1, xi=0.2, rho=-0.7)
+    obs = (0.1, 0.25, 0.4, 0.5)
+    strikes = [90.0, 100.0, 110.0]
+    pooled = {"bridge": {}, "per-step": {}}
+    for seed in range(4):
+        spec = McSpec(n_paths=20_000, n_steps=50, seed=seed)
+        idx = montecarlo._qv_indices(montecarlo._grid(m, spec), obs)
+        for name, paths in (("bridge", simulate_paths(m, spec, obs)),
+                            ("per-step", _per_step_run(m, spec, set(idx)))):
+            stats = {("x", k): montecarlo._stats(paths.snaps[k], False)
+                     for k in idx[:-1]}
+            stats["x", "T"] = montecarlo._stats(paths.x, False)
+            for strike, st in zip(strikes, mc_prices(m, spec, strikes, paths=paths)):
+                stats["call", strike] = st
+            stats["qv", None] = mc_quadratic_variation(m, spec, obs, paths=paths)
+            for key, st in stats.items():
+                pooled[name].setdefault(key, []).append(st)
+    assert len(pooled["bridge"]) == 3 + 1 + 3 + 1
+    for key, runs in pooled["bridge"].items():
+        (est_b, se_b), (est_s, se_s) = (
+            (np.mean([st.estimate for st in r]),
+             math.sqrt(sum(st.std_error ** 2 for st in r)) / len(r))
+            for r in (runs, pooled["per-step"][key]))
+        assert abs(est_b - est_s) <= 4.0 * math.hypot(se_b, se_s), key
+
+
+def test_bridge_moments_match_discrete_closed_form(table1_xi0):
+    # at xi = 0 every path's q is the deterministic integral of sigma0^2
+    # e^(-2 kappa (t - t0)), so x at a capture has variance q_k, mean
+    # (r - q_div) (t_k - t0) - q_k / 2 and covariance q_k with x_T
+    m = table1_xi0
+    spec = McSpec(n_paths=100_000, n_steps=100, seed=19)
+    obs = (0.1, 0.3, 0.5)
+    paths = simulate_paths(m, spec, obs)
+    grid = paths.grid
+    n = spec.n_paths
+    q_T = _discrete_moments(m, spec)[1]
+    for k in montecarlo._qv_indices(grid, obs)[:-1]:
+        q_k = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * (grid[k] - grid[0])) \
+            / (2.0 * m.kappa)
+        x_k = paths.snaps[k]
+        mean = (m.r - m.q) * (grid[k] - grid[0]) - 0.5 * q_k
+        assert abs(float(x_k.mean()) - mean) <= 4.0 * math.sqrt(q_k / n)
+        assert abs(float(x_k.var(ddof=1)) - q_k) <= 4.0 * q_k * math.sqrt(2.0 / (n - 1))
+        cov = float(np.cov(x_k, paths.x)[0, 1])
+        assert abs(cov - q_k) <= 4.0 * math.sqrt((q_k * q_T + q_k ** 2) / (n - 1))
