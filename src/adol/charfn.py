@@ -318,16 +318,17 @@ def heat_kernel(s: float, s_prime: float, tau: float) -> float:
 # the inner spatial integral J
 # --------------------------------------------------------------------------
 
+# the quadrature of J's integral over the line
+_J_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000)
+
+
 def _convolve_slice(fn: Callable[[float], complex], center: float, w: float,
-                    quad: QuadratureSpec, pole: float | None = None,
-                    pv: bool = False) -> complex:
+                    pole: float | None = None) -> complex:
     """integral of fn(x) exp(x - (x-center)^2/(4w)) over the line.
 
     Completing the square gives a Gaussian of mean center + 2w and variance
-    2w; the window is cut at 14 standard deviations.  An interior pole can
-    either be a plain panel break (integrand continuous there) or, with
-    pv=True, excluded by a symmetric window shrunk geometrically until the
-    principal value stabilizes.
+    2w; the window is cut at 14 standard deviations.  An interior pole is a
+    panel break: the integrand must be continuous there.
     """
     if w <= 0.0:
         raise ValueError("convolution width must be positive")
@@ -340,25 +341,8 @@ def _convolve_slice(fn: Callable[[float], complex], center: float, w: float,
         return fn(x) * cmath.exp(x - d * d / (4.0 * w))
 
     if pole is None or not lo < pole < hi:
-        return integrate_adaptive(g, lo, hi, quad)
-
-    if not pv:
-        return integrate_adaptive(g, lo, pole, quad) + integrate_adaptive(g, pole, hi, quad)
-
-    delta0 = 0.25 * min(math.sqrt(2.0 * w), pole - lo, hi - pole)
-    prev = None
-    delta = delta0
-    best = 0.0 + 0.0j
-    for _ in range(14):
-        val = integrate_adaptive(g, lo, pole - delta, quad) \
-            + integrate_adaptive(g, pole + delta, hi, quad)
-        if prev is not None and abs(val - prev) <= max(quad.abs_tol,
-                                                       10.0 * quad.rel_tol * abs(val)):
-            return val
-        prev = best = val
-        delta *= 0.25
-    raise QuadratureError("principal-value exclusion did not stabilize",
-                          estimate=best, error_bound=abs(best - (prev or 0.0)))
+        return integrate_adaptive(g, lo, hi, _J_QUAD)
+    return integrate_adaptive(g, lo, pole, _J_QUAD) + integrate_adaptive(g, pole, hi, _J_QUAD)
 
 
 def _j_k_value(omega: complex, chi: float, model: AdolModel, green: GreenPieces,
@@ -369,28 +353,25 @@ def _j_k_value(omega: complex, chi: float, model: AdolModel, green: GreenPieces,
 
 def j_integral(s_center: float, omega: complex, chi: float, model: AdolModel,
                green: GreenPieces, coeffs: CfCoefficients,
-               method: str = J_QUADRATURE, t0: float = 0.0,
-               quad: QuadratureSpec | None = None) -> complex:
+               method: str = J_QUADRATURE) -> complex:
     """The spatial integral of the first-order convolution at source time chi.
 
     s_center is the substituted kernel center, omega the transported state.
-    The integrand is exp[k/(x - 2 chi)^2 + x - (x - s_center)^2/(4 (chi - t0))].
+    The integrand is exp[k/(x - 2 chi)^2 + x - (x - s_center)^2/(4 chi)].
+    The quadrature needs Re k < 0 (or k = 0), where the pole damps to zero.
     """
-    if not t0 < chi <= green.t_mat * (1.0 + 1e-12):
-        raise ValueError(f"source time {chi} outside ({t0}, {green.t_mat}]")
-    w = chi - t0
+    if not 0.0 < chi <= green.t_mat * (1.0 + 1e-12):
+        raise ValueError(f"source time {chi} outside (0, {green.t_mat}]")
     k = _j_k_value(omega, chi, model, green, coeffs)
     pole = 2.0 * chi
 
     if method == J_QUADRATURE:
-        if quad is None:
-            quad = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000)
         if k == 0.0:
-            return _convolve_slice(lambda x: 1.0 + 0.0j, s_center, w, quad)
-        if k.real > 0.0:
+            return _convolve_slice(lambda x: 1.0 + 0.0j, s_center, chi)
+        if k.real >= 0.0:
             raise ValueError(
-                "divergent spatial integrand: Re k > 0 at the pole; "
-                "use a quadratic closed form on damped contours")
+                "undamped spatial integrand: Re k >= 0 at the pole diverges "
+                "or oscillates; use a quadratic closed form on damped contours")
 
         def fn(x: float) -> complex:
             d = x - pole
@@ -398,8 +379,7 @@ def j_integral(s_center: float, omega: complex, chi: float, model: AdolModel,
                 return 0.0 + 0.0j  # Re k < 0: the essential singularity damps to zero
             return cmath.exp(k / (d * d))
 
-        oscillatory = k.real == 0.0
-        return _convolve_slice(fn, s_center, w, quad, pole=pole, pv=oscillatory)
+        return _convolve_slice(fn, s_center, chi, pole=pole)
 
     if method == J_QUAD_CENTER:
         x = s_center - pole
@@ -407,7 +387,7 @@ def j_integral(s_center: float, omega: complex, chi: float, model: AdolModel,
             raise MethodError("expansion center sits on the pole; use the quadrature method")
         a0 = s_center + k / x ** 2
         a1 = 1.0 - 2.0 * k / x ** 3
-        a2 = -1.0 / (4.0 * w) + 3.0 * k / x ** 4
+        a2 = -1.0 / (4.0 * chi) + 3.0 * k / x ** 4
         return _gaussian_from_quadratic(a0, a1, a2)
 
     raise ValueError(f"unknown j method {method!r}")

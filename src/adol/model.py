@@ -46,10 +46,13 @@ class AdolModel:
     constants: DoConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # NaN passes every range comparison below, so it is refused first
+        # NaN passes every range comparison below, so it is refused first;
+        # an int is stored as a float, which the in-place numpy steps need
         for name in (f.name for f in fields(self) if f.init):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.s0 <= 0.0:
             raise ValueError("spot must be positive")
         if self.sigma0 <= 0.0:

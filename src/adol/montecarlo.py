@@ -31,7 +31,8 @@ FloatingPointError.
 (maturity's row, then a row per capture) and one for z_vol (a row per
 step), so the vol path is a function of the second alone.  Each is read in
 a fixed layout: results are bitwise reproducible whatever the schedule.  A
-helper thread draws z_vol one step ahead of the march, in stream order.
+one-worker thread pool draws z_vol one step ahead of the march, in stream
+order.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -44,7 +45,7 @@ paths: `pricing` takes them over the exact Gaussian law of the vol factor.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,61 +119,6 @@ def _law_steps(model: AdolModel, grid: np.ndarray):
     return np.exp(ms[:-1] - ms[1:]), dev, log_l, clock
 
 
-class _DrawAhead:
-    """Each step's m standard normals, drawn one step ahead.
-
-    A helper thread owns the generator and fills two buffers in turn: while
-    the caller marches step n on one, it fills step n + 1 into the other.
-    numpy releases the GIL both while drawing and in the caller's ufuncs, so
-    the two overlap.  The stream is read in step order, as drawing in line
-    would read it.  Leaving the `with` block joins the helper, also when the
-    march raised; an exception in the helper is raised by `take`.  Once the
-    block is left, `bufs` are the caller's scratch.
-    """
-
-    def __init__(self, gen: np.random.Generator, m_draw: int, n_steps: int) -> None:
-        self.bufs = (np.empty(m_draw), np.empty(m_draw))
-        self._free = threading.Semaphore(2)  # buffers the helper may fill
-        self._full = threading.Semaphore(0)  # buffers the caller may read
-        self._taken = 0
-        self._stop = False
-        self._error: BaseException | None = None
-        self._helper = threading.Thread(target=self._fill, args=(gen, n_steps),
-                                        name="adol-draws")
-
-    def _fill(self, gen: np.random.Generator, n_steps: int) -> None:
-        try:
-            for n in range(n_steps):
-                self._free.acquire()
-                if self._stop:
-                    return
-                gen.standard_normal(out=self.bufs[n % 2])
-                self._full.release()
-        except BaseException as exc:  # re-raised in the caller by take()
-            self._error = exc
-            self._full.release()
-
-    def __enter__(self) -> _DrawAhead:
-        self._helper.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()
-        self._helper.join()
-
-    def take(self) -> np.ndarray:
-        """The next step's normals; hands the previous step's buffer back."""
-        if self._taken:
-            self._free.release()
-        self._full.acquire()
-        if self._error is not None:
-            raise self._error
-        z = self.bufs[self._taken % 2]
-        self._taken += 1
-        return z
-
-
 class Paths(NamedTuple):
     """One march, with the model and the spec it was marched with."""
     model: AdolModel
@@ -214,13 +160,13 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
         np.negative(z, out=both[m_draw:])
         return both
 
-    draws = _DrawAhead(vol_gen, m_draw, n_steps)
+    bufs = (np.empty(m_draw), np.empty(m_draw))  # the vol draws, in turn
 
     def own_normals() -> np.ndarray:
         """The next row of the x-shock's own stream, drawn after the march
-        into a buffer of the helper, which is joined by then."""
-        own_gen.standard_normal(out=draws.bufs[0])
-        return paired(draws.bufs[0])
+        into a vol draw buffer, free by then."""
+        own_gen.standard_normal(out=bufs[0])
+        return paired(bufs[0])
 
     def finish(part: np.ndarray, var_k: np.ndarray, t: float, s: np.ndarray,
                scratch: np.ndarray) -> None:
@@ -238,9 +184,15 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
 
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        with draws:
+        # one worker draws step n + 1's normals into the other buffer while
+        # the march reads step n's: numpy releases the GIL in both
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="adol-draws") as pool:
+            ahead = pool.submit(vol_gen.standard_normal, out=bufs[0])
             for n in range(n_steps):
-                z = paired(draws.take())
+                ahead.result()
+                z = paired(bufs[n % 2])
+                if n + 1 < n_steps:
+                    ahead = pool.submit(vol_gen.standard_normal, out=bufs[(n + 1) % 2])
                 # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the
                 # step's variance clock
                 np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)

@@ -310,6 +310,12 @@ def varswap_strike(model: AdolModel, spec: VarSwapSpec) -> float:
     extrapolation over h / 2 and h / 4 agrees to 1e-6 relative: on the
     reference model and the (0.25, 0.5) schedule the two part by at most
     6.4e-9 up to xi = 0.3, and by 5.5e-6 at xi = 0.4 (strike off by 7.6e-6).
+
+    Each leg's inner expectation is taken at order 0 in xi, so the strike
+    misses the vol's xi-dynamics inside a leg and does not depend on rho:
+    at xi = 0.05 on that model and schedule it reads 0.0387370, against the
+    exact (1/T) int E[sigma_t^2] dt of 0.0382143 and a Monte Carlo realized
+    variance of 0.03836 at rho = 0.
     """
     times = (0.0,) + spec.observation_times
     total = fine = 0.0 + 0.0j

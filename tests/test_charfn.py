@@ -289,6 +289,10 @@ def test_j_rejects_bad_inputs(j_model):
     with pytest.raises(ValueError):
         j_integral(s_center, -omega, 0.25, j_model, green, co,
                    method=J_QUADRATURE)
+    # an imaginary one leaves the pole undamped
+    with pytest.raises(ValueError, match="Re k >= 0"):
+        j_integral(s_center, 1j * omega, 0.25, j_model, green, co,
+                   method=J_QUADRATURE)
 
 
 def test_j_closed_routes_signal_inapplicability(j_model):

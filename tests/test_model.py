@@ -40,6 +40,9 @@ def test_boundary_parameters_accepted():
     _base(rho=1.0)
     _base(rho=-1.0)
     _base(xi=0.0)
+    # integers are legal too, and stored as floats
+    model = _base(s0=1, sigma0=1, v0=5, r=0, kappa=2, m_rho=1, t_mat=1)
+    assert all(type(getattr(model, f.name)) is float for f in fields(AdolModel) if f.init)
 
 
 def test_constants_attached_and_frozen(table1):

@@ -74,6 +74,11 @@ def test_reproducible_and_seed_sensitive(table1):
     assert np.array_equal(a.sigma, b.sigma)
     c = simulate_q(table1, McSpec(n_paths=256, n_steps=20, seed=100))
     assert not np.array_equal(a.x, c.x)
+    # integer parameters march as the equal floats do
+    ints = replace(table1, s0=100, v0=5, q=0, kappa=2, m_rho=1)
+    assert simulate_q(ints, spec).x.tobytes() == a.x.tobytes()
+    assert simulate_q(replace(table1, sigma0=1), spec).sigma.tobytes() \
+        == simulate_q(replace(table1, sigma0=1.0), spec).sigma.tobytes()
 
 
 def test_terminal_state_shapes(table1):

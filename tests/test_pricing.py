@@ -403,6 +403,30 @@ def test_varswap_strike_refuses_an_unconverged_extrapolation():
             == pytest.approx(varswap_strike_analytic(m, spec), rel=1e-8)
 
 
+def test_varswap_strike_does_not_depend_on_rho():
+    # each leg's inner expectation is taken at order 0 in xi: the vol moves
+    # only between legs, so the spot-vol correlation cannot enter
+    spec = VarSwapSpec(observation_times=(0.25, 0.5))
+    for strike in (varswap_strike, varswap_strike_analytic):
+        assert len({strike(replace(_REF, rho=rho), spec)
+                    for rho in (-0.9, -0.5, 0.0, 0.5)}) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the strike takes each leg's inner expectation at order 0 in xi, "
+           "so it misses the vol's xi-dynamics inside a leg: at xi = 0.05 it "
+           "reads 0.0387370 against a realized variance of 0.03834 (5.8 SE) "
+           "and an exact (1/T) int E[sigma_t^2] dt of 0.0382143",
+)
+def test_varswap_strike_matches_path_quadratic_variation_with_vol_of_vol():
+    m = replace(_REF, rho=0.0)
+    spec = VarSwapSpec(observation_times=(0.25, 0.5))
+    qv = mc_quadratic_variation(m, McSpec(n_paths=400_000, n_steps=100, seed=1),
+                                spec.observation_times)
+    assert abs(varswap_strike(m, spec) - qv.estimate) <= 3.0 * qv.std_error
+
+
 @pytest.mark.parametrize("xi", [0.05, 0.2])
 def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
     # E[sigma_t1^(2k)] = L^(2k) exp(2k xi (mean - v0) + 2 k^2 xi^2 var)
