@@ -181,13 +181,24 @@ def _model_from(cfg: dict) -> AdolModel:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _corr_cfg(cfg: dict) -> CorrectionConfig:
+def _corr_cfg(cfg: dict, model: AdolModel | None = None) -> CorrectionConfig:
+    """The CF's config; given the model, also refused where the model cannot
+    honour it: the paper mode's slices, and the corrections at nonzero xi,
+    need H < 1/2.  Only the commands that read the CF pass the model, so the
+    others still run such a config."""
     c = cfg["cf"]
     try:
-        return CorrectionConfig(sigma_step=c["sigma_step"], v_step=c["v_step"],
+        ccfg = CorrectionConfig(sigma_step=c["sigma_step"], v_step=c["v_step"],
                                 order=c["order"], mode=c["mode"])
     except ValueError as exc:
         raise ConfigError(f"cf: {exc}") from exc
+    if model is not None and model.h >= 0.5:
+        if ccfg.mode == MODE_PAPER:
+            raise ConfigError(f"cf.mode {MODE_PAPER} needs model.h < 1/2, got {model.h}")
+        if model.xi != 0.0 and ccfg.order >= 1:
+            raise ConfigError(f"cf.order {ccfg.order} needs model.h < 1/2 at nonzero "
+                              f"model.xi, got h = {model.h}")
+    return ccfg
 
 
 def _mc_spec(cfg: dict) -> McSpec:
@@ -336,7 +347,7 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
 
 def cmd_cf(cfg: dict, out_dir: Path, check: bool) -> int:
     model = _model_from(cfg)
-    ccfg = _corr_cfg(cfg)
+    ccfg = _corr_cfg(cfg, model)
     u_grid = np.linspace(0.0, cfg["cf"]["u_max"], cfg["cf"]["n_u"])
     rows = []
     for u in u_grid:
@@ -374,7 +385,7 @@ def _varswap_spec(cfg: dict, model: AdolModel) -> VarSwapSpec:
 def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
               paths: Paths | None = None) -> int:
     model = _model_from(cfg)
-    ccfg = _corr_cfg(cfg)
+    ccfg = _corr_cfg(cfg, model)
     p = cfg["pricing"]
     fspec = FourierPricingSpec(damping=p["damping"], u_max=p["u_max"])
     mspec = _mc_spec(cfg)
@@ -507,6 +518,7 @@ def cmd_check(cfg: dict, out_dir: Path, check: bool) -> int:
     # every spec is built before the first artifact is written, so a config
     # that one command refuses leaves nothing behind
     model = _model_from(cfg)
+    _corr_cfg(cfg, model)
     mspec = _mc_spec(cfg)
     observation_times = _varswap_spec(cfg, model).observation_times
     total = 0

@@ -30,9 +30,8 @@ FloatingPointError.
 `SeedSequence(seed).spawn(2)` seeds one SFC64 stream for the z_own draws
 (maturity's row, then a row per capture) and one for z_vol (a row per
 step), so the vol path is a function of the second alone.  Each is read in
-a fixed layout: results are bitwise reproducible whatever the schedule.  A
-one-worker thread pool draws z_vol one step ahead of the march, in stream
-order.
+a fixed layout, in line on the calling thread, so results are bitwise
+reproducible.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -45,7 +44,6 @@ paths: `pricing` takes them over the exact Gaussian law of the vol factor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,23 +148,15 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     x = np.zeros(n_paths)    # the march's part of x: sum rho sigma sqrt(w) z_vol
     var = np.zeros(n_paths)  # the integrated variance q: sum sigma^2 w
     tmp = np.empty(n_paths)  # scratch of every in-place step
-    both = np.empty(n_paths) if spec.antithetic else None
+    z = np.empty(n_paths)    # each step's vol normals, then the own stream's
 
-    def paired(z: np.ndarray) -> np.ndarray:
-        """A draw of m normals as one per path: z, then -z if antithetic."""
-        if both is None:
-            return z
-        both[:m_draw] = z
-        np.negative(z, out=both[m_draw:])
-        return both
-
-    bufs = (np.empty(m_draw), np.empty(m_draw))  # the vol draws, in turn
-
-    def own_normals() -> np.ndarray:
-        """The next row of the x-shock's own stream, drawn after the march
-        into a vol draw buffer, free by then."""
-        own_gen.standard_normal(out=bufs[0])
-        return paired(bufs[0])
+    def normals(gen: np.random.Generator) -> np.ndarray:
+        """The next m normals of gen as one per path, in z: the draw, then
+        its negation if antithetic."""
+        gen.standard_normal(out=z[:m_draw])
+        if spec.antithetic:
+            np.negative(z[:m_draw], out=z[m_draw:])
+        return z
 
     def finish(part: np.ndarray, var_k: np.ndarray, t: float, s: np.ndarray,
                scratch: np.ndarray) -> None:
@@ -184,40 +174,31 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
 
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        # one worker draws step n + 1's normals into the other buffer while
-        # the march reads step n's: numpy releases the GIL in both
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="adol-draws") as pool:
-            ahead = pool.submit(vol_gen.standard_normal, out=bufs[0])
-            for n in range(n_steps):
-                ahead.result()
-                z = paired(bufs[n % 2])
-                if n + 1 < n_steps:
-                    ahead = pool.submit(vol_gen.standard_normal, out=bufs[(n + 1) % 2])
-                # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the
-                # step's variance clock
-                np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)
-                tmp *= z
-                x += tmp
-                np.multiply(sig, clock[n], out=tmp)
-                tmp *= sig
-                var += tmp
-                # v <- decay v + dev z and sigma <- exp(log L + xi (v - v0))
-                # in place, each product and sum rounded as the formula
-                # rounds it
-                v *= decay[n]
-                np.multiply(z, dev[n], out=tmp)
-                v += tmp
-                np.subtract(v, model.v0, out=sig)
-                sig *= model.xi
-                sig += log_l[n + 1]
-                np.exp(sig, out=sig)
-                if n + 1 in bridged:
-                    parts[n + 1] = x.copy(), var.copy()
+        for n in range(n_steps):
+            normals(vol_gen)
+            # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the step's
+            # variance clock
+            np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)
+            tmp *= z
+            x += tmp
+            np.multiply(sig, clock[n], out=tmp)
+            tmp *= sig
+            var += tmp
+            # v <- decay v + dev z and sigma <- exp(log L + xi (v - v0)) in
+            # place, each product and sum rounded as the formula rounds it
+            v *= decay[n]
+            np.multiply(z, dev[n], out=tmp)
+            v += tmp
+            np.subtract(v, model.v0, out=sig)
+            sig *= model.xi
+            sig += log_l[n + 1]
+            np.exp(sig, out=sig)
+            if n + 1 in bridged:
+                parts[n + 1] = x.copy(), var.copy()
 
         # s_T = sqrt(q_T) z, in tmp; z is the scratch of x_T once read
-        z = own_normals()
         s = np.sqrt(var, out=tmp)
-        s *= z
+        s *= normals(own_gen)
         finish(x, var, grid[-1], s, z)
 
     if not (np.isfinite(x).all() and np.isfinite(sig).all()):
@@ -240,8 +221,7 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
         np.subtract(1.0, f, out=f)
         f *= var_k
         np.sqrt(f, out=f)
-        z = own_normals()
-        f *= z
+        f *= normals(own_gen)
         s += f
         finish(x_k, var_k, grid[k], s, z)
         snaps[k] = x_k

@@ -135,6 +135,34 @@ def test_check_refuses_its_config_before_writing_artifacts(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
 
 
+_H_ABOVE_HALF = ({"model": {"h": 0.6, "xi": 0.05}},
+                 ("cf.order 1 needs model.h < 1/2", "got h = 0.6"))
+
+
+@pytest.mark.parametrize("cfg, msgs", [
+    _H_ABOVE_HALF,
+    ({"model": {"h": 0.6}, "cf": {"mode": "paper-closed-form", "order": 0}},
+     ("cf.mode paper-closed-form needs model.h < 1/2, got 0.6",)),
+], ids=["corrections", "paper-mode"])
+@pytest.mark.parametrize("command", ["cf", "price", "check"])
+def test_cf_the_model_cannot_honour_is_a_config_error(tmp_path, capsys, command,
+                                                      cfg, msgs):
+    # the corrections and the paper mode's slices need H < 1/2; each command
+    # that reads the CF refuses them by key before it writes anything
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(msg in err for msg in msgs), err
+    assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+
+
+@pytest.mark.parametrize("command", ["mc", "varswap", "ledger"])
+def test_commands_without_the_cf_run_above_half(tmp_path, command):
+    cfg = dict(_H_ABOVE_HALF[0], mc={"n_paths": 2000, "n_steps": 20})
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         montecarlo.McSpec(n_paths=16, n_steps=4, seed=-1)
@@ -324,12 +352,14 @@ def test_ledger_artifact_contents(tmp_path):
 # ------------------------------------------------------------ exit codes
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # smooth regime plus corrections: the rough-kernel machinery refuses
-    cfgp = _write(tmp_path, {"model": {"h": 0.6, "xi": 0.05},
+    # a reversion speed far below zero: the first-order rule cannot meet
+    # its tolerance, which is a numerical failure, not a config error
+    cfgp = _write(tmp_path, {"model": {"m_rho": -400.0, "xi": 0.05},
                              "cf": {"order": 1, "n_u": 3, "u_max": 1.0}})
     out = tmp_path / "out"
     assert main(["cf", "--config", cfgp, "--out", str(out)]) == 2
-    capsys.readouterr()
+    assert "numerical failure: tanh-sinh rule for z1 missed its tolerance" \
+        in capsys.readouterr().err
 
 
 def test_varswap_check_flags_coarse_schedule(tmp_path, capsys):

@@ -8,10 +8,14 @@ re-export, so it is not scanned for that.  A dataclass field whose name is
 never read as an attribute (`.field`) anywhere in the package is reported
 too, unless it is allowed below with its reason.  So is a module-level
 `_private` function or class that nothing in the package references
-outside its own definition.
+outside its own definition.  Last, a fresh interpreter that imports the
+CLI must not have loaded modules that no command needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +156,14 @@ def test_dead_definition_scanner_flags_only_unreferenced_privates():
 def test_every_private_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_definitions(sources) == []
+
+
+def test_cli_import_loads_neither_executor_nor_logging():
+    # `adol` runs as one short process per command, so every module the
+    # import pulls in costs each run its start-up time and memory
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, adol.cli; "
+             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -293,7 +293,7 @@ def test_observation_times_on_one_grid_index_are_refused(table1):
         estimate((0.25, 0.5))
 
 
-# ------------------------------------------------------------ draw-ahead
+# ------------------------------------------------------------ the march
 
 def _streams(seed):
     """The x-shock's own stream and the vol Brownian's, in that order."""
@@ -308,7 +308,7 @@ def _paired(spec, z):
 
 def _serial_run(model, spec, capture=None):
     """The march with every normal drawn in line on the calling thread: the
-    serial reference for the draw-ahead engine and its bridge.  The vol
+    out-of-place reference for the in-place march and its bridge.  The vol
     stream gives one row per step; the x-shock's own stream one row for
     maturity, then one per captured index, latest first."""
     grid = montecarlo._grid(model, spec)
@@ -381,7 +381,7 @@ def _per_step_run(model, spec, capture):
        n_steps=st.integers(1, 40), antithetic=st.booleans())
 @example(seed=0, n_paths=1, n_steps=1, antithetic=False)
 @example(seed=1, n_paths=2, n_steps=1, antithetic=True)
-def test_draw_ahead_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
+def test_march_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
     if antithetic:
         n_paths += n_paths % 2
     spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
@@ -419,7 +419,12 @@ def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
         assert got.sigma.tobytes() == sig.tobytes()
 
 
-def test_one_helper_thread_per_simulation_and_none_left(table1, monkeypatch):
+@pytest.mark.parametrize("march", [
+    lambda model, spec: simulate_q(model, spec),
+    lambda model, spec: simulate_paths(model, spec, (0.25, 0.5)),
+], ids=["simulate_q", "simulate_paths"])
+def test_march_starts_no_thread(table1, monkeypatch, march):
+    # every draw is made in line on the calling thread
     started = []
     start = threading.Thread.start
 
@@ -429,15 +434,14 @@ def test_one_helper_thread_per_simulation_and_none_left(table1, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    simulate_q(table1, McSpec(n_paths=64, n_steps=12, seed=4))
-    assert len(started) == 1
+    march(table1, McSpec(n_paths=64, n_steps=12, seed=4))
+    assert started == []
     assert threading.active_count() == before
-    assert not any(thread.is_alive() for thread in started)
 
 
 def _raised_within(seconds, fn):
-    """What fn raises, run on a daemon thread so that a hung hand-over fails
-    the test instead of stalling the suite."""
+    """What fn raises, run on a daemon thread so that a hung run fails the
+    test instead of stalling the suite."""
     raised = []
 
     def target():
@@ -453,10 +457,10 @@ def _raised_within(seconds, fn):
     return raised[0] if raised else None
 
 
-def test_hand_over_holds_under_fast_thread_switching(table1):
-    # three simulations at once, each a caller and its helper, six threads
-    # on a machine of a few cores, switching every microsecond: each must
-    # still read its own step's normals, as the serial march does
+def test_three_concurrent_callers_each_read_bitwise_serial_run(table1):
+    # three simulations at once on three threads, switching every
+    # microsecond: each must still read its own streams' normals, as the
+    # serial march does
     specs = [McSpec(n_paths=16, n_steps=150, seed=seed, antithetic=seed == 1)
              for seed in range(3)]
     got = {}
@@ -481,7 +485,7 @@ def test_hand_over_holds_under_fast_thread_switching(table1):
         assert got[spec].v.tobytes() == ref.v.tobytes()
 
 
-def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
+def test_march_failure_reaches_caller(table1, monkeypatch):
     # step n reads log L at node n + 1; make step 3's read fail
     boom = ArithmeticError("march failed at step 3")
     law_steps = montecarlo._law_steps
@@ -497,18 +501,16 @@ def test_march_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch):
         return decay, dev, FailingNodes(log_l), clock
 
     monkeypatch.setattr(montecarlo, "_law_steps", failing_law)
-    before = threading.active_count()
-    spec = McSpec(n_paths=64, n_steps=10, seed=4)
-    assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom
-    assert threading.active_count() == before
+    with pytest.raises(ArithmeticError) as raised:
+        simulate_q(table1, McSpec(n_paths=64, n_steps=10, seed=4))
+    assert raised.value is boom
 
 
 @pytest.mark.parametrize("failing", [0, 1])
-def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch,
-                                                          failing):
-    # the helper thread owns the vol stream (1): make its third fill fail;
-    # the x-shock's own stream (0) is drawn in line after the march: make
-    # its first draw, maturity's row, fail (the streams are made in order)
+def test_draw_failure_reaches_caller(table1, monkeypatch, failing):
+    # the vol stream (1) gives a row per step: make its third fail; the
+    # x-shock's own stream (0) is drawn after the march: make its first
+    # draw, maturity's row, fail (the streams are made in order)
     boom = MemoryError(f"draws of stream {failing} failed")
     fails_at = 3 if failing else 1
     real = np.random.Generator
@@ -528,11 +530,10 @@ def test_draw_failure_reaches_caller_and_joins_the_helper(table1, monkeypatch,
             return self._gen.standard_normal(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", FailingGenerator)
-    before = threading.active_count()
-    spec = McSpec(n_paths=64, n_steps=10, seed=4)
-    assert _raised_within(60.0, lambda: simulate_q(table1, spec)) is boom
+    with pytest.raises(MemoryError) as raised:
+        simulate_q(table1, McSpec(n_paths=64, n_steps=10, seed=4))
+    assert raised.value is boom
     assert len(made) == 2
-    assert threading.active_count() == before
 
 
 # -------------------------------------------------- one march, many estimators
@@ -575,22 +576,6 @@ def test_shared_paths_serve_each_estimator_as_its_own_run(table1):
     # a path set captured for other observation times cannot serve these
     with pytest.raises(ValueError, match="observation time"):
         mc_quadratic_variation(table1, spec, (0.2, 0.5), paths=paths)
-
-
-def test_one_helper_thread_per_simulation_with_legs(table1, monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    before = threading.active_count()
-    simulate_paths(table1, McSpec(n_paths=64, n_steps=12, seed=4), (0.25, 0.5))
-    assert len(started) == 1
-    assert threading.active_count() == before
-    assert not any(thread.is_alive() for thread in started)
 
 
 def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
