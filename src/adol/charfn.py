@@ -235,6 +235,90 @@ def zero_order_fn(u: complex, model: AdolModel,
 
 
 # --------------------------------------------------------------------------
+# the law of V: sigma_t = L(t) e^(xi (V_t - v0)), V Gaussian
+# --------------------------------------------------------------------------
+
+def _m_cum(t, model: AdolModel):
+    """Integral of the reversion speed m from 0 to t; accepts arrays."""
+    p = 1.0 + model.m_pi
+    return model.m_rho * t ** p / p
+
+
+def _nu_sq_cum(t, model: AdolModel):
+    """Integral of nu^2 from 0 to t, B_H^2 t^(2H) / (2H); accepts arrays."""
+    c = model.constants
+    return c.b_h * c.b_h * t ** (2.0 * c.h) / (2.0 * c.h)
+
+
+@functools.lru_cache(maxsize=32)
+def _flow_tables(model: AdolModel) -> Callable:
+    """Cumulative transforms of the auxiliary-state flow,
+
+        e_damp(s) = int_0^s exp(M(r) - kappa r) nu(r) dr
+        f_quad(s) = int_0^s exp(2 M(r)) nu(r)^2 dr
+
+    with M the cumulative reversion speed.  The returned function evaluates
+    both at an array of s by one tanh-sinh rule in y, r = s y^(1/2H):
+    the substitution makes every integrand regular at r = 0, so the values
+    are exact to rounding and analytic in s.  Both enter only through
+    differences, so one function per model covers every (t, s) pair.
+
+    The inception rule of _z1_value visits the same times at every u, so
+    the returned function carries its values there as z1_rule_values:
+    tables at the rule's even nodes, then at its odd ones.  An overflow of
+    e^(2M(T)), of e^(-2M(T)) or of a table (at very rough H) is refused.
+    """
+    if 2.0 * abs(_m_cum(model.t_mat, model)) > math.log(np.finfo(float).max):
+        raise FloatingPointError("V's step law overflowed: e^(2M(T)) or e^(-2M(T)) "
+                                 "is not finite")
+    q = 0.5 / model.h
+    x, _, w = _tanh_sinh(3.2 / 60, 60)
+    y = x ** q
+    keep = y > 0.0  # very rough H underflows the outermost nodes
+    y, w = y[keep], (q * x ** (q - 1.0) * w)[keep]
+
+    def tables(s) -> tuple[np.ndarray, np.ndarray]:
+        s = np.asarray(s, dtype=float)
+        r = s[..., None] * y
+        with np.errstate(all="ignore"):  # a table out of range is refused below
+            enu = np.exp(_m_cum(r, model)) * model.constants.b_h * r ** (model.h - 0.5)
+            e_damp, f_quad = (enu * np.exp(-model.kappa * r)) @ w * s, (enu * enu) @ w * s
+        if not np.isfinite(f_quad).all():
+            raise FloatingPointError(f"V's law is out of float range at h = {model.h}")
+        return e_damp, f_quad
+
+    chis, _, k = _z1_rule(model.t_mat)
+    even = k % 2 == 0
+    tables.z1_rule_values = tables(chis[even]), tables(chis[~even])
+    return tables
+
+
+def _f_quad(model: AdolModel, t):
+    """f_quad at t: 0 at the origin, where all nodes would sit; arrays 128 times at a go."""
+    if np.ndim(t) == 0:
+        return float(_flow_tables(model)(t)[1]) if t > 0.0 else 0.0
+    return np.concatenate([_flow_tables(model)(part)[1]
+                           for part in np.split(t, range(128, len(t), 128))])
+
+
+def _v_law(model: AdolModel, s, t, f_s=None, f_t=None, m_t=None):
+    """Decay e^(M(s) - M(t)) and variance e^(-2M(t)) (f_quad(t) - f_quad(s)),
+    floored at 0, of V_t given V_s at times s <= t or 1-d arrays of them;
+    f_s, f_t and m_t are f_quad(s), f_quad(t) and M(t) if the caller has them."""
+    m_t = _m_cum(t, model) if m_t is None else m_t
+    f_s = _f_quad(model, s) if f_s is None else f_s
+    f_t = _f_quad(model, t) if f_t is None else f_t
+    return np.exp(_m_cum(s, model) - m_t), np.maximum(np.exp(-2.0 * m_t) * (f_t - f_s), 0.0)
+
+
+def _log_l(model: AdolModel, t, t0, at_t0):
+    """log L(t) = at_t0 - kappa (t - t0) - xi^2 int_t0^t nu^2 / 2, the part
+    of log sigma_t that V does not set, from at_t0 at t0; accepts arrays."""
+    return at_t0 - model.kappa * (t - t0) \
+        - model.xi ** 2 * (_nu_sq_cum(t, model) - _nu_sq_cum(t0, model)) / 2
+
+
+# --------------------------------------------------------------------------
 # Green machinery
 # --------------------------------------------------------------------------
 
@@ -242,9 +326,9 @@ def zero_order_fn(u: complex, model: AdolModel,
 class GreenPieces:
     """Transformed-clock pieces for the spatial J integral.
 
-    tau(t) = 1/2 int_t^T nu^2 alpha1^2 dr is read off the exact flow
-    tables (see _flow_tables), with alpha1(t) = exp(M(t) - M(T)) the
-    transport scale and M the cumulative reversion speed.  tau_closed_gap
+    tau(t) = 1/2 int_t^T nu^2 alpha1^2 dr, half the variance of V_T given
+    V_t, and the transport scale alpha1(t) = exp(M(t) - M(T)), its decay,
+    are read off _v_law, M the cumulative reversion speed.  tau_closed_gap
     is the max relative gap of the paper's exponential-integral clock
     from tau on a probe grid: a known deviation, carried, never patched.
     """
@@ -263,20 +347,15 @@ def _green_build(model: AdolModel) -> GreenPieces:
     T = model.t_mat
     p_exp = 1.0 + model.m_pi
     m_scale = model.m_rho / p_exp
-    m_T = _m_cum(T, model)
-    tables = _flow_tables(model)
-    half_scale = 0.5 * math.exp(-2.0 * m_T)
-    f_T = float(tables(T)[1])
+    f_T = _f_quad(model, T)  # alpha1 passes it for both ends: the decay needs no table
 
     def alpha1(t: float) -> float:
-        return math.exp(_m_cum(t, model) - m_T)
+        return float(_v_law(model, t, T, f_s=f_T, f_t=f_T)[0])
 
     def tau(t: float) -> float:
         if not 0.0 <= t <= T * (1.0 + 1e-12):
             raise ValueError(f"time {t} outside [0, {T}]")
-        # f_quad(0) = 0; the tables' nodes would all sit on the origin there
-        f_t = float(tables(t)[1]) if t > 0.0 else 0.0
-        return half_scale * (f_T - f_t)
+        return float(0.5 * _v_law(model, t, T, f_t=f_T)[1])
 
     def tau_closed(t: float) -> float:
         # exponential-integral form; imaginary parts of the two E terms
@@ -427,18 +506,6 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / math.sqrt(math.pi)
 
 
-def _m_cum(t, model: AdolModel):
-    """Integral of the reversion speed m from 0 to t; accepts arrays."""
-    p = 1.0 + model.m_pi
-    return model.m_rho * t ** p / p
-
-
-def _nu_sq_cum(t, model: AdolModel):
-    """Integral of nu^2 from 0 to t, B_H^2 t^(2H) / (2H); accepts arrays."""
-    c = model.constants
-    return c.b_h * c.b_h * t ** (2.0 * c.h) / (2.0 * c.h)
-
-
 def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tanh-sinh rule on [0, 1] (Takahasi & Mori) at nodes k h, |k| <= n.
 
@@ -463,42 +530,6 @@ def _z1_rule(t_mat: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(k < 0, t_mat * x, t_mat - t_mat * xc), t_mat * w, k
 
 
-@functools.lru_cache(maxsize=32)
-def _flow_tables(model: AdolModel) -> Callable:
-    """Cumulative transforms of the auxiliary-state flow,
-
-        e_damp(s) = int_0^s exp(M(r) - kappa r) nu(r) dr
-        f_quad(s) = int_0^s exp(2 M(r)) nu(r)^2 dr
-
-    with M the cumulative reversion speed.  The returned function evaluates
-    both at an array of s by one tanh-sinh rule in y, r = s y^(1/2H):
-    the substitution makes every integrand regular at r = 0, so the values
-    are exact to rounding and analytic in s.  Both enter only through
-    differences, so one function per model covers every (t, s) pair: the
-    flows of the corrections read both, the Green clock tau reads f_quad.
-
-    The inception rule of _z1_value visits the same times at every u, so
-    the returned function carries its values there as z1_rule_values:
-    tables at the rule's even nodes, then at its odd ones.
-    """
-    q = 0.5 / model.h
-    x, _, w = _tanh_sinh(3.2 / 60, 60)
-    y = x ** q
-    keep = y > 0.0  # very rough H underflows the outermost nodes
-    y, w = y[keep], (q * x ** (q - 1.0) * w)[keep]
-
-    def tables(s) -> tuple[np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
-        r = s[..., None] * y
-        enu = np.exp(_m_cum(r, model)) * model.constants.b_h * r ** (model.h - 0.5)
-        return (enu * np.exp(-model.kappa * r)) @ w * s, (enu * enu) @ w * s
-
-    chis, _, k = _z1_rule(model.t_mat)
-    even = k % 2 == 0
-    tables.z1_rule_values = tables(chis[even]), tables(chis[~even])
-    return tables
-
-
 def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
                 sigma, v, chis: np.ndarray, x_h: np.ndarray, at_t=None,
                 at_chis=None):
@@ -517,13 +548,11 @@ def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
     dt = chis - t
     ms = _m_cum(chis, model)
     e_damp, f_quad = tables(chis) if at_chis is None else at_chis
-    if t > 0.0:
-        if at_t is None:
-            at_t = tables(t)
-        e_damp, f_quad = e_damp - at_t[0], f_quad - at_t[1]
-    shift = sigma * math.exp(kap * t) * e_damp
-    mean = np.exp(_m_cum(t, model) - ms) * v + 1j * u * model.rho * np.exp(-ms) * shift
-    var = np.maximum(np.exp(-2.0 * ms) * f_quad, 0.0)
+    # both tables vanish at t = 0, where their nodes would all sit
+    e_t, f_t = (tables(t) if at_t is None else at_t) if t > 0.0 else (0.0, 0.0)
+    decay, var = _v_law(model, t, chis, f_s=f_t, f_t=f_quad, m_t=ms)
+    shift = sigma * math.exp(kap * t) * (e_damp - e_t)
+    mean = decay * v + 1j * u * model.rho * np.exp(-ms) * shift
     nodes = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x_h
     sig2 = sigma * sigma * _unit_response(kap, dt)
     pref = np.exp(1j * u * (model.r - model.q) * dt - 0.5 * u * (u + 1j) * sig2)

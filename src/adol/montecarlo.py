@@ -3,13 +3,8 @@
 The march runs on a uniform grid from t0 = t_start > 0 (the vol weight
 t^(H-1/2) and the drift cutoff both live at the origin).  Per step:
 
-    v    : exact Gaussian step of dV = -m V dt + nu dW; its decay and
-           deviation are read off M, the cumulative reversion speed, and
-           the flow tables' f_quad
-    sigma: exp(log L(t) + xi (v - v0)) at every node, exact: the m V drift
-           of sigma cancels against dV, so d log sigma = -kappa dt + xi dV
-           - xi^2 nu^2 dt / 2 and log L(t) = log sigma0 - kappa (t - t0)
-           - xi^2 int_t0^t nu^2 / 2
+    v    : exact Gaussian step of dV = -m V dt + nu dW (charfn's _v_law)
+    sigma: exp(log L(t) + xi (v - v0)) at every node, exact (charfn's _log_l)
     x    : lognormal step with V held at the step's start and L(t)
            integrated over the step, variance sigma_n^2 w_n with the clock
            w_n = int (L(s) / L(t_n))^2 ds and log L taken linear across the
@@ -38,7 +33,7 @@ marches the terminal states together with x at the realized variance's
 observation times, and `mc_prices` (a whole strike ladder) and
 `mc_quadratic_variation` both read that one path set, each result bitwise
 what its own simulation would give.  The variance-swap strikes need no
-paths: `pricing` takes them over the exact Gaussian law of the vol factor.
+paths: `pricing` takes them over the same law of V that the march steps by.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charfn import _flow_tables, _m_cum, _nu_sq_cum
+from .charfn import _log_l, _v_law
 from .model import AdolModel
 
 __all__ = ["McSpec", "PathStats", "Paths", "simulate_q", "simulate_paths",
@@ -97,24 +92,15 @@ def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
 def _law_steps(model: AdolModel, grid: np.ndarray):
     """Per step the decay and the deviation of V's exact Gaussian step, per
     node log L, the part of log sigma that V does not set, and per step the
-    x step's variance clock int (L(s) / L(t_n))^2 ds.  Like the CF's
-    corrections, the deviations need e^(2M(T)) finite (M(T) < 354)."""
-    ms = _m_cum(grid, model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the tables take a row of quadrature nodes per time: 128 at a go
-        f_quad = np.concatenate([_flow_tables(model)(part)[1]
-                                 for part in np.split(grid, range(128, len(grid), 128))])
-        dev = np.sqrt(np.exp(-2.0 * ms[1:]) * np.diff(f_quad))
-    if not np.isfinite(dev).all():
-        raise FloatingPointError("V's step law overflowed: e^(2M(T)) is not finite")
-    log_l = math.log(model.sigma0) - model.kappa * (grid - grid[0]) \
-        - 0.5 * model.xi ** 2 * (_nu_sq_cum(grid, model) - _nu_sq_cum(grid[0], model))
+    x step's variance clock int (L(s) / L(t_n))^2 ds."""
+    decay, var = _v_law(model, grid[:-1], grid[1:])
+    log_l = _log_l(model, grid, grid[0], math.log(model.sigma0))
     # log L linear across a step of slope a / (2 dt): the clock is
     # dt (e^a - 1) / a, and dt where sigma does not decay (a = 0)
     a = 2.0 * np.diff(log_l)
     clock = np.diff(grid) * np.divide(np.expm1(a), a, out=np.ones_like(a),
                                       where=a != 0.0)
-    return np.exp(ms[:-1] - ms[1:]), dev, log_l, clock
+    return decay, np.sqrt(var), log_l, clock
 
 
 class Paths(NamedTuple):

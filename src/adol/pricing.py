@@ -14,10 +14,10 @@ so each distinct u is evaluated once per ladder.
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 vol, and the inner
 expectation is the exponential-affine zero order with maturity moved to
-t2.  The time-t1 vol is a fixed function of the Gaussian factor V_t1, so
-the outer expectation is a Gauss-Hermite sum over V_t1's exact law, and the
-analytic strike takes the vol's closed lognormal moments; nothing is
-sampled.
+t2.  The time-t1 vol is L(t1) e^(xi (V_t1 - v0)), L and V's Gaussian law
+read off charfn (_log_l, _v_law), so the outer expectation is a
+Gauss-Hermite sum over V_t1 and the analytic strike takes the vol's closed
+lognormal moments; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charfn import (_flow_tables, _hermite_rule, _m_cum, _nu_sq_cum, _unit_response,
-                     coeffs_affine_ode)
+from .charfn import _hermite_rule, _log_l, _unit_response, _v_law, coeffs_affine_ode
 from .model import AdolModel
 from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
 
@@ -248,30 +247,14 @@ def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
 _LEG_NODES = 40
 
 
-def _leg_law(t1: float, model: AdolModel) -> tuple[float, float, float]:
-    """The law of the time-t1 vol: sigma_t1 = L exp(xi (V_t1 - v0)).
-
-    The m V drift of sigma cancels against dV, so Ito gives
-    d log sigma = -kappa dt + xi dV - xi^2 nu^2 dt / 2 and sigma is L(t1)
-    = sigma0 exp(-kappa t1 - xi^2 int_0^t1 nu^2 / 2) times a function of
-    the Gaussian V_t1 alone.  Returns L and V_t1's mean v0 e^(-M) and
-    variance e^(-2M) f_quad, M the cumulative reversion speed, on the
-    clock of the CF, which starts at 0.
-    """
-    ms = _m_cum(t1, model)
-    # f_quad(0) = 0; the tables' nodes would all sit on the origin there
-    f_quad = float(_flow_tables(model)(t1)[1]) if t1 > 0.0 else 0.0
-    big_l = model.sigma0 * math.exp(-model.kappa * t1
-                                    - 0.5 * model.xi ** 2 * _nu_sq_cum(t1, model))
-    return big_l, model.v0 * math.exp(-ms), math.exp(-2.0 * ms) * f_quad
-
-
 def _leg_sigmas(t1: float, model: AdolModel,
                 n: int = _LEG_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes of sigma_t1 over the law of V_t1, with weights."""
-    big_l, mean, var = _leg_law(t1, model)
+    decay, var = _v_law(model, 0.0, t1)
+    big_l = model.sigma0 * math.exp(_log_l(model, t1, 0.0, 0.0))
     x, w = _hermite_rule(n)
-    return big_l * np.exp(model.xi * (mean - model.v0 + math.sqrt(2.0 * var) * x)), w
+    return big_l * np.exp(model.xi * (model.v0 * decay - model.v0
+                                      + math.sqrt(2.0 * var) * x)), w
 
 
 def _check_leg(t1: float, t2: float, model: AdolModel) -> None:
@@ -354,8 +337,9 @@ def varswap_strike_analytic(model: AdolModel, spec: VarSwapSpec) -> float:
     for t1, t2 in zip(times, times[1:]):
         _check_leg(t1, t2, model)
         delta = t2 - t1
-        big_l, mean, var = _leg_law(t1, model)
+        decay, var = _v_law(model, 0.0, t1)
+        big_l = model.sigma0 * math.exp(_log_l(model, t1, 0.0, 0.0))
         cv = 0.5 * float(_unit_response(model.kappa, delta)) * big_l * big_l \
-            * math.exp(2.0 * xi * (mean - model.v0) + 2.0 * xi * xi * var)
+            * math.exp(2.0 * xi * (model.v0 * decay - model.v0) + 2.0 * xi * xi * var)
         acc += 2.0 * cv + (rq * delta - cv) ** 2 + cv * cv * math.expm1(4.0 * xi * xi * var)
     return acc / times[-1]

@@ -362,6 +362,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_very_rough_h_is_named_not_misreported(tmp_path, capsys):
+    # at h = 0.01 the flow tables' nodes nearest the origin put
+    # nu(r)^2 = B_H^2 r^(2h-1) out of float range: each command that reads
+    # V's law names h, not a NaN tolerance miss (cf) or an e^(2M(T))
+    # overflow that has not happened (mc, varswap, price)
+    path = _write(tmp_path, {"model": {"h": 0.01, "xi": 0.05}, "cf": {"n_u": 3},
+                             "mc": {"n_paths": 64, "n_steps": 20}})
+    for cmd in ("cf", "mc", "varswap", "price"):
+        assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 2, cmd
+        assert "V's law is out of float range at h = 0.01" in capsys.readouterr().err
+    # at h = 0.03 the tables are finite on order 1's time rule, and order 2's
+    # finer time nodes, which gave a NaN CF, are refused
+    cfg = {"model": {"h": 0.03, "xi": 0.05}, "cf": {"n_u": 3, "u_max": 1.0}}
+    assert main(["cf", "--config", _write(tmp_path, cfg), "--out",
+                 str(tmp_path / "o1")]) == 0
+    cfg["cf"]["order"] = 2
+    assert main(["cf", "--config", _write(tmp_path, cfg), "--out",
+                 str(tmp_path / "o2")]) == 2
+    assert "out of float range at h = 0.03" in capsys.readouterr().err
+
+
 def test_varswap_check_flags_coarse_schedule(tmp_path, capsys):
     # one annual observation on a high-rate model: the drift-squared term
     # dominates the continuous integrated variance, an honest breach

@@ -8,8 +8,9 @@ re-export, so it is not scanned for that.  A dataclass field whose name is
 never read as an attribute (`.field`) anywhere in the package is reported
 too, unless it is allowed below with its reason.  So is a module-level
 `_private` function or class that nothing in the package references
-outside its own definition.  Last, a fresh interpreter that imports the
-CLI must not have loaded modules that no command needs.
+outside its own definition.  The law of V's tables and cumulative
+integrals are named in charfn alone.  Last, a fresh interpreter that
+imports the CLI must not have loaded modules that no command needs.
 """
 
 import ast
@@ -156,6 +157,37 @@ def test_dead_definition_scanner_flags_only_unreferenced_privates():
 def test_every_private_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_definitions(sources) == []
+
+
+# the privates behind charfn's law of V (_v_law, _log_l): every other
+# module reads V's step and L(t) through that law, never the tables
+LAW_PRIVATES = {"_flow_tables", "_m_cum", "_nu_sq_cum"}
+
+
+def law_leaks(sources: dict[str, str]) -> list[str]:
+    """module.name for each LAW_PRIVATES name a module other than charfn
+    references, as a bare name, an attribute or an import."""
+    return sorted(f"{module}.{name}" for module, source in sources.items()
+                  if module != "charfn"
+                  for name in _referenced(ast.parse(source)) & LAW_PRIVATES)
+
+
+def test_law_scanner_flags_only_references_outside_charfn():
+    sources = {
+        "charfn": ("def _m_cum(t):\n"
+                   "    return t\n"
+                   "tables = _flow_tables\n"),
+        "pricing": "from .charfn import _v_law, _m_cum\n",
+        "montecarlo": ("from . import charfn\n"
+                       "x = charfn._nu_sq_cum(1.0)\n"),
+        "cli": "doc = '_flow_tables'  # a string or a comment: _m_cum\n",
+    }
+    assert law_leaks(sources) == ["montecarlo._nu_sq_cum", "pricing._m_cum"]
+
+
+def test_law_of_v_is_read_through_charfn_alone():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert law_leaks(sources) == []
 
 
 def test_cli_import_loads_neither_executor_nor_logging():

@@ -215,6 +215,14 @@ def test_step_law_needs_a_finite_reversion_exponential(table1):
         simulate_q(replace(table1, m_rho=1510.0), spec)
 
 
+def test_step_law_refuses_a_runaway_reversion_before_marching(table1):
+    # at m_rho = -1510, M(T) falls below -354.9 and V's variance factor
+    # e^(-2M(T)) overflows: refused when V's law is built, with a warning
+    # neither printed nor turned into a march of non-finite paths
+    with pytest.raises(FloatingPointError, match=r"e\^\(-2M\(T\)\) is not finite"):
+        simulate_q(replace(table1, m_rho=-1510.0), McSpec(n_paths=64, n_steps=50, seed=2))
+
+
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.7])
 def test_v_step_deviations_match_high_precision_integrals(table1, h):
     # each step's deviation is sqrt(int e^(-2 (M(t1) - M(s))) nu(s)^2 ds)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adol import montecarlo
-from adol.charfn import MODE_AFFINE, CorrectionConfig, _unit_response, cf_total, cf_zero
+from adol.charfn import (MODE_AFFINE, CorrectionConfig, _log_l, _unit_response, _v_law,
+                         cf_total, cf_zero)
 from adol.model import AdolModel
 from adol.montecarlo import McSpec, mc_quadratic_variation, simulate_q
 from adol.numerics import QuadratureError
@@ -19,7 +20,6 @@ from adol.pricing import (
     forward_cf,
     fourier_price,
     fourier_prices,
-    _leg_law,
     _leg_sigmas,
     implied_vol,
     varswap_strike,
@@ -429,10 +429,12 @@ def test_varswap_strike_matches_path_quadratic_variation_with_vol_of_vol():
 
 @pytest.mark.parametrize("xi", [0.05, 0.2])
 def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
-    # E[sigma_t1^(2k)] = L^(2k) exp(2k xi (mean - v0) + 2 k^2 xi^2 var)
+    # E[sigma_t1^(2k)] = L^(2k) exp(2k xi (mean - v0) + 2 k^2 xi^2 var),
+    # with V_t1's mean v0 decay and its variance from V's law
     m = replace(_REF, xi=xi)
     for t1 in (0.1, 0.25, 0.45):
-        big_l, mean, var = _leg_law(t1, m)
+        decay, var = _v_law(m, 0.0, t1)
+        big_l, mean = m.sigma0 * math.exp(_log_l(m, t1, 0.0, 0.0)), m.v0 * decay
         for k in (1, 2):
             closed = big_l ** (2 * k) * math.exp(
                 2 * k * xi * (mean - m.v0) + 2 * k * k * xi * xi * var)
@@ -442,7 +444,9 @@ def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
 
 
 def test_leg_law_at_inception_is_the_start_state(table1):
-    assert _leg_law(0.0, table1) == (table1.sigma0, table1.v0, 0.0)
+    m = table1
+    assert _v_law(m, 0.0, 0.0) == (1.0, 0.0)
+    assert m.sigma0 * math.exp(_log_l(m, 0.0, 0.0, 0.0)) == m.sigma0
     sig, w = _leg_sigmas(0.0, table1)
     assert set(sig) == {table1.sigma0}
 
