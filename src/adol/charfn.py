@@ -13,7 +13,9 @@ correlation structure; the gap between them is measured, never hidden.
 Corrections z1, z2 come from a Green's-function convolution: the v-state
 diffuses on a transformed clock tau(t) under a heat kernel, the sigma-state
 rides a transport factor, and the source operators Phi1, Phi2 are applied
-by central differences at the source time.  The inner spatial integral J
+by central differences at the source time.  In affine-ode mode the flow's
+expectation is taken from V's Gaussian mean and variance in closed form;
+the paper mode takes it by a Hermite rule.  The inner spatial integral J
 has an adaptive-quadrature route and a quadratic-in-the-exponent closed
 form (expansion at the substituted center).
 """
@@ -92,6 +94,12 @@ class CorrectionConfig:
     truncates the expansion; mode selects the zero-order slices being
     perturbed.  hermite_n sizes the Gaussian rule over the auxiliary state
     and z2_panels the fixed grid of the nested first-order field.
+
+    hermite_n and v_step act in paper-closed-form mode alone.  In affine-ode
+    mode the corrections take V's Gaussian mean and variance in closed
+    form, which the Gaussian rule integrates exactly, and the z1 field is
+    linear in v, which the v difference differentiates exactly: neither
+    field ever moved an affine value beyond rounding.
     """
 
     sigma_step: float = 1e-3
@@ -263,7 +271,7 @@ def _flow_tables(model: AdolModel) -> Callable:
     are exact to rounding and analytic in s.  Both enter only through
     differences, so one function per model covers every (t, s) pair.
 
-    The inception rule of _z1_value visits the same times at every u, so
+    The inception rule of _z1_rule_sum visits the same times at every u, so
     the returned function carries its values there as z1_rule_values:
     tables at the rule's even nodes, then at its odd ones.  An overflow of
     e^(2M(T)), of e^(-2M(T)) or of a table (at very rough H) is refused.
@@ -293,12 +301,18 @@ def _flow_tables(model: AdolModel) -> Callable:
     return tables
 
 
+def _tables_at(model: AdolModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both flow tables at a 1-d array of positive times, read 128 at a go:
+    one call on thousands of times would hold a times-by-nodes block."""
+    parts = [_flow_tables(model)(part) for part in np.split(t, range(128, len(t), 128))]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def _f_quad(model: AdolModel, t):
     """f_quad at t: 0 at the origin, where all nodes would sit; arrays 128 times at a go."""
     if np.ndim(t) == 0:
         return float(_flow_tables(model)(t)[1]) if t > 0.0 else 0.0
-    return np.concatenate([_flow_tables(model)(part)[1]
-                           for part in np.split(t, range(128, len(t), 128))])
+    return _tables_at(model, t)[1]
 
 
 def _v_law(model: AdolModel, s, t, f_s=None, f_t=None, m_t=None):
@@ -671,7 +685,15 @@ def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
 
 def _z1_value(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
               tables: Callable) -> complex:
-    """z1 at inception by tanh-sinh quadrature over the source time.
+    """z1 at inception from the Hermite-stencil kernel (_z1_rule_sum)."""
+    return _z1_rule_sum(model, cfg, tables, lambda nodes, at_nodes: _z1_integrand(
+        model, co, cfg, tables, 0.0, model.sigma0, model.v0, nodes, at_chis=at_nodes))
+
+
+def _z1_rule_sum(model: AdolModel, cfg: "CorrectionConfig", tables: Callable,
+                 integral_terms: Callable) -> complex:
+    """z1 at inception by tanh-sinh quadrature over the source time, of the
+    integrand integral_terms(nodes, tables(nodes)).
 
     The difference between the step-h rule and its even nodes (the step-2h
     rule) bounds the error at no extra cost.  When that misses cfg.quad,
@@ -681,11 +703,6 @@ def _z1_value(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     chis, w, k = _z1_rule(model.t_mat)
     at_even, at_odd = tables.z1_rule_values
     tol = cfg.quad
-
-    def integral_terms(nodes: np.ndarray, at_nodes) -> np.ndarray:
-        return _z1_integrand(model, co, cfg, tables, 0.0, model.sigma0, model.v0,
-                             nodes, at_chis=at_nodes)
-
     even = k % 2 == 0
     f_even = integral_terms(chis[even], at_even)
     fine = 2.0 * complex(f_even @ w[even])
@@ -763,6 +780,111 @@ def _z2_point(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     return complex(wts @ (pref * (src @ w_h)))
 
 
+# --------------------------------------------------------------------------
+# affine corrections in moment form
+# --------------------------------------------------------------------------
+#
+# In affine-ode mode z0 does not depend on v, so the z1 field at (t, sigma, v)
+# is A(sigma) + B(sigma) v and Phi1 of it is quadratic in V: the flow's
+# expectation needs only V's mean and variance (Lewis 2000; Benhamou, Gobet &
+# Miri 2010).  The time rules and the sigma difference are the kernel's, so
+# the kernel above gives the same values to rounding and is their oracle.
+
+def _affine_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+                  t, sigma, chis, e_t, e_chis) -> tuple[np.ndarray, np.ndarray]:
+    """Integrand terms of A and B of the affine z1 field A(sigma) + B(sigma) v
+    started at time t: pref s D[z0](s) times (i u rho nu s - m shift) and
+    times (-m decay), s the sigma ray at chi and D the central difference.
+    t, sigma and e_t = e_damp(t) broadcast against chis and e_chis =
+    e_damp(chis); the results have the broadcast shape."""
+    u, kap = co.u, model.kappa
+    dt = chis - t
+    ms = _m_cum(chis, model)
+    s = sigma * np.exp(-kap * dt)
+    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
+    a, g = co.alpha(chis), co.gamma(chis)
+    sp, sm = s + hs, s - hs
+    lead = (np.exp(a + g * sp * sp) - np.exp(a + g * sm * sm)) / (2.0 * hs)
+    lead *= s * np.exp(1j * u * (model.r - model.q) * dt
+                       - 0.5 * u * (u + 1j) * sigma * sigma * _unit_response(kap, dt))
+    nu = model.constants.b_h * chis ** (model.h - 0.5)
+    m = model.m_rho * chis ** model.m_pi
+    shift = 1j * u * model.rho * np.exp(-ms) * sigma * np.exp(kap * t) * (e_chis - e_t)
+    return lead * (1j * u * model.rho * nu * s - m * shift), \
+        lead * (-m * np.exp(_m_cum(t, model) - ms))
+
+
+def _z1_affine(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+               tables: Callable) -> complex:
+    """Affine z1 at inception, A + B v0 on _z1_rule_sum's rule."""
+    def terms(nodes: np.ndarray, at_nodes) -> np.ndarray:
+        fa, fb = _affine_field(model, co, cfg, 0.0, model.sigma0, nodes, 0.0, at_nodes[0])
+        return fa + fb * model.v0
+
+    return _z1_rule_sum(model, cfg, tables, terms)
+
+
+@functools.lru_cache(maxsize=16)
+def _z2_nodes(model: AdolModel, panels: int):
+    """The u-free set-up of affine z2 with z2_panels = panels: _z2_point's
+    outer nodes and weights with both flow tables there, and the inner
+    nodes and weights of every outer node, rows of one array, with e_damp
+    there.  Order 2 alone builds it."""
+    T = model.t_mat
+    chis, wts = _power_nodes(0.0, T, model.h, panels + 6, 10)
+    inner, iw = (np.array(a) for a in zip(*(_power_nodes(chi, T, model.h, panels, 8)
+                                             for chi in chis)))
+    e_out, f_out = _tables_at(model, chis)
+    e_in = _tables_at(model, inner.ravel())[0].reshape(inner.shape)
+    return chis, wts, e_out, f_out, inner, iw, e_in
+
+
+# outer nodes per batch of affine z2's z1 field: all 160 at once raised a
+# process's peak RSS by 3.5 MB, 16 at a go by at most 0.2 MB, at equal speed
+_Z2_BLOCK = 16
+
+
+def _z2_affine(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
+    """Affine z2 at inception: Phi2 z0 plus the expectation over V of
+    Phi1 z1 = nu^2 s b + (i u rho nu s - m V) s (a + b V), with a and b the
+    sigma differences of the z1 field's A and B over the legs s +- hs.  The
+    field comes in batches over (leg, outer node, inner node)."""
+    chis, wts, e_out, f_out, inner, iw, e_in = _z2_nodes(model, cfg.z2_panels)
+    u, kap, s0 = co.u, model.kappa, model.sigma0
+    ms = _m_cum(chis, model)
+    decay, var = _v_law(model, 0.0, chis, f_s=0.0, f_t=f_out, m_t=ms)
+    mean = decay * model.v0 + 1j * u * model.rho * np.exp(-ms) * s0 * e_out
+    s = s0 * np.exp(-kap * chis)
+    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
+    nu = model.constants.b_h * chis ** (model.h - 0.5)
+    m = model.m_rho * chis ** model.m_pi
+    a, g = co.alpha(chis), co.gamma(chis)
+    z0 = [np.exp(a + g * x * x) for x in (s + hs, s, s - hs)]
+    src = 0.5 * nu * nu * s * s * (z0[0] - 2.0 * z0[1] + z0[2]) / (hs * hs)
+    legs = np.stack([s + hs, s - hs])[:, :, None]
+    blocks = (slice(i, i + _Z2_BLOCK) for i in range(0, len(chis), _Z2_BLOCK))
+    # A and B over (leg, outer node)
+    fields = np.concatenate([[np.einsum("lok,ok->lo", f, iw[k]) for f in _affine_field(
+        model, co, cfg, chis[k, None], legs[:, k], inner[k], e_out[k, None], e_in[k])]
+        for k in blocks], axis=-1)
+    da, db = (fields[:, 0] - fields[:, 1]) / (2.0 * hs)
+    drift = 1j * u * model.rho * nu * s
+    src += nu * nu * s * db + s * (drift * da + (drift * db - m * da) * mean
+                                   - m * db * (mean * mean + var))
+    pref = np.exp(1j * u * (model.r - model.q) * chis
+                  - 0.5 * u * (u + 1j) * s0 * s0 * _unit_response(kap, chis))
+    return complex(wts @ (pref * src))
+
+
+def _term(order: int, model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
+    """z1 or z2 at inception: the moment form in affine-ode mode, the
+    Hermite-stencil kernel in paper mode."""
+    tables = _flow_tables(model)
+    if cfg.mode == MODE_AFFINE:
+        return _z1_affine(model, co, cfg, tables) if order == 1 else _z2_affine(model, co, cfg)
+    return _z1_value(model, co, cfg, tables) if order == 1 else _z2_point(model, co, cfg, tables)
+
+
 def correction(order: int, u: complex, model: AdolModel,
                cfg: CorrectionConfig | None = None) -> complex:
     """The order-1 or order-2 term of the CF expansion, at inception."""
@@ -771,11 +893,7 @@ def correction(order: int, u: complex, model: AdolModel,
     if model.h >= 0.5:
         raise ValueError("correction pipeline requires H < 1/2")
     cfg = cfg or CorrectionConfig()
-    co = _coeffs_for(complex(u), model, cfg.mode)
-    tables = _flow_tables(model)
-    if order == 1:
-        return _z1_value(model, co, cfg, tables)
-    return _z2_point(model, co, cfg, tables)
+    return _term(order, model, _coeffs_for(complex(u), model, cfg.mode), cfg)
 
 
 def cf_total(u: complex, model: AdolModel,
@@ -789,10 +907,9 @@ def cf_total(u: complex, model: AdolModel,
             raise ValueError("correction pipeline requires H < 1/2")
         if u == 0:
             return z  # every CF is 1 at u = 0: z0 is 1 and both corrections 0
-        tables = _flow_tables(model)
-        z = z + model.xi * _z1_value(model, co, cfg, tables)
+        z = z + model.xi * _term(1, model, co, cfg)
         if cfg.order >= 2:
-            z = z + model.xi ** 2 * _z2_point(model, co, cfg, tables)
+            z = z + model.xi ** 2 * _term(2, model, co, cfg)
     return z
 
 

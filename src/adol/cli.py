@@ -390,7 +390,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
     fspec = FourierPricingSpec(damping=p["damping"], u_max=p["u_max"])
     mspec = _mc_spec(cfg)
     breaches = 0
-    admissible = small_param_check(model).admissible
+    report = small_param_check(model)
     rows = []
     var0 = model.sigma0 ** 2 * float(_unit_response(model.kappa, model.t_mat))
     strikes = p["strikes"]
@@ -402,14 +402,21 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
 
     px0 = ladder(CorrectionConfig(order=0, mode=ccfg.mode))
     corrected = model.xi != 0.0 and ccfg.order >= 1
-    pxn = ladder(ccfg) if corrected else [math.nan] * len(strikes)
+    try:
+        pxn = ladder(ccfg) if corrected else [math.nan] * len(strikes)
+    except RuntimeError as exc:
+        if report.admissible:
+            raise
+        raise RuntimeError(f"{exc}; the model is outside the expansion's admissible region: "
+                           f"xi = {report.xi} exceeds {report.margin} f(H, T) = "
+                           f"{report.margin * report.f_ht:.6g}") from exc
     for strike, mc, px_cf0, px_cfn in zip(strikes, mcs, px0, pxn):
         rows.append([strike, "cf-order-0", px_cf0, math.nan,
                      px_cf0 - mc.estimate])
         if corrected:
             gap = px_cfn - mc.estimate
             rows.append([strike, f"cf-order-{ccfg.order}", px_cfn, math.nan, gap])
-            if check and admissible and abs(gap) > 3.0 * mc.std_error:
+            if check and report.admissible and abs(gap) > 3.0 * mc.std_error:
                 breaches += 1
         rows.append([strike, "mc", mc.estimate, mc.std_error, 0.0])
         if model.xi == 0.0:

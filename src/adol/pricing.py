@@ -245,13 +245,35 @@ def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
 # Gauss-Hermite nodes of each leg's expectation over V_t1: twice the 20 at
 # which the lognormal moments of sigma_t1 are already exact to rounding
 _LEG_NODES = 40
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _leg_sigmas(t1: float, model: AdolModel,
-                n: int = _LEG_NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes of sigma_t1 over the law of V_t1, with weights."""
+def _leg_overflow(t1: float, t2: float, model: AdolModel) -> FloatingPointError:
+    return FloatingPointError(f"the vol law of the variance-swap leg ({t1}, {t2}) is out "
+                              f"of float range at h = {model.h}")
+
+
+def _leg_vol_law(t1: float, t2: float, model: AdolModel) -> tuple[float, float, float]:
+    """V_t1's decay and variance and L(t1) for the leg (t1, t2).
+
+    Both strikes read the leg's variance up to its second moment, so a leg
+    whose E[sigma_t1^4] = L^4 exp(4 xi (E V_t1 - v0) + 8 xi^2 Var V_t1)
+    overflows, or whose L underflows to 0, is refused.
+    """
     decay, var = _v_law(model, 0.0, t1)
-    big_l = model.sigma0 * math.exp(_log_l(model, t1, 0.0, 0.0))
+    log_l, xi = _log_l(model, t1, 0.0, 0.0), model.xi
+    big_l = model.sigma0 * math.exp(log_l)
+    if big_l == 0.0 or 4.0 * (math.log(model.sigma0) + log_l + xi * (model.v0 * decay - model.v0)) \
+            + 8.0 * xi * xi * var > _LOG_MAX:
+        raise _leg_overflow(t1, t2, model)
+    return decay, var, big_l
+
+
+def _leg_sigmas(t1: float, t2: float, model: AdolModel,
+                n: int = _LEG_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes of sigma_t1 over the law of V_t1, with weights,
+    for the leg (t1, t2)."""
+    decay, var, big_l = _leg_vol_law(t1, t2, model)
     x, w = _hermite_rule(n)
     return big_l * np.exp(model.xi * (model.v0 * decay - model.v0
                                       + math.sqrt(2.0 * var) * x)), w
@@ -276,7 +298,7 @@ def forward_cf(u: complex, t1: float, t2: float, model: AdolModel) -> complex:
     _check_leg(t1, t2, model)
     if u == 0.0:
         return 1.0 + 0.0j
-    return _forward_cf_on(u, t1, t2, model, *_leg_sigmas(t1, model))
+    return _forward_cf_on(u, t1, t2, model, *_leg_sigmas(t1, t2, model))
 
 
 def _leg_curvature(phi: Callable[[float], complex], h: float) -> complex:
@@ -305,7 +327,7 @@ def varswap_strike(model: AdolModel, spec: VarSwapSpec) -> float:
     h = spec.u_step
     for t1, t2 in zip(times, times[1:]):
         _check_leg(t1, t2, model)
-        nodes = _leg_sigmas(t1, model)
+        nodes = _leg_sigmas(t1, t2, model)
 
         def phi(x: float) -> complex:
             return _forward_cf_on(x, t1, t2, model, *nodes)
@@ -337,9 +359,11 @@ def varswap_strike_analytic(model: AdolModel, spec: VarSwapSpec) -> float:
     for t1, t2 in zip(times, times[1:]):
         _check_leg(t1, t2, model)
         delta = t2 - t1
-        decay, var = _v_law(model, 0.0, t1)
-        big_l = model.sigma0 * math.exp(_log_l(model, t1, 0.0, 0.0))
-        cv = 0.5 * float(_unit_response(model.kappa, delta)) * big_l * big_l \
-            * math.exp(2.0 * xi * (model.v0 * decay - model.v0) + 2.0 * xi * xi * var)
-        acc += 2.0 * cv + (rq * delta - cv) ** 2 + cv * cv * math.expm1(4.0 * xi * xi * var)
+        decay, var, big_l = _leg_vol_law(t1, t2, model)
+        try:
+            cv = 0.5 * float(_unit_response(model.kappa, delta)) * big_l * big_l \
+                * math.exp(2.0 * xi * (model.v0 * decay - model.v0) + 2.0 * xi * xi * var)
+            acc += 2.0 * cv + (rq * delta - cv) ** 2 + cv * cv * math.expm1(4.0 * xi * xi * var)
+        except OverflowError:  # exp(2 xi^2 var) alone may overflow where L^2 times it does not
+            raise _leg_overflow(t1, t2, model) from None
     return acc / times[-1]

@@ -383,16 +383,13 @@ def test_v_law_obeys_chapman_kolmogorov(m, ks):
 
 
 def test_stencil_richardson_ratio(table1):
-    # halving the stencil steps must shrink the defect like h^2
-    u = 1.0 + 0.0j
-    co = cfm._coeffs_for(u, table1, MODE_AFFINE)
-    tables = cfm._flow_tables(table1)
+    # halving the sigma step of the affine z1 must shrink its defect like h^2
     base = 3e-2
     vals = []
     for k in range(3):
         cfg = CorrectionConfig(mode=MODE_AFFINE, sigma_step=base / 2 ** k,
                                v_step=base / 2 ** k)
-        vals.append(cfm._z1_value(table1, co, cfg, tables))
+        vals.append(correction(1, 1.0, table1, cfg))
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     assert 3.0 <= ratio <= 5.0, ratio
 
@@ -657,6 +654,45 @@ def test_z1_integrand_is_bitwise_the_six_leg_stencil(table1, mode):
         want = _six_leg_integrand(table1, co, cfg, tables, t, sg, vg, inner)
         assert got.shape == (2, 3, len(inner))
         assert np.array_equal(got, want), u
+
+
+_MOMENT_FORM_US = (1.0, 2.5, 5.0, 0.5 - 2.5j, 20.0 - 2.5j, 2.5 - 1.5j)
+
+
+def _moment_form_models(table1):
+    ref = replace(table1, s0=1.0, r=0.0)  # table1 itself has r != q
+    return {"table1": table1, "ref": ref, "kappa0": replace(table1, kappa=0.0),
+            "rho0": replace(table1, rho=0.0), "m_rho0": replace(table1, m_rho=0.0)}
+
+
+@pytest.mark.parametrize("name", ["table1", "ref", "kappa0", "rho0", "m_rho0"])
+def test_affine_moment_form_matches_the_hermite_stencil_kernel(table1, name):
+    # the kernel integrates the same flow over a Hermite rule and a v
+    # stencil; the affine z1 field is linear in v and Phi1 of it quadratic
+    # in V, so both are exact there and only rounding parts the two.  The
+    # worst gaps seen were 4e-16 (z1) and 1.6e-12 (z2)
+    m = _moment_form_models(table1)[name]
+    tables = cfm._flow_tables(m)
+    cfg = CorrectionConfig(mode=MODE_AFFINE, z2_panels=3)
+    for u in _MOMENT_FORM_US:
+        co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
+        want = cfm._z1_value(m, co, cfg, tables)
+        assert abs(cfm._z1_affine(m, co, cfg, tables) - want) <= 1e-11 * abs(want), u
+        want = cfm._z2_point(m, co, cfg, tables)
+        assert abs(cfm._z2_affine(m, co, cfg) - want) <= 1e-11 * abs(want), u
+
+
+def test_affine_moment_form_honours_the_z2_panels(table1):
+    # from 3 panels to 16 the z2 moves by 5.8e-6 (u = 2.5 - 1.5i) and
+    # 2.3e-5 (u = 5) relative; the moment form follows the kernel on both
+    tables = cfm._flow_tables(table1)
+    cfg3, cfg16 = (CorrectionConfig(mode=MODE_AFFINE, z2_panels=n) for n in (3, 16))
+    for u in (5.0, 2.5 - 1.5j):
+        co = cfm._coeffs_for(complex(u), table1, MODE_AFFINE)
+        want = cfm._z2_point(table1, co, cfg16, tables)
+        got = cfm._z2_affine(table1, co, cfg16)
+        assert abs(got - want) <= 1e-11 * abs(want), u
+        assert abs(got - cfm._z2_affine(table1, co, cfg3)) > 1e-6 * abs(want), u
 
 
 def test_first_order_golden(table1):

@@ -383,6 +383,31 @@ def test_very_rough_h_is_named_not_misreported(tmp_path, capsys):
     assert "out of float range at h = 0.03" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [{"h": 0.03, "xi": 0.05},
+                                   {"xi": 0.2, "h": 0.1, "m_rho": 3.0}])
+def test_varswap_leg_out_of_float_range_is_named(tmp_path, capsys, model):
+    # V_t1's variance is so wide at t1 = 0.25 that E[sigma_t1^4] overflows:
+    # both strikes refuse the leg by name, with no numpy warning on the way
+    # and no bare "math range error"
+    path = _write(tmp_path, {"model": model, "mc": {"n_paths": 64, "n_steps": 20}})
+    assert main(["varswap", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "numerical failure: the vol law of the variance-swap leg (0.25, 0.5) is out " \
+        f"of float range at h = {model['h']}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, f_ht", [({"h": 0.03, "xi": 0.05}, 0.000141616),
+                                         ({"xi": 0.2, "h": 0.1, "m_rho": 3.0}, 0.00627627)])
+def test_price_failure_outside_the_admissible_region_says_so(tmp_path, capsys, model, f_ht):
+    # the order-1 CF is far outside small_param_check's region here, and its
+    # inversion gives a materially negative price; the refusal names the cause
+    path = _write(tmp_path, {"model": model, "mc": {"n_paths": 64, "n_steps": 20}})
+    assert main(["price", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "inversion produced a materially negative price" in err
+    assert "the model is outside the expansion's admissible region: " \
+        f"xi = {model['xi']} exceeds 0.25 f(H, T) = {f_ht}" in err
+
+
 def test_varswap_check_flags_coarse_schedule(tmp_path, capsys):
     # one annual observation on a high-rate model: the drift-squared term
     # dominates the continuous integrated variance, an honest breach

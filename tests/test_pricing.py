@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adol import charfn as cfm
 from adol import montecarlo
 from adol.charfn import (MODE_AFFINE, CorrectionConfig, _log_l, _unit_response, _v_law,
                          cf_total, cf_zero)
@@ -375,6 +376,18 @@ _REF = AdolModel(s0=1.0, sigma0=0.3, v0=5.0, r=0.0, q=0.0, kappa=2.0, xi=0.05,
                  rho=-0.5, h=0.3, m_rho=1.0, m_pi=0.5, t_mat=0.5)
 
 
+def test_order_one_ladder_never_builds_the_order_two_set_up():
+    # affine z2's u-free nodes and tables are order 2's alone: an order-1
+    # smile that built them would pay their set-up in every process
+    cfm._z2_nodes.cache_clear()
+    cfg = CorrectionConfig(order=1)
+    fourier_prices(lambda u: cf_total(u, _REF, cfg), _REF.s0, [0.8, 1.0, 1.2],
+                   _REF.r, _REF.q, _REF.t_mat)
+    assert cfm._z2_nodes.cache_info().misses == 0
+    cf_total(1.0, _REF, replace(cfg, order=2))
+    assert cfm._z2_nodes.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("xi", [0.05, 0.2])
 @pytest.mark.parametrize("times", [(0.25, 0.5), (0.1, 0.2, 0.35, 0.5)])
 def test_varswap_strikes_agree_on_the_exact_leg_law(table1, xi, times):
@@ -439,7 +452,7 @@ def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
             closed = big_l ** (2 * k) * math.exp(
                 2 * k * xi * (mean - m.v0) + 2 * k * k * xi * xi * var)
             for n in (40, 80):
-                sig, w = _leg_sigmas(t1, m, n)
+                sig, w = _leg_sigmas(t1, m.t_mat, m, n)
                 assert w @ sig ** (2 * k) == pytest.approx(closed, rel=1e-14)
 
 
@@ -447,7 +460,7 @@ def test_leg_law_at_inception_is_the_start_state(table1):
     m = table1
     assert _v_law(m, 0.0, 0.0) == (1.0, 0.0)
     assert m.sigma0 * math.exp(_log_l(m, 0.0, 0.0, 0.0)) == m.sigma0
-    sig, w = _leg_sigmas(0.0, table1)
+    sig, w = _leg_sigmas(0.0, table1.t_mat, table1)
     assert set(sig) == {table1.sigma0}
 
 
