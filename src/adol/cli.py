@@ -204,10 +204,17 @@ def _corr_cfg(cfg: dict, model: AdolModel | None = None) -> CorrectionConfig:
 def _mc_spec(cfg: dict) -> McSpec:
     m = cfg["mc"]
     try:
-        return McSpec(n_paths=m["n_paths"], n_steps=m["n_steps"], seed=m["seed"],
+        spec = McSpec(n_paths=m["n_paths"], n_steps=m["n_steps"], seed=m["seed"],
                       t_start=m["t_start"], antithetic=m["antithetic"])
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
+    # one independent unit has a standard error of 0, which every --check
+    # gate would read as certainty
+    if spec.n_paths < (4 if spec.antithetic else 2):
+        unit = "pairs" if spec.antithetic else "paths"
+        raise ConfigError(f"mc.n_paths {spec.n_paths} gives one independent unit; "
+                          f"a standard error needs two {unit}")
+    return spec
 
 
 # --------------------------------------------------------------------------

@@ -22,11 +22,16 @@ states and of every capture is the per-step march's, and terminal x does
 not depend on the captures.  A non-finite terminal x or sigma raises
 FloatingPointError.
 
-`SeedSequence(seed).spawn(2)` seeds one SFC64 stream for the z_own draws
-(maturity's row, then a row per capture) and one for z_vol (a row per
-step), so the vol path is a function of the second alone.  Each is read in
-a fixed layout, in line on the calling thread, so results are bitwise
-reproducible.
+The paths are two fixed halves of the independent units (the pairs, if
+antithetic: path i + n / 2 is the twin of path i); one unit is one half.
+`SeedSequence(seed)` spawns two SFC64 streams per half, the x-shock's own
+(maturity's row, then a row per capture) and the vol Brownian's (a row per
+step), each read in a fixed layout, so results are bitwise reproducible.  A
+march of FORK_PATH_STEPS path-steps or more, in a process that may use two
+CPUs and runs no other thread, marches its second half in a forked child,
+whose rows come back through a pipe (if the child fails, its half is
+marched here); else the halves march at a go here.  Either way gives the
+same bits.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -39,6 +44,8 @@ paths: `pricing` takes them over the same law of V that the march steps by.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +56,11 @@ from .model import AdolModel
 
 __all__ = ["McSpec", "PathStats", "Paths", "simulate_q", "simulate_paths",
            "mc_price", "mc_prices", "mc_quadratic_variation"]
+
+# a march of at least this many path-steps forks its second half: on two
+# cores a bare march gains from about 3e6, but the default 20k x 200 one
+# (4e6) gained nothing end to end in `adol price` when made to fork
+FORK_PATH_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -119,29 +131,108 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     indices."""
     grid = _grid(model, spec)
     # first: its temporaries are freed before the march's arrays are made
-    decay, dev, log_l, clock = _law_steps(model, grid)
-    n_paths, n_steps = spec.n_paths, spec.n_steps
-    m_draw = n_paths // 2 if spec.antithetic else n_paths
-    # the x-shock's own normals come from the first stream, the vol
-    # Brownian's from the second
-    own_gen, vol_gen = (np.random.Generator(np.random.SFC64(child))
-                        for child in np.random.SeedSequence(spec.seed).spawn(2))
+    law = _law_steps(model, grid)
+    n_steps = spec.n_steps
+    # each result is a row of independent units, and if antithetic a row of
+    # their twins, so that path i + n / 2 is the twin of path i; a half is a
+    # block of columns, marched on two streams of its own
+    rows = 2 if spec.antithetic else 1
+    units = spec.n_paths // rows
+    bounds = [0, units - units // 2, units] if units > 1 else [0, 1]
+    gens = [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(spec.seed).spawn(2 * len(bounds) - 2)]
+    # the snapshot at index 0 is all zeros and the last one is x itself, so
+    # neither needs a copy or a bridge draw
+    bridged = set() if capture is None else set(capture) - {0, n_steps}
+    x, sig, v = (np.empty(spec.n_paths) for _ in range(3))
+    snaps = {k: np.empty(spec.n_paths) for k in sorted(bridged)}
+
+    def march(first: int, last: int) -> None:
+        """March halves first to last - 1 at a go, each on its own streams."""
+        c0 = bounds[first]
+        draws = [(*gens[2 * i:2 * i + 2], slice(bounds[i] - c0, bounds[i + 1] - c0))
+                 for i in range(first, last)]
+
+        def cols(a: np.ndarray) -> np.ndarray:
+            return a.reshape(rows, units)[:, c0:bounds[last]]
+
+        _march(model, grid, law, draws, cols(x), cols(sig), cols(v),
+               {k: cols(s) for k, s in snaps.items()})
+
+    # never beside another thread, whose locks the child would hold unowned
+    if (len(bounds) == 3 and spec.n_paths * n_steps >= FORK_PATH_STEPS
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
+        _march_forked(march, [row for a in (x, sig, v, *snaps.values())
+                              for row in a.reshape(rows, units)[:, bounds[1]:]])
+    else:
+        march(0, len(bounds) - 1)
+    if capture is not None:
+        if 0 in capture:
+            snaps[0] = np.zeros(spec.n_paths)
+        if n_steps in capture:
+            snaps[n_steps] = x
+    return Paths(model, spec, grid, x, sig, v, snaps)
+
+
+def _march_forked(march, child_rows: list[np.ndarray]) -> None:
+    """The second half in a forked child, which sends back child_rows
+    through a pipe, while the first runs here; the rows are read into this
+    process's child_rows.  A child that fails sends less: its half is then
+    marched here, and raises what it raised there."""
+    import signal
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns; a write after the parent died fails
+        code = 1
+        try:
+            os.close(r)
+            march(1, 2)
+            with open(w, "wb") as out:
+                for row in child_rows:
+                    out.write(row)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as src:
+            march(0, 1)
+            sent = all(src.readinto(row) == row.nbytes for row in child_rows)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not sent:
+        march(1, 2)
+
+
+def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
+           sig: np.ndarray, v: np.ndarray, snaps: dict[int, np.ndarray]) -> None:
+    """March halves at a go in place, each on the own and vol streams and the
+    columns that draws holds for it: x, sig and v take the terminal states
+    and snaps[k] x at grid index k, each of shape (rows, units) as in `_run`."""
+    decay, dev, log_l, clock = law
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
-    sig = np.full(n_paths, model.sigma0)
-    v = np.full(n_paths, model.v0)
-    x = np.zeros(n_paths)    # the march's part of x: sum rho sigma sqrt(w) z_vol
-    var = np.zeros(n_paths)  # the integrated variance q: sum sigma^2 w
-    tmp = np.empty(n_paths)  # scratch of every in-place step
-    z = np.empty(n_paths)    # each step's vol normals, then the own stream's
+    sig[...] = model.sigma0
+    v[...] = model.v0
+    x[...] = 0.0             # the march's part of x: sum rho sigma sqrt(w) z_vol
+    var = np.zeros(x.shape)  # the integrated variance q: sum sigma^2 w
+    tmp = np.empty(x.shape)  # scratch of every in-place step
+    z = np.empty(x.shape)    # each step's vol normals, then the own stream's
 
-    def normals(gen: np.random.Generator) -> np.ndarray:
-        """The next m normals of gen as one per path, in z: the draw, then
-        its negation if antithetic."""
-        gen.standard_normal(out=z[:m_draw])
-        if spec.antithetic:
-            np.negative(z[:m_draw], out=z[m_draw:])
+    def normals(stream: int) -> np.ndarray:
+        """The next normals of each half's own (0) or vol (1) stream as one
+        per path, in z: the draws, then their negation if antithetic."""
+        for *gens, cols in draws:
+            gens[stream].standard_normal(out=z[0, cols])
+        if len(z) == 2:
+            np.negative(z[0], out=z[1])
         return z
 
     def finish(part: np.ndarray, var_k: np.ndarray, t: float, s: np.ndarray,
@@ -153,15 +244,12 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
         np.multiply(s, rho_perp, out=scratch)
         part += scratch
 
-    # the snapshot at index 0 is all zeros and the last one is x itself, so
-    # neither needs a copy or a bridge draw
-    bridged = set() if capture is None else set(capture) - {0, n_steps}
-    parts = {}  # per captured index: the march's part of x and q there
+    var_at = {}  # per captured index: q there; the march's part of x is in snaps
 
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            normals(vol_gen)
+        for n in range(len(grid) - 1):
+            normals(1)
             # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the step's
             # variance clock
             np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)
@@ -179,40 +267,33 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
             sig *= model.xi
             sig += log_l[n + 1]
             np.exp(sig, out=sig)
-            if n + 1 in bridged:
-                parts[n + 1] = x.copy(), var.copy()
+            if n + 1 in snaps:
+                snaps[n + 1][...] = x
+                var_at[n + 1] = var.copy()
 
         # s_T = sqrt(q_T) z, in tmp; z is the scratch of x_T once read
         s = np.sqrt(var, out=tmp)
-        s *= normals(own_gen)
+        s *= normals(0)
         finish(x, var, grid[-1], s, z)
 
     if not (np.isfinite(x).all() and np.isfinite(sig).all()):
         raise FloatingPointError("the march left a non-finite log-price or vol: "
                                  "the vol factor overflowed on this model")
-    snaps = {}
-    if capture is not None:
-        if 0 in capture:
-            snaps[0] = np.zeros(n_paths)
-        if n_steps in capture:
-            snaps[n_steps] = x
     # the bridge backward in q: s_k = f s_next + sqrt(q_k (1 - f)) z with
     # f = q_k / q_next, and 0 where q_next is 0 (as q_k is then); f and the
     # new term are formed in q_next, which nothing reads after
     var_next = var
-    for k in sorted(bridged, reverse=True):
-        x_k, var_k = parts.pop(k)
+    for k in sorted(snaps, reverse=True):
+        var_k = var_at.pop(k)
         f = np.divide(var_k, var_next, out=var_next, where=var_next > 0.0)
         s *= f
         np.subtract(1.0, f, out=f)
         f *= var_k
         np.sqrt(f, out=f)
-        f *= normals(own_gen)
+        f *= normals(0)
         s += f
-        finish(x_k, var_k, grid[k], s, z)
-        snaps[k] = x_k
+        finish(snaps[k], var_k, grid[k], s, z)
         var_next = var_k
-    return Paths(model, spec, grid, x, sig, v, snaps)
 
 
 def simulate_q(model: AdolModel, spec: McSpec) -> Paths:

@@ -183,6 +183,24 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o3"), "--seed", str(2 ** 130)]) == 0
 
 
+@pytest.mark.parametrize("mc, unit", [({"n_paths": 1}, "paths"),
+                                      ({"n_paths": 2, "antithetic": True}, "pairs")],
+                         ids=["one-path", "one-pair"])
+def test_one_independent_unit_is_a_config_error(tmp_path, capsys, mc, unit):
+    # one unit's standard error is 0, which the martingale gate reads as
+    # certainty: one path of 5 steps would exit 3 on an offset nothing sizes
+    path = _write(tmp_path, {"mc": dict(mc, n_steps=5)})
+    out = tmp_path / "o"
+    assert main(["mc", "--config", path, "--out", str(out), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert f"mc.n_paths {mc['n_paths']} gives one independent unit" in err
+    assert f"needs two {unit}" in err
+    assert not out.exists()
+    # two units give a standard error, and the gate a scale
+    path = _write(tmp_path, {"mc": dict(mc, n_paths=2 * mc["n_paths"], n_steps=5)})
+    assert main(["mc", "--config", path, "--out", str(out)]) == 0
+
+
 def test_observation_schedule_binds_only_the_variance_swap(tmp_path):
     # the default schedule (0.25, 0.5) does not fit these grids, and only
     # varswap and check read it
@@ -463,11 +481,11 @@ _PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
             "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
 
 _PIN_MC = {
-    "call@0.9": (0.11369803149837077, 0.0025271044949395395),
-    "call@1.0": (0.052194863059504555, 0.0018522306748694976),
-    "call@1.1": (0.01889635575637201, 0.0011293092657264088),
-    "discounted-forward": (0.995946254295178, 0.0030546802383098867),
-    "martingale-offset": (-0.004053745704821976, 0.0030546802383098867),
+    "call@0.9": (0.11606267300907142, 0.0024901179954057696),
+    "call@1.0": (0.05361812092153986, 0.0018006279205241798),
+    "call@1.1": (0.018329209235295765, 0.0010628801491901862),
+    "discounted-forward": (0.9996724020015163, 0.002985415480270496),
+    "martingale-offset": (-0.0003275979984836974, 0.002985415480270496),
 }
 
 
@@ -475,9 +493,9 @@ _PIN_MC = {
 # the exact law of the leg's vol, 3.8e-10 relative apart; only the realized
 # variance (mc-qv) is a Monte Carlo value
 _PIN_VARSWAP = [
-    ["fd-richardson", "0.03873700994416751", "nan", "-0.0004622913526947797"],
-    ["affine-analytic", "0.038737009958792104", "nan", "-0.0004622913380701865"],
-    ["mc-qv", "0.03919930129686229", "0.0010221597605016553", "0.0"],
+    ["fd-richardson", "0.03873700994416751", "nan", "0.0018241149218765143"],
+    ["affine-analytic", "0.038737009958792104", "nan", "0.0018241149365011075"],
+    ["mc-qv", "0.036912895022291", "0.0009185228964752662", "0.0"],
 ]
 
 
@@ -505,9 +523,7 @@ def test_varswap_rows_pinned(tmp_path):
     assert _read_csv(out / "varswap.csv")[1][1:] == _PIN_VARSWAP
 
 
-def test_check_mc_rows_pinned(tmp_path, capsys):
-    # price, varswap and mc of `adol check` read one path set, which holds
-    # the terminal states and the realized variance's snapshots
+def _check_rows_pinned(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["check", "--config", _write(tmp_path, _PIN_CFG),
                  "--out", str(out)]) == 3
@@ -519,6 +535,19 @@ def test_check_mc_rows_pinned(tmp_path, capsys):
     assert got == {k[len("call@"):]: v for k, v in _PIN_MC.items()
                    if k.startswith("call@")}
     assert _read_csv(out / "varswap.csv")[1][1:] == _PIN_VARSWAP
+
+
+def test_check_mc_rows_pinned(tmp_path, capsys):
+    # price, varswap and mc of `adol check` read one path set, which holds
+    # the terminal states and the realized variance's snapshots
+    _check_rows_pinned(tmp_path, capsys)
+
+
+def test_check_mc_rows_pinned_with_the_second_half_forked(tmp_path, capsys, fork_marches):
+    # the rows do not depend on where the march's second half ran
+    forks = fork_marches(2)
+    _check_rows_pinned(tmp_path, capsys)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("command, cfg, code, sims", [

@@ -190,10 +190,11 @@ def test_law_of_v_is_read_through_charfn_alone():
 
 def test_cli_import_loads_neither_executor_nor_logging():
     # `adol` runs as one short process per command, so every module the
-    # import pulls in costs each run its start-up time and memory
+    # import pulls in costs each run its start-up time and memory; the
+    # Monte Carlo march forks with os alone
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = ("import sys, adol.cli; "
-             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    probe = ("import sys, adol.cli; print(sorted({'concurrent.futures', 'logging', "
+             "'multiprocessing', 'mmap'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -8,6 +8,7 @@ discretization bias.
 """
 
 import math
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -303,10 +304,18 @@ def test_observation_times_on_one_grid_index_are_refused(table1):
 
 # ------------------------------------------------------------ the march
 
-def _streams(seed):
-    """The x-shock's own stream and the vol Brownian's, in that order."""
-    return [np.random.Generator(np.random.SFC64(child))
-            for child in np.random.SeedSequence(seed).spawn(2)]
+def _halves(spec):
+    """The units (pairs if antithetic) of each half: two halves, the first
+    the larger, or one half of the one unit."""
+    units = spec.n_paths // 2 if spec.antithetic else spec.n_paths
+    return [units - units // 2, units // 2] if units > 1 else [1]
+
+
+def _streams(seed, n_halves=2):
+    """Per half, the x-shock's own stream and the vol Brownian's."""
+    gens = [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(seed).spawn(2 * n_halves)]
+    return list(zip(gens[::2], gens[1::2]))
 
 
 def _paired(spec, z):
@@ -314,14 +323,35 @@ def _paired(spec, z):
     return np.concatenate([z, -z]) if spec.antithetic else z
 
 
-def _serial_run(model, spec, capture=None):
-    """The march with every normal drawn in line on the calling thread: the
-    out-of-place reference for the in-place march and its bridge.  The vol
-    stream gives one row per step; the x-shock's own stream one row for
-    maturity, then one per captured index, latest first."""
+def _joined(spec, parts):
+    """The halves' arrays as one, each antithetic pair at (i, i + n / 2):
+    the first rows of every half, then their twins."""
+    if not spec.antithetic:
+        return np.concatenate(parts)
+    return np.concatenate([p[:len(p) // 2] for p in parts]
+                          + [p[len(p) // 2:] for p in parts])
+
+
+def _by_halves(march, model, spec, capture=None):
+    """march(model, half spec, own stream, vol stream, capture) per half,
+    joined as `_run` joins them."""
+    halves = _halves(spec)
+    runs = [march(model, replace(spec, n_paths=units * (2 if spec.antithetic else 1)),
+                  own, vol, capture)
+            for units, (own, vol) in zip(halves, _streams(spec.seed, len(halves)))]
+    first = runs[0]
+    snaps = {k: _joined(spec, [r.snaps[k] for r in runs]) for k in first.snaps}
+    return Paths(model, spec, first.grid, *(_joined(spec, [getattr(r, f) for r in runs])
+                                           for f in ("x", "sigma", "v")), snaps)
+
+
+def _serial_half(model, spec, own_stream, vol_stream, capture):
+    """One half marched with every normal drawn in line, out of place: the
+    reference for the in-place march and its bridge.  The vol stream gives
+    one row per step; the x-shock's own stream one row for maturity, then
+    one per captured index, latest first."""
     grid = montecarlo._grid(model, spec)
     m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
-    own_stream, vol_stream = _streams(spec.seed)
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
@@ -360,11 +390,15 @@ def _serial_run(model, spec, capture=None):
     return Paths(model, spec, grid, x, sig, v, snaps)
 
 
-def _per_step_run(model, spec, capture):
+def _serial_run(model, spec, capture=None):
+    """The march of `_run`, half by half on each half's streams."""
+    return _by_halves(_serial_half, model, spec, capture)
+
+
+def _per_step_half(model, spec, own_stream, vol_stream, capture):
     """x marched step by step on both normals, each step drawing the x-shock's
-    own normal next to the vol Brownian's: the law oracle of the bridge."""
+    own normal next to the vol Brownian's."""
     grid = montecarlo._grid(model, spec)
-    own_stream, vol_stream = _streams(spec.seed)
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     decay, dev, log_l, clock = montecarlo._law_steps(model, grid)
@@ -382,6 +416,12 @@ def _per_step_run(model, spec, capture):
         if n + 1 in capture:
             snaps[n + 1] = x.copy()
     return Paths(model, spec, grid, x, sig, v, snaps)
+
+
+def _per_step_run(model, spec, capture):
+    """The per-step march on each half's streams: the law oracle of the
+    bridge."""
+    return _by_halves(_per_step_half, model, spec, capture)
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,20 +447,22 @@ def test_march_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
 
 
 def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
-    # V and sigma read only the vol Brownian's stream: a march of V alone,
-    # fed by stream 1, gives them bit for bit
+    # V and sigma read only the vol Brownian's streams: a march of V alone,
+    # fed by each half's vol stream, gives them bit for bit
     for antithetic in (False, True):
         spec = McSpec(n_paths=64, n_steps=12, seed=3, antithetic=antithetic)
         grid = montecarlo._grid(table1, spec)
         decay, dev, log_l, _ = montecarlo._law_steps(table1, grid)
-        v_stream = _streams(spec.seed)[1]
-        v = np.full(spec.n_paths, table1.v0)
-        for n in range(spec.n_steps):
-            w = v_stream.standard_normal(spec.n_paths // 2 if antithetic
-                                         else spec.n_paths)
-            if antithetic:
-                w = np.concatenate([w, -w])
-            v = decay[n] * v + dev[n] * w
+        parts = []
+        for units, (_, v_stream) in zip(_halves(spec), _streams(spec.seed)):
+            v = np.full(2 * units if antithetic else units, table1.v0)
+            for n in range(spec.n_steps):
+                w = v_stream.standard_normal(units)
+                if antithetic:
+                    w = np.concatenate([w, -w])
+                v = decay[n] * v + dev[n] * w
+            parts.append(v)
+        v = _joined(spec, parts)
         sig = np.exp(log_l[-1] + table1.xi * (v - table1.v0))
         got = simulate_q(table1, spec)
         assert got.v.tobytes() == v.tobytes()
@@ -514,13 +556,10 @@ def test_march_failure_reaches_caller(table1, monkeypatch):
     assert raised.value is boom
 
 
-@pytest.mark.parametrize("failing", [0, 1])
-def test_draw_failure_reaches_caller(table1, monkeypatch, failing):
-    # the vol stream (1) gives a row per step: make its third fail; the
-    # x-shock's own stream (0) is drawn after the march: make its first
-    # draw, maturity's row, fail (the streams are made in order)
+def _failing_draws(monkeypatch, failing, fails_at):
+    """Generators made from here on are listed in `made`, in order; the
+    `failing`-th raises `boom` at its `fails_at`-th fill.  Returns both."""
     boom = MemoryError(f"draws of stream {failing} failed")
-    fails_at = 3 if failing else 1
     real = np.random.Generator
     made = []
 
@@ -538,10 +577,87 @@ def test_draw_failure_reaches_caller(table1, monkeypatch, failing):
             return self._gen.standard_normal(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+    return boom, made
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2, 3])
+def test_draw_failure_reaches_caller(table1, monkeypatch, failing):
+    # the generators are made per half, the x-shock's own stream first: a
+    # vol stream (odd) gives a row per step, make its third fail; an own
+    # stream (even) is drawn after the march, make its first draw,
+    # maturity's row, fail
+    boom, made = _failing_draws(monkeypatch, failing, 3 if failing % 2 else 1)
     with pytest.raises(MemoryError) as raised:
         simulate_q(table1, McSpec(n_paths=64, n_steps=10, seed=4))
     assert raised.value is boom
-    assert len(made) == 2
+    assert len(made) == 4
+
+
+# ------------------------------------------------------------ the halves
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("obs", [None, (0.1, 0.25, 0.5)], ids=["simulate_q", "simulate_paths"])
+def test_forked_half_gives_the_in_process_paths(table1, fork_marches, antithetic, obs):
+    spec = McSpec(n_paths=302, n_steps=20, seed=5, antithetic=antithetic)
+
+    def march():
+        return simulate_q(table1, spec) if obs is None else simulate_paths(table1, spec, obs)
+
+    runs = {}
+    for cpus in (1, 2):
+        forks = fork_marches(cpus)
+        runs[cpus] = march()
+        assert len(forks) == cpus - 1
+    _no_child_left()
+    here, forked = runs[1], runs[2]
+    ref = _serial_run(table1, spec, None if obs is None else set(
+        montecarlo._qv_indices(montecarlo._grid(table1, spec), obs)))
+    for got in (here, forked):
+        for field in ("x", "sigma", "v"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+        assert got.snaps.keys() == ref.snaps.keys()
+        for k in ref.snaps:
+            assert got.snaps[k].tobytes() == ref.snaps[k].tobytes()
+
+
+@pytest.mark.parametrize("failing", [None, 1, 3], ids=["none", "parent-half", "child-half"])
+def test_no_child_outlives_a_march(table1, monkeypatch, fork_marches, failing):
+    # stream 1 is the vol stream of the half marched here, stream 3 that of
+    # the forked half: a failure in either reaches the caller as the march
+    # in one process raises it, and the child is reaped in every case
+    spec = McSpec(n_paths=64, n_steps=10, seed=4)
+    want = simulate_q(table1, spec)
+    forks = fork_marches(2)
+    boom, _ = _failing_draws(monkeypatch, failing, 3)
+    if failing is None:
+        assert simulate_q(table1, spec).x.tobytes() == want.x.tobytes()
+    else:
+        with pytest.raises(MemoryError) as raised:
+            simulate_q(table1, spec)
+        assert raised.value is boom
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_no_fork_beside_another_thread(table1, fork_marches):
+    # a child forked beside a live thread would copy whatever that thread
+    # holds, locks included, mid-operation
+    forks = fork_marches(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        simulate_q(table1, McSpec(n_paths=64, n_steps=10, seed=4))
+    finally:
+        release.set()
+        other.join(10.0)
+    assert not other.is_alive()
+    assert forks == []
 
 
 # -------------------------------------------------- one march, many estimators
@@ -597,8 +713,9 @@ def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
     monkeypatch.setattr(np, "negative", counted)
     spec = McSpec(n_paths=64, n_steps=7, seed=4, antithetic=True)
     simulate_paths(table1, spec, (0.25, 0.5))
-    # a vol draw per step, then the x-shock's own at maturity and at 0.25
-    # (index 3); 0.5 is maturity itself
+    # the halves march at a go: a vol draw per step, then the x-shock's own
+    # at maturity and at 0.25 (index 3), each drawn per half and negated
+    # once over both; 0.5 is maturity itself
     assert calls == [(32,)] * (spec.n_steps + 2)
 
 

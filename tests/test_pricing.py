@@ -429,7 +429,7 @@ def test_varswap_strike_does_not_depend_on_rho():
     strict=True,
     reason="the strike takes each leg's inner expectation at order 0 in xi, "
            "so it misses the vol's xi-dynamics inside a leg: at xi = 0.05 it "
-           "reads 0.0387370 against a realized variance of 0.03834 (5.8 SE) "
+           "reads 0.0387370 against a realized variance of 0.03829 (6.5 SE) "
            "and an exact (1/T) int E[sigma_t^2] dt of 0.0382143",
 )
 def test_varswap_strike_matches_path_quadratic_variation_with_vol_of_vol():
