@@ -37,7 +37,6 @@ from .charfn import (
     coeffs_affine_ode,
     cf_zero,
     green_pieces,
-    heat_kernel,
     j_integral,
     correction,
     cf_total,

@@ -13,9 +13,10 @@ correlation structure; the gap between them is measured, never hidden.
 Corrections z1, z2 come from a Green's-function convolution: the v-state
 diffuses on a transformed clock tau(t) under a heat kernel, the sigma-state
 rides a transport factor, and the source operators Phi1, Phi2 are applied
-by central differences at the source time.  In affine-ode mode the flow's
-expectation is taken from V's Gaussian mean and variance in closed form;
-the paper mode takes it by a Hermite rule.  The inner spatial integral J
+at the source time.  In both modes z0 is exponential-linear in v, so the
+flow's expectation over V comes in closed form from V's Gaussian mean and
+variance, and the v derivatives are exact; the sigma derivatives are
+central differences.  The inner spatial integral J
 has an adaptive-quadrature route and a quadratic-in-the-exponent closed
 form (expansion at the substituted center).
 """
@@ -45,7 +46,6 @@ __all__ = [
     "cf_zero",
     "zero_order_fn",
     "green_pieces",
-    "heat_kernel",
     "j_integral",
     "correction",
     "cf_total",
@@ -89,35 +89,26 @@ class CfCoefficients:
 class CorrectionConfig:
     """Controls for the correction pipeline.
 
-    sigma_step / v_step are relative central-difference steps for the
-    source operators; quad drives the source-time quadrature; order
-    truncates the expansion; mode selects the zero-order slices being
-    perturbed.  hermite_n sizes the Gaussian rule over the auxiliary state
-    and z2_panels the fixed grid of the nested first-order field.
-
-    hermite_n and v_step act in paper-closed-form mode alone.  In affine-ode
-    mode the corrections take V's Gaussian mean and variance in closed
-    form, which the Gaussian rule integrates exactly, and the z1 field is
-    linear in v, which the v difference differentiates exactly: neither
-    field ever moved an affine value beyond rounding.
+    sigma_step is the relative central-difference step of the source
+    operators' sigma derivatives; their v derivatives and the expectations
+    over the auxiliary state are exact in both modes.  quad drives the
+    source-time quadrature of z1; order truncates the expansion; mode
+    selects the zero-order slices being perturbed; z2_panels sizes the
+    fixed grid of the nested first-order field.
     """
 
     sigma_step: float = 1e-3
-    v_step: float = 1e-3
     quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-7, max_subdivisions=800)
     order: int = 1
     mode: str = MODE_AFFINE
-    hermite_n: int = 12
     z2_panels: int = 10
 
     def __post_init__(self) -> None:
         # written so that NaN fails the comparison too
-        if not (0.0 < self.sigma_step < math.inf and 0.0 < self.v_step < math.inf):
+        if not 0.0 < self.sigma_step < math.inf:
             raise ValueError("stencil steps must be positive and finite")
         if self.order not in (0, 1, 2):
             raise ValueError("order must be 0, 1, or 2")
-        if self.hermite_n < 2:
-            raise ValueError("hermite_n must be at least 2")
         if self.z2_panels < 2:
             raise ValueError("z2_panels must be at least 2")
         _variant(self.mode)
@@ -399,14 +390,6 @@ def green_pieces(model: AdolModel) -> GreenPieces:
     return _green_build(model)
 
 
-def heat_kernel(s: float, s_prime: float, tau: float) -> float:
-    """Gaussian kernel with variance 2*tau; integrates to 1 over s_prime."""
-    if tau <= 0.0:
-        raise ValueError(f"kernel time must be positive, got {tau}")
-    d = s - s_prime
-    return math.exp(-d * d / (4.0 * tau)) / (2.0 * math.sqrt(math.pi * tau))
-
-
 # --------------------------------------------------------------------------
 # the inner spatial integral J
 # --------------------------------------------------------------------------
@@ -513,12 +496,15 @@ def _gaussian_from_quadratic(a0: complex, a1: complex, a2: complex) -> complex:
 # exponential and cannot stay inside |cf| <= 1, so the J routes serve as
 # standalone diagnostics (see the figure commands) while the corrections
 # ride the flow.
-
-@functools.lru_cache(maxsize=None)
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w / math.sqrt(math.pi)
-
+#
+# Both modes' z0 = exp(a + g s^2 + b s v) is exponential-linear in v (b = 0
+# in affine-ode mode).  So Phi1 z0 at a sigma leg s_l is e^(c V) times a
+# polynomial of degree one in V, with c = b s_l, and the z1 field is a sum of
+# terms e^(kap v) (A + B v).  With V Gaussian of mean mu and variance Sigma,
+# E[e^(c V) p(V)] = e^(c mu + c^2 Sigma / 2) E[p(V + c Sigma)] takes every
+# expectation over V in closed form, and every v derivative is exact (the
+# moment form of Lewis 2000 and of Benhamou, Gobet & Miri 2010).  The sigma
+# derivatives are central differences with the relative step sigma_step.
 
 def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tanh-sinh rule on [0, 1] (Takahasi & Mori) at nodes k h, |k| <= n.
@@ -544,150 +530,65 @@ def _z1_rule(t_mat: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(k < 0, t_mat * x, t_mat - t_mat * xc), t_mat * w, k
 
 
-def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
-                sigma, v, chis: np.ndarray, x_h: np.ndarray, at_t=None,
-                at_chis=None):
-    """The exact zero-order flow from states (sigma, v) at t to each chi.
+# the sigma legs s + hs and s - hs of the central difference, as signs
+_LEGS = np.array([1.0, -1.0])
 
-    Returns the sigma ray, the Gaussian rule over the auxiliary state (its
-    mean carries the complex correlation shift) and the reaction term
-    integrated along the ray in closed form.  The states broadcast against
-    each other; the results gain a trailing time axis, the nodes one more.
-    at_t, if given, is tables(t), for callers that start many flows at t;
-    at_chis likewise is tables(chis), for callers that reuse one time rule.
-    """
+
+def _flow(model: AdolModel, u: complex, t, sigma, chis, at_t, at_chis):
+    """The exact zero-order flow from the state (sigma, v) at t to each time
+    chi: the sigma ray, V's decay, the shift of V's mean (the mean is
+    decay v + shift), V's variance and the log of the reaction term along
+    the ray.  at_t and at_chis are the flow tables (e_damp, f_quad) at t
+    and at chis; all arguments broadcast, and both tables vanish at t = 0."""
     kap = model.kappa
-    sigma = np.asarray(sigma, dtype=float)[..., None]
-    v = np.asarray(v, dtype=complex)[..., None]
     dt = chis - t
     ms = _m_cum(chis, model)
-    e_damp, f_quad = tables(chis) if at_chis is None else at_chis
-    # both tables vanish at t = 0, where their nodes would all sit
-    e_t, f_t = (tables(t) if at_t is None else at_t) if t > 0.0 else (0.0, 0.0)
-    decay, var = _v_law(model, t, chis, f_s=f_t, f_t=f_quad, m_t=ms)
-    shift = sigma * math.exp(kap * t) * (e_damp - e_t)
-    mean = decay * v + 1j * u * model.rho * np.exp(-ms) * shift
-    nodes = mean[..., None] + np.sqrt(2.0 * var)[..., None] * x_h
-    sig2 = sigma * sigma * _unit_response(kap, dt)
-    pref = np.exp(1j * u * (model.r - model.q) * dt - 0.5 * u * (u + 1j) * sig2)
-    return sigma * np.exp(-kap * dt), nodes, pref
+    decay, var = _v_law(model, t, chis, f_s=at_t[1], f_t=at_chis[1], m_t=ms)
+    shift = 1j * u * model.rho * np.exp(-ms) * sigma * np.exp(kap * t) * (at_chis[0] - at_t[0])
+    log_pref = 1j * u * (model.r - model.q) * dt \
+        - 0.5 * u * (u + 1j) * sigma * sigma * _unit_response(kap, dt)
+    return sigma * np.exp(-kap * dt), decay, shift, var, log_pref
 
 
-def _column(f: Callable, chis: np.ndarray) -> np.ndarray:
-    """f on the whole chis array as a complex column; a scalar serves every chi."""
-    val = np.asarray(f(chis), dtype=complex)
-    if val.shape != chis.shape:
-        val = np.full(chis.shape, val)
-    return val[:, None]
+def _z1_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+              t, sigma, chis, at_t, at_chis):
+    """Integrand terms of the z1 field started at (t, sigma): the source
+    Phi1 z0 at each time chi, carried back along the flow, is, as a
+    function of the state v at t, the sum over the sigma legs s +- hs of
+    e^(expo + kap v) (p + q v).  Returns kap, expo, p and q with a leading
+    leg axis; the rest is the broadcast shape of t, sigma and chis, and
+    at_t and at_chis are as for _flow.
 
-
-def _z0_slices(co: CfCoefficients, chis: np.ndarray):
-    """z0 at each time chi as a function of (sigma, v) arrays whose second
-    to last axis runs over chis.
-
-    Each coefficient is evaluated once, on the whole chis array.  Where
-    beta_bar is zero at every chi (always so in affine-ode mode), z0 does
-    not depend on v: the slice is then evaluated on sigma's shape alone and
-    left for the caller's arithmetic to broadcast across v.  Its values
-    equal the full evaluation's, whose cross term is an exact zero.  The
-    returned function's v_free attribute says which case holds.
+    On a leg s_l the tilt is c = b s_l, and V's mean under it is
+    decay v + shift + c var, so the exponent and p are polynomials in s_l.
     """
-    a, g, b = (_column(f, chis) for f in (co.alpha, co.gamma, co.beta_bar))
-    v_free = not b.any()
-
-    if v_free:
-        def z0(s, v):
-            return np.exp(a + g * s * s)
-    else:
-        def z0(s, v):
-            return np.exp(a + g * s * s + b * s * v)
-
-    z0.v_free = v_free
-    return z0
-
-
-def _nu_m(model: AdolModel, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """nu and m at positive times, as columns against the Hermite axis."""
+    u = co.u
+    s, decay, shift, var, log_pref = _flow(model, u, t, sigma, chis, at_t, at_chis)
+    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
+    a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
     nu = model.constants.b_h * chis ** (model.h - 0.5)
-    return nu[:, None], (model.m_rho * chis ** model.m_pi)[:, None]
+    m = model.m_rho * chis ** model.m_pi
+    legs = s + np.multiply.outer(_LEGS, hs)
+    expo = a + log_pref + legs * (b * shift + legs * (g + 0.5 * b * b * var))
+    p = legs * (b * s * (nu * nu - m * var)) + s * (1j * u * model.rho * nu * s - m * shift)
+    diff = np.multiply.outer(_LEGS, 0.5 / hs)
+    return legs * (b * decay), expo, diff * p, diff * (-m * s * decay)
 
 
-def _phi1_legs(s, v, hs, hv):
-    """The points of the Phi1 stencil, in the order _stencil_phi1 reads:
-    the two sigma legs, then, unless hv is None, the four mixed ones."""
-    sp, sm = s + hs, s - hs
-    if hv is None:
-        return (sp, v), (sm, v)
-    vp, vm = v + hv, v - hv
-    return (sp, v), (sm, v), (sp, vp), (sp, vm), (sm, vp), (sm, vm)
+def _z1_terms(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+              chis: np.ndarray, at_chis) -> np.ndarray:
+    """The z1 integrand at inception at each time chi, from the flow tables
+    at_chis there; the two legs are summed first, so a z0 that does not
+    depend on sigma (u = 0, or u = -i in affine-ode mode) gives exact zeros."""
+    kap, expo, p, q = _z1_field(model, co, cfg, 0.0, model.sigma0, chis, (0.0, 0.0), at_chis)
+    x = np.exp(expo + kap * model.v0) * (p + q * model.v0)
+    return x[0] + x[1]
 
 
-def _stencil_phi1(f, nu, m, u: complex, rho: float, s, v, hs, hv):
-    """xi-linear generator piece by central differences at the source point:
-    nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds, from the values f of
-    the operand at the _phi1_legs points.  Accepts arrays.
-
-    hv = None marks an operand that does not depend on v (a v-free z0
-    slice): its mixed difference f(s+,v+) - f(s+,v-) - f(s-,v+) + f(s-,v-)
-    subtracts equal values and is an exact zero, so that term is skipped
-    and f holds the two sigma legs only; the result equals the full
-    stencil's.
-    """
-    f_s = (f[0] - f[1]) / (2.0 * hs)
-    # (i u rho nu s - m v) s f_s built in place: a chain of full-size
-    # temporaries made the heap grow and shrink on every call
-    drift = m * v
-    np.subtract(1j * u * rho * nu * s, drift, out=drift)
-    drift *= s
-    drift *= f_s
-    if hv is None:
-        return drift
-    f_sv = (f[2] - f[3] - f[4] + f[5]) / (4.0 * hs * hv)
-    return nu * nu * s * f_sv + drift
-
-
-def _stencil_phi2(fn, nu, s, v, hs):
-    """xi^2 generator piece: (1/2) nu^2 s^2 d2/ds2, central differences."""
-    f_ss = (fn(s + hs, v) - 2.0 * fn(s, v) + fn(s - hs, v)) / (hs * hs)
-    return 0.5 * nu * nu * s * s * f_ss
-
-
-def _steps(cfg: "CorrectionConfig", s, nodes):
-    """Relative stencil steps in sigma and v; no v step for nodes = None."""
-    hv = None if nodes is None else cfg.v_step * np.maximum(1.0, np.abs(nodes))
-    return cfg.sigma_step * np.maximum(1.0, np.abs(s)), hv
-
-
-def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-                  tables: Callable, t: float, sigma, v,
-                  chis: np.ndarray, at_t=None, at_chis=None) -> np.ndarray:
-    """The first-order integrand: the source Phi1 z0 at each time chi in
-    (t, T], carried back along the flow to the states (sigma, v) at t.
-
-    Vectorised over (state, time node, Hermite node); the states broadcast
-    against each other, and the result has their shape plus a trailing
-    time axis.  at_t and at_chis are passed on to _flow_state.  On a
-    v-free z0 slice (affine-ode mode) the stencil's mixed difference is an
-    exact zero, so neither it nor the v steps over the Hermite nodes are
-    formed.
-    """
-    x_h, w_h = _hermite_rule(cfg.hermite_n)
-    s_tr, nodes, pref = _flow_state(model, co.u, tables, t, sigma, v, chis, x_h,
-                                    at_t, at_chis)
-    s_tr = s_tr[..., None]
-    z0 = _z0_slices(co, chis)
-    hs, hv = _steps(cfg, s_tr, None if z0.v_free else nodes)
-    nu, m = _nu_m(model, chis)
-    src = _stencil_phi1([z0(a, b) for a, b in _phi1_legs(s_tr, nodes, hs, hv)],
-                        nu, m, co.u, model.rho, s_tr, nodes, hs, hv)
-    return pref * (src @ w_h)
-
-
-def _z1_value(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-              tables: Callable) -> complex:
-    """z1 at inception from the Hermite-stencil kernel (_z1_rule_sum)."""
-    return _z1_rule_sum(model, cfg, tables, lambda nodes, at_nodes: _z1_integrand(
-        model, co, cfg, tables, 0.0, model.sigma0, model.v0, nodes, at_chis=at_nodes))
+def _z1(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
+    """z1 at inception, _z1_terms on _z1_rule_sum's rule."""
+    return _z1_rule_sum(model, cfg, _flow_tables(model),
+                        functools.partial(_z1_terms, model, co, cfg))
 
 
 def _z1_rule_sum(model: AdolModel, cfg: "CorrectionConfig", tables: Callable,
@@ -728,8 +629,8 @@ def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
 
     In z = chi^{2h} the endpoint factors nu^2 ~ chi^{2h-1} and
     nu ~ chi^{h-1/2} become regular at chi = 0 for every h < 1/2; h = 1/2
-    is the identity map.  The Hermite spread sqrt(var) ~ chi^h = z^{1/2}
-    stays singular, so the panels converge only algebraically: the
+    is the identity map.  V's spread sqrt(var) ~ chi^h = z^{1/2} stays
+    singular, so the panels converge only algebraically: the
     second-order term at u = 5 moves the CF by 0, 6.2e-9 and 9.8e-9 at 10,
     20 and 40 panels against 1.3e-8 converged.
 
@@ -747,142 +648,70 @@ def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
     return z ** beta, w * beta * z ** (beta - 1.0)
 
 
-def _z2_point(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-              tables: Callable) -> complex:
-    # fixed substituted panels on both time axes: the whole term enters at
-    # xi^2, and the cf pins admit only the panel value (see _power_nodes)
-    T = model.t_mat
-    x_h, w_h = _hermite_rule(cfg.hermite_n)
-    chis, wts = _power_nodes(0.0, T, model.h, cfg.z2_panels + 6, 10)
-    s_tr, nodes, pref = _flow_state(model, co.u, tables, 0.0, model.sigma0,
-                                    model.v0, chis, x_h)
-    s_tr = s_tr[:, None]
-    hs, hv = _steps(cfg, s_tr, nodes)
-    nu, m = _nu_m(model, chis)
-    # a v-free slice leaves Phi2 z0 without the node axis the z1 field needs
-    src = np.broadcast_to(_stencil_phi2(_z0_slices(co, chis), nu, s_tr, nodes, hs),
-                          nodes.shape).copy()
-    nh = len(x_h)
-    for j, chi in enumerate(chis):
-        sj, hsj, hvj, vj = s_tr[j, 0], hs[j, 0], hv[j], nodes[j]
-        # the z1 field at the six stencil legs, as a grid of the two sigma
-        # legs by the three v legs: the sigma-only work runs on 2 states
-        sg = np.array([[sj + hsj], [sj - hsj]])
-        vg = np.concatenate([vj + hvj, vj - hvj, vj])[None, :]
-        inner, iw = _power_nodes(chi, T, model.h, cfg.z2_panels, 8)
-        at_chi = tables(chi)
-        # one 8-node panel per call: larger blocks measured slower end to end
-        z1g = sum(_z1_integrand(model, co, cfg, tables, chi, sg, vg, inner[i:i + 8], at_chi)
-                  @ iw[i:i + 8] for i in range(0, len(inner), 8))
-        (sp_vp, sp_vm, sp_v), (sm_vp, sm_vm, sm_v) = z1g.reshape(2, 3, nh)
-        src[j] += _stencil_phi1([sp_v, sm_v, sp_vp, sp_vm, sm_vp, sm_vm], nu[j], m[j],
-                                co.u, model.rho, sj, vj, hsj, hvj)
-    return complex(wts @ (pref * (src @ w_h)))
-
-
-# --------------------------------------------------------------------------
-# affine corrections in moment form
-# --------------------------------------------------------------------------
-#
-# In affine-ode mode z0 does not depend on v, so the z1 field at (t, sigma, v)
-# is A(sigma) + B(sigma) v and Phi1 of it is quadratic in V: the flow's
-# expectation needs only V's mean and variance (Lewis 2000; Benhamou, Gobet &
-# Miri 2010).  The time rules and the sigma difference are the kernel's, so
-# the kernel above gives the same values to rounding and is their oracle.
-
-def _affine_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-                  t, sigma, chis, e_t, e_chis) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand terms of A and B of the affine z1 field A(sigma) + B(sigma) v
-    started at time t: pref s D[z0](s) times (i u rho nu s - m shift) and
-    times (-m decay), s the sigma ray at chi and D the central difference.
-    t, sigma and e_t = e_damp(t) broadcast against chis and e_chis =
-    e_damp(chis); the results have the broadcast shape."""
-    u, kap = co.u, model.kappa
-    dt = chis - t
-    ms = _m_cum(chis, model)
-    s = sigma * np.exp(-kap * dt)
-    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
-    a, g = co.alpha(chis), co.gamma(chis)
-    sp, sm = s + hs, s - hs
-    lead = (np.exp(a + g * sp * sp) - np.exp(a + g * sm * sm)) / (2.0 * hs)
-    lead *= s * np.exp(1j * u * (model.r - model.q) * dt
-                       - 0.5 * u * (u + 1j) * sigma * sigma * _unit_response(kap, dt))
-    nu = model.constants.b_h * chis ** (model.h - 0.5)
-    m = model.m_rho * chis ** model.m_pi
-    shift = 1j * u * model.rho * np.exp(-ms) * sigma * np.exp(kap * t) * (e_chis - e_t)
-    return lead * (1j * u * model.rho * nu * s - m * shift), \
-        lead * (-m * np.exp(_m_cum(t, model) - ms))
-
-
-def _z1_affine(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-               tables: Callable) -> complex:
-    """Affine z1 at inception, A + B v0 on _z1_rule_sum's rule."""
-    def terms(nodes: np.ndarray, at_nodes) -> np.ndarray:
-        fa, fb = _affine_field(model, co, cfg, 0.0, model.sigma0, nodes, 0.0, at_nodes[0])
-        return fa + fb * model.v0
-
-    return _z1_rule_sum(model, cfg, tables, terms)
-
-
 @functools.lru_cache(maxsize=16)
 def _z2_nodes(model: AdolModel, panels: int):
-    """The u-free set-up of affine z2 with z2_panels = panels: _z2_point's
-    outer nodes and weights with both flow tables there, and the inner
-    nodes and weights of every outer node, rows of one array, with e_damp
+    """The u-free set-up of z2 with z2_panels = panels: fixed substituted
+    panels on both time axes (the whole term enters at xi^2, and the cf pins
+    admit only the panel value; see _power_nodes).  Returns the outer nodes
+    and weights with both flow tables there, and the inner nodes and
+    weights of every outer node, rows of one array, with both flow tables
     there.  Order 2 alone builds it."""
     T = model.t_mat
     chis, wts = _power_nodes(0.0, T, model.h, panels + 6, 10)
     inner, iw = (np.array(a) for a in zip(*(_power_nodes(chi, T, model.h, panels, 8)
                                              for chi in chis)))
-    e_out, f_out = _tables_at(model, chis)
-    e_in = _tables_at(model, inner.ravel())[0].reshape(inner.shape)
-    return chis, wts, e_out, f_out, inner, iw, e_in
+    at_in = tuple(col.reshape(inner.shape) for col in _tables_at(model, inner.ravel()))
+    return chis, wts, _tables_at(model, chis), inner, iw, at_in
 
 
-# outer nodes per batch of affine z2's z1 field: all 160 at once raised a
-# process's peak RSS by 3.5 MB, 16 at a go by at most 0.2 MB, at equal speed
-_Z2_BLOCK = 16
+# outer nodes per batch of z2's z1 field, whose terms carry two leg axes: the
+# peak RSS of `adol cf --check` at order 2 (10 panels, 160 outer nodes) read
+# 32.5, 32.6 and 33.2 MB at 8, 10 and 16 (medians of 14 processes), at equal
+# wall time within the noise
+_Z2_BLOCK = 10
 
 
-def _z2_affine(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
-    """Affine z2 at inception: Phi2 z0 plus the expectation over V of
-    Phi1 z1 = nu^2 s b + (i u rho nu s - m V) s (a + b V), with a and b the
-    sigma differences of the z1 field's A and B over the legs s +- hs.  The
-    field comes in batches over (leg, outer node, inner node)."""
-    chis, wts, e_out, f_out, inner, iw, e_in = _z2_nodes(model, cfg.z2_panels)
-    u, kap, s0 = co.u, model.kappa, model.sigma0
-    ms = _m_cum(chis, model)
-    decay, var = _v_law(model, 0.0, chis, f_s=0.0, f_t=f_out, m_t=ms)
-    mean = decay * model.v0 + 1j * u * model.rho * np.exp(-ms) * s0 * e_out
-    s = s0 * np.exp(-kap * chis)
+def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
+    """z2 at inception: the expectation over V of Phi2 z0 + Phi1 z1 at each
+    outer node.  At each outer sigma leg the z1 field is a sum of terms
+    e^(kap v) (A + B v), and Phi1 = nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds
+    of a term is e^(kap V) times (A + B V)(w + beta V) + nu^2 s B, with
+    w = nu^2 s kap + i u rho nu s^2 and beta = -m s.  Under the tilt e^(kap V)
+    V has the mean mu' = mu + kap Sigma, so the expectation of the term is
+    e^(kap mu + kap^2 Sigma / 2) ((A + B mu')(w + beta mu') + B (nu^2 s + beta Sigma)).
+    The terms come in batches over (inner leg, outer leg, outer node, inner
+    node); the inner legs are summed first, as in _z1_terms."""
+    chis, wts, at_out, inner, iw, at_in = _z2_nodes(model, cfg.z2_panels)
+    u = co.u
+    s, decay, shift, var, log_pref = _flow(model, u, 0.0, model.sigma0, chis,
+                                           (0.0, 0.0), at_out)
+    mean = decay * model.v0 + shift
     hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
     nu = model.constants.b_h * chis ** (model.h - 0.5)
     m = model.m_rho * chis ** model.m_pi
-    a, g = co.alpha(chis), co.gamma(chis)
-    z0 = [np.exp(a + g * x * x) for x in (s + hs, s, s - hs)]
+    a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
+    legs = s + np.multiply.outer(np.array([1.0, 0.0, -1.0]), hs)
+    z0 = np.exp(a + legs * (b * mean + legs * (g + 0.5 * b * b * var)))
     src = 0.5 * nu * nu * s * s * (z0[0] - 2.0 * z0[1] + z0[2]) / (hs * hs)
-    legs = np.stack([s + hs, s - hs])[:, :, None]
-    blocks = (slice(i, i + _Z2_BLOCK) for i in range(0, len(chis), _Z2_BLOCK))
-    # A and B over (leg, outer node)
-    fields = np.concatenate([[np.einsum("lok,ok->lo", f, iw[k]) for f in _affine_field(
-        model, co, cfg, chis[k, None], legs[:, k], inner[k], e_out[k, None], e_in[k])]
-        for k in blocks], axis=-1)
-    da, db = (fields[:, 0] - fields[:, 1]) / (2.0 * hs)
-    drift = 1j * u * model.rho * nu * s
-    src += nu * nu * s * db + s * (drift * da + (drift * db - m * da) * mean
-                                   - m * db * (mean * mean + var))
-    pref = np.exp(1j * u * (model.r - model.q) * chis
-                  - 0.5 * u * (u + 1j) * s0 * s0 * _unit_response(kap, chis))
-    return complex(wts @ (pref * src))
+    n2s, drift, beta = nu * nu * s, 1j * u * model.rho * nu * s * s, -m * s
+    for k in (slice(i, i + _Z2_BLOCK) for i in range(0, len(chis), _Z2_BLOCK)):
+        kap, expo, fa, fb = _z1_field(model, co, cfg, chis[k, None], legs[::2, k, None],
+                                      inner[k], (at_out[0][k, None], at_out[1][k, None]),
+                                      (at_in[0][k], at_in[1][k]))
+        mu, sig, n2s_k, beta_k = mean[k, None], var[k, None], n2s[k, None], beta[k, None]
+        ks = kap * sig
+        tilted = mu + ks
+        val = np.exp(expo + kap * (mu + 0.5 * ks)) * (
+            (fa + fb * tilted) * (n2s_k * kap + drift[k, None] + beta_k * tilted)
+            + fb * (n2s_k + beta_k * sig))
+        val = np.einsum("lok,ok->lo", val[0] + val[1], iw[k])
+        src[k] += (val[0] - val[1]) / (2.0 * hs[k])
+    return complex(wts @ (np.exp(log_pref) * src))
 
 
 def _term(order: int, model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
-    """z1 or z2 at inception: the moment form in affine-ode mode, the
-    Hermite-stencil kernel in paper mode."""
-    tables = _flow_tables(model)
-    if cfg.mode == MODE_AFFINE:
-        return _z1_affine(model, co, cfg, tables) if order == 1 else _z2_affine(model, co, cfg)
-    return _z1_value(model, co, cfg, tables) if order == 1 else _z2_point(model, co, cfg, tables)
+    """z1 or z2 at inception."""
+    return _z1(model, co, cfg) if order == 1 else _z2(model, co, cfg)
 
 
 def correction(order: int, u: complex, model: AdolModel,

@@ -55,7 +55,6 @@ _SCHEMA = {
         "mode": ("enum", MODE_AFFINE, (MODE_AFFINE, MODE_PAPER)),
         "order": ("int", 1),
         "sigma_step": ("num", 1e-3),
-        "v_step": ("num", 1e-3),
         "u_max": ("num", 5.0),
         "n_u": ("int", 21),
     },
@@ -188,8 +187,8 @@ def _corr_cfg(cfg: dict, model: AdolModel | None = None) -> CorrectionConfig:
     others still run such a config."""
     c = cfg["cf"]
     try:
-        ccfg = CorrectionConfig(sigma_step=c["sigma_step"], v_step=c["v_step"],
-                                order=c["order"], mode=c["mode"])
+        ccfg = CorrectionConfig(sigma_step=c["sigma_step"], order=c["order"],
+                                mode=c["mode"])
     except ValueError as exc:
         raise ConfigError(f"cf: {exc}") from exc
     if model is not None and model.h >= 0.5:

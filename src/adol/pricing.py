@@ -23,13 +23,14 @@ lognormal moments; nothing is sampled.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .charfn import _hermite_rule, _log_l, _unit_response, _v_law, coeffs_affine_ode
+from .charfn import _log_l, _unit_response, _v_law, coeffs_affine_ode
 from .model import AdolModel
 from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
 
@@ -246,6 +247,13 @@ def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
 # which the lognormal moments of sigma_t1 are already exact to rounding
 _LEG_NODES = 40
 _LOG_MAX = math.log(np.finfo(float).max)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the standard normal law."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    return x, w / math.sqrt(math.pi)
 
 
 def _leg_overflow(t1: float, t2: float, model: AdolModel) -> FloatingPointError:

@@ -31,7 +31,6 @@ from adol.charfn import (
     coeffs_paper,
     correction,
     green_pieces,
-    heat_kernel,
     j_integral,
     pde_residual,
     zero_order_fn,
@@ -39,6 +38,8 @@ from adol.charfn import (
 from adol.do_process import nu_t
 from adol.model import AdolModel, m_t
 from adol.numerics import QuadratureError, QuadratureSpec, integrate_adaptive
+
+import hermite_stencil as hk
 
 
 # ----------------------------------------------------------- coefficients
@@ -153,11 +154,24 @@ def test_cf_total_normalization_all_orders(table1):
 
 
 def test_conjugate_symmetry_with_corrections(table1):
-    cfg = CorrectionConfig(mode=MODE_AFFINE, order=1)
-    for u in (0.7, 2.0):
-        zp = cf_total(u, table1, cfg)
-        zm = cf_total(-u, table1, cfg)
-        assert abs(zm - zp.conjugate()) <= 1e-13
+    # cf(-conj u) = conj cf(u), bitwise: every step of the moment form
+    # commutes with conjugation, on the real axis and on the damped contour
+    for order in (1, 2):
+        cfg = CorrectionConfig(mode=MODE_AFFINE, order=order)
+        for u in (0.7, 2.0, 0.7 - 2.5j, 20.0 - 2.5j):
+            zp = cf_total(u, table1, cfg)
+            assert cf_total(-u.conjugate(), table1, cfg) == zp.conjugate(), (order, u)
+
+
+def test_affine_cf_at_minus_i_is_the_forward_exactly(table1):
+    # at u = -i the affine z0 does not depend on sigma (its quadratic
+    # coefficient carries u (u + i)), so every sigma difference of z1 and z2
+    # is an exact zero, and E[S_T / S_0] = e^((r - q) T) comes out exactly
+    for m in (table1, replace(table1, q=0.03, kappa=0.0)):
+        forward = math.exp((m.r - m.q) * m.t_mat)
+        for order in (0, 1, 2):
+            cfg = CorrectionConfig(mode=MODE_AFFINE, order=order)
+            assert cf_total(-1j, m, cfg) == forward, order
 
 
 # -------------------------------------------------------- green machinery
@@ -226,6 +240,14 @@ def test_tau_closed_form_gap_is_recorded(table1):
     assert g.tau_closed_gap == pytest.approx(0.166422487382887, rel=1e-9)
     # at m_rho = 0 the closed form is a plain power law and must agree
     assert green_pieces(replace(table1, m_rho=0.0)).tau_closed_gap <= 1e-13
+
+
+def heat_kernel(s: float, s_prime: float, tau: float) -> float:
+    """Gaussian kernel with variance 2*tau; integrates to 1 over s_prime."""
+    if tau <= 0.0:
+        raise ValueError(f"kernel time must be positive, got {tau}")
+    d = s - s_prime
+    return math.exp(-d * d / (4.0 * tau)) / (2.0 * math.sqrt(math.pi * tau))
 
 
 def test_heat_kernel_moments():
@@ -346,20 +368,17 @@ def test_first_order_matches_closed_oracle(table1, u):
 def test_flow_reproduces_zero_order(table1):
     # propagating the terminal slice back through the flow must return the
     # inception value: this pins every normalization in the propagator, at
-    # kappa = 0 too, where the sigma ray stands still
+    # kappa = 0 too, where the sigma ray stands still.  The affine slice
+    # does not depend on v, so V's moments drop out of it
     u = 1.0 + 0.0j
-    x_h, w_h = cfm._hermite_rule(24)
     chis = np.array([0.15, 0.35, 0.5])
     for kap in (2.0, 0.0):
         m = replace(table1, kappa=kap)
         co = cfm._coeffs_for(u, m, MODE_AFFINE)
-        tables = cfm._flow_tables(m)
-        z00 = cfm._z0_slices(co, np.array([0.0]))(m.sigma0, m.v0)[0]
-        s_tr, nodes, pref = cfm._flow_state(m, u, tables, 0.0, m.sigma0, m.v0,
-                                            chis, x_h)
-        # the affine slice ignores v, so it comes back without the node axis
-        z0 = cfm._z0_slices(co, chis)(s_tr[:, None], nodes)
-        towed = pref * (np.broadcast_to(z0, nodes.shape) @ w_h)
+        z00 = cf_zero(u, m, MODE_AFFINE)
+        s, _, _, _, log_pref = cfm._flow(m, u, 0.0, m.sigma0, chis, (0.0, 0.0),
+                                         cfm._flow_tables(m)(chis))
+        towed = np.exp(log_pref + co.alpha(chis) + co.gamma(chis) * s * s)
         for chi, val in zip(chis, towed):
             assert abs(val - z00) <= 1e-12, (kap, chi)
 
@@ -387,8 +406,7 @@ def test_stencil_richardson_ratio(table1):
     base = 3e-2
     vals = []
     for k in range(3):
-        cfg = CorrectionConfig(mode=MODE_AFFINE, sigma_step=base / 2 ** k,
-                               v_step=base / 2 ** k)
+        cfg = CorrectionConfig(mode=MODE_AFFINE, sigma_step=base / 2 ** k)
         vals.append(correction(1, 1.0, table1, cfg))
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     assert 3.0 <= ratio <= 5.0, ratio
@@ -397,7 +415,7 @@ def test_stencil_richardson_ratio(table1):
 def test_first_order_kernel_refuses_missed_tolerance(table1):
     # steps at the rounding floor make the source noise, which no halving of
     # the time step can integrate to 1e-7: the kernel must say so
-    noisy = CorrectionConfig(mode=MODE_PAPER, sigma_step=1e-13, v_step=1e-13)
+    noisy = CorrectionConfig(mode=MODE_PAPER, sigma_step=1e-13)
     with pytest.raises(QuadratureError):
         correction(1, 1.0, table1, noisy)
     strict = CorrectionConfig(mode=MODE_PAPER, quad=QuadratureSpec(
@@ -438,14 +456,14 @@ def adaptive_flow(table1):
 
 
 def _reference_z1(m: AdolModel, u: complex, mode: str, flow) -> complex:
-    """z1 from the kernel's integrand with both of its numerical pieces
+    """z1 from the moment form's integrand with both of its numerical pieces
     swapped out: adaptive quadrature in time over adaptive flow transforms."""
     cfg = CorrectionConfig(mode=mode)
     co = cfm._coeffs_for(complex(u), m, mode)
 
     def integrand(chi: float) -> complex:
-        return complex(cfm._z1_integrand(m, co, cfg, flow, 0.0, m.sigma0, m.v0,
-                                         np.array([chi]))[0])
+        chis = np.array([chi])
+        return complex(cfm._z1_terms(m, co, cfg, chis, flow(chis))[0])
 
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=4000)
     return integrate_adaptive(integrand, 0.0, m.t_mat, spec)
@@ -480,36 +498,41 @@ def test_corrections_vanish_at_zero_frequency(table1):
 
 def test_v_free_slices_equal_the_full_evaluation(table1):
     # a cross coefficient of 1e-300 rounds away in every exponent, yet sends
-    # z0 through the full (state, time, Hermite) evaluation; the affine
-    # slice that skips v must give the same numbers, not just close ones
+    # z0 through the kernel's full (state, time, Hermite) evaluation; the
+    # kernel's affine slice that skips v must give the same numbers, not
+    # just close ones.  The moment form has one path for every tilt, and a
+    # tilt that rounds away leaves its numbers as they are too
+    kcfg = hk.KernelConfig(mode=MODE_AFFINE, z2_panels=3)
     cfg = CorrectionConfig(mode=MODE_AFFINE, z2_panels=3)
     co = cfm._coeffs_for(1.0 + 0.0j, table1, MODE_AFFINE)
     full = replace(co, beta_bar=lambda t: 1e-300 + 0.0j)
     tables = cfm._flow_tables(table1)
-    x_h, _ = cfm._hermite_rule(cfg.hermite_n)
+    x_h, _ = hk._hermite_rule(kcfg.hermite_n)
     chis, _ = cfm._power_nodes(0.0, table1.t_mat, table1.h, 16, 10)
-    s_tr, nodes, _ = cfm._flow_state(table1, co.u, tables, 0.0, table1.sigma0,
-                                     table1.v0, chis, x_h)
-    assert cfm._z0_slices(co, chis)(s_tr[:, None], nodes).shape == (len(chis), 1)
-    assert cfm._z0_slices(full, chis)(s_tr[:, None], nodes).shape == nodes.shape
+    s_tr, nodes, _ = hk._flow_state(table1, co.u, tables, 0.0, table1.sigma0,
+                                    table1.v0, chis, x_h)
+    assert hk._z0_slices(co, chis)(s_tr[:, None], nodes).shape == (len(chis), 1)
+    assert hk._z0_slices(full, chis)(s_tr[:, None], nodes).shape == nodes.shape
 
     def integrand(c):
-        return cfm._z1_integrand(table1, c, cfg, tables, 0.0, table1.sigma0,
-                                 table1.v0, chis)
+        return hk._z1_integrand(table1, c, kcfg, tables, 0.0, table1.sigma0,
+                                table1.v0, chis)
 
     assert np.array_equal(integrand(co), integrand(full))
-    assert cfm._z1_value(table1, co, cfg, tables) == cfm._z1_value(table1, full, cfg, tables)
-    assert cfm._z2_point(table1, co, cfg, tables) == cfm._z2_point(table1, full, cfg, tables)
+    assert hk._z1_value(table1, co, kcfg, tables) == hk._z1_value(table1, full, kcfg, tables)
+    assert hk._z2_point(table1, co, kcfg, tables) == hk._z2_point(table1, full, kcfg, tables)
+    assert cfm._z1(table1, co, cfg) == cfm._z1(table1, full, cfg)
+    assert cfm._z2(table1, co, cfg) == cfm._z2(table1, full, cfg)
 
 
-def _z1_value_untabulated(m, co, cfg, tables):
-    """_z1_value with the flow tables evaluated at the rule's nodes on every
-    call, in place of the per-model tabulation."""
+def _z1_untabulated(m, co, cfg, tables):
+    """_z1 with the flow tables evaluated at the rule's nodes on every call,
+    in place of the per-model tabulation."""
     chis, w, k = cfm._z1_rule(m.t_mat)
     even = k % 2 == 0
 
     def terms(nodes):
-        return cfm._z1_integrand(m, co, cfg, tables, 0.0, m.sigma0, m.v0, nodes)
+        return cfm._z1_terms(m, co, cfg, nodes, tables(nodes))
 
     f_even = terms(chis[even])
     fine = 2.0 * complex(f_even @ w[even])
@@ -529,8 +552,8 @@ def test_z1_reads_the_tabulated_rule_bitwise(table1, mode):
             abs_tol=1e-10, rel_tol=rel_tol, max_subdivisions=800))
         for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
             co = cfm._coeffs_for(complex(u), table1, mode)
-            assert cfm._z1_value(table1, co, cfg, tables) == \
-                _z1_value_untabulated(table1, co, cfg, tables), (rel_tol, u)
+            assert cfm._z1(table1, co, cfg) == \
+                _z1_untabulated(table1, co, cfg, tables), (rel_tol, u)
 
 
 def _looped_exponent(co, chis, s, v):
@@ -558,12 +581,12 @@ def test_z0_slices_equal_the_per_node_loop(table1, kappa):
     for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
         co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
         want = np.exp(_looped_exponent(co, chis, s, v))
-        got = np.broadcast_to(cfm._z0_slices(co, chis)(s, v), want.shape)
+        got = np.broadcast_to(hk._z0_slices(co, chis)(s, v), want.shape)
         assert np.array_equal(got, want), u
         co = coeffs_paper(u, m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = cfm._z0_slices(co, chis)(s, v)
+            got = hk._z0_slices(co, chis)(s, v)
         expo = _looped_exponent(co, chis, s, v)
         scale = np.abs(np.exp(expo)) * np.maximum(1.0, np.abs(expo))
         assert np.all(np.abs(got - np.exp(expo)) <= 1e-15 * scale), u
@@ -574,13 +597,13 @@ def test_z0_slices_equal_the_per_node_loop(table1, kappa):
 def _six_leg_integrand(m, co, cfg, tables, t, sigma, v, chis):
     """_z1_integrand with the full six-leg Phi1 stencil written out: the mixed
     difference is formed even where the z0 slice ignores v."""
-    x_h, w_h = cfm._hermite_rule(cfg.hermite_n)
-    s_tr, nodes, pref = cfm._flow_state(m, co.u, tables, t, sigma, v, chis, x_h)
+    x_h, w_h = hk._hermite_rule(cfg.hermite_n)
+    s_tr, nodes, pref = hk._flow_state(m, co.u, tables, t, sigma, v, chis, x_h)
     s = s_tr[..., None]
     hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
     hv = cfg.v_step * np.maximum(1.0, np.abs(nodes))
-    nu, mr = cfm._nu_m(m, chis)
-    z0 = cfm._z0_slices(co, chis)
+    nu, mr = hk._nu_m(m, chis)
+    z0 = hk._z0_slices(co, chis)
     f_sv = (z0(s + hs, nodes + hv) - z0(s + hs, nodes - hv)
             - z0(s - hs, nodes + hv) + z0(s - hs, nodes - hv)) / (4.0 * hs * hv)
     f_s = (z0(s + hs, nodes) - z0(s - hs, nodes)) / (2.0 * hs)
@@ -592,14 +615,14 @@ def _fused_leg_z2(m, co, cfg, tables):
     """z2 with the inner z1 field on one fused batch of 6 x hermite_n states,
     one per (stencil leg, Hermite node), in blocks of 8 inner nodes."""
     T = m.t_mat
-    x_h, w_h = cfm._hermite_rule(cfg.hermite_n)
+    x_h, w_h = hk._hermite_rule(cfg.hermite_n)
     chis, wts = cfm._power_nodes(0.0, T, m.h, cfg.z2_panels + 6, 10)
-    s_tr, nodes, pref = cfm._flow_state(m, co.u, tables, 0.0, m.sigma0, m.v0, chis, x_h)
+    s_tr, nodes, pref = hk._flow_state(m, co.u, tables, 0.0, m.sigma0, m.v0, chis, x_h)
     s_tr = s_tr[:, None]
     hs = cfg.sigma_step * np.maximum(1.0, np.abs(s_tr))
     hv = cfg.v_step * np.maximum(1.0, np.abs(nodes))
-    nu, mr = cfm._nu_m(m, chis)
-    src = np.broadcast_to(cfm._stencil_phi2(cfm._z0_slices(co, chis), nu, s_tr, nodes, hs),
+    nu, mr = hk._nu_m(m, chis)
+    src = np.broadcast_to(hk._stencil_phi2(hk._z0_slices(co, chis), nu, s_tr, nodes, hs),
                           nodes.shape).copy()
     nh = len(x_h)
     for j, chi in enumerate(chis):
@@ -622,11 +645,11 @@ def _fused_leg_z2(m, co, cfg, tables):
 @pytest.mark.parametrize("panels", [2, 3])
 @pytest.mark.parametrize("hermite_n", [7, 12])
 def test_z2_two_sigma_grid_is_bitwise_the_fused_batch(table1, mode, panels, hermite_n):
-    cfg = CorrectionConfig(mode=mode, z2_panels=panels, hermite_n=hermite_n)
+    cfg = hk.KernelConfig(mode=mode, z2_panels=panels, hermite_n=hermite_n)
     tables = cfm._flow_tables(table1)
     for u in (1.0, 2.5 - 1.5j):
         co = cfm._coeffs_for(complex(u), table1, mode)
-        assert cfm._z2_point(table1, co, cfg, tables) == \
+        assert hk._z2_point(table1, co, cfg, tables) == \
             _fused_leg_z2(table1, co, cfg, tables), u
 
 
@@ -635,7 +658,7 @@ def test_z1_integrand_is_bitwise_the_six_leg_stencil(table1, mode):
     # affine slices are v-free, so the kernel skips the mixed difference
     # there; the paper slices take the full stencil.  Both at inception and
     # from a (sigma, v) grid at a later t, as z2 calls it
-    cfg = CorrectionConfig(mode=mode)
+    cfg = hk.KernelConfig(mode=mode)
     tables = cfm._flow_tables(table1)
     chis, _ = cfm._power_nodes(0.0, table1.t_mat, table1.h, 2, 8)
     t = 0.2
@@ -644,13 +667,13 @@ def test_z1_integrand_is_bitwise_the_six_leg_stencil(table1, mode):
     vg = np.array([[4.0 + 0.1j, 5.0, 6.0 - 0.2j]])
     for u in (1.0, 2.5 - 1.5j):
         co = cfm._coeffs_for(complex(u), table1, mode)
-        assert cfm._z0_slices(co, chis).v_free == (mode == MODE_AFFINE)
-        got = cfm._z1_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
+        assert hk._z0_slices(co, chis).v_free == (mode == MODE_AFFINE)
+        got = hk._z1_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
                                 table1.v0, chis)
         want = _six_leg_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
                                   table1.v0, chis)
         assert np.array_equal(got, want), u
-        got = cfm._z1_integrand(table1, co, cfg, tables, t, sg, vg, inner, tables(t))
+        got = hk._z1_integrand(table1, co, cfg, tables, t, sg, vg, inner, tables(t))
         want = _six_leg_integrand(table1, co, cfg, tables, t, sg, vg, inner)
         assert got.shape == (2, 3, len(inner))
         assert np.array_equal(got, want), u
@@ -670,16 +693,17 @@ def test_affine_moment_form_matches_the_hermite_stencil_kernel(table1, name):
     # the kernel integrates the same flow over a Hermite rule and a v
     # stencil; the affine z1 field is linear in v and Phi1 of it quadratic
     # in V, so both are exact there and only rounding parts the two.  The
-    # worst gaps seen were 4e-16 (z1) and 1.6e-12 (z2)
+    # worst gaps seen were 2.6e-13 (z1) and 1.3e-12 (z2)
     m = _moment_form_models(table1)[name]
     tables = cfm._flow_tables(m)
     cfg = CorrectionConfig(mode=MODE_AFFINE, z2_panels=3)
+    kcfg = hk.KernelConfig(mode=MODE_AFFINE, z2_panels=3)
     for u in _MOMENT_FORM_US:
         co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
-        want = cfm._z1_value(m, co, cfg, tables)
-        assert abs(cfm._z1_affine(m, co, cfg, tables) - want) <= 1e-11 * abs(want), u
-        want = cfm._z2_point(m, co, cfg, tables)
-        assert abs(cfm._z2_affine(m, co, cfg) - want) <= 1e-11 * abs(want), u
+        want = hk._z1_value(m, co, kcfg, tables)
+        assert abs(cfm._z1(m, co, cfg) - want) <= 1e-11 * abs(want), u
+        want = hk._z2_point(m, co, kcfg, tables)
+        assert abs(cfm._z2(m, co, cfg) - want) <= 1e-11 * abs(want), u
 
 
 def test_affine_moment_form_honours_the_z2_panels(table1):
@@ -689,10 +713,67 @@ def test_affine_moment_form_honours_the_z2_panels(table1):
     cfg3, cfg16 = (CorrectionConfig(mode=MODE_AFFINE, z2_panels=n) for n in (3, 16))
     for u in (5.0, 2.5 - 1.5j):
         co = cfm._coeffs_for(complex(u), table1, MODE_AFFINE)
-        want = cfm._z2_point(table1, co, cfg16, tables)
-        got = cfm._z2_affine(table1, co, cfg16)
+        want = hk._z2_point(table1, co, hk.KernelConfig(mode=MODE_AFFINE, z2_panels=16), tables)
+        got = cfm._z2(table1, co, cfg16)
         assert abs(got - want) <= 1e-11 * abs(want), u
-        assert abs(got - cfm._z2_affine(table1, co, cfg3)) > 1e-6 * abs(want), u
+        assert abs(got - cfm._z2(table1, co, cfg3)) > 1e-6 * abs(want), u
+
+
+def _kernel_limit(term, m, co, steps, **knobs):
+    """The kernel's paper-mode value Richardson-extrapolated over the v
+    steps (h, h / 2): its v difference has an O(h^2) bias."""
+    f1, f2 = (term(m, co, hk.KernelConfig(mode=MODE_PAPER, v_step=h, **knobs),
+                   cfm._flow_tables(m)) for h in steps)
+    return (4.0 * f2 - f1) / 3.0
+
+
+def test_paper_z1_is_the_kernel_limit(table1):
+    # z0 = exp(a + g s^2 + b s v) tilts V by e^(b s V), which the moment
+    # form takes in closed form; the kernel reaches it as its Hermite rule
+    # grows and its v step shrinks.  The worst gap seen was 6.4e-11, while
+    # the kernel's default sizes (12 nodes, step 1e-3) sit 5e-8 to 1.9e-6
+    # away.  At T = 2 the z1 time rule refuses u = 5 and 20 - 2.5i in both
+    ref = _moment_form_models(table1)["ref"]
+    models = (ref, replace(ref, kappa=0.0), replace(ref, r=0.03, q=0.01, v0=-2.0),
+              replace(ref, t_mat=2.0))
+    cfg = CorrectionConfig(mode=MODE_PAPER)
+    for m in models:
+        for u in _MOMENT_FORM_US:
+            if m.t_mat == 2.0 and u in (5.0, 20.0 - 2.5j):
+                continue
+            co = cfm._coeffs_for(complex(u), m, MODE_PAPER)
+            want = _kernel_limit(hk._z1_value, m, co, (1e-3, 5e-4), hermite_n=40)
+            assert abs(cfm._z1(m, co, cfg) - want) <= 1e-9 * abs(want), (m, u)
+
+
+def test_paper_z2_is_the_kernel_limit(table1):
+    # the kernel's nested v stencils leave its Richardson limit with a
+    # rounding floor near 1e-7: its two steps part by 4e-7 and 1.1e-6 here.
+    # The gaps seen were 1.9e-8 and 5.5e-9 at 12 Hermite nodes, 4.4e-9 and
+    # 6.0e-9 at 16
+    m = _moment_form_models(table1)["ref"]
+    cfg = CorrectionConfig(mode=MODE_PAPER, z2_panels=2)
+    for u in (1.0, 2.5 - 1.5j):
+        co = cfm._coeffs_for(complex(u), m, MODE_PAPER)
+        want = _kernel_limit(hk._z2_point, m, co, (4e-3, 2e-3), z2_panels=2)
+        assert abs(cfm._z2(m, co, cfg) - want) <= 2e-7 * abs(want), u
+
+
+def test_paper_z1_refusal_is_the_time_rule(table1):
+    # a known deviation: the tanh-sinh time rule of z1 refuses paper mode at
+    # h = 0.1, u = 1, and at T = 2, u = 5 and u = 20 - 2.5i.  The
+    # Hermite-stencil kernel refused the same points, at h = 0.1 with the
+    # same estimate and error bound, so the refusals are the time rule's,
+    # not the stencil's
+    ref = _moment_form_models(table1)["ref"]
+    cfg = CorrectionConfig(mode=MODE_PAPER)
+    with pytest.raises(QuadratureError, match="tanh-sinh rule for z1") as err:
+        correction(1, 1.0, replace(ref, h=0.1), cfg)
+    assert err.value.estimate == pytest.approx(-0.4817077 - 29.927653j, rel=1e-6)
+    assert err.value.error_bound == pytest.approx(6.792e-3, rel=1e-3)
+    for u in (5.0, 20.0 - 2.5j):
+        with pytest.raises(QuadratureError, match="tanh-sinh rule for z1"):
+            correction(1, u, replace(ref, t_mat=2.0), cfg)
 
 
 def test_first_order_golden(table1):
@@ -743,19 +824,22 @@ def test_second_order_golden_and_grid_insensitive(table1):
     z2 = correction(2, 1.0, table1, cfg)
     assert z2.real == pytest.approx(-0.034997055694803415, rel=1e-7)
     assert z2.imag == pytest.approx(-0.03737909392995669, rel=1e-7)
-    # richer grids on every axis: hermite order, inner panels, outer panels
-    rich = CorrectionConfig(mode=MODE_AFFINE, hermite_n=16, z2_panels=16)
+    # richer grids on both time axes: inner panels, outer panels
+    rich = CorrectionConfig(mode=MODE_AFFINE, z2_panels=16)
     z2r = correction(2, 1.0, table1, rich)
     assert abs(z2r - z2) / abs(z2) <= 1e-6
 
 
 def test_paper_mode_correction_goldens(table1):
+    # the moment form's values; the Hermite-stencil kernel's Richardson
+    # limit sits 1.2e-11 (z1: 40 nodes, v steps 1e-3 and 5e-4) and 6.7e-10
+    # (z2: 24 nodes, v steps 4e-3 and 2e-3) from them
     cfg = CorrectionConfig(mode=MODE_PAPER)
     z1 = correction(1, 1.0, table1, cfg)
-    assert z1 == pytest.approx(-0.04434939512705193 - 0.10060767192180553j,
+    assert z1 == pytest.approx(-0.0443493957779144 - 0.10060767429857377j,
                                rel=1e-8)
     z2 = correction(2, 1.0, table1, cfg)
-    assert z2 == pytest.approx(-0.1997282046434488 + 0.1614776082040144j,
+    assert z2 == pytest.approx(-0.19972822286488964 + 0.16147760553587276j,
                                rel=1e-8)
 
 
@@ -784,7 +868,12 @@ def test_correction_guards(table1):
     with pytest.raises(ValueError):
         CorrectionConfig(sigma_step=0.0)
     with pytest.raises(ValueError):
-        CorrectionConfig(hermite_n=1)
+        CorrectionConfig(z2_panels=1)
+    # both modes take V's law and the v derivatives exactly: no Hermite
+    # size and no v step are left to set
+    for field in ("hermite_n", "v_step"):
+        with pytest.raises(TypeError):
+            CorrectionConfig(**{field: 12})
     with pytest.raises(ValueError):
         CorrectionConfig(mode="no-such-mode")
 
@@ -792,9 +881,8 @@ def test_correction_guards(table1):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_stencil_steps_must_be_finite(bad):
     # a NaN step used to surface only as a QuadratureError with a nan estimate
-    for field in ("sigma_step", "v_step"):
-        with pytest.raises(ValueError, match="stencil steps"):
-            CorrectionConfig(**{field: bad})
+    with pytest.raises(ValueError, match="stencil steps"):
+        CorrectionConfig(sigma_step=bad)
 
 
 # ----------------------------------------------------------- PDE residual

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
         load_config(_write(tmp_path, {"pricing": {"varswap": {"steps": 3}}}))
     # no field reads these, so naming one is an error, not a silent no-op
     for block, key in (("model", "theta"), ("model", "lambda"), ("model", "mu"),
-                       ("cf", "j_method"), ("pricing", "n_points")):
+                       ("cf", "j_method"), ("cf", "v_step"), ("pricing", "n_points")):
         with pytest.raises(ConfigError, match=f"unknown key '{block}.{key}'"):
             load_config(_write(tmp_path, {block: {key: 0}}))
     theta = _write(tmp_path, {"model": {"theta": 0.0}}, "theta.json")
@@ -314,6 +315,22 @@ def test_cf_artifact_normalized_at_zero(tmp_path):
     assert float(first[1]) == 1.0
     assert float(first[2]) == 0.0
     assert len(rows) == 6
+
+
+def test_paper_cf_at_order_two_checks_in_under_a_second(tmp_path):
+    # the paper mode's z2 takes V's law in closed form, as the affine one
+    # does: about 10 ms per u, where the Hermite-stencil kernel took 3.4 s
+    model = {"s0": 1.0, "sigma0": 0.3, "v0": 5.0, "kappa": 2.0, "xi": 0.05,
+             "rho": -0.5, "h": 0.3, "m_rho": 1.0, "m_pi": 0.5, "t_mat": 0.5}
+    cfgp = _write(tmp_path, {"model": model, "cf": {"mode": "paper-closed-form",
+                                                    "order": 2, "n_u": 6}})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["cf", "--config", cfgp, "--out", str(out), "--check"]) == 0
+    assert time.perf_counter() - start < 1.0
+    _, rows = _read_csv(out / "cf.csv")
+    assert len(rows) == 7
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row)
 
 
 def test_mc_artifact_and_martingale_line(tmp_path):
