@@ -11,7 +11,6 @@ Monte Carlo, PDE residuals).
 from .numerics import (
     QuadratureSpec,
     QuadratureError,
-    gamma_fn,
     beta_sym,
     exp_integral_e,
     integrate_adaptive,
@@ -52,7 +51,7 @@ from .pricing import (
     forward_cf,
     varswap_strike,
 )
-from .montecarlo import McSpec, PathStats, simulate_q, mc_price, mc_prices, mc_quadratic_variation
+from .montecarlo import McSpec, PathStats, simulate_q, mc_prices, mc_quadratic_variation
 
 __version__ = "0.1.0"
 

@@ -300,10 +300,13 @@ def _tables_at(model: AdolModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _f_quad(model: AdolModel, t):
-    """f_quad at t: 0 at the origin, where all nodes would sit; arrays 128 times at a go."""
+    """f_quad at t: 0 at the origin, where all nodes would sit; 1-d arrays 128 times at a go."""
     if np.ndim(t) == 0:
         return float(_flow_tables(model)(t)[1]) if t > 0.0 else 0.0
-    return _tables_at(model, t)[1]
+    pos = t > 0.0
+    out = np.zeros(t.shape)
+    out[pos] = _tables_at(model, t[pos])[1]
+    return out
 
 
 def _v_law(model: AdolModel, s, t, f_s=None, f_t=None, m_t=None):

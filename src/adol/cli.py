@@ -46,7 +46,6 @@ _MODEL_KEYS = {
     "r": ("num", 0.0), "q": ("num", 0.0), "kappa": ("num", 2.0),
     "xi": ("num", 0.0), "rho": ("num", -0.5), "h": ("num", 0.3),
     "m_rho": ("num", 1.0), "m_pi": ("num", 0.5), "t_mat": ("num", 0.5),
-    "eps": ("num", 1e-4),
 }
 
 _SCHEMA = {
@@ -71,7 +70,6 @@ _SCHEMA = {
         "n_paths": ("int", 20000),
         "n_steps": ("int", 200),
         "seed": ("int", 20177),
-        "t_start": ("numornull", None),
         "antithetic": ("bool", False),
     },
     "output": {
@@ -131,12 +129,6 @@ def _validate_block(schema: dict, data: dict, path: str) -> dict:
                            for x in val)):
                 raise ConfigError(f"'{here}' must be a nonempty list of numbers")
             val = [_finite(x, here) for x in val]
-        elif kind == "numornull":
-            if val is not None and (isinstance(val, bool)
-                                    or not isinstance(val, (int, float))):
-                raise ConfigError(f"'{here}' must be a number or null")
-            if val is not None:
-                val = _finite(val, here)
         out[key] = val
     return out
 
@@ -158,14 +150,9 @@ def load_config(source) -> dict:
     resolved = _validate_block(_SCHEMA, raw, "")
     # value-level checks up front so every command rejects a bad config the
     # same way; the variance-swap schedule binds only the commands that read it
-    model = _model_from(resolved)
+    _model_from(resolved)
     _corr_cfg(resolved)
-    mspec = _mc_spec(resolved)
-    try:
-        _grid(model, mspec)
-    except ValueError as exc:
-        key = "model.eps" if mspec.t_start is None else "mc.t_start"
-        raise ConfigError(f"{key}: {exc}") from exc
+    _mc_spec(resolved)
     return resolved
 
 
@@ -175,7 +162,7 @@ def _model_from(cfg: dict) -> AdolModel:
         return AdolModel(
             s0=m["s0"], sigma0=m["sigma0"], v0=m["v0"], r=m["r"], q=m["q"],
             kappa=m["kappa"], xi=m["xi"], rho=m["rho"], h=m["h"],
-            m_rho=m["m_rho"], m_pi=m["m_pi"], t_mat=m["t_mat"], eps=m["eps"])
+            m_rho=m["m_rho"], m_pi=m["m_pi"], t_mat=m["t_mat"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -204,7 +191,7 @@ def _mc_spec(cfg: dict) -> McSpec:
     m = cfg["mc"]
     try:
         spec = McSpec(n_paths=m["n_paths"], n_steps=m["n_steps"], seed=m["seed"],
-                      t_start=m["t_start"], antithetic=m["antithetic"])
+                      antithetic=m["antithetic"])
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
     # one independent unit has a standard error of 0, which every --check
@@ -473,10 +460,7 @@ def cmd_mc(cfg: dict, out_dir: Path, check: bool, *,
     for strike, st in zip(strikes, calls):
         rows.append([f"call@{_fmt(strike)}", st.estimate, st.std_error,
                      st.n_effective])
-    # the march's clock starts at t0, so the discounted forward it prices is
-    # s0 e^(-q T - (r - q) t0)
-    t0 = float(_grid(model, mspec)[0])
-    forward = model.s0 * math.exp(-model.q * model.t_mat - (model.r - model.q) * t0)
+    forward = model.s0 * math.exp(-model.q * model.t_mat)
     drift_off = fwd.estimate / forward - 1.0
     off_se = fwd.std_error / forward
     rows.append(["discounted-forward", fwd.estimate, fwd.std_error,

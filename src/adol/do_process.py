@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import beta_sym, gamma_fn
+from .numerics import beta_sym
 
 __all__ = [
     "DoConstants",
@@ -70,13 +70,13 @@ def do_constants(h: float) -> DoConstants:
     if not 0.0 < h < 1.0:
         raise ValueError(f"hurst index must lie in (0,1), got {h}")
     sin_pi_h = math.sin(math.pi * h)
-    alpha = math.sqrt(gamma_fn(2.0 * h + 1.0) * gamma_fn(3.0 - 2.0 * h)) * sin_pi_h ** 2
-    c = alpha / (2.0 * h * gamma_fn(1.5 - h) * gamma_fn(h + 0.5))
-    b = (2.0 ** (3.0 - 4.0 * h)) * sin_pi_h ** -4 * gamma_fn(2.0 - h) / (
-        gamma_fn(1.5 - h) ** 2 * gamma_fn(h)
+    alpha = math.sqrt(math.gamma(2.0 * h + 1.0) * math.gamma(3.0 - 2.0 * h)) * sin_pi_h ** 2
+    c = alpha / (2.0 * h * math.gamma(1.5 - h) * math.gamma(h + 0.5))
+    b = (2.0 ** (3.0 - 4.0 * h)) * sin_pi_h ** -4 * math.gamma(2.0 - h) / (
+        math.gamma(1.5 - h) ** 2 * math.gamma(h)
     )
-    d_sq = 1.0 - 2.0 * h * gamma_fn(3.0 - 2.0 * h) * gamma_fn(h + 0.5) / gamma_fn(1.5 - h)
-    psi_scale = gamma_fn(3.0 - 2.0 * h) / (c * gamma_fn(1.5 - h) ** 2)
+    d_sq = 1.0 - 2.0 * h * math.gamma(3.0 - 2.0 * h) * math.gamma(h + 0.5) / math.gamma(1.5 - h)
+    psi_scale = math.gamma(3.0 - 2.0 * h) / (c * math.gamma(1.5 - h) ** 2)
     return DoConstants(h=h, alpha_h=alpha, c_h=c, b_h=b, d_h_sq=d_sq, psi_scale=psi_scale)
 
 

@@ -1,7 +1,7 @@
 """Path simulation of the risk-neutral system, the model's brute-force oracle.
 
-The march runs on a uniform grid from t0 = t_start > 0 (the vol weight
-t^(H-1/2) and the drift cutoff both live at the origin).  Per step:
+The march runs on a uniform grid from 0 to the maturity, the CF's clock:
+V's law starts at 0, so its first step is as exact as the others.  Per step:
 
     v    : exact Gaussian step of dV = -m V dt + nu dW (charfn's _v_law)
     sigma: exp(log L(t) + xi (v - v0)) at every node, exact (charfn's _log_l)
@@ -17,7 +17,7 @@ given the vol path, the z_own part s is Gaussian with variance q (Romano &
 Touzi's conditioning), so it is drawn after the march: s_T = sqrt(q_T) z,
 then at each captured index, latest first, the bridge s_k = f s_next +
 sqrt(q_k (1 - f)) z with f = q_k / q_next.  Each x is rho-part +
-(r - q_div)(t - t0) - q / 2 + sqrt(1 - rho^2) s: the law of the terminal
+(r - q_div) t - q / 2 + sqrt(1 - rho^2) s: the law of the terminal
 states and of every capture is the per-step march's, and terminal x does
 not depend on the captures.  A non-finite terminal x or sigma raises
 FloatingPointError.
@@ -35,9 +35,9 @@ same bits.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
-observation times, and `mc_prices` (a whole strike ladder) and
-`mc_quadratic_variation` both read that one path set, each result bitwise
-what its own simulation would give.  The variance-swap strikes need no
+observation times, which must be nodes of the grid, and `mc_prices` (a
+whole strike ladder) and `mc_quadratic_variation` both read that one path
+set, each result bitwise what its own simulation would give.  The variance-swap strikes need no
 paths: `pricing` takes them over the same law of V that the march steps by.
 """
 
@@ -55,7 +55,7 @@ from .charfn import _log_l, _v_law
 from .model import AdolModel
 
 __all__ = ["McSpec", "PathStats", "Paths", "simulate_q", "simulate_paths",
-           "mc_price", "mc_prices", "mc_quadratic_variation"]
+           "mc_prices", "mc_quadratic_variation"]
 
 # a march of at least this many path-steps forks its second half: on two
 # cores a bare march gains from about 3e6, but the default 20k x 200 one
@@ -68,7 +68,6 @@ class McSpec:
     n_paths: int
     n_steps: int
     seed: int
-    t_start: float | None = None  # None: use the model's eps cutoff
     antithetic: bool = False
 
     def __post_init__(self) -> None:
@@ -76,9 +75,6 @@ class McSpec:
             raise ValueError("n_paths and n_steps must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        # written so that NaN fails the comparison too
-        if self.t_start is not None and not 0.0 < self.t_start < math.inf:
-            raise ValueError(f"t_start must be positive and finite, got {self.t_start}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic mode needs an even n_paths")
 
@@ -95,10 +91,7 @@ class PathStats:
 
 
 def _grid(model: AdolModel, spec: McSpec) -> np.ndarray:
-    t0 = model.eps if spec.t_start is None else spec.t_start
-    if not t0 < model.t_mat:
-        raise ValueError(f"t_start {t0} must sit below the maturity {model.t_mat}")
-    return np.linspace(t0, model.t_mat, spec.n_steps + 1)
+    return np.linspace(0.0, model.t_mat, spec.n_steps + 1)
 
 
 def _law_steps(model: AdolModel, grid: np.ndarray):
@@ -106,7 +99,7 @@ def _law_steps(model: AdolModel, grid: np.ndarray):
     node log L, the part of log sigma that V does not set, and per step the
     x step's variance clock int (L(s) / L(t_n))^2 ds."""
     decay, var = _v_law(model, grid[:-1], grid[1:])
-    log_l = _log_l(model, grid, grid[0], math.log(model.sigma0))
+    log_l = _log_l(model, grid, 0.0, math.log(model.sigma0))
     # log L linear across a step of slope a / (2 dt): the clock is
     # dt (e^a - 1) / a, and dt where sigma does not decay (a = 0)
     a = 2.0 * np.diff(log_l)
@@ -128,7 +121,7 @@ class Paths(NamedTuple):
 
 def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Paths:
     """March the system to maturity; optionally capture x at the given grid
-    indices."""
+    indices, each past the start."""
     grid = _grid(model, spec)
     # first: its temporaries are freed before the march's arrays are made
     law = _law_steps(model, grid)
@@ -141,9 +134,8 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     bounds = [0, units - units // 2, units] if units > 1 else [0, 1]
     gens = [np.random.Generator(np.random.SFC64(child))
             for child in np.random.SeedSequence(spec.seed).spawn(2 * len(bounds) - 2)]
-    # the snapshot at index 0 is all zeros and the last one is x itself, so
-    # neither needs a copy or a bridge draw
-    bridged = set() if capture is None else set(capture) - {0, n_steps}
+    # the snapshot at maturity is x itself: no copy and no bridge draw
+    bridged = set() if capture is None else set(capture) - {n_steps}
     x, sig, v = (np.empty(spec.n_paths) for _ in range(3))
     snaps = {k: np.empty(spec.n_paths) for k in sorted(bridged)}
 
@@ -167,11 +159,8 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
                               for row in a.reshape(rows, units)[:, bounds[1]:]])
     else:
         march(0, len(bounds) - 1)
-    if capture is not None:
-        if 0 in capture:
-            snaps[0] = np.zeros(spec.n_paths)
-        if n_steps in capture:
-            snaps[n_steps] = x
+    if capture is not None and n_steps in capture:
+        snaps[n_steps] = x
     return Paths(model, spec, grid, x, sig, v, snaps)
 
 
@@ -237,8 +226,8 @@ def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
 
     def finish(part: np.ndarray, var_k: np.ndarray, t: float, s: np.ndarray,
                scratch: np.ndarray) -> None:
-        """x = part + (r - q) (t - t0) - q / 2 + rho_perp s, formed in part."""
-        part += drift_x * (t - grid[0])
+        """x = part + (r - q) t - q / 2 + rho_perp s, formed in part."""
+        part += drift_x * t
         np.multiply(var_k, 0.5, out=scratch)
         part -= scratch
         np.multiply(s, rho_perp, out=scratch)
@@ -346,29 +335,23 @@ def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float],
     return out
 
 
-def mc_price(model: AdolModel, spec: McSpec, strike: float,
-             is_call: bool = True) -> PathStats:
-    """Discounted payoff mean at one strike; see `mc_prices`."""
-    return mc_prices(model, spec, [strike], is_call)[0]
-
-
 def _qv_indices(grid: np.ndarray, observation_times) -> list[int]:
-    """The grid index nearest each observation time, validated; two times
-    that snap to one index are refused, not merged."""
-    t0, t_end = grid[0], grid[-1]
-    dt = grid[1] - grid[0]
+    """The grid index k of each observation time t, which must be a node
+    past the start, t / dt = k to 1e-9; any other time is refused, never
+    rounded to a node."""
+    n = len(grid) - 1
+    dt = grid[-1] / n
     times = [float(t) for t in observation_times]
     if not times or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("observation times must be strictly increasing")
-    if times[0] <= t0 - 1e-12 or times[-1] > t_end * (1.0 + 1e-12):
-        raise ValueError(f"observation times must lie in ({t0}, {t_end}]")
-    idx = [int(round((t - t0) / dt)) for t in times]
-    for a, b, i, j in zip(times, times[1:], idx, idx[1:]):
-        if i == j:
-            raise ValueError(f"observation times {a} and {b} snap to one grid "
-                             f"index {i}; refine the grid")
-    if idx[0] == 0:
-        raise ValueError("first observation collapses onto the grid start")
+    idx = []
+    for t in times:
+        k = t / dt
+        # written so that NaN and infinities fail the comparison too
+        if not (0.5 <= k < n + 0.5 and abs(k - round(k)) <= 1e-9):
+            raise ValueError(f"observation time {t} is not a date of the {n}-step "
+                             f"grid: use a multiple of {dt} in (0, {grid[-1]}]")
+        idx.append(round(k))
     return idx
 
 

@@ -1,8 +1,7 @@
 """Self-contained numerics kernel.
 
 Provides the handful of numerical tools the rest of the package is built
-on: real-argument gamma via a fixed Lanczos approximation with reflection,
-the symmetric beta function, the generalized exponential integral E(nu, z)
+on: the symmetric beta function, the generalized exponential integral E(nu, z)
 on the principal branch, adaptive Gauss-Kronrod quadrature for
 complex-valued integrands, and the standard normal CDF.
 
@@ -49,53 +48,14 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# gamma and friends
+# the symmetric beta function
 # ---------------------------------------------------------------------------
-
-# Lanczos g=7, n=9; accurate to ~1e-15 relative for real arguments.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real non-pole arguments.
-
-    Reflection is used for x < 0.5, so negative non-integer arguments are
-    fine; non-positive integers raise.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("gamma_fn requires a finite argument")
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma_fn pole at x={x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
 
 def beta_sym(x: float) -> float:
     """B(x, x) = Gamma(x)^2 / Gamma(2x) for x > 0."""
     if not x > 0.0:
         raise ValueError("beta_sym requires x > 0")
-    return gamma_fn(x) ** 2 / gamma_fn(2.0 * x)
+    return math.gamma(x) ** 2 / math.gamma(2.0 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +82,7 @@ def _e1_series(z: complex) -> complex:
 def _e_series(order: float, z: complex) -> complex:
     # E_nu(z) = Gamma(1-nu) z^{nu-1} - sum_{k>=0} (-z)^k / (k! (1-nu+k))
     # valid when 1-nu+k never hits zero, i.e. nu is not a positive integer.
-    total = complex(gamma_fn(1.0 - order)) * z ** (order - 1.0)
+    total = complex(math.gamma(1.0 - order)) * z ** (order - 1.0)
     term = 1.0 + 0j
     ssum = 0j
     for k in range(0, 300):

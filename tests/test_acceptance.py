@@ -28,7 +28,7 @@ from adol.charfn import (
 )
 from adol.do_process import TimeGrid, cov_m, do_constants, nu_t, psi_h, simulate_vh
 from adol.model import m_t, small_param_check
-from adol.montecarlo import McSpec, mc_price, mc_quadratic_variation
+from adol.montecarlo import McSpec, mc_prices, mc_quadratic_variation
 from adol.numerics import QuadratureSpec, integrate_adaptive
 from adol.pricing import VarSwapSpec, bs_price, fourier_price, varswap_strike
 
@@ -146,7 +146,7 @@ def test_criterion_06_corrected_cf_prices_within_monte_carlo_band(table1):
     cfg = CorrectionConfig(mode=MODE_AFFINE, order=1)
     cf = lambda u: cf_total(u, m, cfg)
     px = fourier_price(cf, m.s0, m.s0, m.r, m.q, m.t_mat)
-    mc = mc_price(m, McSpec(n_paths=100_000, n_steps=500, seed=20177), m.s0)
+    mc = mc_prices(m, McSpec(n_paths=100_000, n_steps=500, seed=20177), [m.s0])[0]
     elapsed = time.perf_counter() - t0
     gap = abs(px - mc.estimate)
     ok = gap <= 3.0 * mc.std_error and elapsed < 60.0
@@ -182,7 +182,8 @@ def test_criterion_08_varswap_consistency(table1_xi0):
     closed = m.sigma0 ** 2 * (1.0 - math.exp(-2.0 * m.kappa * T)) \
         / (2.0 * m.kappa * T)
     rel = abs(strike - closed) / closed
-    qv = mc_quadratic_variation(m, McSpec(n_paths=20_000, n_steps=200,
+    # 208 steps, a multiple of 16: every date is a node of the grid
+    qv = mc_quadratic_variation(m, McSpec(n_paths=20_000, n_steps=208,
                                           seed=20177), obs)
     gap_se = abs(strike - qv.estimate) / qv.std_error
     ok = rel <= 0.01 and gap_se <= 3.0

@@ -401,6 +401,20 @@ def test_v_law_obeys_chapman_kolmogorov(m, ks):
         assert cfm._v_law(m, x, x) == (1.0, 0.0)
 
 
+def test_f_quad_array_with_origin_is_its_scalar_branch(table1):
+    # the Monte Carlo grid starts at 0, where every node of the table's
+    # rule sits at the singular r = 0: an array entry 0 reads 0 as the
+    # scalar call does, and every other entry its own table value (to the
+    # last bit or so: a batch and a single time sum the rule apart)
+    times = np.array([0.0, 0.1, 0.0, 0.25, 0.5])
+    got = cfm._f_quad(table1, times)
+    want = [cfm._f_quad(table1, t) for t in times.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert got[0] == got[2] == 0.0
+    decay, var = cfm._v_law(table1, times[:-1], times[1:])
+    assert np.isfinite(decay).all() and np.isfinite(var).all()
+
+
 def test_stencil_richardson_ratio(table1):
     # halving the sigma step of the affine z1 must shrink its defect like h^2
     base = 3e-2

@@ -57,6 +57,14 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown key 'pricing.varswap.mc_states'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key", [("mc", "t_start"), ("model", "eps")])
+def test_march_start_is_no_setting(tmp_path, capsys, block, key):
+    # the march starts at 0, the CF's clock, so a config cannot move it
+    path = _write(tmp_path, {block: {key: 1e-4}})
+    assert main(["mc", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown key '{block}.{key}'" in capsys.readouterr().err
+
+
 def test_type_errors_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"model": {"kappa": "two"}}))
@@ -91,7 +99,6 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
             ("mc", {"pricing": {"strikes": [nan, 1.0]}}, "pricing: strikes"),
             ("price", {"pricing": {"damping": nan}}, "pricing: damping"),
             ("cf", {"cf": {"u_max": inf, "n_u": 3}}, "cf: u_max"),
-            ("mc", {"mc": {"t_start": nan}}, "mc: t_start"),
             ("varswap", {"pricing": {"varswap": {"observation_times": [0.25, -inf]}}},
              "pricing.varswap: observation_times"),
             ("cf", {"model": {"xi": 10 ** 400}}, "model: xi")):
@@ -107,21 +114,20 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
 
 def test_values_the_grid_rejects_are_config_errors(tmp_path, capsys):
     # only the Monte Carlo grid can tell these apart from good values; they
-    # are still refused by key with exit 1, the start of the grid where the
-    # config is read and the observation times by the commands that read them
-    cases = (("varswap", {"pricing": {"varswap": {"observation_times": [0.24, 0.26, 0.5]}},
+    # are still refused by key with exit 1, by the commands that read them:
+    # an observation time must be a node of the grid, never rounded to one
+    cases = (("varswap", {"pricing": {"varswap": {"observation_times": [0.24, 0.5]}},
                           "mc": {"n_steps": 4}},
-              "pricing.varswap.observation_times: observation times 0.24 and 0.26 "
-              "snap to one grid index 2"),
+              "pricing.varswap.observation_times: observation time 0.24 is not a "
+              "date of the 4-step grid"),
+             ("varswap", {"mc": {"n_steps": 7}},
+              "pricing.varswap.observation_times: observation time 0.25 is not a "
+              "date of the 7-step grid"),
              ("check", {"model": {"t_mat": 0.3}},
-              "pricing.varswap.observation_times: observation times must lie in"),
-             ("mc", {"mc": {"t_start": 0.7}},
-              "mc.t_start: t_start 0.7 must sit below the maturity 0.5"))
+              "pricing.varswap.observation_times: observation time 0.25 is not a "
+              "date of the 200-step grid"))
     for cmd, cfg, msg in cases:
         path = _write(tmp_path, cfg, "grid.json")
-        if cmd == "mc":
-            with pytest.raises(ConfigError, match=msg):
-                load_config(path)
         assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 1, msg
         assert msg in capsys.readouterr().err
 
@@ -208,7 +214,7 @@ def test_observation_schedule_binds_only_the_variance_swap(tmp_path):
     mc = {"n_paths": 200, "n_steps": 20}
     for cmd, cfg in (("price", {"model": {"t_mat": 0.3}, "mc": mc}),
                      ("mc", {"model": {"t_mat": 0.3}, "mc": mc}),
-                     ("mc", {"mc": dict(mc, t_start=0.3)})):
+                     ("mc", {"mc": dict(mc, n_steps=7)})):
         path = _write(tmp_path, cfg, "short.json")
         assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 0, cfg
 
@@ -345,19 +351,18 @@ def test_mc_artifact_and_martingale_line(tmp_path):
     assert names == ["call@1.0", "discounted-forward", "martingale-offset"]
 
 
-@pytest.mark.parametrize("model, mc, forward", [
-    # e^(-q T - (r - q) t0) at q = 0.08, T = 2 and t0 = eps = 1e-4
-    ({"q": 0.08, "t_mat": 2.0}, {}, math.exp(-0.16 + 0.08e-4)),
-    # the march starts at t0 = 0.3: at r = 0.05 the forward it prices is
-    # e^(-0.015) below s0, which the gate read as an offset of -0.015
-    ({"r": 0.05}, {"t_start": 0.3}, math.exp(-0.05 * 0.3)),
-], ids=["dividend", "late-start"])
-def test_martingale_offset_is_relative_to_the_marched_forward(tmp_path, model, mc,
-                                                              forward):
-    # the march prices the discounted forward s0 e^(-q T - (r - q) t0); the
-    # offset and its standard error are both relative to it
+@pytest.mark.parametrize("model, forward", [
+    # e^(-q T) at q = 0.08 and T = 2
+    ({"q": 0.08, "t_mat": 2.0}, math.exp(-0.16)),
+    # the march starts at 0, so at r = 0.05 and q = 0 the forward it prices
+    # is s0 itself
+    ({"r": 0.05}, 1.0),
+], ids=["dividend", "rate"])
+def test_martingale_offset_is_relative_to_the_marched_forward(tmp_path, model, forward):
+    # the march prices the discounted forward s0 e^(-q T); the offset and
+    # its standard error are both relative to it
     cfgp = _write(tmp_path, {"model": model, "pricing": {"strikes": [1.0]},
-                             "mc": dict(mc, n_paths=20_000, n_steps=50)})
+                             "mc": {"n_paths": 20_000, "n_steps": 50}})
     out = tmp_path / "out"
     assert main(["mc", "--config", cfgp, "--out", str(out), "--check"]) == 0
     _, rows = _read_csv(out / "mc.csv")
@@ -498,11 +503,11 @@ _PIN_CFG = {"model": {"xi": 0.05}, "pricing": {"strikes": [0.9, 1.0, 1.1]},
             "mc": {"n_paths": 2000, "n_steps": 20, "seed": 7}}
 
 _PIN_MC = {
-    "call@0.9": (0.11606267300907142, 0.0024901179954057696),
-    "call@1.0": (0.05361812092153986, 0.0018006279205241798),
-    "call@1.1": (0.018329209235295765, 0.0010628801491901862),
-    "discounted-forward": (0.9996724020015163, 0.002985415480270496),
-    "martingale-offset": (-0.0003275979984836974, 0.002985415480270496),
+    "call@0.9": (0.11606881147870207, 0.0024899252876931163),
+    "call@1.0": (0.053619387847110726, 0.0018004272578365337),
+    "call@1.1": (0.018325555364206332, 0.0010626887301372053),
+    "discounted-forward": (0.9996702470496314, 0.00298559537405075),
+    "martingale-offset": (-0.0003297529503686336, 0.00298559537405075),
 }
 
 
@@ -510,9 +515,9 @@ _PIN_MC = {
 # the exact law of the leg's vol, 3.8e-10 relative apart; only the realized
 # variance (mc-qv) is a Monte Carlo value
 _PIN_VARSWAP = [
-    ["fd-richardson", "0.03873700994416751", "nan", "0.0018241149218765143"],
-    ["affine-analytic", "0.038737009958792104", "nan", "0.0018241149365011075"],
-    ["mc-qv", "0.036912895022291", "0.0009185228964752662", "0.0"],
+    ["fd-richardson", "0.03873700994416751", "nan", "0.0018143901784333158"],
+    ["affine-analytic", "0.038737009958792104", "nan", "0.001814390193057909"],
+    ["mc-qv", "0.036922619765734195", "0.000919402582904844", "0.0"],
 ]
 
 

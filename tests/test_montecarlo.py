@@ -9,6 +9,7 @@ discretization bias.
 
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -18,13 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adol import montecarlo
+from adol import charfn, montecarlo
 from adol.model import AdolModel
 from adol.montecarlo import (
     McSpec,
     PathStats,
     Paths,
-    mc_price,
     mc_prices,
     mc_quadratic_variation,
     simulate_paths,
@@ -35,12 +35,10 @@ from adol.pricing import bs_price
 
 def _discrete_moments(m: AdolModel, spec: McSpec) -> tuple[float, float]:
     """Exact mean/variance of terminal log-return for the xi = 0 scheme: its
-    steps integrate sigma0^2 e^(-2 kappa (t - t0)) exactly, so they sum to
-    the integral from t0 to T on every grid."""
-    t0 = m.eps if spec.t_start is None else spec.t_start
-    var = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * (m.t_mat - t0)) \
-        / (2.0 * m.kappa)
-    mean = (m.r - m.q) * (m.t_mat - t0) - 0.5 * var
+    steps integrate sigma0^2 e^(-2 kappa t) exactly, so they sum to the
+    integral from 0 to T on every grid."""
+    var = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * m.t_mat) / (2.0 * m.kappa)
+    mean = (m.r - m.q) * m.t_mat - 0.5 * var
     return mean, var
 
 
@@ -52,19 +50,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         McSpec(n_paths=101, n_steps=10, seed=1, antithetic=True)
     McSpec(n_paths=100, n_steps=10, seed=1, antithetic=True)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_start_time_must_be_finite(bad):
-    # refused when the spec is built, not later by the grid
-    with pytest.raises(ValueError, match="t_start"):
-        McSpec(n_paths=16, n_steps=4, seed=1, t_start=bad)
-
-
-def test_start_time_must_precede_maturity(table1):
-    spec = McSpec(n_paths=16, n_steps=4, seed=1, t_start=table1.t_mat)
-    with pytest.raises(ValueError):
-        simulate_q(table1, spec)
 
 
 def test_reproducible_and_seed_sensitive(table1):
@@ -92,7 +77,7 @@ def test_sigma_path_exact_in_deterministic_limit(table1_xi0):
     m = table1_xi0
     spec = McSpec(n_paths=128, n_steps=150, seed=5)
     st = simulate_q(m, spec)
-    expected = m.sigma0 * math.exp(-m.kappa * (m.t_mat - m.eps))
+    expected = m.sigma0 * math.exp(-m.kappa * m.t_mat)
     assert np.max(np.abs(st.sigma - expected)) <= 1e-12 * expected
 
 
@@ -123,7 +108,7 @@ def test_discounted_forward_is_martingale(table1):
     spec = McSpec(n_paths=40_000, n_steps=100, seed=23)
     st = simulate_q(m, spec)
     growth = np.exp(st.x)
-    target = math.exp((m.r - m.q) * (m.t_mat - m.eps))
+    target = math.exp((m.r - m.q) * m.t_mat)
     se = float(growth.std(ddof=1)) / math.sqrt(spec.n_paths)
     assert abs(float(growth.mean()) - target) <= 4.0 * se
 
@@ -132,8 +117,8 @@ def test_put_call_parity_pathwise(table1):
     m = table1
     spec = McSpec(n_paths=4_096, n_steps=50, seed=31)
     strike = 0.97 * m.s0
-    call = mc_price(m, spec, strike, is_call=True)
-    put = mc_price(m, spec, strike, is_call=False)
+    call = mc_prices(m, spec, [strike], is_call=True)[0]
+    put = mc_prices(m, spec, [strike], is_call=False)[0]
     st = simulate_q(m, spec)  # same seed: same paths
     df = math.exp(-m.r * m.t_mat)
     expected = df * float((m.s0 * np.exp(st.x) - strike).mean())
@@ -144,7 +129,7 @@ def test_price_converges_to_closed_form_without_volofvol(table1_xi0):
     m = table1_xi0
     spec = McSpec(n_paths=40_000, n_steps=200, seed=37)
     strike = m.s0
-    got = mc_price(m, spec, strike)
+    got = mc_prices(m, spec, [strike])[0]
     _, var = _discrete_moments(m, spec)
     ref = bs_price(m.s0, strike, m.r, m.q, var, True, m.t_mat)
     assert abs(got.estimate - ref) <= 3.5 * got.std_error
@@ -152,7 +137,7 @@ def test_price_converges_to_closed_form_without_volofvol(table1_xi0):
 
 def test_negative_strike_rejected(table1):
     with pytest.raises(ValueError):
-        mc_price(table1, McSpec(n_paths=16, n_steps=4, seed=1), -1.0)
+        mc_prices(table1, McSpec(n_paths=16, n_steps=4, seed=1), [-1.0])
     with pytest.raises(ValueError):
         mc_prices(table1, McSpec(n_paths=16, n_steps=4, seed=1), [1.0, -1.0])
     # NaN fails every comparison, so it must be refused as not finite
@@ -173,7 +158,7 @@ def test_ladder_is_monotone_convex_and_matches_single_strikes(
     ladder = mc_prices(table1, spec, strikes, is_call=is_call)
     assert len(ladder) == len(strikes)
     for strike, got in zip(strikes, ladder):
-        assert got == mc_price(table1, spec, strike, is_call=is_call)
+        assert got == mc_prices(table1, spec, [strike], is_call=is_call)[0]
     px = [p.estimate for p in ladder]
     steps = np.diff(px)
     assert np.all(steps <= 0.0) if is_call else np.all(steps >= 0.0)
@@ -227,7 +212,9 @@ def test_step_law_refuses_a_runaway_reversion_before_marching(table1):
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.7])
 def test_v_step_deviations_match_high_precision_integrals(table1, h):
     # each step's deviation is sqrt(int e^(-2 (M(t1) - M(s))) nu(s)^2 ds)
-    # over the step, here at 30 digits
+    # over the step, here at 30 digits; step 0 starts at 0, where
+    # nu^2 ~ s^(2H - 1) is singular, so s = t1 y^(1/2H) takes the integral
+    # to a regular one, nu^2 ds = B_H^2 t1^(2H) / (2H) dy
     m = replace(table1, h=h)
     grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=50, seed=1))
     decay, dev, _, _ = montecarlo._law_steps(m, grid)
@@ -238,8 +225,10 @@ def test_v_step_deviations_match_high_precision_integrals(table1, h):
 
         for n in (0, 1, 24, 49):
             t0, t1 = float(grid[n]), float(grid[n + 1])
-            var = mp.quad(lambda s: mp.exp(2 * (big_m(s) - big_m(t1)))
-                          * b_h ** 2 * s ** (2 * h - 1), [t0, t1])
+            two_h = 2 * mp.mpf(h)
+            var = mp.quad(lambda y: mp.exp(2 * (big_m(t1 * y ** (1 / two_h)) - big_m(t1))),
+                          [(t0 / mp.mpf(t1)) ** two_h, 1]) \
+                * b_h ** 2 * mp.mpf(t1) ** two_h / two_h
             assert dev[n] == pytest.approx(float(mp.sqrt(var)), rel=1e-12)
             assert decay[n] == pytest.approx(float(mp.exp(big_m(t0) - big_m(t1))),
                                              rel=1e-14)
@@ -247,16 +236,17 @@ def test_v_step_deviations_match_high_precision_integrals(table1, h):
 
 @pytest.mark.parametrize("n_steps", [1, 7, 200])
 def test_x_step_variance_clock_is_exact_without_vol_of_vol(table1_xi0, n_steps):
-    # at xi = 0 sigma is L(t) = sigma0 e^(-kappa (t - t0)), and each step's
-    # clock is int (L(s) / L(t_n))^2 ds over the step, in closed form
+    # at xi = 0 sigma is L(t) = sigma0 e^(-kappa t), and each step's clock
+    # is int (L(s) / L(t_n))^2 ds over the step, in closed form; the steps
+    # sum to the CF's variance sigma0^2 G(T), so march and CF share a clock
     m = table1_xi0
     grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=n_steps, seed=1))
     _, _, log_l, clock = montecarlo._law_steps(m, grid)
     dt = np.diff(grid)
     want = -np.expm1(-2.0 * m.kappa * dt) / (2.0 * m.kappa)
     np.testing.assert_allclose(clock, want, rtol=1e-13, atol=0.0)
-    total = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * (m.t_mat - m.eps)) \
-        / (2.0 * m.kappa)
+    total = m.sigma0 ** 2 * charfn._unit_response(m.kappa, m.t_mat)
+    assert grid[0] == 0.0
     assert float(np.sum(np.exp(2.0 * log_l[:-1]) * clock)) \
         == pytest.approx(total, rel=1e-13)
     # without decay the clock is the step itself
@@ -285,21 +275,49 @@ def test_quadratic_variation_input_validation(table1):
         mc_quadratic_variation(table1, spec, (0.2, table1.t_mat * 2.0))
     with pytest.raises(ValueError):
         mc_quadratic_variation(table1, spec, ())
-    # an observation indistinguishable from the grid start has no increment
-    with pytest.raises(ValueError):
-        mc_quadratic_variation(table1, spec, (table1.eps * 1.0001,))
+    # the grid start has no increment, and a date just past it is no node
+    for early in (0.0, 1e-4):
+        with pytest.raises(ValueError):
+            mc_quadratic_variation(table1, spec, (early, 0.5))
 
 
-def test_observation_times_on_one_grid_index_are_refused(table1):
-    # on a 4-step grid 0.24 and 0.26 both snap to index 2; merging them
+def test_off_node_observation_times_are_refused(table1):
+    # on a 4-step grid 0.24 is read nowhere: rounded to the node 0.25 it
     # would price the schedule (0.25, 0.5) under another name
     spec = McSpec(n_paths=16, n_steps=4, seed=1)
     for estimate in (lambda obs: mc_quadratic_variation(table1, spec, obs),
                      lambda obs: simulate_paths(table1, spec, obs)):
-        with pytest.raises(ValueError, match="0.24 and 0.26 snap to one grid index 2"):
-            estimate((0.24, 0.26, 0.5))
-        # times off the grid that snap to distinct indices still pass
+        with pytest.raises(ValueError, match="observation time 0.24 is not a date "
+                                             "of the 4-step grid"):
+            estimate((0.24, 0.5))
         estimate((0.25, 0.5))
+
+
+@pytest.mark.parametrize("n_steps", [200, 500])
+def test_default_schedule_is_read_on_its_nodes(table1, n_steps):
+    # the default (0.25, 0.5) on the default and the benchmark's grids
+    grid = montecarlo._grid(table1, McSpec(n_paths=1, n_steps=n_steps, seed=1))
+    assert montecarlo._qv_indices(grid, (0.25, 0.5)) == [n_steps // 2, n_steps]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t_mat=st.floats(0.01, 10.0), n_steps=st.integers(1, 2000), data=st.data())
+def test_qv_indices_are_the_node_dates_exactly(table1, t_mat, n_steps, data):
+    # every increasing set of nodes past the start is read at its own
+    # index, and a schedule that holds any date off the nodes is refused
+    grid = montecarlo._grid(replace(table1, t_mat=t_mat),
+                            McSpec(n_paths=1, n_steps=n_steps, seed=1))
+    dt = t_mat / n_steps
+    idx = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1, max_size=20)))
+    for times in ([grid[k] for k in idx], [k * dt for k in idx]):
+        assert montecarlo._qv_indices(grid, times) == idx
+    # a date at least 1e-6 of a step from every node
+    frac = data.draw(st.floats(1e-6, 1.0 - 1e-6))
+    k = data.draw(st.integers(0, n_steps - 1))
+    off = (k + frac) * dt
+    times = sorted({*(grid[j] for j in idx if abs(grid[j] - off) > 0.5 * dt), off})
+    with pytest.raises(ValueError, match=re.escape(f"observation time {off} is not a date")):
+        montecarlo._qv_indices(grid, times)
 
 
 # ------------------------------------------------------------ the march
@@ -372,15 +390,13 @@ def _serial_half(model, spec, own_stream, vol_stream, capture):
 
     def x_at(k, s):
         part_k, q_k = parts[k]
-        return part_k + drift_x * (grid[k] - grid[0]) - 0.5 * q_k + rho_perp * s
+        return part_k + drift_x * grid[k] - 0.5 * q_k + rho_perp * s
 
     s = np.sqrt(q) * _paired(spec, own_stream.standard_normal(m_draw))
     x = x_at(spec.n_steps, s)
-    snaps = {0: np.zeros(spec.n_paths)} if 0 in capture else {}
-    if spec.n_steps in capture:
-        snaps[spec.n_steps] = x
+    snaps = {spec.n_steps: x} if spec.n_steps in capture else {}
     q_next = q
-    for k in sorted(capture - {0, spec.n_steps}, reverse=True):
+    for k in sorted(capture - {spec.n_steps}, reverse=True):
         q_k = parts[k][1]
         f = np.divide(q_k, q_next, out=np.zeros(spec.n_paths), where=q_next > 0.0)
         s = f * s + np.sqrt(q_k * (1.0 - f)) \
@@ -439,7 +455,7 @@ def test_march_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
     assert got.x.tobytes() == ref.x.tobytes()
     assert got.sigma.tobytes() == ref.sigma.tobytes()
     assert got.v.tobytes() == ref.v.tobytes()
-    obs = (table1.t_mat,) if n_steps == 1 else (0.5 * table1.t_mat, table1.t_mat)
+    obs = (table1.t_mat * (n_steps // 2) / n_steps, table1.t_mat)[n_steps == 1:]
     qv = mc_quadratic_variation(table1, spec, obs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_run", _serial_run)
@@ -676,7 +692,7 @@ def test_every_horizon_is_bitwise_its_own_simulation(table1, seed, n_paths, n_st
         n_paths += n_paths % 2
     spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
                   antithetic=antithetic)
-    obs = (0.5 * table1.t_mat, table1.t_mat)
+    obs = (table1.t_mat * (n_steps // 2) / n_steps, table1.t_mat)
     paths = simulate_paths(table1, spec, obs)
     ref = _serial_run(table1, spec)
     assert paths.x.tobytes() == ref.x.tobytes()
@@ -711,10 +727,10 @@ def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
         return negative(*args, **kwargs)
 
     monkeypatch.setattr(np, "negative", counted)
-    spec = McSpec(n_paths=64, n_steps=7, seed=4, antithetic=True)
+    spec = McSpec(n_paths=64, n_steps=8, seed=4, antithetic=True)
     simulate_paths(table1, spec, (0.25, 0.5))
     # the halves march at a go: a vol draw per step, then the x-shock's own
-    # at maturity and at 0.25 (index 3), each drawn per half and negated
+    # at maturity and at 0.25 (index 4), each drawn per half and negated
     # once over both; 0.5 is maturity itself
     assert calls == [(32,)] * (spec.n_steps + 2)
 
@@ -770,8 +786,8 @@ def test_bridge_keeps_the_law_of_the_per_step_march(table1):
 
 def test_bridge_moments_match_discrete_closed_form(table1_xi0):
     # at xi = 0 every path's q is the deterministic integral of sigma0^2
-    # e^(-2 kappa (t - t0)), so x at a capture has variance q_k, mean
-    # (r - q_div) (t_k - t0) - q_k / 2 and covariance q_k with x_T
+    # e^(-2 kappa t), so x at a capture has variance q_k, mean
+    # (r - q_div) t_k - q_k / 2 and covariance q_k with x_T
     m = table1_xi0
     spec = McSpec(n_paths=100_000, n_steps=100, seed=19)
     obs = (0.1, 0.3, 0.5)
@@ -780,10 +796,9 @@ def test_bridge_moments_match_discrete_closed_form(table1_xi0):
     n = spec.n_paths
     q_T = _discrete_moments(m, spec)[1]
     for k in montecarlo._qv_indices(grid, obs)[:-1]:
-        q_k = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * (grid[k] - grid[0])) \
-            / (2.0 * m.kappa)
+        q_k = m.sigma0 ** 2 * -math.expm1(-2.0 * m.kappa * grid[k]) / (2.0 * m.kappa)
         x_k = paths.snaps[k]
-        mean = (m.r - m.q) * (grid[k] - grid[0]) - 0.5 * q_k
+        mean = (m.r - m.q) * grid[k] - 0.5 * q_k
         assert abs(float(x_k.mean()) - mean) <= 4.0 * math.sqrt(q_k / n)
         assert abs(float(x_k.var(ddof=1)) - q_k) <= 4.0 * q_k * math.sqrt(2.0 / (n - 1))
         cov = float(np.cov(x_k, paths.x)[0, 1])

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adol.do_process import do_constants
 from adol.numerics import (
     QuadratureError,
     QuadratureSpec,
     beta_sym,
     exp_integral_e,
-    gamma_fn,
     integrate_adaptive,
     norm_cdf,
 )
@@ -31,39 +31,65 @@ def _mp_40_digits():
 
 
 # ---------------------------------------------------------------------- gamma
+# The package takes Gamma from math.gamma; these tests read it through the
+# functions that call it, beta_sym and do_constants, each against mpmath.
+
+def _do_constants_mp(h: float) -> dict:
+    """The DO constants of do_process.do_constants, formed in mpmath."""
+    h = mp.mpf(h)
+    g = mp.gamma
+    sin_pi_h = mp.sin(mp.pi * h)
+    alpha = mp.sqrt(g(2 * h + 1) * g(3 - 2 * h)) * sin_pi_h ** 2
+    c = alpha / (2 * h * g(mp.mpf(1.5) - h) * g(h + mp.mpf(0.5)))
+    b = 2 ** (3 - 4 * h) * sin_pi_h ** -4 * g(2 - h) / (g(mp.mpf(1.5) - h) ** 2 * g(h))
+    d_sq = 1 - 2 * h * g(3 - 2 * h) * g(h + mp.mpf(0.5)) / g(mp.mpf(1.5) - h)
+    psi = g(3 - 2 * h) / (c * g(mp.mpf(1.5) - h) ** 2)
+    return {"alpha_h": alpha, "c_h": c, "b_h": b, "d_h_sq": d_sq, "psi_scale": psi}
+
 
 def test_gamma_trivial_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
+    # B(x, x) = Gamma(x)^2 / Gamma(2x) at Gamma's integer and half-integer points
+    assert beta_sym(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert beta_sym(2.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert beta_sym(3.0) == pytest.approx(1.0 / 30.0, rel=1e-15)
+    assert beta_sym(0.5) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_gamma_pinned_oracle_values():
-    # pinned with mpmath.gamma at 40 digits
-    assert gamma_fn(2.2) == pytest.approx(1.101802490879712732769, rel=1e-13)
-    assert gamma_fn(-0.7) == pytest.approx(-4.273669982410843754732, rel=1e-12)
-    assert gamma_fn(-1.5) == pytest.approx(2.363271801207354703064, rel=1e-12)
+    # every DO constant at the suite's Hurst indices, against mpmath at 40 digits
+    for h in (0.1, 0.3, 0.45, 0.5, 0.7, 0.9):
+        got = do_constants(h)
+        for name, ref in _do_constants_mp(h).items():
+            assert getattr(got, name) == pytest.approx(float(ref), rel=1e-13, abs=1e-15), \
+                (h, name)
 
 
 def test_gamma_pole_raises():
-    for bad in (0.0, -1.0, -2.0, -7.0):
+    # beta_sym needs x > 0, and the DO constants an H in (0, 1), where no
+    # Gamma they take sits on a pole
+    for bad in (0.0, -1.0, -0.5, math.nan):
         with pytest.raises(ValueError):
-            gamma_fn(bad)
+            beta_sym(bad)
+    for bad in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            do_constants(bad)
 
 
-@given(st.floats(min_value=0.1, max_value=5.0))
+@given(st.floats(min_value=0.01, max_value=5.0))
 @settings(max_examples=200, deadline=None)
 def test_gamma_recurrence(x):
-    assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
+    # Gamma(x + 1) = x Gamma(x) gives B(x + 1, x + 1) = B(x, x) x / (2 (2x + 1))
+    assert beta_sym(x + 1.0) == pytest.approx(beta_sym(x) * x / (2.0 * (2.0 * x + 1.0)),
+                                              rel=1e-13)
 
 
-@given(st.floats(min_value=-1.95, max_value=4.0))
+@given(st.floats(min_value=0.01, max_value=4.0), st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=150, deadline=None)
-def test_gamma_matches_mpmath(x):
-    if abs(x - round(x)) < 1e-3 and x <= 0.0:
-        return  # stay off the poles
-    ref = float(mp.gamma(x))
-    assert gamma_fn(x) == pytest.approx(ref, rel=1e-12)
+def test_gamma_matches_mpmath(x, h):
+    assert beta_sym(x) == pytest.approx(float(mp.beta(x, x)), rel=1e-13)
+    got = do_constants(h)
+    for name, ref in _do_constants_mp(h).items():
+        assert getattr(got, name) == pytest.approx(float(ref), rel=1e-12, abs=1e-15), name
 
 
 # ------------------------------------------------------------------ beta_sym

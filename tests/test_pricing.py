@@ -352,7 +352,8 @@ def test_varswap_consistent_with_path_quadratic_variation(table1_xi0):
     m = table1_xi0
     spec = _dense_schedule(m.t_mat)
     strike = varswap_strike(m, spec)
-    mc = McSpec(n_paths=20_000, n_steps=200, seed=41)
+    # 208 steps: the 16 dates are nodes of the grid
+    mc = McSpec(n_paths=20_000, n_steps=208, seed=41)
     qv = mc_quadratic_variation(m, mc, spec.observation_times)
     assert abs(strike - qv.estimate) <= 3.0 * qv.std_error
 
@@ -466,11 +467,11 @@ def test_leg_law_at_inception_is_the_start_state(table1):
 
 def test_march_sigma_is_the_leg_law_pathwise(table1):
     # sigma_T = L exp(xi (V_T - v0)) on the march's own paths, with L taken
-    # from the march's start eps, at every step count
+    # from 0, where the march and the legs' law both start, at every step count
     m = table1
-    c, T, eps = m.constants, m.t_mat, m.eps
-    nu_sq = c.b_h ** 2 * (T ** (2 * c.h) - eps ** (2 * c.h)) / (2 * c.h)
-    big_l = m.sigma0 * math.exp(-m.kappa * (T - eps) - 0.5 * m.xi ** 2 * nu_sq)
+    c, T = m.constants, m.t_mat
+    nu_sq = c.b_h ** 2 * T ** (2 * c.h) / (2 * c.h)
+    big_l = m.sigma0 * math.exp(-m.kappa * T - 0.5 * m.xi ** 2 * nu_sq)
     for n_steps in (50, 200, 1000):
         st = simulate_q(m, McSpec(n_paths=20_000, n_steps=n_steps, seed=11))
         exact = big_l * np.exp(m.xi * (st.v - m.v0))
