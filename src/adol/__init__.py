@@ -31,12 +31,13 @@ from .model import AdolModel, SmallParamReport, m_t, q_drifts, p_drift_v, small_
 from .charfn import (
     CfCoefficients,
     CorrectionConfig,
-    GreenPieces,
     coeffs_paper,
     coeffs_affine_ode,
     cf_zero,
-    green_pieces,
+    j_state,
     j_integral,
+    j_closed,
+    tau_closed_gap,
     correction,
     cf_total,
     pde_residual,

@@ -10,15 +10,19 @@ and is available in two independent modes: a closed-form coefficient set
 of the xi = 0 reduction ("affine-ode").  The two differ in their
 correlation structure; the gap between them is measured, never hidden.
 
-Corrections z1, z2 come from a Green's-function convolution: the v-state
-diffuses on a transformed clock tau(t) under a heat kernel, the sigma-state
-rides a transport factor, and the source operators Phi1, Phi2 are applied
-at the source time.  In both modes z0 is exponential-linear in v, so the
-flow's expectation over V comes in closed form from V's Gaussian mean and
-variance, and the v derivatives are exact; the sigma derivatives are
-central differences.  The inner spatial integral J
-has an adaptive-quadrature route and a quadratic-in-the-exponent closed
-form (expansion at the substituted center).
+Corrections z1, z2 integrate the source operators Phi1, Phi2 against the
+exact flow of the xi = 0 generator: sigma rides a deterministic ray and
+the auxiliary state V stays Gaussian.  In both modes z0 is
+exponential-linear in v, so the flow's expectation over V comes in closed
+form from V's mean and variance, and the v derivatives are exact; the
+sigma derivatives are central differences.
+
+The paper's own route, a heat-kernel convolution on the transformed clock
+tau(t), survives as a diagnostic on arrays of source times: j_state gives
+the inner spatial integral J's kernel centre and pole weight, j_integral
+a checked Gauss-Legendre value, j_closed the quadratic-at-centre closed
+form, and tau_closed_gap the gap of the paper's exponential-integral
+clock.
 """
 
 from __future__ import annotations
@@ -33,20 +37,20 @@ import numpy as np
 
 from .do_process import nu_t
 from .model import AdolModel, m_t
-from .numerics import QuadratureError, QuadratureSpec, exp_integral_e, integrate_adaptive
+from .numerics import QuadratureError, QuadratureSpec, exp_integral_e
 
 __all__ = [
     "CfCoefficients",
     "CorrectionConfig",
-    "GreenPieces",
-    "MethodError",
     "ResidualStats",
     "coeffs_paper",
     "coeffs_affine_ode",
     "cf_zero",
     "zero_order_fn",
-    "green_pieces",
+    "j_state",
     "j_integral",
+    "j_closed",
+    "tau_closed_gap",
     "correction",
     "cf_total",
     "pde_residual",
@@ -54,14 +58,6 @@ __all__ = [
 
 MODE_PAPER = "paper-closed-form"
 MODE_AFFINE = "affine-ode"
-
-J_QUADRATURE = "quadrature"
-J_QUAD_CENTER = "quadratic-at-center"
-
-
-class MethodError(RuntimeError):
-    """A closed-form route is inapplicable at this point; fall back to quadrature."""
-
 
 def _variant(mode: str) -> str:
     if mode not in (MODE_PAPER, MODE_AFFINE):
@@ -126,12 +122,16 @@ class ResidualStats:
 # --------------------------------------------------------------------------
 
 def _unit_response(kappa: float, tau):
-    """G = (1 - exp(-2 kappa tau)) / (2 kappa), or tau at kappa = 0: the
-    solution of G' = 2 kappa G - 1, G(T) = 0, at time to maturity tau.
+    """G = (1 - exp(-2 kappa tau)) / (2 kappa): the solution of
+    G' = 2 kappa G - 1, G(T) = 0, at time to maturity tau.  Where
+    |2 kappa tau| < 1e-16, G / tau rounds to 1 and G is tau, also at
+    kappa = 0; the quotient would lose G to rounding at subnormal kappa.
     Both modes' quadratic coefficients are multiples of it.  Accepts arrays."""
-    if kappa == 0.0:
+    x = 2.0 * kappa * np.asarray(tau, dtype=float)
+    small = np.abs(x) < 1e-16
+    if small.all():
         return tau
-    return -np.expm1(-2.0 * kappa * tau) / (2.0 * kappa)
+    return np.where(small, tau, -np.expm1(-x) / (2.0 * kappa))[()]
 
 
 def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
@@ -327,161 +327,109 @@ def _log_l(model: AdolModel, t, t0, at_t0):
 
 
 # --------------------------------------------------------------------------
-# Green machinery
+# the paper's spatial integral J, a diagnostic
 # --------------------------------------------------------------------------
+#
+# The paper convolves the first-order source with a heat kernel on the
+# transformed clock tau(t) = Var(V_T | V_t) / 2.  At source time chi the
+# inner spatial integral is
+#
+#     J = int exp[k / (x - 2 chi)^2 + x - (x - c)^2 / (4 chi)] dx
+#
+# with the kernel centre c = decay v0 + var and the pole weight
+# k = gamma(chi) decay^2 sigma0 v0, where decay and var are V's law from chi
+# to T.  The figures set its quadratic-at-centre closed form against
+# quadrature; the corrections themselves ride the flow further down.
 
-@dataclass(frozen=True)
-class GreenPieces:
-    """Transformed-clock pieces for the spatial J integral.
-
-    tau(t) = 1/2 int_t^T nu^2 alpha1^2 dr, half the variance of V_T given
-    V_t, and the transport scale alpha1(t) = exp(M(t) - M(T)), its decay,
-    are read off _v_law, M the cumulative reversion speed.  tau_closed_gap
-    is the max relative gap of the paper's exponential-integral clock
-    from tau on a probe grid: a known deviation, carried, never patched.
-    """
-
-    tau: Callable[[float], float]
-    alpha1: Callable[[float], float]
-    tau_closed_gap: float
-    t_mat: float
-
-
-@functools.lru_cache(maxsize=16)
-def _green_build(model: AdolModel) -> GreenPieces:
-    if model.h >= 0.5:
-        raise ValueError("green machinery requires H < 1/2")
-    c = model.constants
+def j_state(model: AdolModel, co: CfCoefficients, chis) -> tuple[np.ndarray, np.ndarray]:
+    """J's kernel centre and pole weight at an array of source times in (0, T]."""
+    chis = np.asarray(chis, dtype=float)
     T = model.t_mat
-    p_exp = 1.0 + model.m_pi
-    m_scale = model.m_rho / p_exp
-    f_T = _f_quad(model, T)  # alpha1 passes it for both ends: the decay needs no table
-
-    def alpha1(t: float) -> float:
-        return float(_v_law(model, t, T, f_s=f_T, f_t=f_T)[0])
-
-    def tau(t: float) -> float:
-        if not 0.0 <= t <= T * (1.0 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {T}]")
-        return float(0.5 * _v_law(model, t, T, f_t=f_T)[1])
-
-    def tau_closed(t: float) -> float:
-        # exponential-integral form; imaginary parts of the two E terms
-        # cancel exactly in the difference, the residue is roundoff
-        if t <= 0.0 or t > T * (1.0 + 1e-12):
-            raise ValueError("closed-form tau needs t in (0, T]")
-        b_sq = c.b_h * c.b_h
-        if abs(model.m_rho) < 1e-14:
-            return b_sq * (T ** (2 * c.h) - t ** (2 * c.h)) / (4.0 * c.h)
-        order = 1.0 - 2.0 * c.h / p_exp
-        zt = -m_scale * t ** p_exp
-        zT = -m_scale * T ** p_exp
-        bracket = (t ** (2 * c.h) * exp_integral_e(order, zt)
-                   - T ** (2 * c.h) * exp_integral_e(order, zT))
-        val = b_sq / (2.0 * p_exp) * math.exp(zT) * bracket
-        return val.real
-
-    gap = 0.0
-    for t in np.linspace(0.02 * T, T, 40):
-        q = tau(float(t))
-        gap = max(gap, abs(tau_closed(float(t)) - q) / max(abs(q), 1e-30))
-
-    return GreenPieces(tau=tau, alpha1=alpha1, tau_closed_gap=gap, t_mat=T)
+    if not np.all((chis > 0.0) & (chis <= T * (1.0 + 1e-12))):
+        raise ValueError(f"source times must lie in (0, {T}]")
+    decay, var = _v_law(model, chis, T)
+    return decay * model.v0 + var, co.gamma(chis) * decay * decay * model.sigma0 * model.v0
 
 
-def green_pieces(model: AdolModel) -> GreenPieces:
-    return _green_build(model)
+def _j_integrand(x, center, k, chi):
+    """J's integrand at x; 0 on the pole, where Re k < 0 damps it."""
+    d = x - 2.0 * chi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d == 0.0, 0j, np.exp(k / (d * d) + x - (x - center) ** 2 / (4.0 * chi)))
 
 
-# --------------------------------------------------------------------------
-# the inner spatial integral J
-# --------------------------------------------------------------------------
-
-# the quadrature of J's integral over the line
-_J_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000)
-
-
-def _convolve_slice(fn: Callable[[float], complex], center: float, w: float,
-                    pole: float | None = None) -> complex:
-    """integral of fn(x) exp(x - (x-center)^2/(4w)) over the line.
-
-    Completing the square gives a Gaussian of mean center + 2w and variance
-    2w; the window is cut at 14 standard deviations.  An interior pole is a
-    panel break: the integrand must be continuous there.
-    """
-    if w <= 0.0:
-        raise ValueError("convolution width must be positive")
-    mean = center + 2.0 * w
-    half = 14.0 * math.sqrt(2.0 * w)
+def _j_rule(center, k, chi, n: int):
+    """J by n Gauss-Legendre nodes on each side of the pole 2 chi, over the
+    Gaussian's mean center + 2 chi +- 14 standard deviations; a pole
+    outside that window leaves one side empty."""
+    x, w = _legendre_rule(n)
+    mean, half = center + 2.0 * chi, 14.0 * np.sqrt(2.0 * chi)
     lo, hi = mean - half, mean + half
-
-    def g(x: float) -> complex:
-        d = x - center
-        return fn(x) * cmath.exp(x - d * d / (4.0 * w))
-
-    if pole is None or not lo < pole < hi:
-        return integrate_adaptive(g, lo, hi, _J_QUAD)
-    return integrate_adaptive(g, lo, pole, _J_QUAD) + integrate_adaptive(g, pole, hi, _J_QUAD)
-
-
-def _j_k_value(omega: complex, chi: float, model: AdolModel, green: GreenPieces,
-               coeffs: CfCoefficients) -> complex:
-    a = green.alpha1(chi)
-    return coeffs.gamma(chi) * a * a * omega * math.exp(-model.kappa * chi)
+    pole = np.clip(2.0 * chi, lo, hi)
+    total = 0j
+    for a, b in ((lo, pole), (pole, hi)):
+        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[..., None] + rad[..., None] * x
+        total = total + rad * (_j_integrand(nodes, center[..., None], k[..., None],
+                                            chi[..., None]) @ w)
+    return total
 
 
-def j_integral(s_center: float, omega: complex, chi: float, model: AdolModel,
-               green: GreenPieces, coeffs: CfCoefficients,
-               method: str = J_QUADRATURE) -> complex:
-    """The spatial integral of the first-order convolution at source time chi.
+def j_integral(center, k, chi) -> np.ndarray:
+    """J at arrays of kernel centres, pole weights and source times (see
+    j_state), which broadcast.  It needs Re k < 0 or k = 0: otherwise the
+    pole does not damp the integrand.  The half rule checks the value: a
+    gap of more than 1e-9 relative raises QuadratureError."""
+    center, k, chi = np.broadcast_arrays(center, np.asarray(k, dtype=complex), chi)
+    if np.any((k.real >= 0.0) & (k != 0.0)):
+        raise ValueError("undamped spatial integrand: Re k >= 0 at the pole diverges "
+                         "or oscillates; use the quadratic closed form on damped contours")
+    val = _j_rule(center, k, chi, 128)
+    err = np.abs(val - _j_rule(center, k, chi, 64))
+    if np.any(err > 1e-9 * np.abs(val)):
+        worst = np.unravel_index(np.argmax(err), err.shape)
+        raise QuadratureError("Gauss-Legendre rule for J missed 1e-9 against its half rule",
+                              estimate=complex(val[worst]), error_bound=float(err[worst]))
+    return val
 
-    s_center is the substituted kernel center, omega the transported state.
-    The integrand is exp[k/(x - 2 chi)^2 + x - (x - s_center)^2/(4 chi)].
-    The quadrature needs Re k < 0 (or k = 0), where the pole damps to zero.
-    """
-    if not 0.0 < chi <= green.t_mat * (1.0 + 1e-12):
-        raise ValueError(f"source time {chi} outside (0, {green.t_mat}]")
-    k = _j_k_value(omega, chi, model, green, coeffs)
-    pole = 2.0 * chi
 
-    if method == J_QUADRATURE:
-        if k == 0.0:
-            return _convolve_slice(lambda x: 1.0 + 0.0j, s_center, chi)
-        if k.real >= 0.0:
-            raise ValueError(
-                "undamped spatial integrand: Re k >= 0 at the pole diverges "
-                "or oscillates; use a quadratic closed form on damped contours")
-
-        def fn(x: float) -> complex:
-            d = x - pole
-            if d == 0.0:
-                return 0.0 + 0.0j  # Re k < 0: the essential singularity damps to zero
-            return cmath.exp(k / (d * d))
-
-        return _convolve_slice(fn, s_center, chi, pole=pole)
-
-    if method == J_QUAD_CENTER:
-        x = s_center - pole
-        if x == 0.0:
-            raise MethodError("expansion center sits on the pole; use the quadrature method")
-        a0 = s_center + k / x ** 2
+def j_closed(center, k, chi) -> tuple[np.ndarray, np.ndarray]:
+    """J's closed form from the exponent expanded to second order at the
+    centre, and that expansion's curvature a2; arrays broadcast.  The value
+    is NaN where a2 >= 0 or the centre sits on the pole."""
+    center, k, chi = np.broadcast_arrays(center, np.asarray(k, dtype=complex), chi)
+    x = center - 2.0 * chi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a0 = center + k / x ** 2
         a1 = 1.0 - 2.0 * k / x ** 3
         a2 = -1.0 / (4.0 * chi) + 3.0 * k / x ** 4
-        return _gaussian_from_quadratic(a0, a1, a2)
+        val = np.sqrt(math.pi / -a2) * np.exp(a0 - a1 * a1 / (4.0 * a2))
+    return np.where((a2.real < 0.0) & (x != 0.0), val, np.nan), a2
 
-    raise ValueError(f"unknown j method {method!r}")
 
-
-def _gaussian_from_quadratic(a0: complex, a1: complex, a2: complex) -> complex:
-    if complex(a2).real >= 0.0:
-        raise MethodError("quadratic exponent has a2 >= 0; use the quadrature method")
-    a0, a1, a2 = complex(a0), complex(a1), complex(a2)
-    try:
-        return cmath.sqrt(math.pi / -a2) * cmath.exp(a0 - a1 * a1 / (4.0 * a2))
-    except OverflowError as exc:
-        # expansion center too close to the pole: the quadratic is meaningless
-        raise MethodError("quadratic exponent out of float range; "
-                          "use the quadrature method") from exc
+def tau_closed_gap(model: AdolModel) -> float:
+    """The largest relative gap of the paper's exponential-integral clock
+    from tau(t) = Var(V_T | V_t) / 2, over 40 times in [0.02 T, T]: a known
+    deviation, carried, never patched.  Needs H < 1/2."""
+    if model.h >= 0.5:
+        raise ValueError("the exponential-integral clock needs H < 1/2")
+    c, T = model.constants, model.t_mat
+    p = 1.0 + model.m_pi
+    ts = np.linspace(0.02 * T, T, 40)
+    f = _f_quad(model, ts)  # its last entry is f_quad(T), so tau(T) is exactly 0
+    tau = 0.5 * _v_law(model, ts, T, f_s=f, f_t=f[-1])[1]
+    b_sq, two_h = c.b_h * c.b_h, 2.0 * c.h
+    if abs(model.m_rho) < 1e-14:
+        closed = b_sq * (T ** two_h - ts ** two_h) / (2.0 * two_h)
+    else:
+        # the imaginary parts of the two E terms cancel exactly in the
+        # difference; the residue is roundoff
+        order, z_T = 1.0 - two_h / p, -model.m_rho / p * T ** p
+        e_T = T ** two_h * exp_integral_e(order, z_T)
+        closed = np.array([(b_sq / (2.0 * p) * math.exp(z_T)
+                            * (t ** two_h * exp_integral_e(order, -model.m_rho / p * t ** p)
+                               - e_T)).real for t in ts.tolist()])
+    return float(np.max(np.abs(closed - tau) / np.maximum(np.abs(tau), 1e-30)))
 
 
 # --------------------------------------------------------------------------

@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from adol.charfn import (
-    J_QUAD_CENTER,
-    J_QUADRATURE,
     MODE_AFFINE,
     MODE_PAPER,
     CorrectionConfig,
     cf_total,
     cf_zero,
     coeffs_paper,
-    green_pieces,
+    j_closed,
     j_integral,
+    j_state,
     pde_residual,
+    tau_closed_gap,
     zero_order_fn,
 )
 from adol.do_process import TimeGrid, cov_m, do_constants, nu_t, psi_h, simulate_vh
@@ -38,46 +38,27 @@ def _report(n: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {n}: {detail}"
 
 
-def _sweep_state(j_model, green, chi: float):
-    sv = j_model.sigma0 * j_model.v0
-    omega = math.exp(j_model.kappa * chi) * sv
-    s_center = green.alpha1(chi) * j_model.v0 + 2.0 * green.tau(chi)
-    return omega, s_center
-
-
 def test_criterion_01_closed_form_j_within_ten_bps(j_model):
     t0 = time.perf_counter()
-    green = green_pieces(j_model)
     co = coeffs_paper(1.0, j_model)
     T = j_model.t_mat
-    gaps = []
-    for chi in np.linspace(0.05 * T, T, 100):
-        chi = float(chi)
-        omega, s_center = _sweep_state(j_model, green, chi)
-        jq = j_integral(s_center, omega, chi, j_model, green, co,
-                        method=J_QUADRATURE)
-        jc = j_integral(s_center, omega, chi, j_model, green, co,
-                        method=J_QUAD_CENTER)
-        gaps.append(abs(jc - jq) / abs(jq) * 1e4)
+    chis = np.linspace(0.05 * T, T, 100)
+    center, k = j_state(j_model, co, chis)
+    jq = j_integral(center, k, chis)
+    gaps = np.abs(j_closed(center, k, chis)[0] - jq) / np.abs(jq) * 1e4
     elapsed = time.perf_counter() - t0
-    worst, typical = max(gaps), float(np.median(gaps))
+    worst, typical = float(np.max(gaps)), float(np.median(gaps))
     ok = worst <= 10.0 and elapsed < 10.0
     _report(1, ok, f"max gap {worst:.3f} bps, median {typical:.3f} bps "
                    f"over 100 source times, {elapsed:.1f} s")
 
 
 def test_criterion_02_quadratic_coefficient_stays_concave(j_model):
-    green = green_pieces(j_model)
     co = coeffs_paper(1.0, j_model)
     T = j_model.t_mat
-    worst = -math.inf
-    for chi in np.linspace(0.05 * T, T, 100):
-        chi = float(chi)
-        omega, s_center = _sweep_state(j_model, green, chi)
-        a1c = green.alpha1(chi)
-        k = co.gamma(chi) * a1c * a1c * omega * math.exp(-j_model.kappa * chi)
-        a2 = -1.0 / (4.0 * chi) + 3.0 * k / (s_center - 2.0 * chi) ** 4
-        worst = max(worst, complex(a2).real)
+    chis = np.linspace(0.05 * T, T, 100)
+    a2 = j_closed(*j_state(j_model, co, chis), chis)[1]
+    worst = float(np.max(a2.real))
     ok = worst < 0.0
     _report(2, ok, f"max Re a2 = {worst:.6f} over 100 source times")
 
@@ -205,7 +186,7 @@ def test_criterion_09_power_law_primitive_and_clock(table1):
         ref = 1j * m.rho * u * (math.exp(kap * (t - T)) / nu_t(T, c)
                                 - 1.0 / nu_t(t, c) + quad)
         worst = max(worst, abs(co.beta_bar(t) - ref) / abs(ref))
-    gap = green_pieces(m).tau_closed_gap
+    gap = tau_closed_gap(m)
     logged = "breach logged, not failed" if gap > 1e-6 else "within tolerance"
     ok = worst <= 1e-10 and math.isfinite(gap)
     _report(9, ok, f"drift primitive max rel gap {worst:.2e}; "

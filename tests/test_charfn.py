@@ -20,19 +20,18 @@ from hypothesis import given, settings, strategies as st
 
 from adol import charfn as cfm
 from adol.charfn import (
-    J_QUAD_CENTER,
-    J_QUADRATURE,
     MODE_AFFINE,
     MODE_PAPER,
     CorrectionConfig,
-    MethodError,
     cf_total,
     cf_zero,
     coeffs_paper,
     correction,
-    green_pieces,
+    j_closed,
     j_integral,
+    j_state,
     pde_residual,
+    tau_closed_gap,
     zero_order_fn,
 )
 from adol.do_process import nu_t
@@ -72,6 +71,17 @@ def test_affine_matches_lognormal_cf(table1_xi0):
             u = float(u)
             ref = cmath.exp(1j * u * (m.r - m.q) * T - 0.5 * u * (u + 1j) * iv)
             assert abs(cf_zero(u, m, MODE_AFFINE) - ref) <= 1e-10, (kap, u)
+
+
+def test_unit_response_at_subnormal_kappa():
+    # 2 kappa tau underflows here, and G / tau rounds to 1 well before
+    for kappa in (5e-324, 1e-310, 0.0):
+        assert cfm._unit_response(kappa, 0.25) == 0.25
+        taus = np.array([0.0, 0.25, 3.0])
+        assert np.array_equal(cfm._unit_response(kappa, taus), taus)
+    # one small entry beside normal ones takes the same branch
+    got = cfm._unit_response(2.0, np.array([1e-18, 0.25]))
+    assert got[0] == 1e-18 and got[1] == -math.expm1(-1.0) / 4.0
 
 
 def test_beta_bar_primitive_vs_quadrature(table1):
@@ -174,42 +184,41 @@ def test_affine_cf_at_minus_i_is_the_forward_exactly(table1):
             assert cf_total(-1j, m, cfg) == forward, order
 
 
-# -------------------------------------------------------- green machinery
+# ------------------------------------------------- the clock and its scale
+
+# The paper's transformed clock tau(t) = 1/2 int_t^T nu^2 alpha1^2 dr is
+# half the variance of V_T given V_t, and its transport scale alpha1(t) is
+# the decay e^(M(t) - M(T)): both are read off V's law from t to T.
 
 def test_green_requires_rough(table1):
-    with pytest.raises(ValueError):
-        green_pieces(replace(table1, h=0.55))
+    with pytest.raises(ValueError, match="H < 1/2"):
+        tau_closed_gap(replace(table1, h=0.55))
 
 
 def test_tau_shape_and_round_trip(table1):
-    g = green_pieces(table1)
     T = table1.t_mat
-    probes = [0.01, 0.1, 0.25, 0.4, 0.49]
-    vals = [g.tau(t) for t in probes]
-    assert all(a > b for a, b in zip(vals, vals[1:]))  # strictly decreasing
-    assert all(v > 0.0 for v in vals)
-    assert g.tau(T) == pytest.approx(0.0, abs=1e-14)
-    for t in (-1e-3, T * 1.01):
-        with pytest.raises(ValueError):
-            g.tau(t)
+    probes = np.array([0.01, 0.1, 0.25, 0.4, 0.49])
+    tau = 0.5 * cfm._v_law(table1, probes, T)[1]
+    assert np.all(np.diff(tau) < 0.0)  # strictly decreasing
+    assert np.all(tau > 0.0)
+    assert cfm._v_law(table1, T, T)[1] == 0.0
 
 
 def test_tau_derivative_matches_jacobian(table1):
     # d tau / dt = -nu^2 alpha1^2 / 2, the clock's own definition
-    g = green_pieces(table1)
-    c = table1.constants
+    c, T = table1.constants, table1.t_mat
     h = 1e-5
     for t in (0.1, 0.25, 0.4):
-        fd = (g.tau(t + h) - g.tau(t - h)) / (2.0 * h)
-        exact = -0.5 * (nu_t(t, c) * g.alpha1(t)) ** 2
-        assert fd == pytest.approx(exact, rel=1e-8), t
+        tau_up, tau_dn = 0.5 * cfm._v_law(table1, np.array([t + h, t - h]), T)[1]
+        decay = cfm._v_law(table1, t, T)[0]
+        fd = (tau_up - tau_dn) / (2.0 * h)
+        assert fd == pytest.approx(-0.5 * (nu_t(t, c) * decay) ** 2, rel=1e-8), t
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.45])
 def test_tau_matches_high_precision_integral(table1, h):
     m = replace(table1, h=h)
     c, T, p = m.constants, m.t_mat, 1.0 + m.m_pi
-    g = green_pieces(m)
 
     def big_m(r):
         return m.m_rho * r ** p / p
@@ -221,25 +230,24 @@ def test_tau_matches_high_precision_integral(table1, h):
         t = frac * T
         with mp.workdps(30):
             ref = 0.5 * mp.quad(integrand, [t, T])
-        assert float(abs(g.tau(t) - ref) / ref) <= 1e-13, (h, frac)
+        tau = 0.5 * cfm._v_law(m, t, T)[1]
+        assert float(abs(tau - ref) / ref) <= 1e-13, (h, frac)
 
 
 def test_transport_scale_shape(table1):
-    g = green_pieces(table1)
     T = table1.t_mat
-    assert g.alpha1(T) == pytest.approx(1.0, rel=1e-14)
-    xs = [g.alpha1(t) for t in (0.05, 0.2, 0.35, T)]
-    assert all(0.0 < x <= 1.0 for x in xs)
-    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert cfm._v_law(table1, T, T)[0] == 1.0
+    xs = cfm._v_law(table1, np.array([0.05, 0.2, 0.35, T]), T)[0]
+    assert np.all((0.0 < xs) & (xs <= 1.0))
+    assert np.all(np.diff(xs) > 0.0)
 
 
 def test_tau_closed_form_gap_is_recorded(table1):
     # the exponential-integral form disagrees with the exact clock; the
     # gap is measured and carried, never silently patched over
-    g = green_pieces(table1)
-    assert g.tau_closed_gap == pytest.approx(0.166422487382887, rel=1e-9)
+    assert tau_closed_gap(table1) == pytest.approx(0.166422487382887, rel=1e-9)
     # at m_rho = 0 the closed form is a plain power law and must agree
-    assert green_pieces(replace(table1, m_rho=0.0)).tau_closed_gap <= 1e-13
+    assert tau_closed_gap(replace(table1, m_rho=0.0)) <= 1e-13
 
 
 def heat_kernel(s: float, s_prime: float, tau: float) -> float:
@@ -268,63 +276,85 @@ def test_heat_kernel_moments():
 
 # ------------------------------------------------------------- J integral
 
-def _j_state(j_model, chi):
-    green = green_pieces(j_model)
-    sv = j_model.sigma0 * j_model.v0
-    omega = math.exp(j_model.kappa * chi) * sv
-    s_center = green.alpha1(chi) * j_model.v0 + 2.0 * green.tau(chi)
-    return green, omega, s_center
+def _j_reference(center: float, k: complex, chi: float) -> complex:
+    """J at 30 digits by mpmath over the window j_integral integrates."""
+    pole = 2.0 * chi
+    with mp.workdps(30):
+        mean, half = center + 2 * chi, 14 * mp.sqrt(2 * chi)
+        lo, hi = mean - half, mean + half
+
+        def f(x):
+            return 0 if x == pole else mp.exp(mp.mpc(k) / (x - pole) ** 2 + x
+                                              - (x - center) ** 2 / (4 * chi))
+
+        return complex(mp.quad(f, [lo, pole, hi] if lo < pole < hi else [lo, hi]))
+
+
+def test_j_matches_high_precision_quadrature(j_model):
+    co = coeffs_paper(1.0, j_model)
+    T = j_model.t_mat
+    chis = np.array([0.05, 0.2, 0.5, 0.8, 1.0]) * T
+    center, k = j_state(j_model, co, chis)
+    assert k[-1] == 0.0  # gamma vanishes at T
+    got = j_integral(center, k, chis)
+    for i, chi in enumerate(chis.tolist()):
+        ref = _j_reference(float(center[i]), complex(k[i]), chi)
+        assert abs(got[i] - ref) <= 1e-13 * abs(ref), chi
 
 
 def test_j_routes_agree(j_model):
     co = coeffs_paper(1.0, j_model)
-    for frac in (0.3, 0.6, 0.9):
-        chi = frac * j_model.t_mat
-        green, omega, s_center = _j_state(j_model, chi)
-        jq = j_integral(s_center, omega, chi, j_model, green, co,
-                        method=J_QUADRATURE)
-        jc = j_integral(s_center, omega, chi, j_model, green, co,
-                        method=J_QUAD_CENTER)
-        assert abs(jc - jq) / abs(jq) <= 1e-3, chi
+    chis = np.array([0.3, 0.6, 0.9]) * j_model.t_mat
+    center, k = j_state(j_model, co, chis)
+    jq = j_integral(center, k, chis)
+    jc = j_closed(center, k, chis)[0]
+    assert np.all(np.abs(jc - jq) / np.abs(jq) <= 1e-3)
 
 
 def test_j_degenerate_closed_form(j_model):
     # with a vanishing pole weight the integral is a pure Gaussian moment
     co0 = coeffs_paper(0.0, j_model)
     chi = 0.5 * j_model.t_mat
-    green, omega, s_center = _j_state(j_model, chi)
-    ref = 2.0 * math.sqrt(math.pi * chi) * math.exp(s_center + chi)
-    for method in (J_QUADRATURE, J_QUAD_CENTER):
-        got = j_integral(s_center, omega, chi, j_model, green, co0, method=method)
-        assert got.real == pytest.approx(ref, rel=1e-9)
-        assert abs(got.imag) <= 1e-9 * ref
+    center, k = j_state(j_model, co0, chi)
+    assert k == 0.0
+    ref = 2.0 * math.sqrt(math.pi * chi) * math.exp(center + chi)
+    for got in (j_integral(center, k, chi), j_closed(center, k, chi)[0]):
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_j_rejects_bad_inputs(j_model):
     co = coeffs_paper(1.0, j_model)
-    green, omega, s_center = _j_state(j_model, 0.25)
-    with pytest.raises(ValueError):
-        j_integral(s_center, omega, j_model.t_mat * 1.1, j_model, green, co)
-    with pytest.raises(ValueError):
-        j_integral(s_center, omega, 0.25, j_model, green, co, method="nope")
-    # positive pole weight makes the integral divergent
-    with pytest.raises(ValueError):
-        j_integral(s_center, -omega, 0.25, j_model, green, co,
-                   method=J_QUADRATURE)
-    # an imaginary one leaves the pole undamped
-    with pytest.raises(ValueError, match="Re k >= 0"):
-        j_integral(s_center, 1j * omega, 0.25, j_model, green, co,
-                   method=J_QUADRATURE)
+    T = j_model.t_mat
+    for bad in (0.0, -0.1, 1.1 * T):
+        with pytest.raises(ValueError, match="source times"):
+            j_state(j_model, co, np.array([0.25, bad]))
+    center, k = j_state(j_model, co, 0.25)
+    # positive pole weight makes the integral divergent, an imaginary one
+    # leaves the pole undamped
+    for bad in (-k, 1j * k):
+        with pytest.raises(ValueError, match="Re k >= 0"):
+            j_integral(center, bad, 0.25)
+
+
+def test_j_refuses_a_missed_half_rule(j_model):
+    # a tiny pole weight with the Gaussian's mean, center + 2 chi, on the
+    # pole: exp(k / d^2) steps from 0 to 1 within a few 1e-3 of the pole,
+    # which 64 nodes on each side resolve worse than 128 do
+    chi, center, k = 0.25, 0.0, -1e-6 + 0j
+    with pytest.raises(QuadratureError, match="half rule") as err:
+        j_integral(center, k, chi)
+    assert err.value.error_bound > 1e-9 * abs(err.value.estimate)
 
 
 def test_j_closed_routes_signal_inapplicability(j_model):
     co = coeffs_paper(1.0, j_model)
     chi = 0.25
-    green, omega, _ = _j_state(j_model, chi)
-    with pytest.raises(MethodError):
-        # expansion center exactly on the pole
-        j_integral(2.0 * chi, omega, chi, j_model, green, co,
-                   method=J_QUAD_CENTER)
+    _, k = j_state(j_model, co, chi)
+    # the expansion centre exactly on the pole, then a2 >= 0
+    for center, kk in ((2.0 * chi, k), (2.0 * chi + 0.1, 1.0 + 0j)):
+        val, a2 = j_closed(center, kk, chi)
+        assert np.isnan(val)
+    assert a2.real >= 0.0
 
 
 # ------------------------------------------------------------ corrections

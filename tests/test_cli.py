@@ -32,7 +32,6 @@ def test_empty_config_resolves_to_defaults(tmp_path):
     assert cfg["model"]["kappa"] == 2.0
     assert cfg["model"]["xi"] == 0.0
     assert cfg["mc"]["seed"] == 20177
-    assert cfg["pricing"]["varswap"]["u_step"] == 1e-2
     assert cfg["output"]["directory"] == "out"
 
 
@@ -43,7 +42,8 @@ def test_unknown_key_rejected(tmp_path, capsys):
         load_config(_write(tmp_path, {"pricing": {"varswap": {"steps": 3}}}))
     # no field reads these, so naming one is an error, not a silent no-op
     for block, key in (("model", "theta"), ("model", "lambda"), ("model", "mu"),
-                       ("cf", "j_method"), ("cf", "v_step"), ("pricing", "n_points")):
+                       ("cf", "j_method"), ("cf", "v_step"), ("cf", "sigma_step"),
+                       ("pricing", "n_points")):
         with pytest.raises(ConfigError, match=f"unknown key '{block}.{key}'"):
             load_config(_write(tmp_path, {block: {key: 0}}))
     theta = _write(tmp_path, {"model": {"theta": 0.0}}, "theta.json")
@@ -55,6 +55,10 @@ def test_unknown_key_rejected(tmp_path, capsys):
                     "states.json")
     assert main(["varswap", "--config", states, "--out", str(tmp_path / "o")]) == 1
     assert "unknown key 'pricing.varswap.mc_states'" in capsys.readouterr().err
+    # the variance-swap stencil step is a constant of the pricer
+    step = _write(tmp_path, {"pricing": {"varswap": {"u_step": 1e-2}}}, "step.json")
+    assert main(["varswap", "--config", step, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'pricing.varswap.u_step'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, key", [("mc", "t_start"), ("model", "eps")])
@@ -80,6 +84,14 @@ def test_exit_codes_for_bad_configs(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
     assert main(["constants", "--config", str(bad_json)]) == 1
+
+    # a UTF-16 byte-order mark: the file is not UTF-8 text
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    capsys.readouterr()
+    assert main(["constants", "--config", str(not_utf8),
+                 "--out", str(tmp_path / "o5")]) == 1
+    assert "config is not UTF-8 text" in capsys.readouterr().err
 
     bad_model = _write(tmp_path, {"model": {"sigma0": -1.0}})
     assert main(["constants", "--config", bad_model,
@@ -128,6 +140,25 @@ def test_values_the_grid_rejects_are_config_errors(tmp_path, capsys):
               "date of the 200-step grid"))
     for cmd, cfg, msg in cases:
         path = _write(tmp_path, cfg, "grid.json")
+        assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 1, msg
+        assert msg in capsys.readouterr().err
+
+
+def test_values_the_pricer_rejects_are_config_errors(tmp_path, capsys):
+    # the pricer and the CF grid refuse these downstream; the config refuses
+    # them first, by key, with exit 1, whichever command reads the config
+    cases = (("price", {"pricing": {"strikes": [-1.0]}},
+              "pricing: strikes must be positive, got -1.0"),
+             ("mc", {"pricing": {"strikes": [1.0, -1.0]}},
+              "pricing: strikes must be positive, got -1.0"),
+             ("price", {"pricing": {"strikes": [0.0]}},
+              "pricing: strikes must be positive, got 0.0"),
+             ("price", {"pricing": {"damping": -1.0}},
+              "pricing: damping must be positive and finite, got -1.0"),
+             ("cf", {"cf": {"n_u": -3}}, "cf: n_u must be at least 1, got -3"),
+             ("cf", {"cf": {"n_u": 0}}, "cf: n_u must be at least 1, got 0"))
+    for cmd, cfg, msg in cases:
+        path = _write(tmp_path, cfg, "pricer.json")
         assert main([cmd, "--config", path, "--out", str(tmp_path / "o")]) == 1, msg
         assert msg in capsys.readouterr().err
 
