@@ -9,7 +9,7 @@ Risk-neutral dynamics priced by this package:
 with nu(t) = B_H t^(H-1/2) from the Gaussian driver and a power-law
 mean-reversion speed m(t) = m_rho * t^m_pi.  Under the physical measure the
 auxiliary state additionally carries a singular drift that is switched off
-on [0, eps].
+on [0, P_DRIFT_EPS].
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class AdolModel:
     m_rho: float
     m_pi: float
     t_mat: float
-    eps: float = 1e-4
     constants: DoConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -67,8 +66,6 @@ class AdolModel:
             raise ValueError("hurst index must lie in (0, 1)")
         if self.m_pi < 0.0:
             raise ValueError("m_pi must be nonnegative")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
         if self.t_mat <= 0.0:
             raise ValueError("maturity must be positive")
         object.__setattr__(self, "constants", do_constants(self.h))
@@ -108,16 +105,20 @@ def q_drifts(t: float, sigma: float, v: float, model: AdolModel) -> tuple[float,
     return drift_s, drift_sigma, drift_v
 
 
-def p_drift_v(t: float, v: float, model: AdolModel) -> complex:
-    """Physical-measure drift of the auxiliary state, cut off on [0, eps].
+# the physical drift's cut-off time: the drift is 0 on [0, P_DRIFT_EPS]
+P_DRIFT_EPS = 1e-4
 
-    For t > eps:  i H d_H t^(H-1) + ((2H-1)/t) v,  with d_H = sqrt(d_H^2).
+
+def p_drift_v(t: float, v: float, model: AdolModel) -> complex:
+    """Physical-measure drift of the auxiliary state, cut off on [0, P_DRIFT_EPS].
+
+    For t > P_DRIFT_EPS:  i H d_H t^(H-1) + ((2H-1)/t) v,  with d_H = sqrt(d_H^2).
     The imaginary part is the deterministic adjustment that centers the
     driver's law on the fBm marginals.
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    if t <= model.eps:
+    if t <= P_DRIFT_EPS:
         return 0.0 + 0.0j
     c = model.constants
     d_h = max(c.d_h_sq, 0.0) ** 0.5

@@ -26,12 +26,11 @@ The paths are two fixed halves of the independent units (the pairs, if
 antithetic: path i + n / 2 is the twin of path i); one unit is one half.
 `SeedSequence(seed)` spawns two SFC64 streams per half, the x-shock's own
 (maturity's row, then a row per capture) and the vol Brownian's (a row per
-step), each read in a fixed layout, so results are bitwise reproducible.  A
-march of FORK_PATH_STEPS path-steps or more, in a process that may use two
-CPUs and runs no other thread, marches its second half in a forked child,
-whose rows come back through a pipe (if the child fails, its half is
-marched here); else the halves march at a go here.  Either way gives the
-same bits.
+step), each read in a fixed layout, so results are bitwise reproducible.
+The calling thread marches the first half and one worker thread the
+second; numpy lets go of the GIL in each fill and array step, so the
+halves run side by side.  Each half reads only its own streams and
+columns, so the bits do not depend on how the threads interleave.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -44,7 +43,7 @@ paths: `pricing` takes them over the same law of V that the march steps by.
 from __future__ import annotations
 
 import math
-import os
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,11 +56,6 @@ from .model import AdolModel
 __all__ = ["McSpec", "PathStats", "Paths", "simulate_q", "simulate_paths",
            "mc_prices", "mc_quadratic_variation"]
 
-# a march of at least this many path-steps forks its second half: on two
-# cores a bare march gains from about 3e6, but the default 20k x 200 one
-# (4e6) gained nothing end to end in `adol price` when made to fork
-FORK_PATH_STEPS = 5_000_000
-
 
 @dataclass(frozen=True)
 class McSpec:
@@ -71,6 +65,11 @@ class McSpec:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
+        # a float fails only inside the march, and seed True marches seed 1
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be at least 1")
         if self.seed < 0:
@@ -139,71 +138,41 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     x, sig, v = (np.empty(spec.n_paths) for _ in range(3))
     snaps = {k: np.empty(spec.n_paths) for k in sorted(bridged)}
 
-    def march(first: int, last: int) -> None:
-        """March halves first to last - 1 at a go, each on its own streams."""
-        c0 = bounds[first]
-        draws = [(*gens[2 * i:2 * i + 2], slice(bounds[i] - c0, bounds[i + 1] - c0))
-                 for i in range(first, last)]
+    raised = {}  # per half, what its march raised
 
+    def march(half: int) -> None:
+        """March one half on its own streams and columns; what it raises is
+        kept in `raised`, to be raised on the calling thread."""
         def cols(a: np.ndarray) -> np.ndarray:
-            return a.reshape(rows, units)[:, c0:bounds[last]]
+            return a.reshape(rows, units)[:, bounds[half]:bounds[half + 1]]
 
-        _march(model, grid, law, draws, cols(x), cols(sig), cols(v),
-               {k: cols(s) for k, s in snaps.items()})
+        try:
+            _march(model, grid, law, *gens[2 * half:2 * half + 2], cols(x), cols(sig),
+                   cols(v), {k: cols(s) for k, s in snaps.items()})
+        except BaseException as exc:
+            raised[half] = exc
 
-    # never beside another thread, whose locks the child would hold unowned
-    if (len(bounds) == 3 and spec.n_paths * n_steps >= FORK_PATH_STEPS
-            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        _march_forked(march, [row for a in (x, sig, v, *snaps.values())
-                              for row in a.reshape(rows, units)[:, bounds[1]:]])
-    else:
-        march(0, len(bounds) - 1)
+    # the calling thread marches the first half, a worker thread the second
+    workers = [threading.Thread(target=march, args=(half,))
+               for half in range(1, len(bounds) - 1)]
+    for worker in workers:
+        worker.start()
+    march(0)
+    for worker in workers:
+        worker.join()
+    if raised:
+        raise raised[min(raised)]
     if capture is not None and n_steps in capture:
         snaps[n_steps] = x
     return Paths(model, spec, grid, x, sig, v, snaps)
 
 
-def _march_forked(march, child_rows: list[np.ndarray]) -> None:
-    """The second half in a forked child, which sends back child_rows
-    through a pipe, while the first runs here; the rows are read into this
-    process's child_rows.  A child that fails sends less: its half is then
-    marched here, and raises what it raised there."""
-    import signal
-
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the child never returns; a write after the parent died fails
-        code = 1
-        try:
-            os.close(r)
-            march(1, 2)
-            with open(w, "wb") as out:
-                for row in child_rows:
-                    out.write(row)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
-        with open(r, "rb") as src:
-            march(0, 1)
-            sent = all(src.readinto(row) == row.nbytes for row in child_rows)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    if not sent:
-        march(1, 2)
-
-
-def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
-           sig: np.ndarray, v: np.ndarray, snaps: dict[int, np.ndarray]) -> None:
-    """March halves at a go in place, each on the own and vol streams and the
-    columns that draws holds for it: x, sig and v take the terminal states
-    and snaps[k] x at grid index k, each of shape (rows, units) as in `_run`."""
+def _march(model: AdolModel, grid: np.ndarray, law, own: np.random.Generator,
+           vol: np.random.Generator, x: np.ndarray, sig: np.ndarray, v: np.ndarray,
+           snaps: dict[int, np.ndarray]) -> None:
+    """March one half in place on its x-shock's own and vol streams: x, sig
+    and v take the terminal states and snaps[k] x at grid index k, each of
+    shape (rows, half's units) as in `_run`."""
     decay, dev, log_l, clock = law
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
@@ -215,11 +184,9 @@ def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
     tmp = np.empty(x.shape)  # scratch of every in-place step
     z = np.empty(x.shape)    # each step's vol normals, then the own stream's
 
-    def normals(stream: int) -> np.ndarray:
-        """The next normals of each half's own (0) or vol (1) stream as one
-        per path, in z: the draws, then their negation if antithetic."""
-        for *gens, cols in draws:
-            gens[stream].standard_normal(out=z[0, cols])
+    def normals(gen: np.random.Generator) -> np.ndarray:
+        """The next normals of gen in z, and their negation if antithetic."""
+        gen.standard_normal(out=z[0])
         if len(z) == 2:
             np.negative(z[0], out=z[1])
         return z
@@ -238,7 +205,7 @@ def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(len(grid) - 1):
-            normals(1)
+            normals(vol)
             # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the step's
             # variance clock
             np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)
@@ -262,7 +229,7 @@ def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
 
         # s_T = sqrt(q_T) z, in tmp; z is the scratch of x_T once read
         s = np.sqrt(var, out=tmp)
-        s *= normals(0)
+        s *= normals(own)
         finish(x, var, grid[-1], s, z)
 
     if not (np.isfinite(x).all() and np.isfinite(sig).all()):
@@ -279,7 +246,7 @@ def _march(model: AdolModel, grid: np.ndarray, law, draws, x: np.ndarray,
         np.subtract(1.0, f, out=f)
         f *= var_k
         np.sqrt(f, out=f)
-        f *= normals(0)
+        f *= normals(own)
         s += f
         finish(snaps[k], var_k, grid[k], s, z)
         var_next = var_k

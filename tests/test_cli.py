@@ -576,7 +576,9 @@ def test_varswap_rows_pinned(tmp_path):
     assert _read_csv(out / "varswap.csv")[1][1:] == _PIN_VARSWAP
 
 
-def _check_rows_pinned(tmp_path, capsys):
+def test_check_mc_rows_pinned(tmp_path, capsys):
+    # price, varswap and mc of `adol check` read one path set, which holds
+    # the terminal states and the realized variance's snapshots
     out = tmp_path / "out"
     assert main(["check", "--config", _write(tmp_path, _PIN_CFG),
                  "--out", str(out)]) == 3
@@ -588,19 +590,6 @@ def _check_rows_pinned(tmp_path, capsys):
     assert got == {k[len("call@"):]: v for k, v in _PIN_MC.items()
                    if k.startswith("call@")}
     assert _read_csv(out / "varswap.csv")[1][1:] == _PIN_VARSWAP
-
-
-def test_check_mc_rows_pinned(tmp_path, capsys):
-    # price, varswap and mc of `adol check` read one path set, which holds
-    # the terminal states and the realized variance's snapshots
-    _check_rows_pinned(tmp_path, capsys)
-
-
-def test_check_mc_rows_pinned_with_the_second_half_forked(tmp_path, capsys, fork_marches):
-    # the rows do not depend on where the march's second half ran
-    forks = fork_marches(2)
-    _check_rows_pinned(tmp_path, capsys)
-    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("command, cfg, code, sims", [

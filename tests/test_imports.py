@@ -191,7 +191,7 @@ def test_law_of_v_is_read_through_charfn_alone():
 def test_cli_import_loads_neither_executor_nor_logging():
     # `adol` runs as one short process per command, so every module the
     # import pulls in costs each run its start-up time and memory; the
-    # Monte Carlo march forks with os alone
+    # Monte Carlo march's second half runs on a plain threading.Thread
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = ("import sys, adol.cli; print(sorted({'concurrent.futures', 'logging', "
              "'multiprocessing', 'mmap'} & set(sys.modules)))")

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adol.model import AdolModel, m_t, p_drift_v, q_drifts, small_param_check
+from adol.model import P_DRIFT_EPS, AdolModel, m_t, p_drift_v, q_drifts, small_param_check
 
 
 def _base(**kw) -> AdolModel:
@@ -19,7 +19,7 @@ def _base(**kw) -> AdolModel:
 @pytest.mark.parametrize("kw", [
     {"s0": 0.0}, {"s0": -1.0}, {"sigma0": 0.0}, {"kappa": -0.1},
     {"xi": -1e-9}, {"rho": -1.01}, {"rho": 1.01},
-    {"h": 0.0}, {"h": 1.0}, {"m_pi": -0.5}, {"eps": 0.0}, {"t_mat": 0.0},
+    {"h": 0.0}, {"h": 1.0}, {"m_pi": -0.5}, {"t_mat": -0.5}, {"t_mat": 0.0},
 ])
 def test_invalid_parameters_raise(kw):
     with pytest.raises(ValueError):
@@ -77,7 +77,12 @@ def test_q_drifts_formulas(table1):
 
 
 def test_p_drift_cutoff_and_formula(table1):
-    assert p_drift_v(0.5 * table1.eps, 3.0, table1) == 0.0
+    # the cut-off is a constant of the drift, not a model parameter
+    assert P_DRIFT_EPS > 0.0
+    assert "eps" not in {f.name for f in fields(AdolModel)}
+    assert p_drift_v(0.5 * P_DRIFT_EPS, 3.0, table1) == 0.0
+    assert p_drift_v(P_DRIFT_EPS, 3.0, table1) == 0.0
+    assert p_drift_v(2.0 * P_DRIFT_EPS, 3.0, table1) != 0.0
     t, v = 0.2, 3.0
     c = table1.constants
     got = p_drift_v(t, v, table1)

@@ -8,7 +8,6 @@ discretization bias.
 """
 
 import math
-import os
 import re
 import sys
 import threading
@@ -50,6 +49,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         McSpec(n_paths=101, n_steps=10, seed=1, antithetic=True)
     McSpec(n_paths=100, n_steps=10, seed=1, antithetic=True)
+    # a float or a bool is no count and no seed, even one equal to an
+    # integer: each is refused by name before any march reads it
+    for field, value in [("n_paths", 100.0), ("n_steps", 10.0), ("seed", 1.5),
+                         ("seed", True), ("n_paths", True)]:
+        kw = {"n_paths": 100, "n_steps": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McSpec(**kw)
+    McSpec(n_paths=np.int64(100), n_steps=np.int32(10), seed=np.uint64(1))
 
 
 def test_reproducible_and_seed_sensitive(table1):
@@ -489,8 +496,9 @@ def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
     lambda model, spec: simulate_q(model, spec),
     lambda model, spec: simulate_paths(model, spec, (0.25, 0.5)),
 ], ids=["simulate_q", "simulate_paths"])
-def test_march_starts_no_thread(table1, monkeypatch, march):
-    # every draw is made in line on the calling thread
+def test_march_of_two_units_starts_one_thread(table1, monkeypatch, march):
+    # the second half marches on one worker thread, joined before the march
+    # returns; a march of one unit is one half, on the calling thread
     started = []
     start = threading.Thread.start
 
@@ -500,9 +508,13 @@ def test_march_starts_no_thread(table1, monkeypatch, march):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    march(table1, McSpec(n_paths=64, n_steps=12, seed=4))
-    assert started == []
-    assert threading.active_count() == before
+    for n_paths, antithetic, threads in ((64, False, 1), (2, False, 1), (1, False, 0),
+                                         (2, True, 0)):
+        started.clear()
+        march(table1, McSpec(n_paths=n_paths, n_steps=12, seed=4, antithetic=antithetic))
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
 
 
 def _raised_within(seconds, fn):
@@ -611,69 +623,44 @@ def test_draw_failure_reaches_caller(table1, monkeypatch, failing):
 
 # ------------------------------------------------------------ the halves
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("obs", [None, (0.1, 0.25, 0.5)], ids=["simulate_q", "simulate_paths"])
-def test_forked_half_gives_the_in_process_paths(table1, fork_marches, antithetic, obs):
-    spec = McSpec(n_paths=302, n_steps=20, seed=5, antithetic=antithetic)
-
-    def march():
-        return simulate_q(table1, spec) if obs is None else simulate_paths(table1, spec, obs)
-
-    runs = {}
-    for cpus in (1, 2):
-        forks = fork_marches(cpus)
-        runs[cpus] = march()
-        assert len(forks) == cpus - 1
-    _no_child_left()
-    here, forked = runs[1], runs[2]
-    ref = _serial_run(table1, spec, None if obs is None else set(
-        montecarlo._qv_indices(montecarlo._grid(table1, spec), obs)))
-    for got in (here, forked):
-        for field in ("x", "sigma", "v"):
-            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
-        assert got.snaps.keys() == ref.snaps.keys()
-        for k in ref.snaps:
-            assert got.snaps[k].tobytes() == ref.snaps[k].tobytes()
-
-
-@pytest.mark.parametrize("failing", [None, 1, 3], ids=["none", "parent-half", "child-half"])
-def test_no_child_outlives_a_march(table1, monkeypatch, fork_marches, failing):
-    # stream 1 is the vol stream of the half marched here, stream 3 that of
-    # the forked half: a failure in either reaches the caller as the march
-    # in one process raises it, and the child is reaped in every case
+@pytest.mark.parametrize("failing", [None, 1, 3], ids=["none", "first-half", "second-half"])
+def test_no_thread_outlives_a_march(table1, monkeypatch, failing):
+    # stream 1 is the vol stream of the half marched on the calling thread,
+    # stream 3 that of the worker's half: a failure in either reaches the
+    # caller as the same object, and the worker is joined in every case
     spec = McSpec(n_paths=64, n_steps=10, seed=4)
     want = simulate_q(table1, spec)
-    forks = fork_marches(2)
     boom, _ = _failing_draws(monkeypatch, failing, 3)
+    before = threading.active_count()
     if failing is None:
         assert simulate_q(table1, spec).x.tobytes() == want.x.tobytes()
     else:
         with pytest.raises(MemoryError) as raised:
             simulate_q(table1, spec)
         assert raised.value is boom
-    assert len(forks) == 1
-    _no_child_left()
+    assert threading.active_count() == before
 
 
-def test_no_fork_beside_another_thread(table1, fork_marches):
-    # a child forked beside a live thread would copy whatever that thread
-    # holds, locks included, mid-operation
-    forks = fork_marches(2)
+def test_march_beside_another_thread_is_bitwise_serial(table1):
+    # a live thread of the caller's changes neither the halves nor their bits
+    spec = McSpec(n_paths=302, n_steps=20, seed=5, antithetic=True)
+    obs = (0.1, 0.25, 0.5)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        simulate_q(table1, McSpec(n_paths=64, n_steps=10, seed=4))
+        got = simulate_paths(table1, spec, obs)
     finally:
         release.set()
         other.join(10.0)
     assert not other.is_alive()
-    assert forks == []
+    ref = _serial_run(table1, spec, set(
+        montecarlo._qv_indices(montecarlo._grid(table1, spec), obs)))
+    for field in ("x", "sigma", "v"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+    assert got.snaps.keys() == ref.snaps.keys()
+    for k in ref.snaps:
+        assert got.snaps[k].tobytes() == ref.snaps[k].tobytes()
 
 
 # -------------------------------------------------- one march, many estimators
@@ -729,10 +716,10 @@ def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
     monkeypatch.setattr(np, "negative", counted)
     spec = McSpec(n_paths=64, n_steps=8, seed=4, antithetic=True)
     simulate_paths(table1, spec, (0.25, 0.5))
-    # the halves march at a go: a vol draw per step, then the x-shock's own
-    # at maturity and at 0.25 (index 4), each drawn per half and negated
-    # once over both; 0.5 is maturity itself
-    assert calls == [(32,)] * (spec.n_steps + 2)
+    # each half, 16 pairs, negates its own draws: a vol draw per step, then
+    # the x-shock's own at maturity and at 0.25 (index 4); 0.5 is maturity
+    # itself
+    assert calls == [(16,)] * (2 * (spec.n_steps + 2))
 
 
 def test_paths_of_another_spec_or_model_are_refused(table1):
