@@ -46,7 +46,6 @@ from .pricing import (
     FourierPricingSpec,
     VarSwapSpec,
     bs_price,
-    fourier_price,
     fourier_prices,
     implied_vol,
     forward_cf,

@@ -65,6 +65,45 @@ class DoConstants:
             raise ValueError(f"d_h_sq below numerical zero floor: {self.d_h_sq}")
 
 
+# a_k = zeta(k) (1 + ((-1)^k - 1) / 2^k) / k for k = 2, 3, ..., 30, formed in
+# mpmath at 40 digits: with v = 2H - 1,
+#   log((1 + v) Gamma(2 - v) Gamma(1 + v/2) / Gamma(1 - v/2))
+#       = log(1 - v^2) + sum_k a_k v^k,
+# from the Taylor series of log Gamma(1 + z), whose Euler-gamma terms cancel
+_D_SQ_SERIES = (
+    0.8224670334241132, 0.30051422578989856, 0.27058080842778454,
+    0.19442395408938187, 0.1695571769974082, 0.1417991171318329,
+    0.12550966952474304, 0.11089936639351171, 0.1000994575127818,
+    0.09086519486346006, 0.083353840546109, 0.0769137340587127,
+    0.07143294629536133, 0.06666463674753995, 0.06250095514121304,
+    0.05882308107600241, 0.055555767627403614, 0.05263147860569325,
+    0.05000004769810169, 0.047619024917057884, 0.04545455629320467,
+    0.04347825568701384, 0.04166666915034121, 0.03999999880795428,
+    0.03846153903467518, 0.03703703676109446, 0.035714285847333355,
+    0.03448275855646101, 0.03333333336437758,
+)
+# below this |2H - 1| the terms past the 30th sum to under 1e-17 of d_H^2
+_D_SQ_SERIES_V = 0.25
+
+
+def _d_sq(h: float) -> float:
+    """d_H^2 = 1 - 2H Gamma(3 - 2H) Gamma(H + 1/2) / Gamma(3/2 - H).
+
+    The Gamma product tends to 1 as H -> 1/2, so 1 minus it keeps only the
+    ulps of math.gamma there; near 1/2 the log of the product is summed as
+    a series in v = 2H - 1 instead, every term of order v^2.
+    """
+    v = 2.0 * h - 1.0
+    if abs(v) >= _D_SQ_SERIES_V:
+        return 1.0 - (2.0 * h * math.gamma(3.0 - 2.0 * h) * math.gamma(h + 0.5)
+                      / math.gamma(1.5 - h))
+    log_sum = 0.0
+    for a in reversed(_D_SQ_SERIES):
+        log_sum = (log_sum + a) * v
+    # 0.0 - rather than a bare minus, so d_H^2 at H = 1/2 is +0.0, not -0.0
+    return 0.0 - math.expm1(math.log1p(-v * v) + log_sum * v)
+
+
 def do_constants(h: float) -> DoConstants:
     """Evaluate every Hurst-derived constant in closed form."""
     if not 0.0 < h < 1.0:
@@ -75,7 +114,7 @@ def do_constants(h: float) -> DoConstants:
     b = (2.0 ** (3.0 - 4.0 * h)) * sin_pi_h ** -4 * math.gamma(2.0 - h) / (
         math.gamma(1.5 - h) ** 2 * math.gamma(h)
     )
-    d_sq = 1.0 - 2.0 * h * math.gamma(3.0 - 2.0 * h) * math.gamma(h + 0.5) / math.gamma(1.5 - h)
+    d_sq = _d_sq(h)
     psi_scale = math.gamma(3.0 - 2.0 * h) / (c * math.gamma(1.5 - h) ** 2)
     return DoConstants(h=h, alpha_h=alpha, c_h=c, b_h=b, d_h_sq=d_sq, psi_scale=psi_scale)
 

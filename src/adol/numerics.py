@@ -2,8 +2,8 @@
 
 Provides the handful of numerical tools the rest of the package is built
 on: the symmetric beta function, the generalized exponential integral E(nu, z)
-on the principal branch, adaptive Gauss-Kronrod quadrature for
-complex-valued integrands, and the standard normal CDF.
+on the principal branch, adaptive Gauss-Kronrod quadrature for complex
+scalar or vector integrands, and the standard normal CDF.
 
 All functions are pure; there is no module state.
 """
@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -178,38 +181,43 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], complex], a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel.  Returns (estimate, error_bound)."""
+def _gk15(f: Callable[[float], complex | np.ndarray], a: float, b: float):
+    """One Gauss-Kronrod 7-15 panel.  Returns (estimate, error_bound) per entry."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = complex(f(mid))
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        x = half * _XGK[j]
-        f1 = complex(f(mid - x))
-        f2 = complex(f(mid + x))
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss-7 nodes
-            resg += _WG[j // 2] * (f1 + f2)
-    resk *= half
-    resg *= half
-    err = abs(resk - resg)
-    return resk, max(err, abs(resk) * 1e-16)
+    fc = f(mid)
+    pairs = [(f(mid - half * x), f(mid + half * x)) for x in _XGK[:7]]
+    # a NaN or inf node gives a non-finite bound (unwarned), which `err > tol` lets pass
+    with np.errstate(invalid="ignore", over="ignore"):
+        resk = _WGK[7] * fc
+        resg = _WG[3] * fc
+        for j, (f1, f2) in enumerate(pairs):
+            resk += _WGK[j] * (f1 + f2)
+            if j % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss-7 nodes
+                resg += _WG[j // 2] * (f1 + f2)
+        resk *= half
+        resg *= half
+        err = np.maximum(abs(resk - resg), abs(resk) * 1e-16)
+    if not math.isfinite(err.sum()):
+        raise QuadratureError(f"integrand is not finite on the panel [{a}, {b}]")
+    return resk, err
 
 
 def integrate_adaptive(
-    f: Callable[[float], complex],
+    f: Callable[[float], complex | np.ndarray],
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Adaptive bisection quadrature of a complex-valued f over [a, b].
 
+    f may return a numpy vector, whose entries share panels until each
+    meets max(abs_tol, rel_tol |its total|); the result is then a vector.
     Endpoint power-law singularities of order > -1 are handled by
     subdivision toward the endpoint (the rule never samples a or b).
     Raises QuadratureError with the best estimate if the panel budget is
-    exhausted before the tolerance is met.
+    exhausted before the tolerance is met, or naming the panel on which f
+    is not finite.
     """
     spec = spec or QuadratureSpec()
     if a == b:
@@ -220,46 +228,43 @@ def integrate_adaptive(
         sign = -1.0
 
     est, err = _gk15(f, a, b)
-    # heap entries: (-error, tie_breaker, a, b, estimate)
-    heap = [(-err, 0, a, b, est)]
+    # panels rank by their worst entry's error over its tolerance at the first
+    # estimate; with the scale fixed, a scalar f's panels rank by error alone
+    scale = np.maximum(spec.abs_tol, spec.rel_tol * abs(est))
+    # heap entries: (-scaled error, tie_breaker, a, b, estimate, error)
+    heap = [(-(err / scale).max(), 0, a, b, est, err)]
+    tie = itertools.count(1)
     total = est
     total_err = err
-    counter = 1
-    n_panels = 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if n_panels >= spec.max_subdivisions:
+    while (total_err > np.maximum(spec.abs_tol, spec.rel_tol * abs(total))).any():
+        if len(heap) >= spec.max_subdivisions:
             raise QuadratureError(
                 "quadrature did not converge within the subdivision budget",
                 estimate=sign * total,
-                error_bound=total_err,
+                error_bound=float(np.max(total_err)),
             )
-        neg_err, _, pa, pb, pest = heapq.heappop(heap)
-        if neg_err == 0.0:
+        neg_key, _, pa, pb, pest, perr = heapq.heappop(heap)
+        if neg_key == 0.0:
             # the worst remaining panel cannot be improved further
             raise QuadratureError(
                 "quadrature stalled on machine-width panels",
                 estimate=sign * total,
-                error_bound=total_err,
+                error_bound=float(np.max(total_err)),
             )
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
             # panel collapsed to machine width; accept its estimate as-is
-            heapq.heappush(heap, (0.0, counter, pa, pb, pest))
-            counter += 1
-            total_err += neg_err  # remove this panel's error from the budget
-            if total_err <= 0.0:
-                total_err = 0.0
+            heapq.heappush(heap, (0.0, next(tie), pa, pb, pest, perr))
+            total_err = np.maximum(total_err - perr, 0.0)  # drop its error from the budget
             continue
         le, lerr = _gk15(f, pa, pm)
         re_, rerr = _gk15(f, pm, pb)
-        total += le + re_ - pest
-        total_err += lerr + rerr + neg_err
-        heapq.heappush(heap, (-lerr, counter, pa, pm, le))
-        counter += 1
-        heapq.heappush(heap, (-rerr, counter, pm, pb, re_))
-        counter += 1
-        n_panels += 1
-    return sign * total
+        # not in place: the heap holds the first panel's est and err
+        total = total + (le + re_ - pest)
+        total_err = total_err + (lerr + rerr - perr)
+        heapq.heappush(heap, (-(lerr / scale).max(), next(tie), pa, pm, le, lerr))
+        heapq.heappush(heap, (-(rerr / scale).max(), next(tie), pm, pb, re_, rerr))
+    return complex(sign * total) if np.ndim(total) == 0 else sign * total
 
 
 def norm_cdf(x: float) -> float:

@@ -6,10 +6,10 @@ log-return by the damped transform
     C(K) = S e^(-a m - r T) / pi * Re ∫_0^umax e^(-i v m) phi(v - (a+1)i)
            / ((a + iv)(a + 1 + iv)) dv,       m = ln(K/S),
 
-integrated adaptively so single-strike accuracy is controlled.  Puts
-always go through parity.  A strike ladder (fourier_prices) runs the same
-integral per strike, but every strike reads its CF values from one memo,
-so each distinct u is evaluated once per ladder.
+integrated adaptively so each strike's accuracy is controlled.  Puts
+always go through parity.  A strike ladder is one vector integral: the
+strikes' damped integrands (Carr & Madan 1999) share adaptive panels, so
+each distinct u is evaluated once per ladder.
 
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 vol, and the inner
@@ -22,11 +22,10 @@ lognormal moments; nothing is sampled.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "FourierPricingSpec",
     "VarSwapSpec",
     "bs_price",
-    "fourier_price",
     "fourier_prices",
     "implied_vol",
     "forward_cf",
@@ -47,12 +45,14 @@ __all__ = [
 ]
 
 
+# the inversion integral's tolerances, against each strike's integral
+_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=2000)
+
+
 @dataclass(frozen=True)
 class FourierPricingSpec:
     damping: float = 1.5
     u_max: float = 150.0
-    quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9,
-                                          max_subdivisions=2000)
 
     def __post_init__(self) -> None:
         # written so that NaN fails the comparison too
@@ -114,72 +114,58 @@ def bs_price(spot: float, strike: float, r: float, q: float,
 # Fourier inversion
 # --------------------------------------------------------------------------
 
-def _check_normalized(cf: Callable[[complex], complex]) -> None:
-    z = cf(0.0)
-    if abs(z - 1.0) > 1e-8:
-        raise ValueError(f"characteristic function not normalized: cf(0) = {z}")
+def _by_strike(strikes: Sequence[float], values: np.ndarray, bad: np.ndarray) -> str:
+    return ", ".join(f"{v} at strike {k}" for k, v, b in zip(strikes, values, bad) if b)
 
 
-def fourier_price(cf: Callable[[complex], complex], spot: float, strike: float,
-                  r: float, q: float, t_mat: float,
-                  spec: FourierPricingSpec | None = None,
-                  is_call: bool = True) -> float:
-    """Single-strike damped-contour inversion with adaptive quadrature; u_max
-    doubles, up to 64 times the spec's, until the integrand has decayed."""
-    # NaN fails every comparison, so finiteness is checked on its own
-    if not (math.isfinite(spot) and math.isfinite(strike)) \
-            or spot <= 0.0 or strike <= 0.0:
-        raise ValueError(f"spot and strike must be finite and positive, "
-                         f"got {spot} and {strike}")
-    spec = spec or FourierPricingSpec()
-    _check_normalized(cf)
-    a = spec.damping
-    m = math.log(strike / spot)
-
-    def integrand(v: float) -> complex:
-        u = complex(v, -(a + 1.0))
-        denom = complex(a, v) * complex(a + 1.0, v)
-        return cmath.exp(-1j * v * m) * cf(u) / denom
-
-    u_max = spec.u_max
-    val = integrate_adaptive(integrand, 0.0, u_max, spec.quad)
-    # past u_max the denominator alone decays like 1/v^2, so while |cf| keeps
-    # falling the dropped tail is at most about u_max |integrand(u_max)|
-    while (tail := u_max * abs(integrand(u_max))) \
-            > max(spec.quad.abs_tol, spec.quad.rel_tol * abs(val)):
-        if u_max >= 64.0 * spec.u_max:
-            raise QuadratureError(f"integrand has not decayed at u_max {u_max}; "
-                                  f"raise u_max", estimate=val, error_bound=tail)
-        val += integrate_adaptive(integrand, u_max, 2.0 * u_max, spec.quad)
-        u_max *= 2.0
-    call = spot * math.exp(-a * m - r * t_mat) / math.pi * val.real
-    if call < -1e-6 * spot:
-        raise RuntimeError(f"inversion produced a materially negative price {call}")
-    call = max(call, 0.0)
-    if is_call:
-        return call
-    return call - spot * math.exp(-q * t_mat) + strike * math.exp(-r * t_mat)
-
-
-def fourier_prices(cf: Callable[[complex], complex], spot: float, strikes,
+def fourier_prices(cf: Callable[[complex], complex], spot: float, strikes: Sequence[float],
                    r: float, q: float, t_mat: float,
                    spec: FourierPricingSpec | None = None,
                    is_call: bool = True) -> list[float]:
-    """fourier_price at each strike, in order, off one memo of cf.
+    """Prices at each strike, in order, by damped-contour inversion.
 
-    The strikes' adaptive integrals visit many of the same u, so the memo,
-    keyed by complex(u) and dropped on return, evaluates cf once per
-    distinct u.  Each price equals fourier_price's for that strike.
+    The strikes' integrands form one vector integral on shared adaptive
+    panels, so each u is evaluated once per ladder; u_max doubles, up to 64
+    times the spec's, until every strike's integrand has decayed.
     """
-    memo: dict[complex, complex] = {}
+    for x in (spot, *strikes):
+        if not 0.0 < x < math.inf:  # written so that NaN fails too
+            raise ValueError(f"spot and strikes must be finite and positive, got {x}")
+    if len(strikes) == 0:
+        return []
+    spec = spec or FourierPricingSpec()
+    z = cf(0.0)
+    if not abs(z - 1.0) <= 1e-8:  # written so that NaN fails too
+        raise ValueError(f"characteristic function not normalized: cf(0) = {z}")
+    a = spec.damping
+    m = np.array([math.log(k / spot) for k in strikes])
 
-    def shared(u: complex) -> complex:
-        key = complex(u)
-        if key not in memo:
-            memo[key] = cf(u)
-        return memo[key]
+    def integrand(v: float) -> np.ndarray:
+        u = complex(v, -(a + 1.0))
+        denom = complex(a, v) * complex(a + 1.0, v)
+        return np.exp(-1j * v * m) * cf(u) / denom
 
-    return [fourier_price(shared, spot, k, r, q, t_mat, spec, is_call) for k in strikes]
+    u_max = spec.u_max
+    val = integrate_adaptive(integrand, 0.0, u_max, _QUAD)
+    # past u_max the denominator alone decays like 1/v^2, so while |cf| keeps falling
+    # a strike drops at most about u_max |integrand(u_max)|; a NaN tail is undecayed
+    while (undecayed := ~((tail := u_max * abs(integrand(u_max)))
+                          <= np.maximum(_QUAD.abs_tol, _QUAD.rel_tol * abs(val)))).any():
+        if u_max >= 64.0 * spec.u_max:
+            raise QuadratureError(f"integrand has not decayed at u_max {u_max}, tail "
+                                  f"{_by_strike(strikes, tail, undecayed)}; raise u_max",
+                                  estimate=val, error_bound=float(np.max(tail)))
+        val += integrate_adaptive(integrand, u_max, 2.0 * u_max, _QUAD)
+        u_max *= 2.0
+    calls = np.array([spot * math.exp(-a * mk - r * t_mat) / math.pi * v.real
+                      for mk, v in zip(m, val)])
+    if (negative := calls < -1e-6 * spot).any():
+        raise RuntimeError(f"inversion produced a materially negative price "
+                           f"{_by_strike(strikes, calls, negative)}")
+    calls = np.maximum(calls, 0.0)
+    if not is_call:
+        calls = calls - spot * math.exp(-q * t_mat) + np.array(strikes) * math.exp(-r * t_mat)
+    return calls.tolist()
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from adol.do_process import TimeGrid, cov_m, do_constants, nu_t, psi_h, simulate
 from adol.model import m_t, small_param_check
 from adol.montecarlo import McSpec, mc_prices, mc_quadratic_variation
 from adol.numerics import QuadratureSpec, integrate_adaptive
-from adol.pricing import VarSwapSpec, bs_price, fourier_price, varswap_strike
+from adol.pricing import VarSwapSpec, bs_price, fourier_prices, varswap_strike
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -111,7 +111,7 @@ def test_criterion_05_deterministic_limit_is_lognormal(table1_xi0):
     cf = lambda u: cf_zero(u, m, MODE_AFFINE)
     worst_px = 0.0
     for ks in (0.8, 0.9, 1.0, 1.1, 1.2):
-        got = fourier_price(cf, m.s0, ks * m.s0, m.r, m.q, T)
+        got = fourier_prices(cf, m.s0, [ks * m.s0], m.r, m.q, T)[0]
         ref = bs_price(m.s0, ks * m.s0, m.r, m.q, iv, True, T)
         worst_px = max(worst_px, abs(got - ref))
     ok = worst_cf <= 1e-8 and worst_px <= 1e-6 * m.s0
@@ -126,7 +126,7 @@ def test_criterion_06_corrected_cf_prices_within_monte_carlo_band(table1):
     t0 = time.perf_counter()
     cfg = CorrectionConfig(mode=MODE_AFFINE, order=1)
     cf = lambda u: cf_total(u, m, cfg)
-    px = fourier_price(cf, m.s0, m.s0, m.r, m.q, m.t_mat)
+    px = fourier_prices(cf, m.s0, [m.s0], m.r, m.q, m.t_mat)[0]
     mc = mc_prices(m, McSpec(n_paths=100_000, n_steps=500, seed=20177), [m.s0])[0]
     elapsed = time.perf_counter() - t0
     gap = abs(px - mc.estimate)

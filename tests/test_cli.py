@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from adol import montecarlo
+from adol import cli, montecarlo
 from adol.cli import ConfigError, load_config, main
 
 
@@ -430,6 +430,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["cf", "--config", cfgp, "--out", str(out)]) == 2
     assert "numerical failure: tanh-sinh rule for z1 missed its tolerance" \
+        in capsys.readouterr().err
+
+
+def test_non_finite_cf_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a CF that is NaN near u = 40 once gave nan prices, which no --check
+    # gate can trip on, and exit 0
+    cf_total = cli.cf_total
+    monkeypatch.setattr(cli, "cf_total", lambda u, model, cfg: (
+        math.nan if 39.0 < u.real < 41.0 else cf_total(u, model, cfg)))
+    path = _write(tmp_path, {"mc": {"n_paths": 64, "n_steps": 20}})
+    assert main(["price", "--check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "numerical failure: integrand is not finite on the panel [37.5, 75.0]" \
         in capsys.readouterr().err
 
 

@@ -4,6 +4,7 @@ Frozen reference values were pinned with mpmath at 40 digits before the
 kernel was written; the mpmath cross-checks are repeated live where cheap.
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -90,6 +91,16 @@ def test_gamma_matches_mpmath(x, h):
     got = do_constants(h)
     for name, ref in _do_constants_mp(h).items():
         assert getattr(got, name) == pytest.approx(float(ref), rel=1e-12, abs=1e-15), name
+
+
+@pytest.mark.parametrize("h", [0.375, 0.4, 0.45, 0.49, 0.4999, 0.5001, 0.51, 0.53,
+                               0.5377177072529088, 0.55, 0.6, 0.625])
+def test_defect_near_half_keeps_its_digits(h):
+    # d_H^2 = 1 - (a Gamma product that tends to 1); formed as 1 minus that
+    # product it kept only math.gamma's ulps and missed mpmath by 1.4e-12
+    # relative at h = 0.5377...
+    ref = float(_do_constants_mp(h)["d_h_sq"])
+    assert do_constants(h).d_h_sq == pytest.approx(ref, rel=1e-14)
 
 
 # ------------------------------------------------------------------ beta_sym
@@ -201,6 +212,46 @@ def test_quadrature_budget_failure_reports_estimate():
         integrate_adaptive(lambda x: x ** -0.9, 0.0, 1.0, spec)
     assert exc.value.error_bound > 0.0
     assert abs(exc.value.estimate) > 0.0
+
+
+def test_vector_entries_share_panels_and_meet_their_own_tolerances():
+    # magnitudes 1, 1e-6 and 1e-12: one relative tolerance serves all three
+    # only if each entry is held to its own total, not to the vector's
+    spec = QuadratureSpec(1e-30, 1e-10, 2000)
+    parts = [lambda x: math.sqrt(x),
+             lambda x: 1e-6 * math.exp(-x) * math.sin(10.0 * x),
+             lambda x: 1e-12 * x ** -0.3]
+    exact = [2.0 / 3.0,
+             1e-6 * (10.0 - math.exp(-1.0) * (math.sin(10.0) + 10.0 * math.cos(10.0))) / 101.0,
+             1e-12 / 0.7]
+    got = integrate_adaptive(lambda x: np.array([g(x) for g in parts]), 0.0, 1.0, spec)
+    assert got.shape == (3,)
+    for g, want, val in zip(parts, exact, got):
+        assert abs(val - want) <= 1e-10 * abs(want)
+        assert abs(val - integrate_adaptive(g, 0.0, 1.0, spec)) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("f, a, b, spec, value, evals", [
+    (lambda x: x ** -0.2, 0.0, 1.0, QuadratureSpec(1e-12, 1e-12, 2000),
+     1.2499999999999272 + 0j, 1305),
+    (lambda x: cmath.exp(20j * x) / (1.0 + x * x), 0.0, 10.0, QuadratureSpec(1e-13, 1e-11, 2000),
+     -0.00043464607440623797 + 0.05002130290380937j, 2025),
+])
+def test_scalar_integrand_keeps_its_value_and_panels(f, a, b, spec, value, evals):
+    # pinned before vector integrands shared the heap: a scalar f is ranked
+    # by its error alone, so the partition and the sum are the same
+    xs = []
+    got = integrate_adaptive(lambda x: xs.append(x) or f(x), a, b, spec)
+    assert type(got) is complex and got == value and len(xs) == evals
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_integrand_is_refused_naming_the_panel(bad):
+    # NaN fails `error > tolerance`, so such a sum once came back as nan
+    with pytest.raises(QuadratureError, match=r"not finite on the panel \[0\.0, 1\.0\]"):
+        integrate_adaptive(lambda x: bad if x > 0.5 else 1.0, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="not finite on the panel"):
+        integrate_adaptive(lambda x: np.array([1.0, bad if x > 0.5 else 1.0]), 0.0, 1.0)
 
 
 def test_norm_cdf():

@@ -1,6 +1,8 @@
 """Transform pricing, implied vol, forward CF and variance swaps."""
 
+import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,6 @@ from adol.pricing import (
     VarSwapSpec,
     bs_price,
     forward_cf,
-    fourier_price,
     fourier_prices,
     _leg_sigmas,
     implied_vol,
@@ -102,7 +103,7 @@ def test_fourier_matches_closed_form(table1_xi0):
         cf = _cf0(m)
         for ks in (0.85, 1.0, 1.15):
             strike = ks * m.s0
-            got = fourier_price(cf, m.s0, strike, m.r, m.q, m.t_mat)
+            got = fourier_prices(cf, m.s0, [strike], m.r, m.q, m.t_mat)[0]
             ref = bs_price(m.s0, strike, m.r, m.q, tv, True, m.t_mat)
             assert abs(got - ref) <= 1e-6 * m.s0, (kap, ks)
 
@@ -111,8 +112,8 @@ def test_fourier_put_via_parity(table1_xi0):
     m = table1_xi0
     tv = _flat_variance(m)
     strike = 1.1 * m.s0
-    got = fourier_price(_cf0(m), m.s0, strike, m.r, m.q, m.t_mat,
-                        is_call=False)
+    got = fourier_prices(_cf0(m), m.s0, [strike], m.r, m.q, m.t_mat,
+                         is_call=False)[0]
     ref = bs_price(m.s0, strike, m.r, m.q, tv, False, m.t_mat)
     assert abs(got - ref) <= 1e-6 * m.s0
 
@@ -120,8 +121,8 @@ def test_fourier_put_via_parity(table1_xi0):
 def test_fourier_damping_invariance(table1_xi0):
     m = table1_xi0
     strike = 0.95 * m.s0
-    vals = [fourier_price(_cf0(m), m.s0, strike, m.r, m.q, m.t_mat,
-                          spec=FourierPricingSpec(damping=a))
+    vals = [fourier_prices(_cf0(m), m.s0, [strike], m.r, m.q, m.t_mat,
+                           spec=FourierPricingSpec(damping=a))[0]
             for a in (1.0, 1.5, 2.5)]
     assert max(vals) - min(vals) <= 1e-7 * m.s0
 
@@ -129,7 +130,7 @@ def test_fourier_damping_invariance(table1_xi0):
 def test_fourier_rejects_unnormalized_cf(table1_xi0):
     m = table1_xi0
     with pytest.raises(ValueError):
-        fourier_price(lambda u: 0.9 + 0.0j, m.s0, m.s0, m.r, m.q, m.t_mat)
+        fourier_prices(lambda u: 0.9 + 0.0j, m.s0, [m.s0], m.r, m.q, m.t_mat)
 
 
 def test_fourier_rejects_non_finite_spot_and_strike(table1_xi0):
@@ -138,9 +139,9 @@ def test_fourier_rejects_non_finite_spot_and_strike(table1_xi0):
     m = table1_xi0
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            fourier_price(_cf0(m), m.s0, bad, m.r, m.q, m.t_mat)
+            fourier_prices(_cf0(m), m.s0, [bad], m.r, m.q, m.t_mat)
         with pytest.raises(ValueError):
-            fourier_price(_cf0(m), bad, m.s0, m.r, m.q, m.t_mat)
+            fourier_prices(_cf0(m), bad, [m.s0], m.r, m.q, m.t_mat)
 
 
 def test_fourier_refuses_an_undecayed_integrand(table1_xi0):
@@ -148,10 +149,10 @@ def test_fourier_refuses_an_undecayed_integrand(table1_xi0):
     # decays by u = 1200, past the 64-fold widening of u_max = 2
     m = replace(table1_xi0, sigma0=0.05, kappa=10.0, t_mat=0.05)
     with pytest.raises(QuadratureError, match="u_max 128"):
-        fourier_price(_cf0(m), m.s0, m.s0, m.r, m.q, m.t_mat,
-                      spec=FourierPricingSpec(u_max=2.0))
-    got = fourier_price(_cf0(m), m.s0, m.s0, m.r, m.q, m.t_mat,
-                        spec=FourierPricingSpec(u_max=1500.0))
+        fourier_prices(_cf0(m), m.s0, [m.s0], m.r, m.q, m.t_mat,
+                       spec=FourierPricingSpec(u_max=2.0))
+    got = fourier_prices(_cf0(m), m.s0, [m.s0], m.r, m.q, m.t_mat,
+                         spec=FourierPricingSpec(u_max=1500.0))[0]
     ref = bs_price(m.s0, m.s0, m.r, m.q, _flat_variance(m), True, m.t_mat)
     assert abs(got - ref) <= 1e-6 * m.s0
 
@@ -162,7 +163,7 @@ def test_fourier_widens_u_max_until_the_integrand_decays(table1_xi0):
     m = replace(table1_xi0, s0=1.0, sigma0=0.05, kappa=10.0, t_mat=0.05)
     var = _flat_variance(m)
     for strike in (0.8, 0.9, 1.0, 1.1, 1.2):
-        got = fourier_price(_cf0(m), m.s0, strike, m.r, m.q, m.t_mat)
+        got = fourier_prices(_cf0(m), m.s0, [strike], m.r, m.q, m.t_mat)[0]
         assert got == pytest.approx(bs_price(m.s0, strike, m.r, m.q, var, True,
                                              m.t_mat), abs=5e-12)
 
@@ -184,7 +185,7 @@ def test_widened_first_order_ladder_is_contour_independent(table1):
     for ladder in ladders[1:]:
         assert ladder == pytest.approx(ladders[0], rel=0, abs=1e-15)
     # the first-order term moves the at-the-money price, unlike the contour
-    cf0 = fourier_price(_cf0(m), m.s0, 1.0, m.r, m.q, m.t_mat)
+    cf0 = fourier_prices(_cf0(m), m.s0, [1.0], m.r, m.q, m.t_mat)[0]
     assert abs(ladders[1][2] - cf0) > 1e-7
 
 
@@ -196,15 +197,16 @@ _SMILE_STRIKES = [0.8, 0.9, 1.0, 1.1, 1.2]
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_ladder_equals_single_strike_prices(table1, order):
-    # the memo changes which strike evaluates a CF value, never the value, so
-    # the ladder's prices are the one-strike prices to the last bit
+    # at order 1 strike 80 alone needs one more bisection than the others,
+    # which moves their sums by less than their last bit: the ladder's
+    # prices are the one-strike prices to the last bit
     cfg = CorrectionConfig(order=order)
     m = table1
     strikes = [80.0, 95.0, 100.0, 105.0, 120.0]
     cf = lambda u: cf_total(u, m, cfg)
     for is_call in (True, False):
         got = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat, is_call=is_call)
-        want = [fourier_price(cf, m.s0, k, m.r, m.q, m.t_mat, is_call=is_call)
+        want = [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat, is_call=is_call)[0]
                 for k in strikes]
         assert got == want, is_call
 
@@ -223,9 +225,71 @@ def test_ladder_evaluates_each_frequency_once(order, distinct, per_strike):
     ladder = set(seen)
     seen.clear()
     for k in _SMILE_STRIKES:
-        fourier_price(counted, m.s0, k, m.r, m.q, m.t_mat)
+        fourier_prices(counted, m.s0, [k], m.r, m.q, m.t_mat)
     # strike by strike the integrals ask again for values an earlier one had
     assert len(seen) == per_strike and set(seen) == ladder
+
+
+def test_empty_ladder_evaluates_nothing():
+    def cf(u):
+        raise AssertionError("the CF was evaluated")
+
+    assert fourier_prices(cf, 1.0, [], 0.0, 0.0, 0.5) == []
+
+
+def test_widened_ladder_matches_its_one_strike_ladders():
+    # the strikes share panels and u_max doublings, so a strike's panels are
+    # the union of what every strike needs; at total variance 5e-5 the
+    # ladder widens u_max to 1200, and every price stays where it would be
+    # alone to well inside the quadrature's tolerance
+    m = replace(_SMILE, sigma0=0.05, r=0.02, q=0.01, t_mat=0.02)
+    cfg = CorrectionConfig(order=1)
+    strikes = list(np.linspace(0.3, 3.0, 50))
+    reach = []
+
+    @functools.lru_cache(maxsize=None)
+    def cf(u):
+        reach.append(u.real)
+        return cf_total(u, m, cfg)
+
+    ladder = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat)
+    assert max(reach) == 1200.0
+    alone = [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat)[0] for k in strikes]
+    assert ladder == pytest.approx(alone, rel=0, abs=1e-11)
+
+
+def test_refusals_name_each_strike(table1_xi0):
+    # paper mode at order 1 gives materially negative prices on a band of
+    # strikes: every one of them is named with its price, not only the first
+    cfg = CorrectionConfig(order=1, mode=cfm.MODE_PAPER)
+    strikes = list(np.linspace(0.3, 3.0, 50))
+    with pytest.raises(RuntimeError) as exc:
+        fourier_prices(lambda u: cf_total(u, _SMILE, cfg), _SMILE.s0, strikes,
+                       _SMILE.r, _SMILE.q, _SMILE.t_mat)
+    named = re.findall(r"(-[0-9.e-]+) at strike ([0-9.]+)", str(exc.value))
+    assert str(exc.value).startswith("inversion produced a materially negative price ")
+    assert [float(k) for _, k in named] == strikes[15:23]
+    assert float(named[0][0]) == pytest.approx(-9.5597e-5, rel=1e-4)
+    assert all(float(p) < -1e-6 for p, _ in named)
+    # an undecayed integrand names each strike with the tail it would drop
+    m = replace(table1_xi0, sigma0=0.05, kappa=10.0, t_mat=0.05)
+    with pytest.raises(QuadratureError,
+                       match=r"u_max 128\.0, tail \S+ at strike 90\.0, \S+ at strike 100\.0; "
+                             r"raise u_max"):
+        fourier_prices(_cf0(m), m.s0, [90.0, 100.0], m.r, m.q, m.t_mat,
+                       spec=FourierPricingSpec(u_max=2.0))
+
+
+def test_non_finite_cf_is_refused(table1_xi0):
+    # max(nan, 0) is nan and abs(nan - 1) > 1e-8 is false, so both CFs once
+    # came back as nan prices
+    m = table1_xi0
+    cf0 = _cf0(m)
+    spotty = lambda u: math.nan if 39.0 < u.real < 41.0 else cf0(u)
+    with pytest.raises(QuadratureError, match=r"not finite on the panel \[37\.5, 75\.0\]"):
+        fourier_prices(spotty, m.s0, [m.s0], m.r, m.q, m.t_mat)
+    with pytest.raises(ValueError, match="not normalized: cf\\(0\\) = nan"):
+        fourier_prices(lambda u: math.nan, m.s0, [m.s0], m.r, m.q, m.t_mat)
 
 
 # admissible models, drawn as for the zero-order properties in test_charfn
@@ -246,9 +310,9 @@ _MODELS = st.builds(
 def test_fourier_ladder_parity_monotone_convex(m):
     cf = _cf0(m)
     strikes = [m.s0 * (0.6 + 0.1 * i) for i in range(11)]
-    calls = [fourier_price(cf, m.s0, k, m.r, m.q, m.t_mat) for k in strikes]
+    calls = [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat)[0] for k in strikes]
     for k, c in zip(strikes, calls):
-        p = fourier_price(cf, m.s0, k, m.r, m.q, m.t_mat, is_call=False)
+        p = fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat, is_call=False)[0]
         fwd = m.s0 * math.exp(-m.q * m.t_mat) - k * math.exp(-m.r * m.t_mat)
         assert abs(c - p - fwd) <= 1e-9
     # rounding allowance: the integral's absolute tolerance, 1e-11, in price
