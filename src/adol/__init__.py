@@ -39,6 +39,7 @@ from .charfn import (
     j_closed,
     tau_closed_gap,
     correction,
+    cf_values,
     cf_total,
     pde_residual,
 )

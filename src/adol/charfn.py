@@ -1,7 +1,8 @@
 """Characteristic function of the log-return, expanded in the vol-of-vol.
 
 The CF is assembled as exp(iux) * (z0 + xi*z1 + xi^2*z2) with x = 0 at
-inception.  The zero order z0 is exponential-affine,
+inception, at a whole array of frequencies u at once (cf_values; cf_total
+is its one-u form).  The zero order z0 is exponential-affine,
 
     z0(t) = exp[alpha(t) + gamma(t) sigma^2 + beta_bar(t) sigma v],
 
@@ -52,6 +53,7 @@ __all__ = [
     "j_closed",
     "tau_closed_gap",
     "correction",
+    "cf_values",
     "cf_total",
     "pde_residual",
 ]
@@ -69,16 +71,18 @@ def _variant(mode: str) -> str:
 class CfCoefficients:
     """Coefficient functions of the exponential-affine zero order.
 
-    All three vanish at t = T (terminal condition z(T) = 1).  Each takes a
-    time or an array of times; a coefficient that is one constant may
-    return it as a scalar.  The frequency u they were built for is carried
-    along because the correction operators need it.
+    All three vanish at t = T (terminal condition z(T) = 1).  The set is
+    built for one frequency u or a 1-d array of them.  Each coefficient
+    takes a time or an array of times, and its value carries the axes of u
+    first, then those of the times (see _lead); a coefficient that is one
+    constant may return it as a scalar.  u is carried along because the
+    correction operators need it.
     """
 
     alpha: Callable[[float], complex]
     gamma: Callable[[float], complex]
     beta_bar: Callable[[float], complex]
-    u: complex
+    u: complex | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,21 @@ class ResidualStats:
     n_points: int
 
 
+def _frequencies(u) -> complex | np.ndarray:
+    """A frequency as a complex, or an array of them as a complex array."""
+    return complex(u) if np.ndim(u) == 0 else np.asarray(u, dtype=complex)
+
+
+def _lead(x, *like):
+    """The array x with a trailing unit axis per axis of the broadcast of
+    `like`, the time or state arrays it meets, so that its axes lead: every
+    u-dependent array carries the axes of u first.  A lone frequency (a
+    complex, not an array) is left as it is, at no cost."""
+    if not isinstance(x, np.ndarray):
+        return x
+    return np.reshape(x, x.shape + (1,) * max(map(np.ndim, like)))
+
+
 # --------------------------------------------------------------------------
 # zero-order coefficients, closed-form mode
 # --------------------------------------------------------------------------
@@ -138,17 +157,17 @@ def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
     """Closed-form coefficient set; requires H < 1/2 (1/nu(0) = 0 there)."""
     if model.h >= 0.5:
         raise ValueError("closed-form beta_bar is defined only for H < 1/2")
-    u = complex(u)
+    u = _frequencies(u)
     c = model.constants
     kappa, rho, T = model.kappa, model.rho, model.t_mat
     r_minus_q = model.r - model.q
     g_amp = u * (1.0 + u * (1.0 - rho) ** 2)
 
     def alpha(t: float) -> complex:
-        return -1j * u * r_minus_q * (t - T)
+        return -1j * _lead(u, t) * r_minus_q * (t - T)
 
     def gamma(t: float) -> complex:
-        return -0.5 * g_amp * _unit_response(kappa, T - t)
+        return -0.5 * _lead(g_amp, t) * _unit_response(kappa, T - t)
 
     # primitive of (kappa + m(s))/nu(s); plain power laws since m is one
     e1 = 1.5 - c.h
@@ -164,7 +183,7 @@ def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
         if np.any(np.less(t, 0.0)):
             raise ValueError(f"time must be nonnegative, got {t}")
         inv_nu_t = t ** (0.5 - c.h) / c.b_h
-        return 1j * rho * u * (
+        return 1j * rho * _lead(u, t) * (
             np.exp(kappa * (t - T)) * inv_nu_T - inv_nu_t - (_ikm(t) - _ikm(T))
         )
 
@@ -186,16 +205,16 @@ def coeffs_affine_ode(u: complex, model: AdolModel) -> CfCoefficients:
     the closed-form mode, whose amplitude and cross coefficient differ, so
     the result can arbitrate it; the PDE residual checks G independently.
     """
-    u = complex(u)
+    u = _frequencies(u)
     drift = 1j * u * (model.r - model.q)
     scale = -0.5 * u * (1j + u)
     kappa, T = model.kappa, model.t_mat
 
     def alpha(t: float) -> complex:
-        return drift * (T - t)
+        return _lead(drift, t) * (T - t)
 
     def gamma(t: float) -> complex:
-        return scale * _unit_response(kappa, T - t)
+        return _lead(scale, t) * _unit_response(kappa, T - t)
 
     def zero(t: float) -> complex:
         return 0.0 + 0.0j
@@ -209,16 +228,18 @@ def _coeffs_for(u: complex, model: AdolModel, mode: str) -> CfCoefficients:
     return coeffs_affine_ode(u, model)
 
 
-def cf_zero(u: complex, model: AdolModel, mode: str = MODE_AFFINE) -> complex:
-    """Zero-order CF value at inception (x = 0)."""
+def cf_zero(u, model: AdolModel, mode: str = MODE_AFFINE) -> complex | np.ndarray:
+    """Zero-order CF value at inception (x = 0), at a frequency or at each
+    of a 1-d array of them."""
     co = _coeffs_for(u, model, mode)
     return _cf_zero_from(co, model)
 
 
-def _cf_zero_from(co: CfCoefficients, model: AdolModel) -> complex:
+def _cf_zero_from(co: CfCoefficients, model: AdolModel) -> complex | np.ndarray:
     s0, v0 = model.sigma0, model.v0
     expo = co.alpha(0.0) + co.gamma(0.0) * s0 * s0 + co.beta_bar(0.0) * s0 * v0
-    return cmath.exp(expo)
+    z = np.exp(expo)
+    return complex(z) if np.ndim(z) == 0 else z
 
 
 def zero_order_fn(u: complex, model: AdolModel,
@@ -485,19 +506,23 @@ def _z1_rule(t_mat: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _LEGS = np.array([1.0, -1.0])
 
 
-def _flow(model: AdolModel, u: complex, t, sigma, chis, at_t, at_chis):
+def _flow(model: AdolModel, u, t, sigma, chis, at_t, at_chis):
     """The exact zero-order flow from the state (sigma, v) at t to each time
     chi: the sigma ray, V's decay, the shift of V's mean (the mean is
     decay v + shift), V's variance and the log of the reaction term along
     the ray.  at_t and at_chis are the flow tables (e_damp, f_quad) at t
-    and at chis; all arguments broadcast, and both tables vanish at t = 0."""
+    and at chis; all arguments broadcast, and both tables vanish at t = 0.
+    The shift and the reaction term depend on u: their values carry the
+    axes of u first, then the broadcast shape of the rest (_lead)."""
     kap = model.kappa
     dt = chis - t
     ms = _m_cum(chis, model)
     decay, var = _v_law(model, t, chis, f_s=at_t[1], f_t=at_chis[1], m_t=ms)
-    shift = 1j * u * model.rho * np.exp(-ms) * sigma * np.exp(kap * t) * (at_chis[0] - at_t[0])
-    log_pref = 1j * u * (model.r - model.q) * dt \
-        - 0.5 * u * (u + 1j) * sigma * sigma * _unit_response(kap, dt)
+    u = _lead(u, t, sigma, chis, *at_t, *at_chis)
+    shift = (1j * model.rho * u) * (np.exp(-ms) * sigma * np.exp(kap * t)
+                                    * (at_chis[0] - at_t[0]))
+    log_pref = (1j * (model.r - model.q) * u) * dt \
+        - (0.5 * u * (u + 1j)) * (sigma * sigma * _unit_response(kap, dt))
     return sigma * np.exp(-kap * dt), decay, shift, var, log_pref
 
 
@@ -507,66 +532,78 @@ def _z1_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     Phi1 z0 at each time chi, carried back along the flow, is, as a
     function of the state v at t, the sum over the sigma legs s +- hs of
     e^(expo + kap v) (p + q v).  Returns kap, expo, p and q with a leading
-    leg axis; the rest is the broadcast shape of t, sigma and chis, and
-    at_t and at_chis are as for _flow.
+    leg axis, then co.u's axes, then the broadcast shape of t, sigma and
+    chis; chis has all of that shape's axes, as the coefficients' values
+    align on them, and at_t and at_chis are as for _flow.
 
     On a leg s_l the tilt is c = b s_l, and V's mean under it is
     decay v + shift + c var, so the exponent and p are polynomials in s_l.
     """
-    u = co.u
-    s, decay, shift, var, log_pref = _flow(model, u, t, sigma, chis, at_t, at_chis)
+    s, decay, shift, var, log_pref = _flow(model, co.u, t, sigma, chis, at_t, at_chis)
     hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
     a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
     nu = model.constants.b_h * chis ** (model.h - 0.5)
     m = model.m_rho * chis ** model.m_pi
-    legs = s + np.multiply.outer(_LEGS, hs)
+    # the leg signs on the axis before co.u's
+    signs = _LEGS.reshape((2,) + (1,) * (np.ndim(co.u) + np.ndim(s)))
+    legs = s + signs * hs
     expo = a + log_pref + legs * (b * shift + legs * (g + 0.5 * b * b * var))
-    p = legs * (b * s * (nu * nu - m * var)) + s * (1j * u * model.rho * nu * s - m * shift)
-    diff = np.multiply.outer(_LEGS, 0.5 / hs)
+    p = legs * (b * s * (nu * nu - m * var)) \
+        + s * ((1j * model.rho * _lead(co.u, s)) * (nu * s) - m * shift)
+    diff = signs * (0.5 / hs)
     return legs * (b * decay), expo, diff * p, diff * (-m * s * decay)
 
 
 def _z1_terms(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
               chis: np.ndarray, at_chis) -> np.ndarray:
-    """The z1 integrand at inception at each time chi, from the flow tables
-    at_chis there; the two legs are summed first, so a z0 that does not
-    depend on sigma (u = 0, or u = -i in affine-ode mode) gives exact zeros."""
+    """The z1 integrand at inception at each time chi of a 1-d array, from
+    the flow tables at_chis there: co.u's axes first, the node axis last.
+    The two legs are summed first, so a z0 that does not depend on sigma
+    (u = 0, or u = -i in affine-ode mode) gives exact zeros."""
     kap, expo, p, q = _z1_field(model, co, cfg, 0.0, model.sigma0, chis, (0.0, 0.0), at_chis)
     x = np.exp(expo + kap * model.v0) * (p + q * model.v0)
     return x[0] + x[1]
 
 
-def _z1(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
-    """z1 at inception, _z1_terms on _z1_rule_sum's rule."""
-    return _z1_rule_sum(model, cfg, _flow_tables(model),
+def _z1(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig"):
+    """z1 at inception at co.u, _z1_terms on _z1_rule_sum's rule."""
+    return _z1_rule_sum(model, cfg, co.u, _flow_tables(model),
                         functools.partial(_z1_terms, model, co, cfg))
 
 
-def _z1_rule_sum(model: AdolModel, cfg: "CorrectionConfig", tables: Callable,
-                 integral_terms: Callable) -> complex:
-    """z1 at inception by tanh-sinh quadrature over the source time, of the
-    integrand integral_terms(nodes, tables(nodes)).
+def _z1_rule_sum(model: AdolModel, cfg: "CorrectionConfig", u, tables: Callable,
+                 integral_terms: Callable):
+    """z1 at inception at u, a frequency or a 1-d array of them, by
+    tanh-sinh quadrature over the source time of the integrand
+    integral_terms(nodes, tables(nodes)): u's axes first, node axis last.
 
-    The difference between the step-h rule and its even nodes (the step-2h
-    rule) bounds the error at no extra cost.  When that misses cfg.quad,
-    the step is halved once; if the halved rule still misses, the
-    estimate is refused.
+    At each u, the difference between the step-h rule and its even nodes
+    (the step-2h rule) bounds the error at no extra cost.  Where that
+    misses cfg.quad, the step is halved once: the odd nodes are evaluated
+    for every u, and only the u that missed take the halved value.  If the
+    halved rule still misses at some u, the estimate is refused, naming
+    that u.
     """
     chis, w, k = _z1_rule(model.t_mat)
     at_even, at_odd = tables.z1_rule_values
     tol = cfg.quad
     even = k % 2 == 0
     f_even = integral_terms(chis[even], at_even)
-    fine = 2.0 * complex(f_even @ w[even])
-    coarse = 4.0 * complex(f_even[k[even] % 4 == 0] @ w[k % 4 == 0])
-    if abs(fine - coarse) <= max(tol.abs_tol, tol.rel_tol * abs(fine)):
+    fine = 2.0 * (f_even @ w[even])
+    coarse = 4.0 * (f_even[..., k[even] % 4 == 0] @ w[k % 4 == 0])
+    met = np.abs(fine - coarse) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(fine))
+    if met.all():
         return fine
-    finer = 0.5 * fine + complex(integral_terms(chis[~even], at_odd) @ w[~even])
-    err = abs(finer - fine)
-    if err <= max(tol.abs_tol, tol.rel_tol * abs(finer)):
-        return finer
-    raise QuadratureError("tanh-sinh rule for z1 missed its tolerance at the halved step",
-                          estimate=finer, error_bound=err)
+    finer = 0.5 * fine + integral_terms(chis[~even], at_odd) @ w[~even]
+    err = np.abs(finer - fine)
+    missed = ~met & ~(err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(finer)))
+    if missed.any():
+        i = np.flatnonzero(missed)[0]
+        raise QuadratureError("tanh-sinh rule for z1 missed its tolerance at the halved "
+                              f"step at u = {complex(np.ravel(u)[i])}",
+                              estimate=complex(np.ravel(finer)[i]),
+                              error_bound=float(np.ravel(err)[i]))
+    return np.where(met, fine, finer)[()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -615,23 +652,33 @@ def _z2_nodes(model: AdolModel, panels: int):
     return chis, wts, _tables_at(model, chis), inner, iw, at_in
 
 
-# outer nodes per batch of z2's z1 field, whose terms carry two leg axes: the
-# peak RSS of `adol cf --check` at order 2 (10 panels, 160 outer nodes) read
-# 32.5, 32.6 and 33.2 MB at 8, 10 and 16 (medians of 14 processes), at equal
-# wall time within the noise
+# outer nodes times frequencies per batch of z2's z1 field, whose terms carry
+# two leg axes: the peak RSS of `adol cf --check` at order 2 (10 panels, 160
+# outer nodes, one u per call) read 32.5, 32.6 and 33.2 MB at 8, 10 and 16
+# outer nodes (medians of 14 processes), at equal wall time within the noise.
+# cf_values hands _z2 at most _Z2_BLOCK frequencies per call and _z2 takes
+# at least one outer node per batch, so a batch never holds more than
+# _Z2_BLOCK outer nodes times frequencies
 _Z2_BLOCK = 10
 
 
-def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
-    """z2 at inception: the expectation over V of Phi2 z0 + Phi1 z1 at each
-    outer node.  At each outer sigma leg the z1 field is a sum of terms
-    e^(kap v) (A + B v), and Phi1 = nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds
+def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig"):
+    """z2 at inception at co.u: the expectation over V of Phi2 z0 + Phi1 z1
+    at each outer node.  At each outer sigma leg the z1 field is a sum of
+    terms e^(kap v) (A + B v), and Phi1 = nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds
     of a term is e^(kap V) times (A + B V)(w + beta V) + nu^2 s B, with
     w = nu^2 s kap + i u rho nu s^2 and beta = -m s.  Under the tilt e^(kap V)
     V has the mean mu' = mu + kap Sigma, so the expectation of the term is
-    e^(kap mu + kap^2 Sigma / 2) ((A + B mu')(w + beta mu') + B (nu^2 s + beta Sigma)).
-    The terms come in batches over (inner leg, outer leg, outer node, inner
-    node); the inner legs are summed first, as in _z1_terms."""
+    E ((A + B mu')(w + beta mu') + B (nu^2 s + beta Sigma)) with
+    E = e^(kap mu + kap^2 Sigma / 2).  With D = i u rho nu s^2 + beta mu and
+    N = nu^2 s + beta Sigma, which the inner nodes share, that is
+
+        E (A + B mu') D + E (B + kap (A + B mu')) N,
+
+    so the inner nodes sum the factors of D and N first, and D and N apply
+    once per outer node.  The terms come in batches over (inner leg, u,
+    outer leg, outer node, inner node); the inner legs are summed first, as
+    in _z1_terms."""
     chis, wts, at_out, inner, iw, at_in = _z2_nodes(model, cfg.z2_panels)
     u = co.u
     s, decay, shift, var, log_pref = _flow(model, u, 0.0, model.sigma0, chis,
@@ -642,27 +689,30 @@ def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> comple
     m = model.m_rho * chis ** model.m_pi
     a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
     legs = s + np.multiply.outer(np.array([1.0, 0.0, -1.0]), hs)
-    z0 = np.exp(a + legs * (b * mean + legs * (g + 0.5 * b * b * var)))
+    lu = legs.reshape(legs.shape[:1] + (1,) * np.ndim(u) + legs.shape[1:])
+    z0 = np.exp(a + lu * (b * mean + lu * (g + 0.5 * b * b * var)))
     src = 0.5 * nu * nu * s * s * (z0[0] - 2.0 * z0[1] + z0[2]) / (hs * hs)
-    n2s, drift, beta = nu * nu * s, 1j * u * model.rho * nu * s * s, -m * s
-    for k in (slice(i, i + _Z2_BLOCK) for i in range(0, len(chis), _Z2_BLOCK)):
+    beta = -m * s
+    big_d = (1j * model.rho * _lead(u, chis)) * (nu * s * s) + beta * mean
+    big_n = nu * nu * s + beta * var
+
+    def inner_sum(x, w):
+        """x summed over its inner legs, then over the inner nodes with weights w."""
+        return np.einsum("...ok,ok->...o", x[0] + x[1], w)
+
+    step = max(1, _Z2_BLOCK // np.size(u))
+    for k in (slice(i, i + step) for i in range(0, len(chis), step)):
         kap, expo, fa, fb = _z1_field(model, co, cfg, chis[k, None], legs[::2, k, None],
-                                      inner[k], (at_out[0][k, None], at_out[1][k, None]),
-                                      (at_in[0][k], at_in[1][k]))
-        mu, sig, n2s_k, beta_k = mean[k, None], var[k, None], n2s[k, None], beta[k, None]
-        ks = kap * sig
-        tilted = mu + ks
-        val = np.exp(expo + kap * (mu + 0.5 * ks)) * (
-            (fa + fb * tilted) * (n2s_k * kap + drift[k, None] + beta_k * tilted)
-            + fb * (n2s_k + beta_k * sig))
-        val = np.einsum("lok,ok->lo", val[0] + val[1], iw[k])
-        src[k] += (val[0] - val[1]) / (2.0 * hs[k])
-    return complex(wts @ (np.exp(log_pref) * src))
-
-
-def _term(order: int, model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig") -> complex:
-    """z1 or z2 at inception."""
-    return _z1(model, co, cfg) if order == 1 else _z2(model, co, cfg)
+                                      inner[None, k], (at_out[0][k, None], at_out[1][k, None]),
+                                      (at_in[0][None, k], at_in[1][None, k]))
+        mu, sig = mean[..., None, k, None], var[None, k, None]
+        g = fa + fb * (mu + kap * sig)
+        e = np.exp(expo + kap * (mu + 0.5 * (kap * sig)))
+        fb = fb + kap * g
+        val = inner_sum(e * g, iw[k]) * big_d[..., None, k] \
+            + inner_sum(e * fb, iw[k]) * big_n[None, k]
+        src[..., k] += (val[..., 0, :] - val[..., 1, :]) / (2.0 * hs[k])
+    return (np.exp(log_pref) * src) @ wts
 
 
 def correction(order: int, u: complex, model: AdolModel,
@@ -673,24 +723,44 @@ def correction(order: int, u: complex, model: AdolModel,
     if model.h >= 0.5:
         raise ValueError("correction pipeline requires H < 1/2")
     cfg = cfg or CorrectionConfig()
-    return _term(order, model, _coeffs_for(complex(u), model, cfg.mode), cfg)
+    co = _coeffs_for(complex(u), model, cfg.mode)
+    return complex(_z1(model, co, cfg) if order == 1 else _z2(model, co, cfg))
+
+
+def cf_values(u: np.ndarray, model: AdolModel,
+              cfg: CorrectionConfig | None = None) -> np.ndarray:
+    """CF of the log-return ln(S_T/S_0), truncated at cfg.order in xi, at
+    each frequency of the 1-d array u: one coefficient set, one z1 time
+    rule and one z2 grid serve every u at once."""
+    cfg = cfg or CorrectionConfig()
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 1:
+        raise ValueError(f"cf_values takes a 1-d array of frequencies, got shape {u.shape}")
+    z = _cf_zero_from(_coeffs_for(u, model, cfg.mode), model)
+    if model.xi != 0.0 and cfg.order >= 1:
+        if model.h >= 0.5:
+            raise ValueError("correction pipeline requires H < 1/2")
+        # every CF is 1 at u = 0: z0 is 1 and both corrections 0
+        nonzero = u != 0
+        if nonzero.any():
+            us = u[nonzero]
+            co = _coeffs_for(us, model, cfg.mode)
+            zc = z[nonzero] + model.xi * _z1(model, co, cfg)
+            if cfg.order >= 2:
+                # at most _Z2_BLOCK frequencies per call, so z2's memory
+                # does not grow with len(u)
+                parts = np.array_split(us, math.ceil(len(us) / _Z2_BLOCK))
+                zc = zc + model.xi ** 2 * np.concatenate(
+                    [_z2(model, _coeffs_for(part, model, cfg.mode), cfg) for part in parts])
+            z[nonzero] = zc
+    return z
 
 
 def cf_total(u: complex, model: AdolModel,
              cfg: CorrectionConfig | None = None) -> complex:
-    """CF of the log-return ln(S_T/S_0), truncated at cfg.order in xi."""
-    cfg = cfg or CorrectionConfig()
-    co = _coeffs_for(u, model, cfg.mode)
-    z = _cf_zero_from(co, model)
-    if model.xi != 0.0 and cfg.order >= 1:
-        if model.h >= 0.5:
-            raise ValueError("correction pipeline requires H < 1/2")
-        if u == 0:
-            return z  # every CF is 1 at u = 0: z0 is 1 and both corrections 0
-        z = z + model.xi * _term(1, model, co, cfg)
-        if cfg.order >= 2:
-            z = z + model.xi ** 2 * _term(2, model, co, cfg)
-    return z
+    """CF of the log-return ln(S_T/S_0), truncated at cfg.order in xi, at
+    the one frequency u: cf_values on an array of one."""
+    return complex(cf_values(np.array([u], dtype=complex), model, cfg)[0])
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _j_integrand,
-                     _unit_response, cf_total, cf_zero, coeffs_paper, j_closed,
+                     _unit_response, cf_values, cf_zero, coeffs_paper, j_closed,
                      j_integral, j_state, pde_residual, tau_closed_gap, zero_order_fn)
 from .do_process import do_constants
 from .model import AdolModel, small_param_check
@@ -329,19 +329,13 @@ def cmd_cf(cfg: dict, out_dir: Path, check: bool) -> int:
     model = _model_from(cfg)
     ccfg = _corr_cfg(cfg, model)
     u_grid = np.linspace(0.0, cfg["cf"]["u_max"], cfg["cf"]["n_u"])
-    rows = []
-    for u in u_grid:
-        u = float(u)
-        z_aff = cf_zero(u, model, MODE_AFFINE)
-        row = [u, z_aff.real, z_aff.imag]
-        if model.h < 0.5:
-            z_pap = cf_zero(u, model, MODE_PAPER)
-            row += [z_pap.real, z_pap.imag, abs(z_pap - z_aff)]
-        else:
-            row += [math.nan, math.nan, math.nan]
-        z_tot = cf_total(u, model, ccfg)
-        row += [z_tot.real, z_tot.imag]
-        rows.append(row)
+    # one call per column, each on the whole grid
+    z_aff = cf_zero(u_grid, model, MODE_AFFINE)
+    z_pap = (cf_zero(u_grid, model, MODE_PAPER) if model.h < 0.5
+             else np.full(u_grid.shape, complex(math.nan, math.nan)))
+    z_tot = cf_values(u_grid, model, ccfg)
+    rows = np.column_stack([u_grid, z_aff.real, z_aff.imag, z_pap.real, z_pap.imag,
+                            np.abs(z_pap - z_aff), z_tot.real, z_tot.imag]).tolist()
     _write_csv(out_dir, "cf.csv", "cf", cfg["output"]["format_version"],
                ["u", "affine0_re", "affine0_im", "paper0_re", "paper0_im",
                 "mode_gap_abs", "corrected_re", "corrected_im"], rows)
@@ -375,7 +369,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
     mcs = mc_prices(model, mspec, strikes, paths=paths)
 
     def ladder(order_cfg: CorrectionConfig) -> list[float]:
-        return fourier_prices(lambda u: cf_total(u, model, order_cfg), model.s0,
+        return fourier_prices(lambda u: cf_values(u, model, order_cfg), model.s0,
                               strikes, model.r, model.q, model.t_mat, fspec)
 
     px0 = ladder(CorrectionConfig(order=0, mode=ccfg.mode))

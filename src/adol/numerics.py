@@ -3,7 +3,8 @@
 Provides the handful of numerical tools the rest of the package is built
 on: the symmetric beta function, the generalized exponential integral E(nu, z)
 on the principal branch, adaptive Gauss-Kronrod quadrature for complex
-scalar or vector integrands, and the standard normal CDF.
+scalar or vector integrands, called once per panel on its nodes, and the
+standard normal CDF.
 
 All functions are pure; there is no module state.
 """
@@ -179,24 +180,28 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+# the panel's 15 nodes on [-1, 1], ascending: -x_0 .. -x_6, 0, x_6 .. x_0
+_GK_NODES = np.concatenate([-np.array(_XGK[:7]), [0.0], np.array(_XGK[6::-1])])
 
 
-def _gk15(f: Callable[[float], complex | np.ndarray], a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel.  Returns (estimate, error_bound) per entry."""
+def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+    """One Gauss-Kronrod 7-15 panel, f called once on its 15 nodes.
+    Returns (estimate, error_bound) per entry."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
-    pairs = [(f(mid - half * x), f(mid + half * x)) for x in _XGK[:7]]
+    fx = f(mid + half * _GK_NODES)
     # a NaN or inf node gives a non-finite bound (unwarned), which `err > tol` lets pass
     with np.errstate(invalid="ignore", over="ignore"):
-        resk = _WGK[7] * fc
-        resg = _WG[3] * fc
-        for j, (f1, f2) in enumerate(pairs):
-            resk += _WGK[j] * (f1 + f2)
+        # each node pair is summed first, then the pairs from the ends inward
+        pairs = fx[:7] + fx[:7:-1]
+        resk = _WGK[7] * fx[7]
+        resg = _WG[3] * fx[7]
+        for j in range(7):
+            resk = resk + _WGK[j] * pairs[j]
             if j % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss-7 nodes
-                resg += _WG[j // 2] * (f1 + f2)
-        resk *= half
-        resg *= half
+                resg = resg + _WG[j // 2] * pairs[j]
+        resk = resk * half
+        resg = resg * half
         err = np.maximum(abs(resk - resg), abs(resk) * 1e-16)
     if not math.isfinite(err.sum()):
         raise QuadratureError(f"integrand is not finite on the panel [{a}, {b}]")
@@ -204,14 +209,16 @@ def _gk15(f: Callable[[float], complex | np.ndarray], a: float, b: float):
 
 
 def integrate_adaptive(
-    f: Callable[[float], complex | np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
 ) -> complex | np.ndarray:
     """Adaptive bisection quadrature of a complex-valued f over [a, b].
 
-    f may return a numpy vector, whose entries share panels until each
+    f is called once per Gauss-Kronrod panel, on the panel's 15 nodes as
+    one array, and returns its values with the node axis first: an array
+    of 15, or of 15 vectors.  A vector's entries share panels until each
     meets max(abs_tol, rel_tol |its total|); the result is then a vector.
     Endpoint power-law singularities of order > -1 are handled by
     subdivision toward the endpoint (the rule never samples a or b).
@@ -221,7 +228,11 @@ def integrate_adaptive(
     """
     spec = spec or QuadratureSpec()
     if a == b:
-        return 0j
+        # one node gives the entry shape; f may be singular there, and only
+        # its shape is read
+        with np.errstate(all="ignore"):
+            shape = np.shape(f(np.array([a], dtype=float)))[1:]
+        return 0j if shape == () else np.zeros(shape, dtype=complex)
     sign = 1.0
     if b < a:
         a, b = b, a

@@ -9,7 +9,8 @@ log-return by the damped transform
 integrated adaptively so each strike's accuracy is controlled.  Puts
 always go through parity.  A strike ladder is one vector integral: the
 strikes' damped integrands (Carr & Madan 1999) share adaptive panels, so
-each distinct u is evaluated once per ladder.
+each distinct u is evaluated once per ladder, and phi takes each panel's
+15 nodes in one call.
 
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 vol, and the inner
@@ -118,15 +119,17 @@ def _by_strike(strikes: Sequence[float], values: np.ndarray, bad: np.ndarray) ->
     return ", ".join(f"{v} at strike {k}" for k, v, b in zip(strikes, values, bad) if b)
 
 
-def fourier_prices(cf: Callable[[complex], complex], spot: float, strikes: Sequence[float],
-                   r: float, q: float, t_mat: float,
+def fourier_prices(cf: Callable[[np.ndarray], np.ndarray], spot: float,
+                   strikes: Sequence[float], r: float, q: float, t_mat: float,
                    spec: FourierPricingSpec | None = None,
                    is_call: bool = True) -> list[float]:
     """Prices at each strike, in order, by damped-contour inversion.
 
-    The strikes' integrands form one vector integral on shared adaptive
-    panels, so each u is evaluated once per ladder; u_max doubles, up to 64
-    times the spec's, until every strike's integrand has decayed.
+    cf maps a 1-d array of complex frequencies to the CF's values there
+    (charfn.cf_values, or charfn.cf_zero).  The strikes' integrands form
+    one vector integral on shared adaptive panels, so each u is evaluated
+    once per ladder, and cf once per panel, on its 15 nodes; u_max doubles,
+    up to 64 times the spec's, until every strike's integrand has decayed.
     """
     for x in (spot, *strikes):
         if not 0.0 < x < math.inf:  # written so that NaN fails too
@@ -134,22 +137,23 @@ def fourier_prices(cf: Callable[[complex], complex], spot: float, strikes: Seque
     if len(strikes) == 0:
         return []
     spec = spec or FourierPricingSpec()
-    z = cf(0.0)
+    z = cf(np.zeros(1, dtype=complex))[0]
     if not abs(z - 1.0) <= 1e-8:  # written so that NaN fails too
         raise ValueError(f"characteristic function not normalized: cf(0) = {z}")
     a = spec.damping
     m = np.array([math.log(k / spot) for k in strikes])
 
-    def integrand(v: float) -> np.ndarray:
-        u = complex(v, -(a + 1.0))
-        denom = complex(a, v) * complex(a + 1.0, v)
-        return np.exp(-1j * v * m) * cf(u) / denom
+    def integrand(v: np.ndarray) -> np.ndarray:
+        """The strikes' integrands at the nodes v: one row per node."""
+        u = v - 1j * (a + 1.0)
+        denom = (a + 1j * v) * ((a + 1.0) + 1j * v)
+        return np.exp(-1j * v[:, None] * m) * cf(u)[:, None] / denom[:, None]
 
     u_max = spec.u_max
     val = integrate_adaptive(integrand, 0.0, u_max, _QUAD)
     # past u_max the denominator alone decays like 1/v^2, so while |cf| keeps falling
     # a strike drops at most about u_max |integrand(u_max)|; a NaN tail is undecayed
-    while (undecayed := ~((tail := u_max * abs(integrand(u_max)))
+    while (undecayed := ~((tail := u_max * abs(integrand(np.array([u_max]))[0]))
                           <= np.maximum(_QUAD.abs_tol, _QUAD.rel_tol * abs(val)))).any():
         if u_max >= 64.0 * spec.u_max:
             raise QuadratureError(f"integrand has not decayed at u_max {u_max}, tail "

@@ -173,7 +173,7 @@ def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
 def _z1_value(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
               tables: Callable) -> complex:
     """z1 at inception from the Hermite-stencil kernel (_z1_rule_sum)."""
-    return _z1_rule_sum(model, cfg, tables, lambda nodes, at_nodes: _z1_integrand(
+    return _z1_rule_sum(model, cfg, co.u, tables, lambda nodes, at_nodes: _z1_integrand(
         model, co, cfg, tables, 0.0, model.sigma0, model.v0, nodes, at_chis=at_nodes))
 
 

@@ -17,6 +17,7 @@ from adol.charfn import (
     MODE_PAPER,
     CorrectionConfig,
     cf_total,
+    cf_values,
     cf_zero,
     coeffs_paper,
     j_closed,
@@ -125,7 +126,7 @@ def test_criterion_06_corrected_cf_prices_within_monte_carlo_band(table1):
     assert rep.admissible, "vol-of-vol outside the expansion's domain"
     t0 = time.perf_counter()
     cfg = CorrectionConfig(mode=MODE_AFFINE, order=1)
-    cf = lambda u: cf_total(u, m, cfg)
+    cf = lambda u: cf_values(u, m, cfg)
     px = fourier_prices(cf, m.s0, [m.s0], m.r, m.q, m.t_mat)[0]
     mc = mc_prices(m, McSpec(n_paths=100_000, n_steps=500, seed=20177), [m.s0])[0]
     elapsed = time.perf_counter() - t0
@@ -182,7 +183,7 @@ def test_criterion_09_power_law_primitive_and_clock(table1):
     worst = 0.0
     for t in (0.05, 0.15, 0.25, 0.35, 0.45, 0.49):
         quad = integrate_adaptive(
-            lambda s: (kap + m_t(s, m)) / nu_t(s, c), t, T, spec).real
+            np.vectorize(lambda s: (kap + m_t(s, m)) / nu_t(s, c)), t, T, spec).real
         ref = 1j * m.rho * u * (math.exp(kap * (t - T)) / nu_t(T, c)
                                 - 1.0 / nu_t(t, c) + quad)
         worst = max(worst, abs(co.beta_bar(t) - ref) / abs(ref))

@@ -24,6 +24,7 @@ from adol.charfn import (
     MODE_PAPER,
     CorrectionConfig,
     cf_total,
+    cf_values,
     cf_zero,
     coeffs_paper,
     correction,
@@ -96,7 +97,7 @@ def test_beta_bar_primitive_vs_quadrature(table1):
         return (kap + m_t(s, m)) / nu_t(s, c)
 
     for t in (0.05, 0.2, 0.35, 0.49):
-        quad = integrate_adaptive(integrand, t, T, spec).real
+        quad = integrate_adaptive(np.vectorize(integrand), t, T, spec).real
         ref = 1j * m.rho * u * (math.exp(kap * (t - T)) / nu_t(T, c)
                                 - 1.0 / nu_t(t, c) + quad)
         got = co.beta_bar(t)
@@ -263,10 +264,10 @@ def test_heat_kernel_moments():
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=2000)
     s = 0.7
     lo, hi = s - 30.0 * math.sqrt(tau), s + 30.0 * math.sqrt(tau)
-    mass = integrate_adaptive(lambda x: heat_kernel(s, x, tau), lo, hi, spec).real
-    mean = integrate_adaptive(lambda x: x * heat_kernel(s, x, tau), lo, hi, spec).real
-    var = integrate_adaptive(lambda x: (x - s) ** 2 * heat_kernel(s, x, tau),
-                             lo, hi, spec).real
+    kernel = np.vectorize(lambda x: heat_kernel(s, x, tau))
+    mass = integrate_adaptive(kernel, lo, hi, spec).real
+    mean = integrate_adaptive(lambda x: x * kernel(x), lo, hi, spec).real
+    var = integrate_adaptive(lambda x: (x - s) ** 2 * kernel(x), lo, hi, spec).real
     assert mass == pytest.approx(1.0, rel=1e-10)
     assert mean == pytest.approx(s, abs=1e-10)
     assert var == pytest.approx(2.0 * tau, rel=1e-9)
@@ -374,7 +375,7 @@ def _oracle_z1(u: float, m: AdolModel) -> complex:
 
     def e_damp(chi: float) -> float:
         return integrate_adaptive(
-            lambda r: math.exp(big_m(r) - kap * r) * nu_t(r, c), 0.0, chi,
+            np.vectorize(lambda r: math.exp(big_m(r) - kap * r) * nu_t(r, c)), 0.0, chi,
             tight).real
 
     def integrand(chi: float) -> complex:
@@ -385,7 +386,7 @@ def _oracle_z1(u: float, m: AdolModel) -> complex:
                 * (1j * uu * rho * nu_t(chi, c) * s_chi - m_t(chi, m) * mu))
 
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=2000)
-    return z0 * integrate_adaptive(integrand, 0.0, T, spec)
+    return z0 * integrate_adaptive(np.vectorize(integrand, otypes=[complex]), 0.0, T, spec)
 
 
 @pytest.mark.parametrize("u", [1.0, 2.5])
@@ -476,8 +477,8 @@ class _AdaptiveFlow:
         c = m.constants
         big_m = lambda r: cfm._m_cum(r, m)
         self.ders = (
-            lambda r: math.exp(big_m(r) - m.kappa * r) * nu_t(r, c),
-            lambda r: math.exp(2.0 * big_m(r)) * nu_t(r, c) ** 2,
+            np.vectorize(lambda r: math.exp(big_m(r) - m.kappa * r) * nu_t(r, c)),
+            np.vectorize(lambda r: math.exp(2.0 * big_m(r)) * nu_t(r, c) ** 2),
         )
         self.spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13,
                                    max_subdivisions=4000)
@@ -505,9 +506,8 @@ def _reference_z1(m: AdolModel, u: complex, mode: str, flow) -> complex:
     cfg = CorrectionConfig(mode=mode)
     co = cfm._coeffs_for(complex(u), m, mode)
 
-    def integrand(chi: float) -> complex:
-        chis = np.array([chi])
-        return complex(cfm._z1_terms(m, co, cfg, chis, flow(chis))[0])
+    def integrand(chis: np.ndarray) -> np.ndarray:
+        return cfm._z1_terms(m, co, cfg, chis, flow(chis))
 
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=4000)
     return integrate_adaptive(integrand, 0.0, m.t_mat, spec)
@@ -897,6 +897,114 @@ def test_cf_total_is_the_truncated_series(table1):
     xi = table1.xi
     ref = z0 + xi * z1 + xi * xi * z2
     assert cf_total(u, table1, cfg2) == pytest.approx(ref, rel=1e-12)
+
+
+# ----------------------------------------------------- arrays of frequencies
+
+# the real axis, u = -i, and the damped contour u = v - 2.5i out to the
+# pricer's default u_max, where |cf| is about 1e-146
+_ARRAY_US = np.array([0.0, -1j, 1.0, 5.0, 20.0 - 2.5j, 40.0 - 0.5j, 149.9 - 2.5j])
+
+
+@pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_cf_values_are_the_per_frequency_values(table1, mode, order):
+    # one coefficient set, z1 time rule and z2 grid for the whole array; each
+    # entry is what cf_total gives at its u alone, up to the summation order
+    # of the node sums
+    cfg = CorrectionConfig(mode=mode, order=order)
+    got = cf_values(_ARRAY_US, table1, cfg)
+    want = np.array([cf_total(u, table1, cfg) for u in _ARRAY_US])
+    assert got.shape == _ARRAY_US.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), np.abs(got - want) / np.abs(want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_cf_values_keep_the_exact_identities_entry_by_entry(table1, order):
+    # cf(0) = 1 in both modes; in affine-ode mode cf(-conj u) = conj cf(u)
+    # and cf(-i) = e^((r - q) T), bitwise, with u and -conj u in one array
+    # (the paper mode's closed-form slices are not conjugate-symmetric)
+    for mode in (MODE_AFFINE, MODE_PAPER):
+        cfg = CorrectionConfig(mode=mode, order=order)
+        z = cf_values(np.concatenate([_ARRAY_US, -_ARRAY_US.conj()]), table1, cfg)
+        assert z[0] == 1 and z[len(_ARRAY_US)] == 1, mode
+        if mode == MODE_AFFINE:
+            assert np.array_equal(z[len(_ARRAY_US):], z[:len(_ARRAY_US)].conj())
+            assert z[1] == math.exp((table1.r - table1.q) * table1.t_mat)
+
+
+def test_z1_halving_is_decided_per_frequency(table1, monkeypatch):
+    # at rel_tol 5e-8 the step-0.15 rule misses at u = 1 (its gap to the
+    # step-0.3 rule is 5.7e-8 relative) and meets it at u = 20 - 2.5i (8.2e-9):
+    # alone, one takes the halved rule and the other does not; together, each
+    # keeps its own value
+    cfg = CorrectionConfig(mode=MODE_AFFINE, quad=QuadratureSpec(
+        abs_tol=1e-10, rel_tol=5e-8, max_subdivisions=800))
+    calls = []
+    terms = cfm._z1_terms
+    monkeypatch.setattr(cfm, "_z1_terms", lambda *args: calls.append(1) or terms(*args))
+
+    def z1(us):
+        calls.clear()
+        val = cfm._z1(table1, cfm._coeffs_for(np.array(us, dtype=complex), table1, MODE_AFFINE),
+                      cfg)
+        return val, len(calls)
+
+    (halved, n_halved), (direct, n_direct) = z1([1.0]), z1([20.0 - 2.5j])
+    assert (n_halved, n_direct) == (2, 1)
+    both, n_both = z1([1.0, 20.0 - 2.5j])
+    assert n_both == 2
+    want = np.concatenate([halved, direct])
+    assert np.all(np.abs(both - want) <= 1e-13 * np.abs(want))
+
+
+def test_z1_refusal_names_the_frequency(table1):
+    # at T = 2 the paper mode's z1 time rule refuses u = 5 and takes u = 1
+    # (see test_paper_z1_refusal_is_the_time_rule): in one array the refusal
+    # names u = 5, with the estimate and error bound of its own refusal
+    m = replace(table1, s0=1.0, r=0.0, t_mat=2.0)
+    cfg = CorrectionConfig(mode=MODE_PAPER)
+    with pytest.raises(QuadratureError, match=r"tanh-sinh rule for z1 .* at u = \(5\+0j\)") as alone:
+        correction(1, 5.0, m, cfg)
+    with pytest.raises(QuadratureError, match=r"at u = \(5\+0j\)") as err:
+        cf_values(np.array([1.0, 5.0]), m, cfg)
+    assert err.value.estimate == pytest.approx(alone.value.estimate, rel=1e-13)
+    assert err.value.error_bound == pytest.approx(alone.value.error_bound, rel=1e-9)
+    assert correction(1, 1.0, m, cfg) != 0
+
+
+def test_z2_batches_stay_within_the_block(table1, monkeypatch):
+    # 23 frequencies at order 2: cf_values hands _z2 at most _Z2_BLOCK of
+    # them per call, and no batch of z2's z1 field holds more than _Z2_BLOCK
+    # outer nodes times frequencies, so z2's memory does not grow with
+    # len(u); each entry is still its own scalar value
+    us = np.linspace(0.0, 5.0, 23) - 0.5j * np.linspace(0.0, 1.0, 23)
+    cfg = CorrectionConfig(mode=MODE_AFFINE, order=2, z2_panels=2)
+    sizes, batches = [], []
+    z2, field = cfm._z2, cfm._z1_field
+
+    def counting_z2(model, co, c):
+        sizes.append(np.size(co.u))
+        return z2(model, co, c)
+
+    def counting_field(model, co, c, t, *rest):
+        if np.ndim(t) == 2:  # z2's outer nodes, (nodes, 1)
+            batches.append(np.size(co.u) * np.shape(t)[0])
+        return field(model, co, c, t, *rest)
+
+    monkeypatch.setattr(cfm, "_z2", counting_z2)
+    monkeypatch.setattr(cfm, "_z1_field", counting_field)
+    got = cf_values(us, table1, cfg)
+    assert sum(sizes) == len(us) - 1 and max(sizes) <= cfm._Z2_BLOCK, sizes
+    assert batches and max(batches) <= cfm._Z2_BLOCK, batches
+    want = np.array([cf_total(u, table1, cfg) for u in us])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), np.abs(got - want) / np.abs(want)
+
+
+def test_cf_values_refuse_a_scalar_or_a_grid(table1):
+    for bad in (1.0, np.ones((2, 2))):
+        with pytest.raises(ValueError, match="1-d array"):
+            cf_values(bad, table1)
 
 
 def test_correction_guards(table1):

@@ -6,6 +6,7 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adol import cli, montecarlo
@@ -354,6 +355,22 @@ def test_cf_artifact_normalized_at_zero(tmp_path):
     assert len(rows) == 6
 
 
+def test_cf_artifact_has_no_paper_column_above_half(tmp_path):
+    # the closed-form slices exist only for H < 1/2: at h = 0.6 (xi = 0, so
+    # the affine orders run) both parts of the paper CF and the mode gap
+    # read nan, not a plausible 0.0
+    cfgp = _write(tmp_path, {"model": {"h": 0.6}, "cf": {"n_u": 4, "u_max": 3.0}})
+    out = tmp_path / "out"
+    assert main(["cf", "--config", cfgp, "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "cf.csv")
+    header = rows[0]
+    paper = [header.index(c) for c in ("paper0_re", "paper0_im", "mode_gap_abs")]
+    assert len(rows) == 5
+    for row in rows[1:]:
+        assert all(math.isnan(float(row[i])) for i in paper), row
+        assert all(math.isfinite(float(x)) for i, x in enumerate(row) if i not in paper), row
+
+
 def test_paper_cf_at_order_two_checks_in_under_a_second(tmp_path):
     # the paper mode's z2 takes V's law in closed form, as the affine one
     # does: about 10 ms per u, where the Hermite-stencil kernel took 3.4 s
@@ -436,9 +453,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 def test_non_finite_cf_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # a CF that is NaN near u = 40 once gave nan prices, which no --check
     # gate can trip on, and exit 0
-    cf_total = cli.cf_total
-    monkeypatch.setattr(cli, "cf_total", lambda u, model, cfg: (
-        math.nan if 39.0 < u.real < 41.0 else cf_total(u, model, cfg)))
+    cf_values = cli.cf_values
+    monkeypatch.setattr(cli, "cf_values", lambda u, model, cfg: np.where(
+        (39.0 < u.real) & (u.real < 41.0), math.nan, cf_values(u, model, cfg)))
     path = _write(tmp_path, {"mc": {"n_paths": 64, "n_steps": 20}})
     assert main(["price", "--check", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "numerical failure: integrand is not finite on the panel [37.5, 75.0]" \

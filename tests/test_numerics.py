@@ -185,10 +185,10 @@ def test_quadrature_trivial():
 
 def test_quadrature_complex_and_reversed():
     spec = QuadratureSpec(1e-12, 1e-12, 2000)
-    val = integrate_adaptive(lambda x: complex(math.cos(x), math.sin(x)), 0.0, 1.0, spec)
+    val = integrate_adaptive(lambda x: np.cos(x) + 1j * np.sin(x), 0.0, 1.0, spec)
     assert val.real == pytest.approx(math.sin(1.0), rel=1e-12)
     assert val.imag == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
-    rev = integrate_adaptive(lambda x: complex(math.cos(x), math.sin(x)), 1.0, 0.0, spec)
+    rev = integrate_adaptive(lambda x: np.cos(x) + 1j * np.sin(x), 1.0, 0.0, spec)
     assert rev == pytest.approx(-val, rel=1e-12)
 
 
@@ -199,8 +199,8 @@ def test_quadrature_complex_and_reversed():
 @settings(max_examples=50, deadline=None)
 def test_quadrature_linearity(a, b):
     spec = QuadratureSpec(1e-11, 1e-11, 2000)
-    f = lambda x: math.sin(3.0 * x) + 0.5j * x
-    g = lambda x: math.exp(-x * x)
+    f = lambda x: np.sin(3.0 * x) + 0.5j * x
+    g = lambda x: np.exp(-x * x)
     lhs = integrate_adaptive(lambda x: a * f(x) + b * g(x), 0.0, 1.5, spec)
     rhs = a * integrate_adaptive(f, 0.0, 1.5, spec) + b * integrate_adaptive(g, 0.0, 1.5, spec)
     assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(a) + abs(b))
@@ -218,13 +218,13 @@ def test_vector_entries_share_panels_and_meet_their_own_tolerances():
     # magnitudes 1, 1e-6 and 1e-12: one relative tolerance serves all three
     # only if each entry is held to its own total, not to the vector's
     spec = QuadratureSpec(1e-30, 1e-10, 2000)
-    parts = [lambda x: math.sqrt(x),
-             lambda x: 1e-6 * math.exp(-x) * math.sin(10.0 * x),
+    parts = [lambda x: np.sqrt(x),
+             lambda x: 1e-6 * np.exp(-x) * np.sin(10.0 * x),
              lambda x: 1e-12 * x ** -0.3]
     exact = [2.0 / 3.0,
              1e-6 * (10.0 - math.exp(-1.0) * (math.sin(10.0) + 10.0 * math.cos(10.0))) / 101.0,
              1e-12 / 0.7]
-    got = integrate_adaptive(lambda x: np.array([g(x) for g in parts]), 0.0, 1.0, spec)
+    got = integrate_adaptive(lambda x: np.stack([g(x) for g in parts], axis=-1), 0.0, 1.0, spec)
     assert got.shape == (3,)
     for g, want, val in zip(parts, exact, got):
         assert abs(val - want) <= 1e-10 * abs(want)
@@ -234,24 +234,53 @@ def test_vector_entries_share_panels_and_meet_their_own_tolerances():
 @pytest.mark.parametrize("f, a, b, spec, value, evals", [
     (lambda x: x ** -0.2, 0.0, 1.0, QuadratureSpec(1e-12, 1e-12, 2000),
      1.2499999999999272 + 0j, 1305),
-    (lambda x: cmath.exp(20j * x) / (1.0 + x * x), 0.0, 10.0, QuadratureSpec(1e-13, 1e-11, 2000),
+    # cmath's exp node by node, the integrand's values when it was pinned
+    (lambda x: np.array([cmath.exp(20j * t) / (1.0 + t * t) for t in x.tolist()]),
+     0.0, 10.0, QuadratureSpec(1e-13, 1e-11, 2000),
      -0.00043464607440623797 + 0.05002130290380937j, 2025),
 ])
 def test_scalar_integrand_keeps_its_value_and_panels(f, a, b, spec, value, evals):
-    # pinned before vector integrands shared the heap: a scalar f is ranked
-    # by its error alone, so the partition and the sum are the same
+    # pinned before vector integrands shared the heap, and before f took a
+    # panel's nodes in one call: a scalar f is ranked by its error alone, and
+    # the rule adds its node values in the order it did node by node, so the
+    # partition and the sum are the same; evals counts nodes
     xs = []
     got = integrate_adaptive(lambda x: xs.append(x) or f(x), a, b, spec)
-    assert type(got) is complex and got == value and len(xs) == evals
+    assert type(got) is complex and got == value and sum(map(len, xs)) == evals
+
+
+def test_integrand_is_called_once_per_panel():
+    # one call per Gauss-Kronrod panel, on its 15 nodes inside the panel,
+    # for scalar and vector integrands alike
+    spec = QuadratureSpec(1e-12, 1e-12, 2000)
+    for f in (lambda x: x ** -0.2, lambda x: np.stack([x ** -0.2, np.sin(x)], axis=-1)):
+        calls = []
+        got = integrate_adaptive(lambda x: calls.append(x.copy()) or f(x), 0.0, 1.0, spec)
+        assert len(calls) == 87 and all(x.shape == (15,) for x in calls)
+        assert all(np.all(np.diff(x) > 0.0) for x in calls)
+        assert np.shape(got) == np.shape(f(np.array([0.5])))[1:]
+
+
+def test_empty_interval_is_a_zero_of_the_entry_shape():
+    # a == b once returned the scalar 0j for a vector integrand too
+    got = integrate_adaptive(lambda x: np.stack([x, 2.0 * x], axis=-1), 1.0, 1.0)
+    assert got.shape == (2,) and got.dtype == complex and not got.any()
+    assert type(integrate_adaptive(lambda x: x, 1.0, 1.0)) is complex
+    # the shape is read at the endpoint, where f may be singular
+    assert integrate_adaptive(lambda x: x ** -0.5, 0.0, 0.0) == 0j
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_integrand_is_refused_naming_the_panel(bad):
     # NaN fails `error > tolerance`, so such a sum once came back as nan
     with pytest.raises(QuadratureError, match=r"not finite on the panel \[0\.0, 1\.0\]"):
-        integrate_adaptive(lambda x: bad if x > 0.5 else 1.0, 0.0, 1.0)
+        integrate_adaptive(lambda x: np.where(x > 0.5, bad, 1.0), 0.0, 1.0)
     with pytest.raises(QuadratureError, match="not finite on the panel"):
-        integrate_adaptive(lambda x: np.array([1.0, bad if x > 0.5 else 1.0]), 0.0, 1.0)
+        integrate_adaptive(lambda x: np.stack([np.ones_like(x), np.where(x > 0.5, bad, 1.0)],
+                                              axis=-1), 0.0, 1.0)
+    # a node pair of opposite infinities sums to NaN, unwarned
+    with pytest.raises(QuadratureError, match="not finite on the panel"):
+        integrate_adaptive(lambda x: np.where(x > 0.5, bad, -bad), 0.0, 1.0)
 
 
 def test_norm_cdf():

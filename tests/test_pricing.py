@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from adol import charfn as cfm
 from adol import montecarlo
 from adol.charfn import (MODE_AFFINE, CorrectionConfig, _log_l, _unit_response, _v_law,
-                         cf_total, cf_zero)
+                         cf_total, cf_values, cf_zero)
 from adol.model import AdolModel
 from adol.montecarlo import McSpec, mc_quadratic_variation, simulate_q
 from adol.numerics import QuadratureError
@@ -130,7 +130,7 @@ def test_fourier_damping_invariance(table1_xi0):
 def test_fourier_rejects_unnormalized_cf(table1_xi0):
     m = table1_xi0
     with pytest.raises(ValueError):
-        fourier_prices(lambda u: 0.9 + 0.0j, m.s0, [m.s0], m.r, m.q, m.t_mat)
+        fourier_prices(lambda u: np.full(u.shape, 0.9 + 0.0j), m.s0, [m.s0], m.r, m.q, m.t_mat)
 
 
 def test_fourier_rejects_non_finite_spot_and_strike(table1_xi0):
@@ -175,9 +175,9 @@ def test_widened_first_order_ladder_is_contour_independent(table1):
     strikes = [0.98, 0.99, 1.0, 1.01, 1.02]
     reach = []
 
-    def cf1(u: complex) -> complex:
-        reach.append(u.real)
-        return cf_total(u, m, CorrectionConfig(order=1))
+    def cf1(u: np.ndarray) -> np.ndarray:
+        reach.extend(u.real)
+        return cf_values(u, m, CorrectionConfig(order=1))
 
     ladders = [fourier_prices(cf1, m.s0, strikes, m.r, m.q, m.t_mat,
                               FourierPricingSpec(damping=a)) for a in (0.75, 1.5, 3.0)]
@@ -203,7 +203,7 @@ def test_ladder_equals_single_strike_prices(table1, order):
     cfg = CorrectionConfig(order=order)
     m = table1
     strikes = [80.0, 95.0, 100.0, 105.0, 120.0]
-    cf = lambda u: cf_total(u, m, cfg)
+    cf = lambda u: cf_values(u, m, cfg)
     for is_call in (True, False):
         got = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat, is_call=is_call)
         want = [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat, is_call=is_call)[0]
@@ -217,8 +217,8 @@ def test_ladder_evaluates_each_frequency_once(order, distinct, per_strike):
     seen = []
 
     def counted(u):
-        seen.append(complex(u))
-        return cf_total(u, m, cfg)
+        seen.extend(u.tolist())
+        return cf_values(u, m, cfg)
 
     fourier_prices(counted, m.s0, _SMILE_STRIKES, m.r, m.q, m.t_mat)
     assert len(seen) == len(set(seen)) == distinct
@@ -248,9 +248,14 @@ def test_widened_ladder_matches_its_one_strike_ladders():
     reach = []
 
     @functools.lru_cache(maxsize=None)
+    def cf_on(nodes: tuple) -> np.ndarray:
+        reach.extend(u.real for u in nodes)
+        return cf_values(np.array(nodes), m, cfg)
+
     def cf(u):
-        reach.append(u.real)
-        return cf_total(u, m, cfg)
+        # the ladder and the strikes alone visit the same panels, in the
+        # same 15-node calls, so the calls are cached by their nodes
+        return cf_on(tuple(u.tolist()))
 
     ladder = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat)
     assert max(reach) == 1200.0
@@ -264,7 +269,7 @@ def test_refusals_name_each_strike(table1_xi0):
     cfg = CorrectionConfig(order=1, mode=cfm.MODE_PAPER)
     strikes = list(np.linspace(0.3, 3.0, 50))
     with pytest.raises(RuntimeError) as exc:
-        fourier_prices(lambda u: cf_total(u, _SMILE, cfg), _SMILE.s0, strikes,
+        fourier_prices(lambda u: cf_values(u, _SMILE, cfg), _SMILE.s0, strikes,
                        _SMILE.r, _SMILE.q, _SMILE.t_mat)
     named = re.findall(r"(-[0-9.e-]+) at strike ([0-9.]+)", str(exc.value))
     assert str(exc.value).startswith("inversion produced a materially negative price ")
@@ -285,11 +290,11 @@ def test_non_finite_cf_is_refused(table1_xi0):
     # came back as nan prices
     m = table1_xi0
     cf0 = _cf0(m)
-    spotty = lambda u: math.nan if 39.0 < u.real < 41.0 else cf0(u)
+    spotty = lambda u: np.where((39.0 < u.real) & (u.real < 41.0), math.nan, cf0(u))
     with pytest.raises(QuadratureError, match=r"not finite on the panel \[37\.5, 75\.0\]"):
         fourier_prices(spotty, m.s0, [m.s0], m.r, m.q, m.t_mat)
     with pytest.raises(ValueError, match="not normalized: cf\\(0\\) = nan"):
-        fourier_prices(lambda u: math.nan, m.s0, [m.s0], m.r, m.q, m.t_mat)
+        fourier_prices(lambda u: np.full(u.shape, math.nan), m.s0, [m.s0], m.r, m.q, m.t_mat)
 
 
 # admissible models, drawn as for the zero-order properties in test_charfn
@@ -451,7 +456,7 @@ def test_order_one_ladder_never_builds_the_order_two_set_up():
     # smile that built them would pay their set-up in every process
     cfm._z2_nodes.cache_clear()
     cfg = CorrectionConfig(order=1)
-    fourier_prices(lambda u: cf_total(u, _REF, cfg), _REF.s0, [0.8, 1.0, 1.2],
+    fourier_prices(lambda u: cf_values(u, _REF, cfg), _REF.s0, [0.8, 1.0, 1.2],
                    _REF.r, _REF.q, _REF.t_mat)
     assert cfm._z2_nodes.cache_info().misses == 0
     cf_total(1.0, _REF, replace(cfg, order=2))
