@@ -8,52 +8,16 @@ closed form is backed by an independent oracle (Black-Scholes limits,
 Monte Carlo, PDE residuals).
 """
 
-from .numerics import (
-    QuadratureSpec,
-    QuadratureError,
-    beta_sym,
-    exp_integral_e,
-    integrate_adaptive,
-)
-from .do_process import (
-    DoConstants,
-    TimeGrid,
-    do_constants,
-    psi_h,
-    cov_m,
-    cov_fbm,
-    nu_t,
-    simulate_mh,
-    simulate_vh,
-    simulate_fbm_exact,
-)
-from .model import AdolModel, SmallParamReport, m_t, q_drifts, p_drift_v, small_param_check
-from .charfn import (
-    CfCoefficients,
-    CorrectionConfig,
-    coeffs_paper,
-    coeffs_affine_ode,
-    cf_zero,
-    j_state,
-    j_integral,
-    j_closed,
-    tau_closed_gap,
-    correction,
-    cf_values,
-    cf_total,
-    pde_residual,
-)
-from .pricing import (
-    FourierPricingSpec,
-    VarSwapSpec,
-    bs_price,
-    fourier_prices,
-    implied_vol,
-    forward_cf,
-    varswap_strike,
-)
-from .montecarlo import McSpec, PathStats, simulate_q, mc_prices, mc_quadratic_variation
+from . import numerics, do_process, model, charfn, pricing, montecarlo
+from .numerics import *  # noqa: F403
+from .do_process import *  # noqa: F403
+from .model import *  # noqa: F403
+from .charfn import *  # noqa: F403
+from .pricing import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each module's __all__ is its public surface; the package's is their union
+__all__ = [name for module in (numerics, do_process, model, charfn, pricing, montecarlo)
+           for name in module.__all__]

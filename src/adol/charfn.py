@@ -23,7 +23,7 @@ tau(t), survives as a diagnostic on arrays of source times: j_state gives
 the inner spatial integral J's kernel centre and pole weight, j_integral
 a checked Gauss-Legendre value, j_closed the quadratic-at-centre closed
 form, and tau_closed_gap the gap of the paper's exponential-integral
-clock.
+clock, summed as the power series it equals.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .do_process import nu_t
 from .model import AdolModel, m_t
-from .numerics import QuadratureError, QuadratureSpec, exp_integral_e
+from .numerics import QuadratureError, QuadratureSpec
 
 __all__ = [
     "CfCoefficients",
@@ -340,11 +340,10 @@ def _v_law(model: AdolModel, s, t, f_s=None, f_t=None, m_t=None):
     return np.exp(_m_cum(s, model) - m_t), np.maximum(np.exp(-2.0 * m_t) * (f_t - f_s), 0.0)
 
 
-def _log_l(model: AdolModel, t, t0, at_t0):
-    """log L(t) = at_t0 - kappa (t - t0) - xi^2 int_t0^t nu^2 / 2, the part
-    of log sigma_t that V does not set, from at_t0 at t0; accepts arrays."""
-    return at_t0 - model.kappa * (t - t0) \
-        - model.xi ** 2 * (_nu_sq_cum(t, model) - _nu_sq_cum(t0, model)) / 2
+def _log_l(model: AdolModel, t, at_0):
+    """log L(t) = at_0 - kappa t - xi^2 int_0^t nu^2 / 2, the part of
+    log sigma_t that V does not set, from at_0 at time 0; accepts arrays."""
+    return at_0 - model.kappa * t - model.xi ** 2 * _nu_sq_cum(t, model) / 2
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +430,23 @@ def j_closed(center, k, chi) -> tuple[np.ndarray, np.ndarray]:
 def tau_closed_gap(model: AdolModel) -> float:
     """The largest relative gap of the paper's exponential-integral clock
     from tau(t) = Var(V_T | V_t) / 2, over 40 times in [0.02 T, T]: a known
-    deviation, carried, never patched.  Needs H < 1/2."""
+    deviation, carried, never patched.  Needs H < 1/2.
+
+    The paper writes the clock as B_H^2 / (2p) e^(z_T) (t^(2H) E_nu(z_t) -
+    T^(2H) E_nu(z_T)) with p = 1 + m_pi, nu = 1 - a, a = 2H / p and
+    z_t = -w_t = -m_rho t^p / p.  Each E splits as Gamma(a) z^(-a) minus a
+    power series (DLMF 8.19.1, 8.7.1), and t^(2H) z_t^(-a) does not depend
+    on t, so that term cancels exactly and the clock is
+
+        B_H^2 / (2p) e^(-w_T) (T^(2H) S(w_T) - t^(2H) S(w_t)),
+        S(w) = sum_k w^k / (k! (a + k)),
+
+    one formula for every m_rho (m_rho = 0 is its k = 0 term).  S is summed
+    by positive terms: directly for m_rho >= 0, and in Kummer's form
+    e^w sum_k (-w)^k / (a (a+1) ... (a+k)) for m_rho < 0.  There both sides
+    tend to Gamma(a) (p / |m_rho|)^a, so a late t loses about |w_t| / ln 10
+    digits to cancellation; tau's own difference f_quad(T) - f_quad(t)
+    loses twice as many."""
     if model.h >= 0.5:
         raise ValueError("the exponential-integral clock needs H < 1/2")
     c, T = model.constants, model.t_mat
@@ -439,17 +454,18 @@ def tau_closed_gap(model: AdolModel) -> float:
     ts = np.linspace(0.02 * T, T, 40)
     f = _f_quad(model, ts)  # its last entry is f_quad(T), so tau(T) is exactly 0
     tau = 0.5 * _v_law(model, ts, T, f_s=f, f_t=f[-1])[1]
-    b_sq, two_h = c.b_h * c.b_h, 2.0 * c.h
-    if abs(model.m_rho) < 1e-14:
-        closed = b_sq * (T ** two_h - ts ** two_h) / (2.0 * two_h)
-    else:
-        # the imaginary parts of the two E terms cancel exactly in the
-        # difference; the residue is roundoff
-        order, z_T = 1.0 - two_h / p, -model.m_rho / p * T ** p
-        e_T = T ** two_h * exp_integral_e(order, z_T)
-        closed = np.array([(b_sq / (2.0 * p) * math.exp(z_T)
-                            * (t ** two_h * exp_integral_e(order, -model.m_rho / p * t ** p)
-                               - e_T)).real for t in ts.tolist()])
+    two_h = 2.0 * c.h
+    a, neg = two_h / p, model.m_rho < 0.0
+    w = _m_cum(ts, model)  # w_t; V's law has refused |w_T| past float range
+    term, s_sum, add, k = np.ones(ts.shape), np.full(ts.shape, 1.0 / a), np.inf, 0
+    while np.any(add > 1e-17 * s_sum):
+        k += 1
+        term = term * np.abs(w) / (a + k if neg else k)
+        add = term / (a if neg else a + k)
+        s_sum = s_sum + add
+    # the last entry is t = T, so both sides come from one float and closed(T) is 0
+    lead = ts ** two_h * (np.exp(w) * s_sum if neg else s_sum)
+    closed = c.b_h * c.b_h / (2.0 * p) * math.exp(-w[-1]) * (lead[-1] - lead)
     return float(np.max(np.abs(closed - tau) / np.maximum(np.abs(tau), 1e-30)))
 
 

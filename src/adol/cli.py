@@ -22,7 +22,7 @@ from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _j_integrand,
                      _unit_response, cf_values, cf_zero, coeffs_paper, j_closed,
                      j_integral, j_state, pde_residual, tau_closed_gap, zero_order_fn)
 from .do_process import do_constants
-from .model import AdolModel, small_param_check
+from .model import AdolModel, f_ht, small_param_check
 from .montecarlo import (McSpec, Paths, _grid, _qv_indices, mc_prices,
                          mc_quadratic_variation, simulate_paths)
 from .numerics import QuadratureError
@@ -71,7 +71,6 @@ _SCHEMA = {
     },
     "output": {
         "directory": ("str", "out"),
-        "format_version": ("str", "1"),
     },
 }
 
@@ -229,13 +228,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(out_dir: Path, name: str, command: str, version: str,
+# the CSV layout's version, echoed into each file's '#' line
+_FORMAT_VERSION = "1"
+
+
+def _write_csv(out_dir: Path, name: str, command: str,
                header: list[str], rows: list[list]) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     stamp = _dt.datetime.now(_dt.timezone.utc).isoformat()
     with open(path, "w", newline="") as fh:
-        fh.write(f"# command={command} format={version} generated={stamp}\r\n")
+        fh.write(f"# command={command} format={_FORMAT_VERSION} generated={stamp}\r\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -259,20 +262,17 @@ def cmd_constants(cfg: dict, out_dir: Path, check: bool) -> int:
         h = j / 100.0
         c = do_constants(h)
         d = math.sqrt(max(c.d_h_sq, 0.0))
-        f_ht = 2.0 / (c.b_h * t_mat ** h)
         ok = d <= 0.12
         if check and h >= 0.4 and not ok:
             breaches += 1
-        rows.append([h, c.alpha_h, c.c_h, c.b_h, c.d_h_sq, c.psi_scale, f_ht, ok])
+        rows.append([h, c.alpha_h, c.c_h, c.b_h, c.d_h_sq, c.psi_scale, f_ht(h, t_mat), ok])
     _write_csv(out_dir, "constants.csv", "constants",
-               cfg["output"]["format_version"],
                ["h", "alpha_h", "c_h", "b_h", "d_h_sq", "psi_scale",
                 "f_ht", "defect_within_0p12"], rows)
     return breaches
 
 
 def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
-    version = cfg["output"]["format_version"]
     model = _table1_model()
     co = coeffs_paper(1.0, model)
     T = model.t_mat
@@ -284,7 +284,7 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
         mean, half = center + 2.0 * chi, 6.0 * math.sqrt(2.0 * chi)
         xs = np.linspace(mean - half, mean + half, 201)
         val = _j_integrand(xs, center, k, chi)
-        _write_csv(out_dir, name, "figures", version,
+        _write_csv(out_dir, name, "figures",
                    ["sigma_prime", "integrand_re", "integrand_im"],
                    np.column_stack([xs, val.real, val.imag]).tolist())
 
@@ -297,7 +297,7 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     bps = np.abs(jc - jq) / np.abs(jq) * 1e4
     if check and not np.max(bps) <= 10.0:
         breaches += 1
-    _write_csv(out_dir, "fig3_j_gap.csv", "figures", version,
+    _write_csv(out_dir, "fig3_j_gap.csv", "figures",
                ["chi", "j_quad_re", "j_quad_im", "j_closed_re", "j_closed_im",
                 "gap_bps"],
                np.column_stack([chis, jq.real, jq.imag, jc.real, jc.imag, bps]).tolist())
@@ -305,22 +305,22 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     # fig 4: curvature coefficient of the quadratic exponent
     if check:
         breaches += int(np.count_nonzero(~(a2.real < 0.0)))
-    _write_csv(out_dir, "fig4_a2.csv", "figures", version,
+    _write_csv(out_dir, "fig4_a2.csv", "figures",
                ["chi", "a2_re", "a2_im"],
                np.column_stack([chis, a2.real, a2.imag]).tolist())
 
     # figs 5-6: the expansion's smallness measure over (H, T)
     h_cols = [0.1, 0.2, 0.3, 0.4]
     t_rows = [round(0.1 * j, 1) for j in range(1, 21)]
-    rows = [[t] + [2.0 / (do_constants(h).b_h * t ** h) for h in h_cols]
+    rows = [[t] + [f_ht(h, t) for h in h_cols]
             for t in t_rows]
-    _write_csv(out_dir, "fig5_f_vs_t.csv", "figures", version,
+    _write_csv(out_dir, "fig5_f_vs_t.csv", "figures",
                ["t_mat"] + [f"f_h_{h}" for h in h_cols], rows)
     h_rows = [round(0.05 * j, 2) for j in range(1, 10)]
     t_cols = [0.25, 0.5, 1.0, 2.0]
-    rows = [[h] + [2.0 / (do_constants(h).b_h * t ** h) for t in t_cols]
+    rows = [[h] + [f_ht(h, t) for t in t_cols]
             for h in h_rows]
-    _write_csv(out_dir, "fig6_f_vs_h.csv", "figures", version,
+    _write_csv(out_dir, "fig6_f_vs_h.csv", "figures",
                ["h"] + [f"f_t_{t}" for t in t_cols], rows)
     return breaches
 
@@ -336,7 +336,7 @@ def cmd_cf(cfg: dict, out_dir: Path, check: bool) -> int:
     z_tot = cf_values(u_grid, model, ccfg)
     rows = np.column_stack([u_grid, z_aff.real, z_aff.imag, z_pap.real, z_pap.imag,
                             np.abs(z_pap - z_aff), z_tot.real, z_tot.imag]).tolist()
-    _write_csv(out_dir, "cf.csv", "cf", cfg["output"]["format_version"],
+    _write_csv(out_dir, "cf.csv", "cf",
                ["u", "affine0_re", "affine0_im", "paper0_re", "paper0_im",
                 "mode_gap_abs", "corrected_re", "corrected_im"], rows)
     return 0
@@ -397,7 +397,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
             rows.append([strike, "bs", bs, math.nan, bs - mc.estimate])
             if check and abs(px_cf0 - bs) > 1e-6 * model.s0:
                 breaches += 1
-    _write_csv(out_dir, "price.csv", "price", cfg["output"]["format_version"],
+    _write_csv(out_dir, "price.csv", "price",
                ["strike", "method", "value", "std_error", "gap_to_mc"], rows)
     return breaches
 
@@ -423,7 +423,7 @@ def cmd_varswap(cfg: dict, out_dir: Path, check: bool, *,
             breaches += 1
     if check and abs(k_fd - qv.estimate) > 3.0 * max(qv.std_error, 1e-12):
         breaches += 1
-    _write_csv(out_dir, "varswap.csv", "varswap", cfg["output"]["format_version"],
+    _write_csv(out_dir, "varswap.csv", "varswap",
                ["method", "value", "std_error", "gap_to_mc"], rows)
     return breaches
 
@@ -448,7 +448,7 @@ def cmd_mc(cfg: dict, out_dir: Path, check: bool, *,
     breaches = 0
     if check and abs(drift_off) > 4.0 * off_se + 1e-3:
         breaches += 1
-    _write_csv(out_dir, "mc.csv", "mc", cfg["output"]["format_version"],
+    _write_csv(out_dir, "mc.csv", "mc",
                ["quantity", "estimate", "std_error", "n_effective"], rows)
     return breaches
 

@@ -7,9 +7,7 @@ Risk-neutral dynamics priced by this package:
     dv     = -m(t) v dt + nu(t) dW2,      d<W1,W2> = rho dt
 
 with nu(t) = B_H t^(H-1/2) from the Gaussian driver and a power-law
-mean-reversion speed m(t) = m_rho * t^m_pi.  Under the physical measure the
-auxiliary state additionally carries a singular drift that is switched off
-on [0, P_DRIFT_EPS].
+mean-reversion speed m(t) = m_rho * t^m_pi.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 from .do_process import DoConstants, do_constants
 
-__all__ = ["AdolModel", "SmallParamReport", "m_t", "q_drifts", "p_drift_v", "small_param_check"]
+__all__ = ["AdolModel", "SmallParamReport", "m_t", "f_ht", "small_param_check"]
 
 
 @dataclass(frozen=True)
@@ -89,43 +87,15 @@ def m_t(t: float, model: AdolModel) -> float:
     """Mean-reversion speed m(t) = m_rho * t^m_pi."""
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    if t == 0.0 and model.m_pi == 0.0:
-        return model.m_rho
-    return model.m_rho * t ** model.m_pi
+    return model.m_rho * t ** model.m_pi  # 0.0 ** 0.0 == 1.0: m_rho at t = 0 when m_pi = 0
 
 
-def q_drifts(t: float, sigma: float, v: float, model: AdolModel) -> tuple[float, float, float]:
-    """Risk-neutral drifts (S-relative, absolute sigma, absolute v) at (t, sigma, v)."""
-    if t <= 0.0:
-        raise ValueError("drifts are defined for t > 0")
-    m = m_t(t, model)
-    drift_s = model.r - model.q
-    drift_sigma = -(model.kappa + model.xi * m * v) * sigma
-    drift_v = -m * v
-    return drift_s, drift_sigma, drift_v
-
-
-# the physical drift's cut-off time: the drift is 0 on [0, P_DRIFT_EPS]
-P_DRIFT_EPS = 1e-4
-
-
-def p_drift_v(t: float, v: float, model: AdolModel) -> complex:
-    """Physical-measure drift of the auxiliary state, cut off on [0, P_DRIFT_EPS].
-
-    For t > P_DRIFT_EPS:  i H d_H t^(H-1) + ((2H-1)/t) v,  with d_H = sqrt(d_H^2).
-    The imaginary part is the deterministic adjustment that centers the
-    driver's law on the fBm marginals.
-    """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if t <= P_DRIFT_EPS:
-        return 0.0 + 0.0j
-    c = model.constants
-    d_h = max(c.d_h_sq, 0.0) ** 0.5
-    return complex((2.0 * c.h - 1.0) / t * v, c.h * d_h * t ** (c.h - 1.0))
+def f_ht(h: float, t_mat: float) -> float:
+    """The expansion scale f(H, T) = 2 / (B_H T^H) that xi is measured against."""
+    return 2.0 / (do_constants(h).b_h * t_mat ** h)
 
 
 def small_param_check(model: AdolModel, margin: float = 0.25) -> SmallParamReport:
     """Report whether xi is small against f(H,T); never enforced."""
-    f = 2.0 / (model.constants.b_h * model.t_mat ** model.h)
+    f = f_ht(model.h, model.t_mat)
     return SmallParamReport(f_ht=f, xi=model.xi, admissible=model.xi <= margin * f, margin=margin)

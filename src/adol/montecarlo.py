@@ -98,7 +98,7 @@ def _law_steps(model: AdolModel, grid: np.ndarray):
     node log L, the part of log sigma that V does not set, and per step the
     x step's variance clock int (L(s) / L(t_n))^2 ds."""
     decay, var = _v_law(model, grid[:-1], grid[1:])
-    log_l = _log_l(model, grid, 0.0, math.log(model.sigma0))
+    log_l = _log_l(model, grid, math.log(model.sigma0))
     # log L linear across a step of slope a / (2 dt): the clock is
     # dt (e^a - 1) / a, and dt where sigma does not decay (a = 0)
     a = 2.0 * np.diff(log_l)

@@ -1,17 +1,15 @@
 """Self-contained numerics kernel.
 
 Provides the handful of numerical tools the rest of the package is built
-on: the symmetric beta function, the generalized exponential integral E(nu, z)
-on the principal branch, adaptive Gauss-Kronrod quadrature for complex
-scalar or vector integrands, called once per panel on its nodes, and the
-standard normal CDF.
+on: the symmetric beta function, adaptive Gauss-Kronrod quadrature for
+complex scalar or vector integrands, called once per panel on its nodes,
+and the standard normal CDF.
 
 All functions are pure; there is no module state.
 """
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import itertools
 import math
@@ -19,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+__all__ = ["QuadratureSpec", "QuadratureError", "beta_sym", "integrate_adaptive", "norm_cdf"]
 
 
 # ---------------------------------------------------------------------------
@@ -60,94 +60,6 @@ def beta_sym(x: float) -> float:
     if not x > 0.0:
         raise ValueError("beta_sym requires x > 0")
     return math.gamma(x) ** 2 / math.gamma(2.0 * x)
-
-
-# ---------------------------------------------------------------------------
-# generalized exponential integral
-# ---------------------------------------------------------------------------
-
-_EULER_GAMMA = 0.5772156649015328606065
-
-
-def _e1_series(z: complex) -> complex:
-    # E_1(z) = -euler_gamma - Log z + sum_{k>=1} (-1)^{k+1} z^k / (k k!)
-    # Principal Log continues the function to z < 0.
-    total = -_EULER_GAMMA - cmath.log(z)
-    term = 1.0 + 0j
-    for k in range(1, 300):
-        term *= -z / k
-        add = -term / k
-        total += add
-        if abs(add) < 1e-18 * max(1.0, abs(total)):
-            return total
-    raise ValueError(f"E_1 series did not converge at z={z}")
-
-
-def _e_series(order: float, z: complex) -> complex:
-    # E_nu(z) = Gamma(1-nu) z^{nu-1} - sum_{k>=0} (-z)^k / (k! (1-nu+k))
-    # valid when 1-nu+k never hits zero, i.e. nu is not a positive integer.
-    total = complex(math.gamma(1.0 - order)) * z ** (order - 1.0)
-    term = 1.0 + 0j
-    ssum = 0j
-    for k in range(0, 300):
-        if k > 0:
-            term *= -z / k
-        ssum += term / (1.0 - order + k)
-        if abs(term) < 1e-18 * max(1.0, abs(ssum)):
-            return total - ssum
-    raise ValueError(f"E series did not converge at order={order}, z={z}")
-
-
-def _e_continued_fraction(order: float, z: float) -> complex:
-    # Modified Lentz on E_nu(z) = e^-z / (z + nu - 1 nu/(z + nu + 2 - ...)),
-    # stable for real z > 1.
-    tiny = 1e-300
-    b = z + order
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 400):
-        a = -i * (order - 1.0 + i)
-        b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return complex(h * math.exp(-z))
-    raise ValueError(f"E continued fraction did not converge at order={order}, z={z}")
-
-
-def exp_integral_e(order: float, z: float) -> complex:
-    """Generalized exponential integral E(order, z), principal branch.
-
-    E(nu, z) = z^{nu-1} Gamma(1-nu, z).  For z < 0 the value is generically
-    complex; the principal branch of z^{nu-1} and Log z is used throughout.
-    """
-    order = float(order)
-    z = float(z)
-    if z == 0.0:
-        raise ValueError("exp_integral_e is singular at z = 0")
-    zc = complex(z)
-    if order == 0.0:
-        return cmath.exp(-zc) / zc
-    if z > 1.5:
-        return _e_continued_fraction(order, z)
-    if order == round(order) and order >= 1.0:
-        # positive integer order: E_1 log-series plus the upward recurrence
-        # E_{n+1}(z) = (e^{-z} - z E_n(z)) / n
-        val = _e1_series(zc)
-        n = 1
-        while n < int(round(order)):
-            val = (cmath.exp(-zc) - zc * val) / n
-            n += 1
-        return val
-    return _e_series(order, zc)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def _leg_vol_law(t1: float, t2: float, model: AdolModel) -> tuple[float, float, 
     overflows, or whose L underflows to 0, is refused.
     """
     decay, var = _v_law(model, 0.0, t1)
-    log_l, xi = _log_l(model, t1, 0.0, 0.0), model.xi
+    log_l, xi = _log_l(model, t1, 0.0), model.xi
     big_l = model.sigma0 * math.exp(log_l)
     if big_l == 0.0 or 4.0 * (math.log(model.sigma0) + log_l + xi * (model.v0 * decay - model.v0)) \
             + 8.0 * xi * xi * var > _LOG_MAX:

@@ -251,6 +251,39 @@ def test_tau_closed_form_gap_is_recorded(table1):
     assert tau_closed_gap(replace(table1, m_rho=0.0)) <= 1e-13
 
 
+def _paper_clock_gap_mp(m: AdolModel) -> float:
+    """tau_closed_gap with the paper's clock, B_H^2 / (2p) e^(z_T)
+    (t^(2H) E_nu(z_t) - T^(2H) E_nu(z_T)), nu = 1 - 2H / p and
+    z_t = -m_rho t^p / p, formed by mpmath.expint at 50 digits (at
+    m_rho = 0 by its limit B_H^2 (T^(2H) - t^(2H)) / (4H)); tau is the
+    package's own, so the two gaps differ only by the clock."""
+    c, T, p = m.constants, m.t_mat, 1.0 + m.m_pi
+    ts = np.linspace(0.02 * T, T, 40)
+    f = cfm._f_quad(m, ts)  # f_quad(T) read from the same array, so tau(T) is 0
+    tau = 0.5 * cfm._v_law(m, ts, T, f_s=f, f_t=f[-1])[1]
+    with mp.workdps(50):
+        b_sq, two_h, pp, mr = mp.mpf(c.b_h) ** 2, 2 * mp.mpf(c.h), mp.mpf(p), mp.mpf(m.m_rho)
+
+        def lead(t):
+            if mr == 0:
+                return -mp.mpf(t) ** two_h * pp / two_h
+            return mp.mpf(t) ** two_h * mp.expint(1 - two_h / pp, -mr / pp * mp.mpf(t) ** pp)
+
+        scale = b_sq / (2 * pp) * mp.exp(-mr / pp * mp.mpf(T) ** pp)
+        closed = [float(mp.re(scale * (lead(t) - lead(T)))) for t in ts.tolist()]
+    return float(np.max(np.abs(np.array(closed) - tau) / np.maximum(np.abs(tau), 1e-30)))
+
+
+@pytest.mark.parametrize("m_rho, t_mat", [(0.0, 0.5), (1e-13, 0.5), (1e-10, 0.5), (1e-6, 0.5),
+                                          (1.0, 0.5), (-1.0, 0.5), (-20.0, 0.5), (10.0, 2.0),
+                                          (-100.0, 2.0)])
+def test_tau_closed_gap_matches_paper_formula_in_mpmath(table1, m_rho, t_mat):
+    # the clock is summed as the power series its exponential integrals
+    # reduce to; the E form itself, evaluated in mpmath, must give the same gap
+    m = replace(table1, m_rho=m_rho, t_mat=t_mat)
+    assert tau_closed_gap(m) == pytest.approx(_paper_clock_gap_mp(m), rel=0.0, abs=1e-12)
+
+
 def heat_kernel(s: float, s_prime: float, tau: float) -> float:
     """Gaussian kernel with variance 2*tau; integrates to 1 over s_prime."""
     if tau <= 0.0:

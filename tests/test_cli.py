@@ -44,7 +44,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
     # no field reads these, so naming one is an error, not a silent no-op
     for block, key in (("model", "theta"), ("model", "lambda"), ("model", "mu"),
                        ("cf", "j_method"), ("cf", "v_step"), ("cf", "sigma_step"),
-                       ("pricing", "n_points")):
+                       ("pricing", "n_points"), ("output", "format_version")):
         with pytest.raises(ConfigError, match=f"unknown key '{block}.{key}'"):
             load_config(_write(tmp_path, {block: {key: 0}}))
     theta = _write(tmp_path, {"model": {"theta": 0.0}}, "theta.json")

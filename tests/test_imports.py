@@ -14,6 +14,7 @@ imports the CLI must not have loaded modules that no command needs.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -198,3 +199,14 @@ def test_cli_import_loads_neither_executor_nor_logging():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_exports_the_union_of_module_exports():
+    # each library module's __all__ is its public surface, and the package
+    # re-exports exactly their union: no submodule names, no missing ones;
+    # the CLI is a front end, not library surface
+    import adol
+    names = [name for p in MODULES if p.stem != "cli"
+             for name in importlib.import_module(f"adol.{p.stem}").__all__]
+    assert sorted(adol.__all__) == sorted(names)
+    assert all(hasattr(adol, name) for name in names)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adol.model import P_DRIFT_EPS, AdolModel, m_t, p_drift_v, q_drifts, small_param_check
+from adol.model import AdolModel, f_ht, m_t, small_param_check
 
 
 def _base(**kw) -> AdolModel:
@@ -65,36 +65,11 @@ def test_m_t_constant_speed_at_origin():
     assert m_t(0.3, m) == pytest.approx(0.7, rel=1e-15)
 
 
-def test_q_drifts_formulas(table1):
-    t, s, v = 0.2, 0.25, 4.0
-    ds, dsig, dv = q_drifts(t, s, v, table1)
-    m = table1.m_rho * t ** table1.m_pi
-    assert ds == pytest.approx(table1.r - table1.q, rel=1e-15)
-    assert dsig == pytest.approx(-(table1.kappa + table1.xi * m * v) * s, rel=1e-14)
-    assert dv == pytest.approx(-m * v, rel=1e-14)
-    with pytest.raises(ValueError):
-        q_drifts(0.0, s, v, table1)
-
-
-def test_p_drift_cutoff_and_formula(table1):
-    # the cut-off is a constant of the drift, not a model parameter
-    assert P_DRIFT_EPS > 0.0
-    assert "eps" not in {f.name for f in fields(AdolModel)}
-    assert p_drift_v(0.5 * P_DRIFT_EPS, 3.0, table1) == 0.0
-    assert p_drift_v(P_DRIFT_EPS, 3.0, table1) == 0.0
-    assert p_drift_v(2.0 * P_DRIFT_EPS, 3.0, table1) != 0.0
-    t, v = 0.2, 3.0
-    c = table1.constants
-    got = p_drift_v(t, v, table1)
-    assert got.real == pytest.approx((2.0 * c.h - 1.0) / t * v, rel=1e-14)
-    d_h = math.sqrt(c.d_h_sq)
-    assert got.imag == pytest.approx(c.h * d_h * t ** (c.h - 1.0), rel=1e-14)
-
-
 def test_small_param_pin(table1):
     rep = small_param_check(table1)
     # 2 / (B_H T^H) at H=0.3, T=0.5; pinned against the 40-digit constants
     assert rep.f_ht == pytest.approx(0.8407528823472642, rel=1e-12)
+    assert rep.f_ht == f_ht(table1.h, table1.t_mat)
     assert rep.admissible  # xi=0.05 <= 0.25 * f
     assert not small_param_check(replace(table1, xi=0.5)).admissible
 

@@ -17,7 +17,6 @@ from adol.numerics import (
     QuadratureError,
     QuadratureSpec,
     beta_sym,
-    exp_integral_e,
     integrate_adaptive,
     norm_cdf,
 )
@@ -120,56 +119,6 @@ def test_beta_sym_domain():
         beta_sym(0.0)
     with pytest.raises(ValueError):
         beta_sym(-1.2)
-
-
-# --------------------------------------------------------- exponential integral
-
-def test_exp_integral_pinned_values():
-    assert exp_integral_e(1.0, 1.0).real == pytest.approx(0.2193839343955202736772, rel=1e-12)
-    assert abs(exp_integral_e(1.0, 1.0).imag) < 1e-15
-    assert exp_integral_e(0.0, 1.0).real == pytest.approx(math.exp(-1.0), rel=1e-14)
-    # negative argument, principal branch; pinned with mpmath.expint
-    v = exp_integral_e(0.5, -0.3)
-    assert v.real == pytest.approx(-2.219364557856148745169, rel=1e-11)
-    assert v.imag == pytest.approx(-3.236043187592832090067, rel=1e-11)
-    # continued-fraction regime
-    assert exp_integral_e(2.5, 3.7).real == pytest.approx(0.00421705648650755945188, rel=1e-11)
-    assert exp_integral_e(1.0, 5.0).real == pytest.approx(0.001148295591275325797331, rel=1e-11)
-
-
-def test_exp_integral_quadrature_oracle_negative_z():
-    # E(nu, z) = z^{nu-1} Gamma(1-nu, z); for z < 0 integrate the defining
-    # integral E(nu,z) = int_1^inf e^{-z t} t^{-nu} dt analytically continued:
-    # compare against mpmath's principal-branch value instead of guessing.
-    for nu, z in [(0.6, -1.0 / 3.0), (0.6, -0.2357022603955158), (0.3, -0.8)]:
-        ref = mp.expint(nu, z)
-        got = exp_integral_e(nu, z)
-        assert got.real == pytest.approx(float(ref.real), rel=1e-10)
-        assert got.imag == pytest.approx(float(ref.imag), rel=1e-10)
-
-
-def test_exp_integral_singular_at_zero():
-    with pytest.raises(ValueError):
-        exp_integral_e(0.5, 0.0)
-
-
-def test_exp_integral_e1_series_property():
-    # term-by-term series comparison on (0, 1]
-    for z in np.linspace(0.05, 1.0, 12):
-        acc = -0.5772156649015328606065 - math.log(z)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -z / k
-            acc -= term / k
-        assert exp_integral_e(1.0, z).real == pytest.approx(acc, abs=1e-10)
-
-
-def test_exp_integral_integer_recurrence():
-    # E_{n+1}(z) = (e^{-z} - z E_n(z)) / n
-    for z in (0.3, 0.9, 1.4):
-        e1 = exp_integral_e(1.0, z)
-        e2 = exp_integral_e(2.0, z)
-        assert e2 == pytest.approx((math.exp(-z) - z * e1) / 1.0, rel=1e-11)
 
 
 # ---------------------------------------------------------------- quadrature

@@ -522,7 +522,7 @@ def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
     m = replace(_REF, xi=xi)
     for t1 in (0.1, 0.25, 0.45):
         decay, var = _v_law(m, 0.0, t1)
-        big_l, mean = m.sigma0 * math.exp(_log_l(m, t1, 0.0, 0.0)), m.v0 * decay
+        big_l, mean = m.sigma0 * math.exp(_log_l(m, t1, 0.0)), m.v0 * decay
         for k in (1, 2):
             closed = big_l ** (2 * k) * math.exp(
                 2 * k * xi * (mean - m.v0) + 2 * k * k * xi * xi * var)
@@ -534,7 +534,7 @@ def test_leg_moments_by_gauss_hermite_are_the_closed_lognormal_ones(xi):
 def test_leg_law_at_inception_is_the_start_state(table1):
     m = table1
     assert _v_law(m, 0.0, 0.0) == (1.0, 0.0)
-    assert m.sigma0 * math.exp(_log_l(m, 0.0, 0.0, 0.0)) == m.sigma0
+    assert m.sigma0 * math.exp(_log_l(m, 0.0, 0.0)) == m.sigma0
     sig, w = _leg_sigmas(0.0, table1.t_mat, table1)
     assert set(sig) == {table1.sigma0}
 
