@@ -38,7 +38,7 @@ import numpy as np
 
 from .do_process import nu_t
 from .model import AdolModel, m_t
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import QuadratureError
 
 __all__ = [
     "CfCoefficients",
@@ -87,30 +87,16 @@ class CfCoefficients:
 
 @dataclass(frozen=True)
 class CorrectionConfig:
-    """Controls for the correction pipeline.
+    """The CF's truncation order in xi and the mode of the zero-order
+    slices it perturbs.  The corrections' numerical settings are fixed
+    constants: _SIGMA_STEP, _Z1_ABS_TOL, _Z1_REL_TOL and _Z2_PANELS."""
 
-    sigma_step is the relative central-difference step of the source
-    operators' sigma derivatives; their v derivatives and the expectations
-    over the auxiliary state are exact in both modes.  quad drives the
-    source-time quadrature of z1; order truncates the expansion; mode
-    selects the zero-order slices being perturbed; z2_panels sizes the
-    fixed grid of the nested first-order field.
-    """
-
-    sigma_step: float = 1e-3
-    quad: QuadratureSpec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-7, max_subdivisions=800)
     order: int = 1
     mode: str = MODE_AFFINE
-    z2_panels: int = 10
 
     def __post_init__(self) -> None:
-        # written so that NaN fails the comparison too
-        if not 0.0 < self.sigma_step < math.inf:
-            raise ValueError("stencil steps must be positive and finite")
         if self.order not in (0, 1, 2):
             raise ValueError("order must be 0, 1, or 2")
-        if self.z2_panels < 2:
-            raise ValueError("z2_panels must be at least 2")
         _variant(self.mode)
 
 
@@ -429,8 +415,10 @@ def j_closed(center, k, chi) -> tuple[np.ndarray, np.ndarray]:
 
 def tau_closed_gap(model: AdolModel) -> float:
     """The largest relative gap of the paper's exponential-integral clock
-    from tau(t) = Var(V_T | V_t) / 2, over 40 times in [0.02 T, T]: a known
-    deviation, carried, never patched.  Needs H < 1/2.
+    from tau(t) = Var(V_T | V_t) / 2 over 40 times in [0.02 T, T], where Var
+    exceeds 1e3 eps e^(-2M(T)) f_quad(T), the rounding scale of its table
+    difference (NaN if nowhere): a known deviation, carried, never patched.
+    Needs H < 1/2.
 
     The paper writes the clock as B_H^2 / (2p) e^(z_T) (t^(2H) E_nu(z_t) -
     T^(2H) E_nu(z_T)) with p = 1 + m_pi, nu = 1 - a, a = 2H / p and
@@ -452,8 +440,9 @@ def tau_closed_gap(model: AdolModel) -> float:
     c, T = model.constants, model.t_mat
     p = 1.0 + model.m_pi
     ts = np.linspace(0.02 * T, T, 40)
-    f = _f_quad(model, ts)  # its last entry is f_quad(T), so tau(T) is exactly 0
-    tau = 0.5 * _v_law(model, ts, T, f_s=f, f_t=f[-1])[1]
+    f = _f_quad(model, ts)  # its last entry is f_quad(T)
+    var = _v_law(model, ts, T, f_s=f, f_t=f[-1])[1]
+    resolved = var > 1e3 * np.finfo(float).eps * math.exp(-2.0 * _m_cum(T, model)) * f[-1]
     two_h = 2.0 * c.h
     a, neg = two_h / p, model.m_rho < 0.0
     w = _m_cum(ts, model)  # w_t; V's law has refused |w_T| past float range
@@ -463,10 +452,11 @@ def tau_closed_gap(model: AdolModel) -> float:
         term = term * np.abs(w) / (a + k if neg else k)
         add = term / (a if neg else a + k)
         s_sum = s_sum + add
-    # the last entry is t = T, so both sides come from one float and closed(T) is 0
+    # the last entry is t = T
     lead = ts ** two_h * (np.exp(w) * s_sum if neg else s_sum)
     closed = c.b_h * c.b_h / (2.0 * p) * math.exp(-w[-1]) * (lead[-1] - lead)
-    return float(np.max(np.abs(closed - tau) / np.maximum(np.abs(tau), 1e-30)))
+    tau = 0.5 * var[resolved]
+    return float(np.max(np.abs(closed[resolved] - tau) / tau)) if resolved.any() else math.nan
 
 
 # --------------------------------------------------------------------------
@@ -492,7 +482,14 @@ def tau_closed_gap(model: AdolModel) -> float:
 # E[e^(c V) p(V)] = e^(c mu + c^2 Sigma / 2) E[p(V + c Sigma)] takes every
 # expectation over V in closed form, and every v derivative is exact (the
 # moment form of Lewis 2000 and of Benhamou, Gobet & Miri 2010).  The sigma
-# derivatives are central differences with the relative step sigma_step.
+# derivatives are central differences with the relative step _SIGMA_STEP.
+# These settings are read at call time: z1's time rule halves its step where
+# it misses both tolerances, and z2's inner time grid has _Z2_PANELS panels,
+# its outer grid 6 more.
+_SIGMA_STEP = 1e-3
+_Z1_ABS_TOL, _Z1_REL_TOL = 1e-10, 1e-7
+_Z2_PANELS = 10
+
 
 def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tanh-sinh rule on [0, 1] (Takahasi & Mori) at nodes k h, |k| <= n.
@@ -542,8 +539,7 @@ def _flow(model: AdolModel, u, t, sigma, chis, at_t, at_chis):
     return sigma * np.exp(-kap * dt), decay, shift, var, log_pref
 
 
-def _z1_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-              t, sigma, chis, at_t, at_chis):
+def _z1_field(model: AdolModel, co: CfCoefficients, t, sigma, chis, at_t, at_chis):
     """Integrand terms of the z1 field started at (t, sigma): the source
     Phi1 z0 at each time chi, carried back along the flow, is, as a
     function of the state v at t, the sum over the sigma legs s +- hs of
@@ -556,7 +552,7 @@ def _z1_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     decay v + shift + c var, so the exponent and p are polynomials in s_l.
     """
     s, decay, shift, var, log_pref = _flow(model, co.u, t, sigma, chis, at_t, at_chis)
-    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
+    hs = _SIGMA_STEP * np.maximum(1.0, np.abs(s))
     a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
     nu = model.constants.b_h * chis ** (model.h - 0.5)
     m = model.m_rho * chis ** model.m_pi
@@ -570,49 +566,46 @@ def _z1_field(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     return legs * (b * decay), expo, diff * p, diff * (-m * s * decay)
 
 
-def _z1_terms(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
-              chis: np.ndarray, at_chis) -> np.ndarray:
+def _z1_terms(model: AdolModel, co: CfCoefficients, chis: np.ndarray,
+              at_chis) -> np.ndarray:
     """The z1 integrand at inception at each time chi of a 1-d array, from
     the flow tables at_chis there: co.u's axes first, the node axis last.
     The two legs are summed first, so a z0 that does not depend on sigma
     (u = 0, or u = -i in affine-ode mode) gives exact zeros."""
-    kap, expo, p, q = _z1_field(model, co, cfg, 0.0, model.sigma0, chis, (0.0, 0.0), at_chis)
+    kap, expo, p, q = _z1_field(model, co, 0.0, model.sigma0, chis, (0.0, 0.0), at_chis)
     x = np.exp(expo + kap * model.v0) * (p + q * model.v0)
     return x[0] + x[1]
 
 
-def _z1(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig"):
+def _z1(model: AdolModel, co: CfCoefficients):
     """z1 at inception at co.u, _z1_terms on _z1_rule_sum's rule."""
-    return _z1_rule_sum(model, cfg, co.u, _flow_tables(model),
-                        functools.partial(_z1_terms, model, co, cfg))
+    return _z1_rule_sum(model, co.u, _flow_tables(model), functools.partial(_z1_terms, model, co))
 
 
-def _z1_rule_sum(model: AdolModel, cfg: "CorrectionConfig", u, tables: Callable,
-                 integral_terms: Callable):
+def _z1_rule_sum(model: AdolModel, u, tables: Callable, integral_terms: Callable):
     """z1 at inception at u, a frequency or a 1-d array of them, by
     tanh-sinh quadrature over the source time of the integrand
     integral_terms(nodes, tables(nodes)): u's axes first, node axis last.
 
     At each u, the difference between the step-h rule and its even nodes
     (the step-2h rule) bounds the error at no extra cost.  Where that
-    misses cfg.quad, the step is halved once: the odd nodes are evaluated
-    for every u, and only the u that missed take the halved value.  If the
-    halved rule still misses at some u, the estimate is refused, naming
-    that u.
+    misses both _Z1_ABS_TOL and _Z1_REL_TOL, the step is halved once: the
+    odd nodes are evaluated for every u, and only the u that missed take
+    the halved value.  If the halved rule still misses at some u, the
+    estimate is refused, naming that u.
     """
     chis, w, k = _z1_rule(model.t_mat)
     at_even, at_odd = tables.z1_rule_values
-    tol = cfg.quad
     even = k % 2 == 0
     f_even = integral_terms(chis[even], at_even)
     fine = 2.0 * (f_even @ w[even])
     coarse = 4.0 * (f_even[..., k[even] % 4 == 0] @ w[k % 4 == 0])
-    met = np.abs(fine - coarse) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(fine))
+    met = np.abs(fine - coarse) <= np.maximum(_Z1_ABS_TOL, _Z1_REL_TOL * np.abs(fine))
     if met.all():
         return fine
     finer = 0.5 * fine + integral_terms(chis[~even], at_odd) @ w[~even]
     err = np.abs(finer - fine)
-    missed = ~met & ~(err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(finer)))
+    missed = ~met & ~(err <= np.maximum(_Z1_ABS_TOL, _Z1_REL_TOL * np.abs(finer)))
     if missed.any():
         i = np.flatnonzero(missed)[0]
         raise QuadratureError("tanh-sinh rule for z1 missed its tolerance at the halved "
@@ -654,12 +647,12 @@ def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
 
 @functools.lru_cache(maxsize=16)
 def _z2_nodes(model: AdolModel, panels: int):
-    """The u-free set-up of z2 with z2_panels = panels: fixed substituted
-    panels on both time axes (the whole term enters at xi^2, and the cf pins
-    admit only the panel value; see _power_nodes).  Returns the outer nodes
-    and weights with both flow tables there, and the inner nodes and
-    weights of every outer node, rows of one array, with both flow tables
-    there.  Order 2 alone builds it."""
+    """The u-free set-up of z2 on _Z2_PANELS = panels, the cache key: fixed
+    substituted panels on both time axes (the whole term enters at xi^2, and
+    the cf pins admit only the panel value; see _power_nodes).  Returns the
+    outer nodes and weights with both flow tables there, and the inner nodes
+    and weights of every outer node, rows of one array, with both flow
+    tables there.  Order 2 alone builds it."""
     T = model.t_mat
     chis, wts = _power_nodes(0.0, T, model.h, panels + 6, 10)
     inner, iw = (np.array(a) for a in zip(*(_power_nodes(chi, T, model.h, panels, 8)
@@ -678,7 +671,7 @@ def _z2_nodes(model: AdolModel, panels: int):
 _Z2_BLOCK = 10
 
 
-def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig"):
+def _z2(model: AdolModel, co: CfCoefficients):
     """z2 at inception at co.u: the expectation over V of Phi2 z0 + Phi1 z1
     at each outer node.  At each outer sigma leg the z1 field is a sum of
     terms e^(kap v) (A + B v), and Phi1 = nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds
@@ -695,12 +688,12 @@ def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig"):
     once per outer node.  The terms come in batches over (inner leg, u,
     outer leg, outer node, inner node); the inner legs are summed first, as
     in _z1_terms."""
-    chis, wts, at_out, inner, iw, at_in = _z2_nodes(model, cfg.z2_panels)
+    chis, wts, at_out, inner, iw, at_in = _z2_nodes(model, _Z2_PANELS)
     u = co.u
     s, decay, shift, var, log_pref = _flow(model, u, 0.0, model.sigma0, chis,
                                            (0.0, 0.0), at_out)
     mean = decay * model.v0 + shift
-    hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
+    hs = _SIGMA_STEP * np.maximum(1.0, np.abs(s))
     nu = model.constants.b_h * chis ** (model.h - 0.5)
     m = model.m_rho * chis ** model.m_pi
     a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
@@ -718,7 +711,7 @@ def _z2(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig"):
 
     step = max(1, _Z2_BLOCK // np.size(u))
     for k in (slice(i, i + step) for i in range(0, len(chis), step)):
-        kap, expo, fa, fb = _z1_field(model, co, cfg, chis[k, None], legs[::2, k, None],
+        kap, expo, fa, fb = _z1_field(model, co, chis[k, None], legs[::2, k, None],
                                       inner[None, k], (at_out[0][k, None], at_out[1][k, None]),
                                       (at_in[0][None, k], at_in[1][None, k]))
         mu, sig = mean[..., None, k, None], var[None, k, None]
@@ -740,7 +733,7 @@ def correction(order: int, u: complex, model: AdolModel,
         raise ValueError("correction pipeline requires H < 1/2")
     cfg = cfg or CorrectionConfig()
     co = _coeffs_for(complex(u), model, cfg.mode)
-    return complex(_z1(model, co, cfg) if order == 1 else _z2(model, co, cfg))
+    return complex(_z1(model, co) if order == 1 else _z2(model, co))
 
 
 def cf_values(u: np.ndarray, model: AdolModel,
@@ -761,13 +754,13 @@ def cf_values(u: np.ndarray, model: AdolModel,
         if nonzero.any():
             us = u[nonzero]
             co = _coeffs_for(us, model, cfg.mode)
-            zc = z[nonzero] + model.xi * _z1(model, co, cfg)
+            zc = z[nonzero] + model.xi * _z1(model, co)
             if cfg.order >= 2:
                 # at most _Z2_BLOCK frequencies per call, so z2's memory
                 # does not grow with len(u)
                 parts = np.array_split(us, math.ceil(len(us) / _Z2_BLOCK))
                 zc = zc + model.xi ** 2 * np.concatenate(
-                    [_z2(model, _coeffs_for(part, model, cfg.mode), cfg) for part in parts])
+                    [_z2(model, _coeffs_for(part, model, cfg.mode)) for part in parts])
             z[nonzero] = zc
     return z
 
@@ -783,9 +776,12 @@ def cf_total(u: complex, model: AdolModel,
 # PDE residual validator
 # --------------------------------------------------------------------------
 
+_RESIDUAL_STEP = 2e-4  # relative step of the residual's central differences
+
+
 def pde_residual(cf_fn: Callable[[float, float, float], complex], u: complex,
-                 model: AdolModel, sample_points: Sequence[tuple[float, float, float]],
-                 rel_step: float = 2e-4) -> ResidualStats:
+                 model: AdolModel,
+                 sample_points: Sequence[tuple[float, float, float]]) -> ResidualStats:
     """Finite-difference residual of the pricing equation for z(t, sigma, v).
 
     Every term is built from central differences; per point the absolute
@@ -797,9 +793,9 @@ def pde_residual(cf_fn: Callable[[float, float, float], complex], u: complex,
     kappa, xi, rho = model.kappa, model.xi, model.rho
     max_r, sum_r = 0.0, 0.0
     for (t, s, v) in sample_points:
-        ht = rel_step * max(1.0, abs(t))
-        hs = rel_step * max(1.0, abs(s))
-        hv = rel_step * max(1.0, abs(v))
+        ht = _RESIDUAL_STEP * max(1.0, abs(t))
+        hs = _RESIDUAL_STEP * max(1.0, abs(s))
+        hv = _RESIDUAL_STEP * max(1.0, abs(v))
         if t - ht <= 0.0:
             raise ValueError(f"sample point t={t} too close to the origin for step {ht}")
         z = cf_fn(t, s, v)

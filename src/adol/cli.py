@@ -22,7 +22,7 @@ from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _j_integrand,
                      _unit_response, cf_values, cf_zero, coeffs_paper, j_closed,
                      j_integral, j_state, pde_residual, tau_closed_gap, zero_order_fn)
 from .do_process import do_constants
-from .model import AdolModel, f_ht, small_param_check
+from .model import XI_MARGIN, AdolModel, f_ht, small_param_check
 from .montecarlo import (McSpec, Paths, _grid, _qv_indices, mc_prices,
                          mc_quadratic_variation, simulate_paths)
 from .numerics import QuadratureError
@@ -380,8 +380,8 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
         if report.admissible:
             raise
         raise RuntimeError(f"{exc}; the model is outside the expansion's admissible region: "
-                           f"xi = {report.xi} exceeds {report.margin} f(H, T) = "
-                           f"{report.margin * report.f_ht:.6g}") from exc
+                           f"xi = {report.xi} exceeds {XI_MARGIN} f(H, T) = "
+                           f"{XI_MARGIN * report.f_ht:.6g}") from exc
     for strike, mc, px_cf0, px_cfn in zip(strikes, mcs, px0, pxn):
         rows.append([strike, "cf-order-0", px_cf0, math.nan,
                      px_cf0 - mc.estimate])
@@ -484,9 +484,11 @@ def cmd_ledger(cfg: dict, out_dir: Path, check: bool) -> int:
         "pde_residuals": res,
         "tau_closed_vs_quadrature_gap": tau_gap,
     }
+    # strict JSON: NaN and the infinities are written as null
+    doc = json.loads(json.dumps(doc, default=float), parse_constant=lambda _: None)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ledger.json").write_text(json.dumps(doc, indent=2, sort_keys=True,
-                                                    default=float) + "\n")
+                                                    allow_nan=False) + "\n")
     return breaches
 
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field, fields
 
 from .do_process import DoConstants, do_constants
 
-__all__ = ["AdolModel", "SmallParamReport", "m_t", "f_ht", "small_param_check"]
+__all__ = ["AdolModel", "SmallParamReport", "XI_MARGIN", "m_t", "f_ht", "small_param_check"]
+
+XI_MARGIN = 0.25  # xi is admissible up to this multiple of f(H, T)
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,11 @@ class AdolModel:
 
 @dataclass(frozen=True)
 class SmallParamReport:
-    """Admissibility of xi against the expansion scale f(H,T) = 2/(B_H T^H)."""
+    """Admissibility of xi: xi <= XI_MARGIN f(H,T), f(H,T) = 2/(B_H T^H)."""
 
     f_ht: float
     xi: float
     admissible: bool
-    margin: float = 0.25
 
     def __post_init__(self) -> None:
         if self.f_ht <= 0.0:
@@ -95,7 +96,7 @@ def f_ht(h: float, t_mat: float) -> float:
     return 2.0 / (do_constants(h).b_h * t_mat ** h)
 
 
-def small_param_check(model: AdolModel, margin: float = 0.25) -> SmallParamReport:
+def small_param_check(model: AdolModel) -> SmallParamReport:
     """Report whether xi is small against f(H,T); never enforced."""
     f = f_ht(model.h, model.t_mat)
-    return SmallParamReport(f_ht=f, xi=model.xi, admissible=model.xi <= margin * f, margin=margin)
+    return SmallParamReport(f_ht=f, xi=model.xi, admissible=model.xi <= XI_MARGIN * f)

@@ -5,7 +5,7 @@ auxiliary state V by a Gauss-Hermite rule and the source operators' v
 derivatives by a central difference.  Both are exact in the moment form that
 adol.charfn uses today; this kernel reaches the same values as hermite_n
 grows and v_step shrinks, and at any size in affine-ode mode, where z0 does
-not depend on v.  Its two knobs live on KernelConfig.
+not depend on v.  Its knobs live on KernelConfig.
 """
 
 from __future__ import annotations
@@ -24,9 +24,13 @@ from adol.pricing import _hermite_rule
 
 @dataclass(frozen=True)
 class KernelConfig(CorrectionConfig):
-    """CorrectionConfig plus the kernel's own knobs: hermite_n sizes the
-    Gaussian rule over V, v_step is the relative step of the v difference."""
+    """CorrectionConfig plus the kernel's own knobs: sigma_step and
+    z2_panels are its copies of charfn's _SIGMA_STEP and _Z2_PANELS,
+    hermite_n sizes the Gaussian rule over V, v_step is the relative step of
+    the v difference.  Its time rule is charfn's, at charfn's tolerances."""
 
+    sigma_step: float = 1e-3
+    z2_panels: int = 10
     v_step: float = 1e-3
     hermite_n: int = 12
 
@@ -139,13 +143,13 @@ def _stencil_phi2(fn, nu, s, v, hs):
     return 0.5 * nu * nu * s * s * f_ss
 
 
-def _steps(cfg: "CorrectionConfig", s, nodes):
+def _steps(cfg: KernelConfig, s, nodes):
     """Relative stencil steps in sigma and v; no v step for nodes = None."""
     hv = None if nodes is None else cfg.v_step * np.maximum(1.0, np.abs(nodes))
     return cfg.sigma_step * np.maximum(1.0, np.abs(s)), hv
 
 
-def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
                   tables: Callable, t: float, sigma, v,
                   chis: np.ndarray, at_t=None, at_chis=None) -> np.ndarray:
     """The first-order integrand: the source Phi1 z0 at each time chi in
@@ -170,14 +174,14 @@ def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
     return pref * (src @ w_h)
 
 
-def _z1_value(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+def _z1_value(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
               tables: Callable) -> complex:
     """z1 at inception from the Hermite-stencil kernel (_z1_rule_sum)."""
-    return _z1_rule_sum(model, cfg, co.u, tables, lambda nodes, at_nodes: _z1_integrand(
+    return _z1_rule_sum(model, co.u, tables, lambda nodes, at_nodes: _z1_integrand(
         model, co, cfg, tables, 0.0, model.sigma0, model.v0, nodes, at_chis=at_nodes))
 
 
-def _z2_point(model: AdolModel, co: CfCoefficients, cfg: "CorrectionConfig",
+def _z2_point(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
               tables: Callable) -> complex:
     # fixed substituted panels on both time axes: the whole term enters at
     # xi^2, and the cf pins admit only the panel value (see _power_nodes)

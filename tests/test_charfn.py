@@ -42,6 +42,17 @@ from adol.numerics import QuadratureError, QuadratureSpec, integrate_adaptive
 import hermite_stencil as hk
 
 
+@pytest.fixture
+def cf_settings(monkeypatch):
+    """Sets charfn's fixed numerical settings for one test, by keyword, e.g.
+    cf_settings(_Z2_PANELS=3); the corrections read them at call time."""
+    def set_(**values):
+        for name, value in values.items():
+            assert hasattr(cfm, name), name
+            monkeypatch.setattr(cfm, name, value)
+    return set_
+
+
 # ----------------------------------------------------------- coefficients
 
 def test_closed_form_gamma_pin(table1):
@@ -260,7 +271,10 @@ def _paper_clock_gap_mp(m: AdolModel) -> float:
     c, T, p = m.constants, m.t_mat, 1.0 + m.m_pi
     ts = np.linspace(0.02 * T, T, 40)
     f = cfm._f_quad(m, ts)  # f_quad(T) read from the same array, so tau(T) is 0
-    tau = 0.5 * cfm._v_law(m, ts, T, f_s=f, f_t=f[-1])[1]
+    var = cfm._v_law(m, ts, T, f_s=f, f_t=f[-1])[1]
+    # the times where V's variance stands above its tables' rounding
+    resolved = var > 1e3 * np.finfo(float).eps * math.exp(-2.0 * cfm._m_cum(T, m)) * f[-1]
+    tau = 0.5 * var[resolved]
     with mp.workdps(50):
         b_sq, two_h, pp, mr = mp.mpf(c.b_h) ** 2, 2 * mp.mpf(c.h), mp.mpf(p), mp.mpf(m.m_rho)
 
@@ -270,8 +284,8 @@ def _paper_clock_gap_mp(m: AdolModel) -> float:
             return mp.mpf(t) ** two_h * mp.expint(1 - two_h / pp, -mr / pp * mp.mpf(t) ** pp)
 
         scale = b_sq / (2 * pp) * mp.exp(-mr / pp * mp.mpf(T) ** pp)
-        closed = [float(mp.re(scale * (lead(t) - lead(T)))) for t in ts.tolist()]
-    return float(np.max(np.abs(np.array(closed) - tau) / np.maximum(np.abs(tau), 1e-30)))
+        closed = [float(mp.re(scale * (lead(t) - lead(T)))) for t in ts[resolved].tolist()]
+    return float(np.max(np.abs(np.array(closed) - tau) / tau))
 
 
 @pytest.mark.parametrize("m_rho, t_mat", [(0.0, 0.5), (1e-13, 0.5), (1e-10, 0.5), (1e-6, 0.5),
@@ -282,6 +296,24 @@ def test_tau_closed_gap_matches_paper_formula_in_mpmath(table1, m_rho, t_mat):
     # reduce to; the E form itself, evaluated in mpmath, must give the same gap
     m = replace(table1, m_rho=m_rho, t_mat=t_mat)
     assert tau_closed_gap(m) == pytest.approx(_paper_clock_gap_mp(m), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.45])
+def test_tau_closed_gap_reads_only_resolved_times(table1, h):
+    # at m_rho = -100, T = 2 the tables of f_quad agree to rounding beyond the
+    # first 7-8 of the 40 times, so tau there is rounding noise, floored at 0:
+    # a gap divided by it read 5.4e112 (h = 0.05) and 2.6e101 (h = 0.45).
+    # Only the resolved times count, and there the clock matches mpmath's
+    m = replace(table1, m_rho=-100.0, t_mat=2.0, h=h)
+    gap = tau_closed_gap(m)
+    assert 0.0 <= gap <= 1.0 + 1e-9, gap
+    assert gap == pytest.approx(_paper_clock_gap_mp(m), rel=0.0, abs=1e-12)
+
+
+def test_tau_closed_gap_is_nan_where_no_time_is_resolved(table1):
+    # M(T) = -350 with a constant speed: the tables agree to rounding from
+    # the first of the 40 times on, so no gap exists to report
+    assert math.isnan(tau_closed_gap(replace(table1, h=0.05, m_rho=-700.0, m_pi=0.0)))
 
 
 def heat_kernel(s: float, s_prime: float, tau: float) -> float:
@@ -479,27 +511,28 @@ def test_f_quad_array_with_origin_is_its_scalar_branch(table1):
     assert np.isfinite(decay).all() and np.isfinite(var).all()
 
 
-def test_stencil_richardson_ratio(table1):
+def test_stencil_richardson_ratio(table1, cf_settings):
     # halving the sigma step of the affine z1 must shrink its defect like h^2
     base = 3e-2
     vals = []
     for k in range(3):
-        cfg = CorrectionConfig(mode=MODE_AFFINE, sigma_step=base / 2 ** k)
-        vals.append(correction(1, 1.0, table1, cfg))
+        cf_settings(_SIGMA_STEP=base / 2 ** k)
+        vals.append(correction(1, 1.0, table1, CorrectionConfig(mode=MODE_AFFINE)))
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     assert 3.0 <= ratio <= 5.0, ratio
 
 
-def test_first_order_kernel_refuses_missed_tolerance(table1):
+def test_first_order_kernel_refuses_missed_tolerance(table1, cf_settings):
     # steps at the rounding floor make the source noise, which no halving of
     # the time step can integrate to 1e-7: the kernel must say so
-    noisy = CorrectionConfig(mode=MODE_PAPER, sigma_step=1e-13)
+    cfg = CorrectionConfig(mode=MODE_PAPER)
+    step = cfm._SIGMA_STEP
+    cf_settings(_SIGMA_STEP=1e-13)
     with pytest.raises(QuadratureError):
-        correction(1, 1.0, table1, noisy)
-    strict = CorrectionConfig(mode=MODE_PAPER, quad=QuadratureSpec(
-        abs_tol=1e-300, rel_tol=1e-15))
+        correction(1, 1.0, table1, cfg)
+    cf_settings(_SIGMA_STEP=step, _Z1_ABS_TOL=1e-300, _Z1_REL_TOL=1e-15)
     with pytest.raises(QuadratureError):
-        correction(1, 1.0, table1, strict)
+        correction(1, 1.0, table1, cfg)
 
 
 class _AdaptiveFlow:
@@ -536,11 +569,10 @@ def adaptive_flow(table1):
 def _reference_z1(m: AdolModel, u: complex, mode: str, flow) -> complex:
     """z1 from the moment form's integrand with both of its numerical pieces
     swapped out: adaptive quadrature in time over adaptive flow transforms."""
-    cfg = CorrectionConfig(mode=mode)
     co = cfm._coeffs_for(complex(u), m, mode)
 
     def integrand(chis: np.ndarray) -> np.ndarray:
-        return cfm._z1_terms(m, co, cfg, chis, flow(chis))
+        return cfm._z1_terms(m, co, chis, flow(chis))
 
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=4000)
     return integrate_adaptive(integrand, 0.0, m.t_mat, spec)
@@ -550,14 +582,14 @@ def _reference_z1(m: AdolModel, u: complex, mode: str, flow) -> complex:
 def test_first_order_kernel_matches_adaptive_on_damped_contour(table1, mode,
                                                                adaptive_flow):
     # the frequencies the damped Fourier pricer visits, u = v - 2.5i.  At
-    # v = 80, |z1| ~ 1e-25 sits far below cfg.quad.abs_tol, so the kernel
+    # v = 80, |z1| ~ 1e-25 sits far below _Z1_ABS_TOL, so the kernel
     # rightly stops at its first step; the agreement there is looser
     cfg = CorrectionConfig(mode=mode)
     for v in (0.0, 5.0, 20.0, 80.0):
         u = complex(v, -2.5)
         got = correction(1, u, table1, cfg)
         ref = _reference_z1(table1, u, mode, adaptive_flow)
-        rel = 1e-9 if abs(ref) > cfg.quad.abs_tol else 1e-6
+        rel = 1e-9 if abs(ref) > cfm._Z1_ABS_TOL else 1e-6
         assert abs(got - ref) <= rel * abs(ref), (v, got, ref)
 
 
@@ -573,14 +605,14 @@ def test_corrections_vanish_at_zero_frequency(table1):
             assert cf_total(0.0, table1, replace(cfg, order=order)) == 1, (mode, order)
 
 
-def test_v_free_slices_equal_the_full_evaluation(table1):
+def test_v_free_slices_equal_the_full_evaluation(table1, cf_settings):
     # a cross coefficient of 1e-300 rounds away in every exponent, yet sends
     # z0 through the kernel's full (state, time, Hermite) evaluation; the
     # kernel's affine slice that skips v must give the same numbers, not
     # just close ones.  The moment form has one path for every tilt, and a
     # tilt that rounds away leaves its numbers as they are too
     kcfg = hk.KernelConfig(mode=MODE_AFFINE, z2_panels=3)
-    cfg = CorrectionConfig(mode=MODE_AFFINE, z2_panels=3)
+    cf_settings(_Z2_PANELS=3)
     co = cfm._coeffs_for(1.0 + 0.0j, table1, MODE_AFFINE)
     full = replace(co, beta_bar=lambda t: 1e-300 + 0.0j)
     tables = cfm._flow_tables(table1)
@@ -598,39 +630,37 @@ def test_v_free_slices_equal_the_full_evaluation(table1):
     assert np.array_equal(integrand(co), integrand(full))
     assert hk._z1_value(table1, co, kcfg, tables) == hk._z1_value(table1, full, kcfg, tables)
     assert hk._z2_point(table1, co, kcfg, tables) == hk._z2_point(table1, full, kcfg, tables)
-    assert cfm._z1(table1, co, cfg) == cfm._z1(table1, full, cfg)
-    assert cfm._z2(table1, co, cfg) == cfm._z2(table1, full, cfg)
+    assert cfm._z1(table1, co) == cfm._z1(table1, full)
+    assert cfm._z2(table1, co) == cfm._z2(table1, full)
 
 
-def _z1_untabulated(m, co, cfg, tables):
+def _z1_untabulated(m, co, tables):
     """_z1 with the flow tables evaluated at the rule's nodes on every call,
     in place of the per-model tabulation."""
     chis, w, k = cfm._z1_rule(m.t_mat)
     even = k % 2 == 0
 
     def terms(nodes):
-        return cfm._z1_terms(m, co, cfg, nodes, tables(nodes))
+        return cfm._z1_terms(m, co, nodes, tables(nodes))
 
     f_even = terms(chis[even])
     fine = 2.0 * complex(f_even @ w[even])
     coarse = 4.0 * complex(f_even[k[even] % 4 == 0] @ w[k % 4 == 0])
-    if abs(fine - coarse) <= max(cfg.quad.abs_tol, cfg.quad.rel_tol * abs(fine)):
+    if abs(fine - coarse) <= max(cfm._Z1_ABS_TOL, cfm._Z1_REL_TOL * abs(fine)):
         return fine
     return 0.5 * fine + complex(terms(chis[~even]) @ w[~even])
 
 
 @pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
-def test_z1_reads_the_tabulated_rule_bitwise(table1, mode):
+def test_z1_reads_the_tabulated_rule_bitwise(table1, mode, cf_settings):
     # at rel_tol 1e-8 every u takes the halved rule, so both tabulated
     # halves are read
     tables = cfm._flow_tables(table1)
     for rel_tol in (1e-7, 1e-8):
-        cfg = CorrectionConfig(mode=mode, quad=QuadratureSpec(
-            abs_tol=1e-10, rel_tol=rel_tol, max_subdivisions=800))
+        cf_settings(_Z1_REL_TOL=rel_tol)
         for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
             co = cfm._coeffs_for(complex(u), table1, mode)
-            assert cfm._z1(table1, co, cfg) == \
-                _z1_untabulated(table1, co, cfg, tables), (rel_tol, u)
+            assert cfm._z1(table1, co) == _z1_untabulated(table1, co, tables), (rel_tol, u)
 
 
 def _looped_exponent(co, chis, s, v):
@@ -766,34 +796,38 @@ def _moment_form_models(table1):
 
 
 @pytest.mark.parametrize("name", ["table1", "ref", "kappa0", "rho0", "m_rho0"])
-def test_affine_moment_form_matches_the_hermite_stencil_kernel(table1, name):
+def test_affine_moment_form_matches_the_hermite_stencil_kernel(table1, name, cf_settings):
     # the kernel integrates the same flow over a Hermite rule and a v
     # stencil; the affine z1 field is linear in v and Phi1 of it quadratic
     # in V, so both are exact there and only rounding parts the two.  The
     # worst gaps seen were 2.6e-13 (z1) and 1.3e-12 (z2)
     m = _moment_form_models(table1)[name]
     tables = cfm._flow_tables(m)
-    cfg = CorrectionConfig(mode=MODE_AFFINE, z2_panels=3)
+    cf_settings(_Z2_PANELS=3)
     kcfg = hk.KernelConfig(mode=MODE_AFFINE, z2_panels=3)
     for u in _MOMENT_FORM_US:
         co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
         want = hk._z1_value(m, co, kcfg, tables)
-        assert abs(cfm._z1(m, co, cfg) - want) <= 1e-11 * abs(want), u
+        assert abs(cfm._z1(m, co) - want) <= 1e-11 * abs(want), u
         want = hk._z2_point(m, co, kcfg, tables)
-        assert abs(cfm._z2(m, co, cfg) - want) <= 1e-11 * abs(want), u
+        assert abs(cfm._z2(m, co) - want) <= 1e-11 * abs(want), u
 
 
-def test_affine_moment_form_honours_the_z2_panels(table1):
+def test_affine_moment_form_honours_the_z2_panels(table1, cf_settings):
     # from 3 panels to 16 the z2 moves by 5.8e-6 (u = 2.5 - 1.5i) and
     # 2.3e-5 (u = 5) relative; the moment form follows the kernel on both
     tables = cfm._flow_tables(table1)
-    cfg3, cfg16 = (CorrectionConfig(mode=MODE_AFFINE, z2_panels=n) for n in (3, 16))
+
+    def z2(co, panels):
+        cf_settings(_Z2_PANELS=panels)
+        return cfm._z2(table1, co)
+
     for u in (5.0, 2.5 - 1.5j):
         co = cfm._coeffs_for(complex(u), table1, MODE_AFFINE)
         want = hk._z2_point(table1, co, hk.KernelConfig(mode=MODE_AFFINE, z2_panels=16), tables)
-        got = cfm._z2(table1, co, cfg16)
+        got = z2(co, 16)
         assert abs(got - want) <= 1e-11 * abs(want), u
-        assert abs(got - cfm._z2(table1, co, cfg3)) > 1e-6 * abs(want), u
+        assert abs(got - z2(co, 3)) > 1e-6 * abs(want), u
 
 
 def _kernel_limit(term, m, co, steps, **knobs):
@@ -813,27 +847,26 @@ def test_paper_z1_is_the_kernel_limit(table1):
     ref = _moment_form_models(table1)["ref"]
     models = (ref, replace(ref, kappa=0.0), replace(ref, r=0.03, q=0.01, v0=-2.0),
               replace(ref, t_mat=2.0))
-    cfg = CorrectionConfig(mode=MODE_PAPER)
     for m in models:
         for u in _MOMENT_FORM_US:
             if m.t_mat == 2.0 and u in (5.0, 20.0 - 2.5j):
                 continue
             co = cfm._coeffs_for(complex(u), m, MODE_PAPER)
             want = _kernel_limit(hk._z1_value, m, co, (1e-3, 5e-4), hermite_n=40)
-            assert abs(cfm._z1(m, co, cfg) - want) <= 1e-9 * abs(want), (m, u)
+            assert abs(cfm._z1(m, co) - want) <= 1e-9 * abs(want), (m, u)
 
 
-def test_paper_z2_is_the_kernel_limit(table1):
+def test_paper_z2_is_the_kernel_limit(table1, cf_settings):
     # the kernel's nested v stencils leave its Richardson limit with a
     # rounding floor near 1e-7: its two steps part by 4e-7 and 1.1e-6 here.
     # The gaps seen were 1.9e-8 and 5.5e-9 at 12 Hermite nodes, 4.4e-9 and
     # 6.0e-9 at 16
     m = _moment_form_models(table1)["ref"]
-    cfg = CorrectionConfig(mode=MODE_PAPER, z2_panels=2)
+    cf_settings(_Z2_PANELS=2)
     for u in (1.0, 2.5 - 1.5j):
         co = cfm._coeffs_for(complex(u), m, MODE_PAPER)
         want = _kernel_limit(hk._z2_point, m, co, (4e-3, 2e-3), z2_panels=2)
-        assert abs(cfm._z2(m, co, cfg) - want) <= 2e-7 * abs(want), u
+        assert abs(cfm._z2(m, co) - want) <= 2e-7 * abs(want), u
 
 
 def test_paper_z1_refusal_is_the_time_rule(table1):
@@ -896,14 +929,14 @@ def test_first_order_zero_without_coupling(table1):
         assert correction(1, u, m, cfg) == 0.0
 
 
-def test_second_order_golden_and_grid_insensitive(table1):
+def test_second_order_golden_and_grid_insensitive(table1, cf_settings):
     cfg = CorrectionConfig(mode=MODE_AFFINE)
     z2 = correction(2, 1.0, table1, cfg)
     assert z2.real == pytest.approx(-0.034997055694803415, rel=1e-7)
     assert z2.imag == pytest.approx(-0.03737909392995669, rel=1e-7)
     # richer grids on both time axes: inner panels, outer panels
-    rich = CorrectionConfig(mode=MODE_AFFINE, z2_panels=16)
-    z2r = correction(2, 1.0, table1, rich)
+    cf_settings(_Z2_PANELS=16)
+    z2r = correction(2, 1.0, table1, cfg)
     assert abs(z2r - z2) / abs(z2) <= 1e-6
 
 
@@ -966,21 +999,19 @@ def test_cf_values_keep_the_exact_identities_entry_by_entry(table1, order):
             assert z[1] == math.exp((table1.r - table1.q) * table1.t_mat)
 
 
-def test_z1_halving_is_decided_per_frequency(table1, monkeypatch):
+def test_z1_halving_is_decided_per_frequency(table1, monkeypatch, cf_settings):
     # at rel_tol 5e-8 the step-0.15 rule misses at u = 1 (its gap to the
     # step-0.3 rule is 5.7e-8 relative) and meets it at u = 20 - 2.5i (8.2e-9):
     # alone, one takes the halved rule and the other does not; together, each
     # keeps its own value
-    cfg = CorrectionConfig(mode=MODE_AFFINE, quad=QuadratureSpec(
-        abs_tol=1e-10, rel_tol=5e-8, max_subdivisions=800))
+    cf_settings(_Z1_REL_TOL=5e-8)
     calls = []
     terms = cfm._z1_terms
     monkeypatch.setattr(cfm, "_z1_terms", lambda *args: calls.append(1) or terms(*args))
 
     def z1(us):
         calls.clear()
-        val = cfm._z1(table1, cfm._coeffs_for(np.array(us, dtype=complex), table1, MODE_AFFINE),
-                      cfg)
+        val = cfm._z1(table1, cfm._coeffs_for(np.array(us, dtype=complex), table1, MODE_AFFINE))
         return val, len(calls)
 
     (halved, n_halved), (direct, n_direct) = z1([1.0]), z1([20.0 - 2.5j])
@@ -1006,24 +1037,25 @@ def test_z1_refusal_names_the_frequency(table1):
     assert correction(1, 1.0, m, cfg) != 0
 
 
-def test_z2_batches_stay_within_the_block(table1, monkeypatch):
+def test_z2_batches_stay_within_the_block(table1, monkeypatch, cf_settings):
     # 23 frequencies at order 2: cf_values hands _z2 at most _Z2_BLOCK of
     # them per call, and no batch of z2's z1 field holds more than _Z2_BLOCK
     # outer nodes times frequencies, so z2's memory does not grow with
     # len(u); each entry is still its own scalar value
     us = np.linspace(0.0, 5.0, 23) - 0.5j * np.linspace(0.0, 1.0, 23)
-    cfg = CorrectionConfig(mode=MODE_AFFINE, order=2, z2_panels=2)
+    cfg = CorrectionConfig(mode=MODE_AFFINE, order=2)
+    cf_settings(_Z2_PANELS=2)
     sizes, batches = [], []
     z2, field = cfm._z2, cfm._z1_field
 
-    def counting_z2(model, co, c):
+    def counting_z2(model, co):
         sizes.append(np.size(co.u))
-        return z2(model, co, c)
+        return z2(model, co)
 
-    def counting_field(model, co, c, t, *rest):
+    def counting_field(model, co, t, *rest):
         if np.ndim(t) == 2:  # z2's outer nodes, (nodes, 1)
             batches.append(np.size(co.u) * np.shape(t)[0])
-        return field(model, co, c, t, *rest)
+        return field(model, co, t, *rest)
 
     monkeypatch.setattr(cfm, "_z2", counting_z2)
     monkeypatch.setattr(cfm, "_z1_field", counting_field)
@@ -1050,24 +1082,14 @@ def test_correction_guards(table1):
                  CorrectionConfig(mode=MODE_AFFINE, order=1))
     with pytest.raises(ValueError):
         CorrectionConfig(order=5)
-    with pytest.raises(ValueError):
-        CorrectionConfig(sigma_step=0.0)
-    with pytest.raises(ValueError):
-        CorrectionConfig(z2_panels=1)
     # both modes take V's law and the v derivatives exactly: no Hermite
-    # size and no v step are left to set
-    for field in ("hermite_n", "v_step"):
+    # size and no v step are left to set.  The sigma step, z1's tolerance
+    # and z2's panel count are charfn constants, which no caller sets
+    for field in ("hermite_n", "v_step", "sigma_step", "quad", "z2_panels"):
         with pytest.raises(TypeError):
             CorrectionConfig(**{field: 12})
     with pytest.raises(ValueError):
         CorrectionConfig(mode="no-such-mode")
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_stencil_steps_must_be_finite(bad):
-    # a NaN step used to surface only as a QuadratureError with a nan estimate
-    with pytest.raises(ValueError, match="stencil steps"):
-        CorrectionConfig(sigma_step=bad)
 
 
 # ----------------------------------------------------------- PDE residual

@@ -421,11 +421,18 @@ def test_martingale_offset_is_relative_to_the_marched_forward(tmp_path, model, f
     assert off_se == pytest.approx(fwd_se / forward, rel=1e-12)
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and the infinities, which JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_ledger_artifact_contents(tmp_path):
     cfgp = _write(tmp_path, {})
     out = tmp_path / "out"
     assert main(["ledger", "--config", cfgp, "--out", str(out), "--check"]) == 0
-    doc = json.loads((out / "ledger.json").read_text())
+    doc = _strict_json((out / "ledger.json").read_text())
     assert set(doc) == {"config", "zero_order_mode_gap", "pde_residuals",
                         "tau_closed_vs_quadrature_gap"}
     assert doc["pde_residuals"]["affine-ode"]["max"] <= 1e-6
@@ -435,6 +442,20 @@ def test_ledger_artifact_contents(tmp_path):
         0.16642248752948324, rel=1e-6)
     gap0 = doc["zero_order_mode_gap"][0]
     assert gap0["u"] == 0.0 and gap0["gap_abs"] <= 1e-12
+
+
+def test_ledger_is_strict_json_above_half(tmp_path):
+    # at h = 0.6 the paper mode and the exponential-integral clock have no
+    # value: the ledger writes null for each, never a bare NaN token
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, {"model": {"h": 0.6}})
+    assert main(["ledger", "--config", cfgp, "--out", str(out)]) == 0
+    doc = _strict_json((out / "ledger.json").read_text())
+    assert doc["tau_closed_vs_quadrature_gap"] is None
+    for gap in doc["zero_order_mode_gap"]:
+        assert gap["paper-closed-form"][0] is None and gap["gap_abs"] is None, gap
+        assert all(math.isfinite(x) for x in gap["affine-ode"]), gap
+    assert list(doc["pde_residuals"]) == ["affine-ode"]
 
 
 # ------------------------------------------------------------ exit codes

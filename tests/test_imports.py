@@ -9,11 +9,13 @@ never read as an attribute (`.field`) anywhere in the package is reported
 too, unless it is allowed below with its reason.  So is a module-level
 `_private` function or class that nothing in the package references
 outside its own definition.  The law of V's tables and cumulative
-integrals are named in charfn alone.  Last, a fresh interpreter that
+integrals are named in charfn alone.  Each dataclass that cli.py builds
+by keyword gets every init field set there.  Last, a fresh interpreter that
 imports the CLI must not have loaded modules that no command needs.
 """
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -199,6 +201,38 @@ def test_cli_import_loads_neither_executor_nor_logging():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# the dataclasses that cli.py builds by keyword, with their modules
+CLI_BUILT = {"AdolModel": "model", "CorrectionConfig": "charfn",
+             "FourierPricingSpec": "pricing", "McSpec": "montecarlo",
+             "VarSwapSpec": "pricing"}
+
+
+def call_keywords(source: str, names) -> dict[str, set[str]]:
+    """For each of names, the keywords of every call to it in source."""
+    found = {name: set() for name in names}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in found:
+            found[node.func.id] |= {k.arg for k in node.keywords}
+    return found
+
+
+def test_keyword_scanner_collects_every_call():
+    source = ("a = Spec(x=1)\n"
+              "b = Spec(y=2, x=3)\n"
+              "c = other.Spec(z=4)\n"
+              "d = Other(w=5)\n")
+    assert call_keywords(source, ["Spec", "Unused"]) == {"Spec": {"x", "y"}, "Unused": set()}
+
+
+def test_every_setting_has_a_product_caller():
+    # every init field of a dataclass that the command line builds is set
+    # by it: a field no caller sets is a setting without a product user
+    got = call_keywords((SRC / "cli.py").read_text(), CLI_BUILT)
+    for name, module in CLI_BUILT.items():
+        cls = getattr(importlib.import_module(f"adol.{module}"), name)
+        assert got[name] == {f.name for f in dataclasses.fields(cls) if f.init}, name
 
 
 def test_package_exports_the_union_of_module_exports():
