@@ -52,7 +52,6 @@ __all__ = [
     "j_integral",
     "j_closed",
     "tau_closed_gap",
-    "correction",
     "cf_values",
     "cf_total",
     "pde_residual",
@@ -108,8 +107,14 @@ class ResidualStats:
 
 
 def _frequencies(u) -> complex | np.ndarray:
-    """A frequency as a complex, or an array of them as a complex array."""
-    return complex(u) if np.ndim(u) == 0 else np.asarray(u, dtype=complex)
+    """A frequency as a complex, or an array of them as a complex array;
+    every coefficient set is built through here, so a non-finite frequency
+    is refused before any arithmetic meets it."""
+    u = complex(u) if np.ndim(u) == 0 else np.asarray(u, dtype=complex)
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise ValueError(f"frequencies must be finite, got u = {np.extract(~finite, u)[0]}")
+    return u
 
 
 def _lead(x, *like):
@@ -554,8 +559,7 @@ def _z1_field(model: AdolModel, co: CfCoefficients, t, sigma, chis, at_t, at_chi
     s, decay, shift, var, log_pref = _flow(model, co.u, t, sigma, chis, at_t, at_chis)
     hs = _SIGMA_STEP * np.maximum(1.0, np.abs(s))
     a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
-    nu = model.constants.b_h * chis ** (model.h - 0.5)
-    m = model.m_rho * chis ** model.m_pi
+    nu, m = nu_t(chis, model.constants), m_t(chis, model)
     # the leg signs on the axis before co.u's
     signs = _LEGS.reshape((2,) + (1,) * (np.ndim(co.u) + np.ndim(s)))
     legs = s + signs * hs
@@ -694,8 +698,7 @@ def _z2(model: AdolModel, co: CfCoefficients):
                                            (0.0, 0.0), at_out)
     mean = decay * model.v0 + shift
     hs = _SIGMA_STEP * np.maximum(1.0, np.abs(s))
-    nu = model.constants.b_h * chis ** (model.h - 0.5)
-    m = model.m_rho * chis ** model.m_pi
+    nu, m = nu_t(chis, model.constants), m_t(chis, model)
     a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
     legs = s + np.multiply.outer(np.array([1.0, 0.0, -1.0]), hs)
     lu = legs.reshape(legs.shape[:1] + (1,) * np.ndim(u) + legs.shape[1:])
@@ -722,18 +725,6 @@ def _z2(model: AdolModel, co: CfCoefficients):
             + inner_sum(e * fb, iw[k]) * big_n[None, k]
         src[..., k] += (val[..., 0, :] - val[..., 1, :]) / (2.0 * hs[k])
     return (np.exp(log_pref) * src) @ wts
-
-
-def correction(order: int, u: complex, model: AdolModel,
-               cfg: CorrectionConfig | None = None) -> complex:
-    """The order-1 or order-2 term of the CF expansion, at inception."""
-    if order not in (1, 2):
-        raise ValueError("correction order must be 1 or 2")
-    if model.h >= 0.5:
-        raise ValueError("correction pipeline requires H < 1/2")
-    cfg = cfg or CorrectionConfig()
-    co = _coeffs_for(complex(u), model, cfg.mode)
-    return complex(_z1(model, co) if order == 1 else _z2(model, co))
 
 
 def cf_values(u: np.ndarray, model: AdolModel,

@@ -246,11 +246,6 @@ def _write_csv(out_dir: Path, name: str, command: str,
     return path
 
 
-def _table1_model() -> AdolModel:
-    return AdolModel(s0=1.0, sigma0=0.3, v0=5.0, r=0.0, q=0.0, kappa=2.0,
-                     xi=0.0, rho=-0.5, h=0.3, m_rho=1.0, m_pi=0.5, t_mat=0.5)
-
-
 # --------------------------------------------------------------------------
 # subcommands; each returns the number of tolerance breaches
 # --------------------------------------------------------------------------
@@ -273,7 +268,8 @@ def cmd_constants(cfg: dict, out_dir: Path, check: bool) -> int:
 
 
 def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
-    model = _table1_model()
+    # the figures draw the reference model, the schema's defaults, whatever the config
+    model = _model_from({"model": {key: rule[1] for key, rule in _MODEL_KEYS.items()}})
     co = coeffs_paper(1.0, model)
     T = model.t_mat
     breaches = 0

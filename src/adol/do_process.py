@@ -14,25 +14,11 @@ standard-BM values at H = 1/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import beta_sym
-
-__all__ = [
-    "DoConstants",
-    "TimeGrid",
-    "do_constants",
-    "psi_h",
-    "cov_m",
-    "cov_fbm",
-    "nu_t",
-    "simulate_mh",
-    "simulate_vh",
-    "simulate_fbm_exact",
-]
+__all__ = ["DoConstants", "do_constants", "nu_t"]
 
 
 # --------------------------------------------------------------------------
@@ -119,137 +105,13 @@ def do_constants(h: float) -> DoConstants:
     return DoConstants(h=h, alpha_h=alpha, c_h=c, b_h=b, d_h_sq=d_sq, psi_scale=psi_scale)
 
 
-def psi_h(t: float, c: DoConstants) -> float:
-    """Deterministic envelope psi(t) = psi_scale * t^(2H-1)."""
-    if t <= 0.0 and c.h < 0.5:
-        raise ValueError(f"psi is singular at t <= 0 for H < 1/2, got t={t}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got t={t}")
-    return c.psi_scale * t ** (2.0 * c.h - 1.0)
-
-
-def cov_m(s: float, t: float, c: DoConstants) -> float:
-    """Covariance of the independent-increment martingale at times (s, t)."""
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    return c.c_h * c.alpha_h * beta_sym(1.5 - c.h) * min(s, t) ** (2.0 - 2.0 * c.h)
-
-
-def cov_fbm(s: float, t: float, h: float) -> float:
-    """Fractional Brownian motion covariance (1/2)(t^2H + s^2H - |t-s|^2H)."""
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    hh = 2.0 * h
-    return 0.5 * (abs(t) ** hh + abs(s) ** hh - abs(t - s) ** hh)
-
-
-def nu_t(t: float, c: DoConstants) -> float:
-    """Volatility-of-volatility shape nu(t) = B_H * t^(H-1/2)."""
-    if t <= 0.0 and c.h != 0.5:
-        raise ValueError(f"nu is singular at t <= 0 for H != 1/2, got t={t}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got t={t}")
+def nu_t(t, c: DoConstants):
+    """Volatility-of-volatility shape nu(t) = B_H * t^(H-1/2), at a time or
+    at each of an array of times."""
+    t_min = np.min(t)
+    if t_min <= 0.0 and c.h != 0.5:
+        raise ValueError(f"nu is singular at t <= 0 for H != 1/2, got t={t_min}")
+    if t_min < 0.0:
+        raise ValueError(f"time must be nonnegative, got t={t_min}")
     return c.b_h * t ** (c.h - 0.5)
 
-
-# --------------------------------------------------------------------------
-# simulation grids
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing positive observation times.
-
-    Must start strictly after 0: the envelope and nu are singular at the
-    origin for H < 1/2.
-    """
-
-    times: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("grid must be a nonempty 1-d array")
-        if t[0] <= 0.0:
-            raise ValueError(f"grid must start at t > 0, got t1={t[0]}")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("grid times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-
-def _normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    # the draws are a pure function of the seed and the shape, so results do
-    # not depend on the execution schedule.  Row-major fill: path j's draws
-    # depend on the path count in the (n_times, n_paths) layout of
-    # simulate_mh and simulate_vh, and not in simulate_fbm_exact's
-    # (n_paths, n_times)
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    return gen.standard_normal(shape)
-
-
-# --------------------------------------------------------------------------
-# exact-law simulators
-# --------------------------------------------------------------------------
-
-def simulate_mh(grid: TimeGrid, c: DoConstants, n_paths: int, seed: int) -> np.ndarray:
-    """Exact paths of the martingale M on `grid`, shape (n_paths, n_times).
-
-    Increments are independent centered Gaussians with variance
-    cov_m(t_i, t_i) - cov_m(t_{i-1}, t_{i-1}); there is no discretization
-    error in this scheme.
-    """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    t = grid.times
-    var_level = np.array([cov_m(ti, ti, c) for ti in t])
-    inc_var = np.diff(np.concatenate(([0.0], var_level)))
-    # var levels are increasing in t, but guard against roundoff
-    inc_sd = np.sqrt(np.maximum(inc_var, 0.0))
-    z = _normals(seed, (len(t), n_paths))
-    return np.cumsum(inc_sd[:, None] * z, axis=0).T
-
-
-def simulate_vh(grid: TimeGrid, c: DoConstants, n_paths: int, seed: int) -> np.ndarray:
-    """Exact paths of V(t) = psi(t) * M(t), shape (n_paths, n_times)."""
-    m = simulate_mh(grid, c, n_paths, seed)
-    psi = np.array([psi_h(ti, c) for ti in grid.times])
-    return m * psi[None, :]
-
-
-def simulate_fbm_exact(grid: TimeGrid, h: float, n_paths: int, seed: int) -> np.ndarray:
-    """Exact fractional BM paths via dense covariance factorization.
-
-    Intended for validation on modest grids (<= ~2000 points); cost is
-    O(n^3) for the factorization plus O(n_paths * n^2) for the paths.
-    """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    t = grid.times
-    n = len(t)
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            cov[i, j] = cov[j, i] = cov_fbm(t[i], t[j], h)
-    scale = float(np.max(np.diag(cov)))
-    chol = None
-    jitter = 0.0
-    for jitter in (0.0, 1e-14 * scale, 1e-13 * scale, 1e-12 * scale):
-        try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(n))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        smallest = float(np.min(np.linalg.eigvalsh(cov)))
-        raise np.linalg.LinAlgError(
-            f"covariance not numerically positive-definite even with 1e-12 jitter; "
-            f"smallest eigenvalue {smallest:.3e}"
-        )
-    if jitter > 0.0:
-        warnings.warn(f"fbm covariance factorization used diagonal jitter {jitter:.3e}",
-                      stacklevel=2)
-    z = _normals(seed, (n_paths, n))
-    return z @ chol.T

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .do_process import DoConstants, do_constants
 
 __all__ = ["AdolModel", "SmallParamReport", "XI_MARGIN", "m_t", "f_ht", "small_param_check"]
@@ -84,9 +86,10 @@ class SmallParamReport:
             raise ValueError("f_ht must be positive")
 
 
-def m_t(t: float, model: AdolModel) -> float:
-    """Mean-reversion speed m(t) = m_rho * t^m_pi."""
-    if t < 0.0:
+def m_t(t, model: AdolModel):
+    """Mean-reversion speed m(t) = m_rho * t^m_pi, at a time or at each of an
+    array of times."""
+    if np.min(t) < 0.0:
         raise ValueError("time must be nonnegative")
     return model.m_rho * t ** model.m_pi  # 0.0 ** 0.0 == 1.0: m_rho at t = 0 when m_pi = 0
 

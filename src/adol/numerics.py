@@ -1,7 +1,7 @@
 """Self-contained numerics kernel.
 
 Provides the handful of numerical tools the rest of the package is built
-on: the symmetric beta function, adaptive Gauss-Kronrod quadrature for
+on: adaptive Gauss-Kronrod quadrature for
 complex scalar or vector integrands, called once per panel on its nodes,
 and the standard normal CDF.
 
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "beta_sym", "integrate_adaptive", "norm_cdf"]
+__all__ = ["QuadratureSpec", "QuadratureError", "integrate_adaptive", "norm_cdf"]
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +49,6 @@ class QuadratureError(RuntimeError):
         super().__init__(f"{message} (estimate={estimate!r}, error_bound={error_bound:.3e})")
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-# ---------------------------------------------------------------------------
-# the symmetric beta function
-# ---------------------------------------------------------------------------
-
-def beta_sym(x: float) -> float:
-    """B(x, x) = Gamma(x)^2 / Gamma(2x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError("beta_sym requires x > 0")
-    return math.gamma(x) ** 2 / math.gamma(2.0 * x)
 
 
 # ---------------------------------------------------------------------------

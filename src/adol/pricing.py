@@ -40,7 +40,6 @@ __all__ = [
     "bs_price",
     "fourier_prices",
     "implied_vol",
-    "forward_cf",
     "varswap_strike",
     "varswap_strike_analytic",
 ]
@@ -131,6 +130,9 @@ def fourier_prices(cf: Callable[[np.ndarray], np.ndarray], spot: float,
     once per ladder, and cf once per panel, on its 15 nodes; u_max doubles,
     up to 64 times the spec's, until every strike's integrand has decayed.
     """
+    _require_finite(r=r, q=q, t_mat=t_mat)
+    if t_mat < 0.0:
+        raise ValueError("maturity must be nonnegative")
     for x in (spot, *strikes):
         if not 0.0 < x < math.inf:  # written so that NaN fails too
             raise ValueError(f"spot and strikes must be finite and positive, got {x}")
@@ -285,15 +287,6 @@ def _forward_cf_on(u: complex, t1: float, t2: float, model: AdolModel,
     time-t1 vols `sig` with weights `w`."""
     co = coeffs_affine_ode(u, replace(model, t_mat=t2))
     return complex(w @ np.exp(co.alpha(t1) + co.gamma(t1) * sig * sig))
-
-
-def forward_cf(u: complex, t1: float, t2: float, model: AdolModel) -> complex:
-    """E[exp(iu (x_{t2} - x_{t1}))]: the inner affine zero order over the
-    exact law of the time-t1 vol."""
-    _check_leg(t1, t2, model)
-    if u == 0.0:
-        return 1.0 + 0.0j
-    return _forward_cf_on(u, t1, t2, model, *_leg_sigmas(t1, t2, model))
 
 
 def _leg_curvature(phi: Callable[[float], complex], h: float) -> complex:

@@ -27,7 +27,6 @@ from adol.charfn import (
     cf_values,
     cf_zero,
     coeffs_paper,
-    correction,
     j_closed,
     j_integral,
     j_state,
@@ -40,6 +39,18 @@ from adol.model import AdolModel, m_t
 from adol.numerics import QuadratureError, QuadratureSpec, integrate_adaptive
 
 import hermite_stencil as hk
+
+
+def correction(order: int, u: complex, model: AdolModel,
+               cfg: CorrectionConfig | None = None) -> complex:
+    """The order-1 or order-2 term of the CF expansion at one frequency, at
+    inception: charfn's z1 or z2 on cfg's mode."""
+    if order not in (1, 2):
+        raise ValueError("correction order must be 1 or 2")
+    if model.h >= 0.5:
+        raise ValueError("correction pipeline requires H < 1/2")
+    co = cfm._coeffs_for(complex(u), model, (cfg or CorrectionConfig()).mode)
+    return complex(cfm._z1(model, co) if order == 1 else cfm._z2(model, co))
 
 
 @pytest.fixture
@@ -1070,6 +1081,24 @@ def test_cf_values_refuse_a_scalar_or_a_grid(table1):
     for bad in (1.0, np.ones((2, 2))):
         with pytest.raises(ValueError, match="1-d array"):
             cf_values(bad, table1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_non_finite_frequencies_are_refused(table1, order):
+    # every coefficient set is built through charfn._frequencies, which
+    # names the bad u before any arithmetic: at order 0 a NaN once came back
+    # as nan+nanj, and at orders 1 and 2 the z1 time rule took the blame
+    cfg = CorrectionConfig(order=order)
+    for bad in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="frequencies must be finite"):
+                cf_values(np.array([1.0, bad]), table1, cfg)
+            for mode in (MODE_AFFINE, MODE_PAPER):
+                with pytest.raises(ValueError, match="frequencies must be finite"):
+                    cf_zero(bad, table1, mode)
+                with pytest.raises(ValueError, match="frequencies must be finite"):
+                    zero_order_fn(bad, table1, mode)
 
 
 def test_correction_guards(table1):

@@ -1,4 +1,5 @@
-"""Gaussian driver: constants, covariances, exact simulators.
+"""Gaussian driver: the constants, and the covariances and exact simulators
+of the oracle do_oracle.py.
 
 Constant pins were computed with mpmath at 40 digits from the closed
 gamma-function expressions before this module existed.
@@ -10,18 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adol.do_process import (
-    DoConstants,
-    TimeGrid,
-    cov_fbm,
-    cov_m,
-    do_constants,
-    nu_t,
-    psi_h,
-    simulate_fbm_exact,
-    simulate_mh,
-    simulate_vh,
-)
+from adol.do_process import DoConstants, do_constants, nu_t
+
+from do_oracle import cov_fbm, cov_m, psi_h, simulate_fbm_exact, simulate_mh, simulate_vh
 
 
 # ------------------------------------------------------------- constants
@@ -113,6 +105,14 @@ def test_nu_power_law():
     c = do_constants(0.3)
     t = 0.37
     assert nu_t(t, c) == pytest.approx(c.b_h * t ** (-0.2), rel=1e-14)
+    # on an array, each entry is bitwise its scalar value, and a time at
+    # the origin anywhere in it is refused
+    ts = np.array([0.05, 0.37, 2.0])
+    assert nu_t(ts, c).tolist() == [nu_t(t, c) for t in ts.tolist()]
+    with pytest.raises(ValueError, match="singular"):
+        nu_t(np.array([0.1, 0.0]), c)
+    with pytest.raises(ValueError, match="nonnegative"):
+        nu_t(np.array([0.1, -0.2]), do_constants(0.5))
 
 
 def test_projection_variance_identity():
@@ -145,31 +145,21 @@ def test_cov_fbm_oracle():
 
 # ------------------------------------------------------------- simulators
 
-def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(times=np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        TimeGrid(times=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        TimeGrid(times=np.array([]))
-    assert len(TimeGrid(times=np.array([0.1, 0.2]))) == 2
-
-
 def test_simulate_mh_reproducible_and_seed_sensitive():
-    grid = TimeGrid(times=np.linspace(0.1, 1.0, 10))
+    times = np.linspace(0.1, 1.0, 10)
     c = do_constants(0.3)
-    a = simulate_mh(grid, c, 64, seed=123)
-    b = simulate_mh(grid, c, 64, seed=123)
+    a = simulate_mh(times, c, 64, seed=123)
+    b = simulate_mh(times, c, 64, seed=123)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, simulate_mh(grid, c, 64, seed=124))
+    assert not np.array_equal(a, simulate_mh(times, c, 64, seed=124))
 
 
 def test_simulate_mh_matches_covariance():
-    grid = TimeGrid(times=np.array([0.2, 0.5, 1.0]))
+    times = np.array([0.2, 0.5, 1.0])
     c = do_constants(0.3)
     n = 100_000
-    paths = simulate_mh(grid, c, n, seed=2026)
-    for i, ti in enumerate(grid.times):
+    paths = simulate_mh(times, c, n, seed=2026)
+    for i, ti in enumerate(times):
         var_ref = cov_m(ti, ti, c)
         var_hat = paths[:, i].var(ddof=1)
         se = var_ref * math.sqrt(2.0 / (n - 1))
@@ -182,11 +172,11 @@ def test_simulate_mh_matches_covariance():
 
 
 def test_simulate_vh_variance():
-    grid = TimeGrid(times=np.array([0.25, 0.5, 1.0, 2.0]))
+    times = np.array([0.25, 0.5, 1.0, 2.0])
     c = do_constants(0.3)
     n = 100_000
-    paths = simulate_vh(grid, c, n, seed=515)
-    for i, ti in enumerate(grid.times):
+    paths = simulate_vh(times, c, n, seed=515)
+    for i, ti in enumerate(times):
         var_ref = psi_h(ti, c) ** 2 * cov_m(ti, ti, c)
         var_hat = paths[:, i].var(ddof=1)
         se = var_ref * math.sqrt(2.0 / (n - 1))
@@ -194,12 +184,12 @@ def test_simulate_vh_variance():
 
 
 def test_simulate_fbm_covariance():
-    grid = TimeGrid(times=np.array([0.3, 0.6, 1.0]))
+    times = np.array([0.3, 0.6, 1.0])
     h = 0.3
     n = 60_000
-    paths = simulate_fbm_exact(grid, h, n, seed=99)
-    for i, ti in enumerate(grid.times):
-        for j, tj in enumerate(grid.times):
+    paths = simulate_fbm_exact(times, h, n, seed=99)
+    for i, ti in enumerate(times):
+        for j, tj in enumerate(times):
             ref = cov_fbm(ti, tj, h)
             hat = float(np.mean(paths[:, i] * paths[:, j]))
             se = 2.0 * math.sqrt(cov_fbm(ti, ti, h) * cov_fbm(tj, tj, h) / n)
@@ -207,19 +197,10 @@ def test_simulate_fbm_covariance():
 
 
 def test_simulate_fbm_standard_bm_increments():
-    grid = TimeGrid(times=np.linspace(0.25, 1.0, 4))
-    paths = simulate_fbm_exact(grid, 0.5, 40_000, seed=7)
+    times = np.linspace(0.25, 1.0, 4)
+    paths = simulate_fbm_exact(times, 0.5, 40_000, seed=7)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1),
                   axis=1)
     corr = np.corrcoef(inc.T)
     off = corr - np.eye(4)
     assert np.max(np.abs(off)) <= 0.03
-
-
-def test_simulators_reject_bad_path_count():
-    grid = TimeGrid(times=np.array([0.5]))
-    c = do_constants(0.3)
-    with pytest.raises(ValueError):
-        simulate_mh(grid, c, 0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_fbm_exact(grid, 0.3, 0, seed=1)

@@ -8,7 +8,9 @@ re-export, so it is not scanned for that.  A dataclass field whose name is
 never read as an attribute (`.field`) anywhere in the package is reported
 too, unless it is allowed below with its reason.  So is a module-level
 `_private` function or class that nothing in the package references
-outside its own definition.  The law of V's tables and cumulative
+outside its own definition, and so is a name in a library module's
+`__all__` that no other module and no README python block reads, unless it
+is allowed below with its reason.  The law of V's tables and cumulative
 integrals are named in charfn alone.  Each dataclass that cli.py builds
 by keyword gets every init field set there.  Last, a fresh interpreter that
 imports the CLI must not have loaded modules that no command needs.
@@ -18,6 +20,7 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "adol"
+README = SRC.parents[1] / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # fields that are set but never read, each with the reason it stays
@@ -233,6 +237,55 @@ def test_every_setting_has_a_product_caller():
     for name, module in CLI_BUILT.items():
         cls = getattr(importlib.import_module(f"adol.{module}"), name)
         assert got[name] == {f.name for f in dataclasses.fields(cls) if f.init}, name
+
+
+# public names that no other module and no README example reads, each with
+# the reason it stays public
+PUBLIC_WITHOUT_READER = {
+    "charfn.CfCoefficients": "coeffs_paper and coeffs_affine_ode return it",
+    "charfn.ResidualStats": "pde_residual returns it",
+    "model.SmallParamReport": "small_param_check returns it",
+    "montecarlo.PathStats": "mc_prices and mc_quadratic_variation return it",
+    "montecarlo.simulate_q": "perfbench/mc_reference.py marches the Monte Carlo references with it",
+}
+
+
+def public_without_reader(sources: dict[str, str], examples: list[str]) -> list[str]:
+    """module.name for each name in a library module's __all__ that no other
+    module (cli included) and no example references."""
+    refs = {module: _referenced(ast.parse(source)) for module, source in sources.items()}
+    in_examples = set().union(*(_referenced(ast.parse(example)) for example in examples))
+    unread = []
+    for module, source in sources.items():
+        if module == "cli":  # a front end: its __all__ is not library surface
+            continue
+        read = in_examples.union(*(names for other, names in refs.items() if other != module))
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+                unread += [f"{module}.{name}" for name in ast.literal_eval(node.value)
+                           if name not in read]
+    return sorted(unread)
+
+
+def test_public_name_scanner_flags_only_names_without_a_reader():
+    sources = {
+        "a": ('__all__ = ["by_b", "by_cli", "in_example", "own_use", "unread"]\n'
+              "def own_use():\n"
+              "    return unread\n"),
+        "b": ("from .a import by_b\n"
+              '__all__ = ["Shown"]\n'),
+        "cli": ("from . import a\n"
+                "a.by_cli()\n"
+                '__all__ = ["main"]\n'),
+    }
+    examples = ["from adol.a import in_example\nfrom adol.b import Shown\n"]
+    assert public_without_reader(sources, examples) == ["a.own_use", "a.unread"]
+
+
+def test_every_public_name_has_a_reader():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    examples = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert public_without_reader(sources, examples) == sorted(PUBLIC_WITHOUT_READER)
 
 
 def test_package_exports_the_union_of_module_exports():

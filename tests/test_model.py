@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +57,11 @@ def test_m_t_power_law(table1):
     assert m_t(0.0, table1) == 0.0
     with pytest.raises(ValueError):
         m_t(-0.1, table1)
+    # on an array, each entry is bitwise its scalar value
+    ts = np.array([0.0, 0.25, 2.0])
+    assert m_t(ts, table1).tolist() == [m_t(t, table1) for t in ts.tolist()]
+    with pytest.raises(ValueError):
+        m_t(np.array([0.1, -0.1]), table1)
 
 
 def test_m_t_constant_speed_at_origin():

@@ -13,13 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adol.do_process import do_constants
-from adol.numerics import (
-    QuadratureError,
-    QuadratureSpec,
-    beta_sym,
-    integrate_adaptive,
-    norm_cdf,
-)
+from adol.numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
+
+from do_oracle import beta_sym
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -31,8 +27,8 @@ def _mp_40_digits():
 
 
 # ---------------------------------------------------------------------- gamma
-# The package takes Gamma from math.gamma; these tests read it through the
-# functions that call it, beta_sym and do_constants, each against mpmath.
+# The package takes Gamma from math.gamma; these tests read it through
+# do_constants and the oracle's beta_sym, each against mpmath.
 
 def _do_constants_mp(h: float) -> dict:
     """The DO constants of do_process.do_constants, formed in mpmath."""

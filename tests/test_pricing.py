@@ -20,14 +20,24 @@ from adol.pricing import (
     _U_STEP,
     FourierPricingSpec,
     VarSwapSpec,
+    _check_leg,
+    _forward_cf_on,
     bs_price,
-    forward_cf,
     fourier_prices,
     _leg_sigmas,
     implied_vol,
     varswap_strike,
     varswap_strike_analytic,
 )
+
+
+def forward_cf(u: complex, t1: float, t2: float, model: AdolModel) -> complex:
+    """E[exp(iu (x_{t2} - x_{t1}))] from the variance-swap legs' pieces: the
+    inner affine zero order over the exact law of the time-t1 vol."""
+    _check_leg(t1, t2, model)
+    if u == 0.0:
+        return 1.0 + 0.0j
+    return _forward_cf_on(u, t1, t2, model, *_leg_sigmas(t1, t2, model))
 
 
 def _flat_variance(m) -> float:
@@ -142,6 +152,18 @@ def test_fourier_rejects_non_finite_spot_and_strike(table1_xi0):
             fourier_prices(_cf0(m), m.s0, [bad], m.r, m.q, m.t_mat)
         with pytest.raises(ValueError):
             fourier_prices(_cf0(m), bad, [m.s0], m.r, m.q, m.t_mat)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_fourier_refuses_non_finite_rates_and_maturity(table1_xi0, bad):
+    # a NaN rate or maturity once priced as [nan, nan], r = inf as puts of -1
+    m = table1_xi0
+    good = dict(r=m.r, q=m.q, t_mat=m.t_mat)
+    for name in good:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fourier_prices(_cf0(m), m.s0, [m.s0], **{**good, name: bad})
+    with pytest.raises(ValueError, match="maturity must be nonnegative"):
+        fourier_prices(_cf0(m), m.s0, [m.s0], m.r, m.q, -1.0)
 
 
 def test_fourier_refuses_an_undecayed_integrand(table1_xi0):
