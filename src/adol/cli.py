@@ -67,7 +67,6 @@ _SCHEMA = {
         "n_paths": ("int", 20000),
         "n_steps": ("int", 200),
         "seed": ("int", 20177),
-        "antithetic": ("bool", False),
     },
     "output": {
         "directory": ("str", "out"),
@@ -110,9 +109,6 @@ def _validate_block(schema: dict, data: dict, path: str) -> dict:
         elif kind == "int":
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"'{here}' must be an integer, got {val!r}")
-        elif kind == "bool":
-            if not isinstance(val, bool):
-                raise ConfigError(f"'{here}' must be a boolean, got {val!r}")
         elif kind == "str":
             if not isinstance(val, str):
                 raise ConfigError(f"'{here}' must be a string, got {val!r}")
@@ -203,17 +199,9 @@ def _fourier_spec(cfg: dict) -> FourierPricingSpec:
 def _mc_spec(cfg: dict) -> McSpec:
     m = cfg["mc"]
     try:
-        spec = McSpec(n_paths=m["n_paths"], n_steps=m["n_steps"], seed=m["seed"],
-                      antithetic=m["antithetic"])
+        return McSpec(n_paths=m["n_paths"], n_steps=m["n_steps"], seed=m["seed"])
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
-    # one independent unit has a standard error of 0, which every --check
-    # gate would read as certainty
-    if spec.n_paths < (4 if spec.antithetic else 2):
-        unit = "pairs" if spec.antithetic else "paths"
-        raise ConfigError(f"mc.n_paths {spec.n_paths} gives one independent unit; "
-                          f"a standard error needs two {unit}")
-    return spec
 
 
 # --------------------------------------------------------------------------
@@ -388,8 +376,7 @@ def cmd_price(cfg: dict, out_dir: Path, check: bool, *,
                 breaches += 1
         rows.append([strike, "mc", mc.estimate, mc.std_error, 0.0])
         if model.xi == 0.0:
-            bs = bs_price(model.s0, strike, model.r, model.q, var0, True,
-                          model.t_mat)
+            bs = bs_price(model.s0, strike, model.r, model.q, var0, model.t_mat)
             rows.append([strike, "bs", bs, math.nan, bs - mc.estimate])
             if check and abs(px_cf0 - bs) > 1e-6 * model.s0:
                 breaches += 1

@@ -22,15 +22,15 @@ states and of every capture is the per-step march's, and terminal x does
 not depend on the captures.  A non-finite terminal x or sigma raises
 FloatingPointError.
 
-The paths are two fixed halves of the independent units (the pairs, if
-antithetic: path i + n / 2 is the twin of path i); one unit is one half.
-`SeedSequence(seed)` spawns two SFC64 streams per half, the x-shock's own
-(maturity's row, then a row per capture) and the vol Brownian's (a row per
-step), each read in a fixed layout, so results are bitwise reproducible.
+The paths are two fixed halves, the first the larger, so a spec needs two
+paths.  `SeedSequence(seed)` spawns two SFC64 streams per half, the
+x-shock's own (maturity's row, then a row per capture) and the vol
+Brownian's (a row per step), each read in a fixed layout, so results are
+bitwise reproducible.
 The calling thread marches the first half and one worker thread the
 second; numpy lets go of the GIL in each fill and array step, so the
 halves run side by side.  Each half reads only its own streams and
-columns, so the bits do not depend on how the threads interleave.
+paths, so the bits do not depend on how the threads interleave.
 
 One march serves every Monte Carlo estimator of a run: `simulate_paths`
 marches the terminal states together with x at the realized variance's
@@ -62,7 +62,6 @@ class McSpec:
     n_paths: int
     n_steps: int
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         # a float fails only inside the march, and seed True marches seed 1
@@ -70,12 +69,15 @@ class McSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be at least 1")
+        # one path's standard error is 0, which every --check gate would
+        # read as certainty
+        if self.n_paths < 2:
+            raise ValueError(f"n_paths must be at least 2: a standard error needs "
+                             f"two paths, got {self.n_paths}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic mode needs an even n_paths")
 
 
 @dataclass(frozen=True)
@@ -125,14 +127,12 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     # first: its temporaries are freed before the march's arrays are made
     law = _law_steps(model, grid)
     n_steps = spec.n_steps
-    # each result is a row of independent units, and if antithetic a row of
-    # their twins, so that path i + n / 2 is the twin of path i; a half is a
-    # block of columns, marched on two streams of its own
-    rows = 2 if spec.antithetic else 1
-    units = spec.n_paths // rows
-    bounds = [0, units - units // 2, units] if units > 1 else [0, 1]
+    # a half is a block of paths, the first the larger, marched on two
+    # streams of its own
+    n = spec.n_paths
+    halves = [slice(0, n - n // 2), slice(n - n // 2, n)]
     gens = [np.random.Generator(np.random.SFC64(child))
-            for child in np.random.SeedSequence(spec.seed).spawn(2 * len(bounds) - 2)]
+            for child in np.random.SeedSequence(spec.seed).spawn(4)]
     # the snapshot at maturity is x itself: no copy and no bridge draw
     bridged = set() if capture is None else set(capture) - {n_steps}
     x, sig, v = (np.empty(spec.n_paths) for _ in range(3))
@@ -141,25 +141,20 @@ def _run(model: AdolModel, spec: McSpec, capture: set[int] | None = None) -> Pat
     raised = {}  # per half, what its march raised
 
     def march(half: int) -> None:
-        """March one half on its own streams and columns; what it raises is
+        """March one half on its own streams and paths; what it raises is
         kept in `raised`, to be raised on the calling thread."""
-        def cols(a: np.ndarray) -> np.ndarray:
-            return a.reshape(rows, units)[:, bounds[half]:bounds[half + 1]]
-
+        cols = halves[half]
         try:
-            _march(model, grid, law, *gens[2 * half:2 * half + 2], cols(x), cols(sig),
-                   cols(v), {k: cols(s) for k, s in snaps.items()})
+            _march(model, grid, law, *gens[2 * half:2 * half + 2], x[cols], sig[cols],
+                   v[cols], {k: s[cols] for k, s in snaps.items()})
         except BaseException as exc:
             raised[half] = exc
 
     # the calling thread marches the first half, a worker thread the second
-    workers = [threading.Thread(target=march, args=(half,))
-               for half in range(1, len(bounds) - 1)]
-    for worker in workers:
-        worker.start()
+    worker = threading.Thread(target=march, args=(1,))
+    worker.start()
     march(0)
-    for worker in workers:
-        worker.join()
+    worker.join()
     if raised:
         raise raised[min(raised)]
     if capture is not None and n_steps in capture:
@@ -171,8 +166,8 @@ def _march(model: AdolModel, grid: np.ndarray, law, own: np.random.Generator,
            vol: np.random.Generator, x: np.ndarray, sig: np.ndarray, v: np.ndarray,
            snaps: dict[int, np.ndarray]) -> None:
     """March one half in place on its x-shock's own and vol streams: x, sig
-    and v take the terminal states and snaps[k] x at grid index k, each of
-    shape (rows, half's units) as in `_run`."""
+    and v take the terminal states and snaps[k] x at grid index k, each the
+    half's paths."""
     decay, dev, log_l, clock = law
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
@@ -183,13 +178,6 @@ def _march(model: AdolModel, grid: np.ndarray, law, own: np.random.Generator,
     var = np.zeros(x.shape)  # the integrated variance q: sum sigma^2 w
     tmp = np.empty(x.shape)  # scratch of every in-place step
     z = np.empty(x.shape)    # each step's vol normals, then the own stream's
-
-    def normals(gen: np.random.Generator) -> np.ndarray:
-        """The next normals of gen in z, and their negation if antithetic."""
-        gen.standard_normal(out=z[0])
-        if len(z) == 2:
-            np.negative(z[0], out=z[1])
-        return z
 
     def finish(part: np.ndarray, var_k: np.ndarray, t: float, s: np.ndarray,
                scratch: np.ndarray) -> None:
@@ -205,7 +193,7 @@ def _march(model: AdolModel, grid: np.ndarray, law, own: np.random.Generator,
     # an overflow shows as a non-finite terminal x or sigma, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(len(grid) - 1):
-            normals(vol)
+            vol.standard_normal(out=z)
             # x += rho sigma sqrt(w) z and q += sigma^2 w, with w the step's
             # variance clock
             np.multiply(sig, rho * math.sqrt(clock[n]), out=tmp)
@@ -229,7 +217,7 @@ def _march(model: AdolModel, grid: np.ndarray, law, own: np.random.Generator,
 
         # s_T = sqrt(q_T) z, in tmp; z is the scratch of x_T once read
         s = np.sqrt(var, out=tmp)
-        s *= normals(own)
+        s *= own.standard_normal(out=z)
         finish(x, var, grid[-1], s, z)
 
     if not (np.isfinite(x).all() and np.isfinite(sig).all()):
@@ -246,7 +234,7 @@ def _march(model: AdolModel, grid: np.ndarray, law, own: np.random.Generator,
         np.subtract(1.0, f, out=f)
         f *= var_k
         np.sqrt(f, out=f)
-        f *= normals(own)
+        f *= own.standard_normal(out=z)
         s += f
         finish(snaps[k], var_k, grid[k], s, z)
         var_next = var_k
@@ -268,38 +256,35 @@ def simulate_paths(model: AdolModel, spec: McSpec, observation_times=()) -> Path
 
 def _marched(paths: Paths, model: AdolModel, spec: McSpec) -> Paths:
     """`paths`, refused unless marched with this model and spec: paths of
-    another spec would be read under its pairing and its grid."""
+    another spec would be read as its own paths, on its grid."""
     if paths.model != model or paths.spec != spec:
         raise ValueError("paths were marched with another model or spec")
     return paths
 
 
-def _stats(samples: np.ndarray, antithetic: bool) -> PathStats:
-    if antithetic:
-        half = len(samples) // 2
-        samples = 0.5 * (samples[:half] + samples[half:])
+def _stats(samples: np.ndarray) -> PathStats:
+    """Mean and standard error over the paths.  The samples are scaled by
+    the power of two that brings their largest below 1, which is exact, so
+    the squared deviations cannot overflow, as they would past about 1e154."""
     n = len(samples)
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    _, e = math.frexp(float(np.max(np.abs(samples))))
+    scaled = np.ldexp(samples, -e)
+    est = math.ldexp(float(scaled.mean()), e)
+    se = math.ldexp(float(scaled.std(ddof=1) / math.sqrt(n)), e)
     return PathStats(estimate=est, std_error=se, n_effective=n)
 
 
-def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float],
-              is_call: bool = True, *, paths: Paths | None = None) -> list[PathStats]:
-    """Discounted payoff mean per strike, all read off one simulation (or
-    off `paths`, from `simulate_paths` with the same model and spec, else
-    ValueError); SE over independent units (pairs if antithetic)."""
+def mc_prices(model: AdolModel, spec: McSpec, strikes: list[float], *,
+              paths: Paths | None = None) -> list[PathStats]:
+    """Discounted call payoff mean per strike, all read off one simulation
+    (or off `paths`, from `simulate_paths` with the same model and spec,
+    else ValueError); SE over the paths."""
     if not all(math.isfinite(strike) and strike >= 0.0 for strike in strikes):
         raise ValueError("strike must be finite and nonnegative")
     x = simulate_q(model, spec).x if paths is None else _marched(paths, model, spec).x
     s_term = model.s0 * np.exp(x)
     df = math.exp(-model.r * model.t_mat)
-    out = []
-    for strike in strikes:
-        payoff = np.maximum(s_term - strike, 0.0) if is_call \
-            else np.maximum(strike - s_term, 0.0)
-        out.append(_stats(df * payoff, spec.antithetic))
-    return out
+    return [_stats(df * np.maximum(s_term - strike, 0.0)) for strike in strikes]
 
 
 def _qv_indices(grid: np.ndarray, observation_times) -> list[int]:
@@ -339,4 +324,4 @@ def mc_quadratic_variation(model: AdolModel, spec: McSpec, observation_times,
     acc = snaps[idx[0]] ** 2
     for prev, cur in zip(idx, idx[1:]):
         acc += (snaps[cur] - snaps[prev]) ** 2
-    return _stats(acc / float(observation_times[-1]), spec.antithetic)
+    return _stats(acc / float(observation_times[-1]))

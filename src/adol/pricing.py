@@ -6,11 +6,10 @@ log-return by the damped transform
     C(K) = S e^(-a m - r T) / pi * Re ∫_0^umax e^(-i v m) phi(v - (a+1)i)
            / ((a + iv)(a + 1 + iv)) dv,       m = ln(K/S),
 
-integrated adaptively so each strike's accuracy is controlled.  Puts
-always go through parity.  A strike ladder is one vector integral: the
-strikes' damped integrands (Carr & Madan 1999) share adaptive panels, so
-each distinct u is evaluated once per ladder, and phi takes each panel's
-15 nodes in one call.
+integrated adaptively so each strike's accuracy is controlled.  A strike
+ladder is one vector integral: the strikes' damped integrands (Carr &
+Madan 1999) share adaptive panels, so each distinct u is evaluated once
+per ladder, and phi takes each panel's 15 nodes in one call.
 
 Variance-swap fair strikes sum the curvature of per-period forward CFs at
 u = 0.  The forward CF conditions on the time-t1 vol, and the inner
@@ -87,8 +86,8 @@ def _require_finite(**values: float) -> None:
 
 
 def bs_price(spot: float, strike: float, r: float, q: float,
-             total_variance: float, is_call: bool, t_mat: float) -> float:
-    """Price with an aggregate variance; t_mat only sets the discounting."""
+             total_variance: float, t_mat: float) -> float:
+    """Call price with an aggregate variance; t_mat only sets the discounting."""
     _require_finite(spot=spot, strike=strike, r=r, q=q,
                     total_variance=total_variance, t_mat=t_mat)
     if spot <= 0.0 or strike <= 0.0:
@@ -100,14 +99,10 @@ def bs_price(spot: float, strike: float, r: float, q: float,
     fwd = spot * math.exp((r - q) * t_mat)
     df = math.exp(-r * t_mat)
     if total_variance == 0.0:
-        intrinsic = fwd - strike if is_call else strike - fwd
-        return df * max(intrinsic, 0.0)
+        return df * max(fwd - strike, 0.0)
     s = math.sqrt(total_variance)
     d1 = (math.log(fwd / strike) + 0.5 * total_variance) / s
-    d2 = d1 - s
-    if is_call:
-        return df * (fwd * norm_cdf(d1) - strike * norm_cdf(d2))
-    return df * (strike * norm_cdf(-d2) - fwd * norm_cdf(-d1))
+    return df * (fwd * norm_cdf(d1) - strike * norm_cdf(d1 - s))
 
 
 # --------------------------------------------------------------------------
@@ -120,9 +115,8 @@ def _by_strike(strikes: Sequence[float], values: np.ndarray, bad: np.ndarray) ->
 
 def fourier_prices(cf: Callable[[np.ndarray], np.ndarray], spot: float,
                    strikes: Sequence[float], r: float, q: float, t_mat: float,
-                   spec: FourierPricingSpec | None = None,
-                   is_call: bool = True) -> list[float]:
-    """Prices at each strike, in order, by damped-contour inversion.
+                   spec: FourierPricingSpec | None = None) -> list[float]:
+    """Call prices at each strike, in order, by damped-contour inversion.
 
     cf maps a 1-d array of complex frequencies to the CF's values there
     (charfn.cf_values, or charfn.cf_zero).  The strikes' integrands form
@@ -168,10 +162,7 @@ def fourier_prices(cf: Callable[[np.ndarray], np.ndarray], spot: float,
     if (negative := calls < -1e-6 * spot).any():
         raise RuntimeError(f"inversion produced a materially negative price "
                            f"{_by_strike(strikes, calls, negative)}")
-    calls = np.maximum(calls, 0.0)
-    if not is_call:
-        calls = calls - spot * math.exp(-q * t_mat) + np.array(strikes) * math.exp(-r * t_mat)
-    return calls.tolist()
+    return np.maximum(calls, 0.0).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -179,21 +170,21 @@ def fourier_prices(cf: Callable[[np.ndarray], np.ndarray], spot: float,
 # --------------------------------------------------------------------------
 
 def implied_vol(price: float, spot: float, strike: float, r: float, q: float,
-                t_mat: float, is_call: bool = True) -> float:
-    """Annualized Black-Scholes vol; iterates to convergence in vol space."""
+                t_mat: float) -> float:
+    """Annualized Black-Scholes vol of a call; iterates to convergence in vol
+    space."""
     _require_finite(price=price, spot=spot, strike=strike, r=r, q=q, t_mat=t_mat)
     if spot <= 0.0 or strike <= 0.0 or t_mat <= 0.0:
         raise ValueError("spot, strike and maturity must be positive")
     disc_s = spot * math.exp(-q * t_mat)
     disc_k = strike * math.exp(-r * t_mat)
-    lo_b = max(0.0, disc_s - disc_k) if is_call else max(0.0, disc_k - disc_s)
-    hi_b = disc_s if is_call else disc_k
+    lo_b, hi_b = max(0.0, disc_s - disc_k), disc_s
     if not lo_b < price < hi_b:
         raise ValueError(
             f"price {price} outside the arbitrage bounds ({lo_b}, {hi_b})")
 
     def f(s: float) -> float:
-        return bs_price(spot, strike, r, q, s * s, is_call, t_mat) - price
+        return bs_price(spot, strike, r, q, s * s, t_mat) - price
 
     lo, hi = 1e-9, 10.0
     if f(hi) < 0.0:

@@ -115,7 +115,7 @@ def test_criterion_05_deterministic_limit_is_lognormal(table1_xi0):
     worst_px = 0.0
     for ks in (0.8, 0.9, 1.0, 1.1, 1.2):
         got = fourier_prices(cf, m.s0, [ks * m.s0], m.r, m.q, T)[0]
-        ref = bs_price(m.s0, ks * m.s0, m.r, m.q, iv, True, T)
+        ref = bs_price(m.s0, ks * m.s0, m.r, m.q, iv, T)
         worst_px = max(worst_px, abs(got - ref))
     ok = worst_cf <= 1e-8 and worst_px <= 1e-6 * m.s0
     _report(5, ok, f"max CF gap {worst_cf:.2e} on u in [-20, 20]; "

@@ -446,23 +446,23 @@ def _oracle_z1(u: float, m: AdolModel) -> complex:
     p = 1.0 + m.m_pi
     tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=4000)
 
-    def big_m(t: float) -> float:
+    def big_m(t: np.ndarray) -> np.ndarray:
         return m.m_rho * t ** p / p
 
     def e_damp(chi: float) -> float:
+        # the quadrature's nodes lie inside (0, chi), where nu is finite
         return integrate_adaptive(
-            np.vectorize(lambda r: math.exp(big_m(r) - kap * r) * nu_t(r, c)), 0.0, chi,
-            tight).real
+            lambda r: np.exp(big_m(r) - kap * r) * nu_t(r, c), 0.0, chi, tight).real
 
-    def integrand(chi: float) -> complex:
-        s_chi = m.sigma0 * math.exp(-kap * chi)
-        mu = math.exp(-big_m(chi)) * (m.v0 + 1j * uu * rho * m.sigma0
-                                      * e_damp(chi))
-        return (2.0 * co.gamma(chi) * s_chi ** 2
-                * (1j * uu * rho * nu_t(chi, c) * s_chi - m_t(chi, m) * mu))
+    def integrand(chis: np.ndarray) -> np.ndarray:
+        s_chi = m.sigma0 * np.exp(-kap * chis)
+        damped = np.array([e_damp(chi) for chi in chis.tolist()])
+        mu = np.exp(-big_m(chis)) * (m.v0 + 1j * uu * rho * m.sigma0 * damped)
+        return (2.0 * co.gamma(chis) * s_chi ** 2
+                * (1j * uu * rho * nu_t(chis, c) * s_chi - m_t(chis, m) * mu))
 
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=2000)
-    return z0 * integrate_adaptive(np.vectorize(integrand, otypes=[complex]), 0.0, T, spec)
+    return z0 * integrate_adaptive(integrand, 0.0, T, spec)
 
 
 @pytest.mark.parametrize("u", [1.0, 2.5])
@@ -554,8 +554,8 @@ class _AdaptiveFlow:
         c = m.constants
         big_m = lambda r: cfm._m_cum(r, m)
         self.ders = (
-            np.vectorize(lambda r: math.exp(big_m(r) - m.kappa * r) * nu_t(r, c)),
-            np.vectorize(lambda r: math.exp(2.0 * big_m(r)) * nu_t(r, c) ** 2),
+            lambda r: np.exp(big_m(r) - m.kappa * r) * nu_t(r, c),
+            lambda r: np.exp(2.0 * big_m(r)) * nu_t(r, c) ** 2,
         )
         self.spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13,
                                    max_subdivisions=4000)

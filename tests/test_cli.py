@@ -47,6 +47,9 @@ def test_unknown_key_rejected(tmp_path, capsys):
                        ("pricing", "n_points"), ("output", "format_version")):
         with pytest.raises(ConfigError, match=f"unknown key '{block}.{key}'"):
             load_config(_write(tmp_path, {block: {key: 0}}))
+    # the paths are plain halves: the antithetic switch is refused, even off
+    with pytest.raises(ConfigError, match="unknown key 'mc.antithetic'"):
+        load_config(_write(tmp_path, {"mc": {"antithetic": False}}))
     theta = _write(tmp_path, {"model": {"theta": 0.0}}, "theta.json")
     assert main(["constants", "--config", theta, "--out", str(tmp_path / "o")]) == 1
     assert "unknown key 'model.theta'" in capsys.readouterr().err
@@ -222,20 +225,18 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o3"), "--seed", str(2 ** 130)]) == 0
 
 
-@pytest.mark.parametrize("mc, unit", [({"n_paths": 1}, "paths"),
-                                      ({"n_paths": 2, "antithetic": True}, "pairs")],
-                         ids=["one-path", "one-pair"])
-def test_one_independent_unit_is_a_config_error(tmp_path, capsys, mc, unit):
-    # one unit's standard error is 0, which the martingale gate reads as
+@pytest.mark.parametrize("mc", [{"n_paths": 1}], ids=["one-path"])
+def test_one_independent_unit_is_a_config_error(tmp_path, capsys, mc):
+    # one path's standard error is 0, which the martingale gate reads as
     # certainty: one path of 5 steps would exit 3 on an offset nothing sizes
     path = _write(tmp_path, {"mc": dict(mc, n_steps=5)})
     out = tmp_path / "o"
     assert main(["mc", "--config", path, "--out", str(out), "--check"]) == 1
     err = capsys.readouterr().err
-    assert f"mc.n_paths {mc['n_paths']} gives one independent unit" in err
-    assert f"needs two {unit}" in err
+    assert f"mc: n_paths must be at least 2: a standard error needs two paths, " \
+           f"got {mc['n_paths']}" in err
     assert not out.exists()
-    # two units give a standard error, and the gate a scale
+    # two paths give a standard error, and the gate a scale
     path = _write(tmp_path, {"mc": dict(mc, n_paths=2 * mc["n_paths"], n_steps=5)})
     assert main(["mc", "--config", path, "--out", str(out)]) == 0
 
@@ -419,6 +420,20 @@ def test_martingale_offset_is_relative_to_the_marched_forward(tmp_path, model, f
     off, off_se = got["martingale-offset"]
     assert off == pytest.approx(fwd / forward - 1.0, rel=1e-12)
     assert off_se == pytest.approx(fwd_se / forward, rel=1e-12)
+
+
+def test_huge_spot_keeps_finite_standard_errors(tmp_path):
+    # payoffs near 1e200 square past the float range: an infinite standard
+    # error would read as no evidence, and switch every --check gate off
+    cfgp = _write(tmp_path, {"model": {"s0": 1e200}, "pricing": {"strikes": [1e200]},
+                             "mc": {"n_paths": 2000, "n_steps": 20}})
+    out = tmp_path / "out"
+    assert main(["mc", "--config", cfgp, "--out", str(out), "--check"]) == 0
+    _, rows = _read_csv(out / "mc.csv")
+    assert [r[0] for r in rows[1:]] == ["call@1e+200", "discounted-forward",
+                                        "martingale-offset"]
+    for row in rows[1:]:
+        assert 0.0 < float(row[2]) < math.inf, row
 
 
 def _strict_json(text: str):

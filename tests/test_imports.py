@@ -12,13 +12,16 @@ outside its own definition, and so is a name in a library module's
 `__all__` that no other module and no README python block reads, unless it
 is allowed below with its reason.  The law of V's tables and cumulative
 integrals are named in charfn alone.  Each dataclass that cli.py builds
-by keyword gets every init field set there.  Last, a fresh interpreter that
+by keyword gets every init field set there, and each defaulted parameter of
+a public function is passed by a call outside its own module or by a README
+python block.  Last, a fresh interpreter that
 imports the CLI must not have loaded modules that no command needs.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -237,6 +240,60 @@ def test_every_setting_has_a_product_caller():
     for name, module in CLI_BUILT.items():
         cls = getattr(importlib.import_module(f"adol.{module}"), name)
         assert got[name] == {f.name for f in dataclasses.fields(cls) if f.init}, name
+
+
+def defaults_without_caller(functions: dict[str, tuple[str, inspect.Signature]],
+                            sources: dict[str, str], examples: list[str]) -> list[str]:
+    """module.function(param) for each defaulted parameter of `functions`
+    (name -> defining module and signature) that no call passes, by
+    position or by keyword, in another module's source or in an example."""
+    passed = {name: set() for name in functions}
+    for origin, source in [*sources.items(), *((None, example) for example in examples)]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in functions or functions[name][0] == origin:
+                continue
+            bound = functions[name][1].bind_partial(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+            passed[name] |= bound.arguments.keys()
+    return sorted(f"{module}.{name}({param.name})"
+                  for name, (module, sig) in functions.items()
+                  for param in sig.parameters.values()
+                  if param.default is not param.empty and param.name not in passed[name])
+
+
+def test_default_scanner_flags_only_parameters_no_caller_passes():
+    def f(a, b=1, c=2, *, d=3, e=4, g=5):
+        pass
+
+    sources = {
+        "a": "f(0, 1, d=2)\n",  # its own module's calls do not count
+        "b": "from .a import f\nf(0, 1)\n",
+        "cli": "import a\na.f(0, e=9)\n",
+    }
+    examples = ["from adol.a import f\nf(0, g=1)\n"]
+    assert defaults_without_caller({"f": ("a", inspect.signature(f))}, sources, examples) \
+        == ["a.f(c)", "a.f(d)"]
+
+
+def test_every_default_has_a_product_caller():
+    # a defaulted parameter of a public function that neither the command
+    # line, another module nor a README example passes is a setting without
+    # a product user; the CLI's own functions are a front end, not library
+    # surface
+    sources = {p.stem: p.read_text() for p in MODULES}
+    functions = {}
+    for p in MODULES:
+        if p.stem == "cli":
+            continue
+        module = importlib.import_module(f"adol.{p.stem}")
+        functions |= {name: (p.stem, inspect.signature(getattr(module, name)))
+                      for name in module.__all__
+                      if inspect.isfunction(getattr(module, name))}
+    examples = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert defaults_without_caller(functions, sources, examples) == []
 
 
 # public names that no other module and no README example reads, each with

@@ -46,9 +46,11 @@ def test_spec_validation():
         McSpec(n_paths=0, n_steps=10, seed=1)
     with pytest.raises(ValueError):
         McSpec(n_paths=100, n_steps=0, seed=1)
-    with pytest.raises(ValueError):
-        McSpec(n_paths=101, n_steps=10, seed=1, antithetic=True)
-    McSpec(n_paths=100, n_steps=10, seed=1, antithetic=True)
+    # one path's standard error is 0, which a --check gate would read as
+    # certainty: the march needs two paths, one per half
+    with pytest.raises(ValueError, match="a standard error needs two paths, got 1"):
+        McSpec(n_paths=1, n_steps=10, seed=1)
+    McSpec(n_paths=2, n_steps=10, seed=1)
     # a float or a bool is no count and no seed, even one equal to an
     # integer: each is refused by name before any march reads it
     for field, value in [("n_paths", 100.0), ("n_steps", 10.0), ("seed", 1.5),
@@ -100,16 +102,6 @@ def test_log_return_moments_match_discrete_closed_form(table1_xi0):
     assert abs(float(st.x.var(ddof=1)) - var) <= 4.0 * se_var
 
 
-def test_antithetic_pair_sums_collapse(table1_xi0):
-    # deterministic sigma: each pair's log-return sum is twice the drift,
-    # identical across pairs to rounding
-    spec = McSpec(n_paths=2_000, n_steps=40, seed=17, antithetic=True)
-    st = simulate_q(table1_xi0, spec)
-    half = spec.n_paths // 2
-    sums = st.x[:half] + st.x[half:]
-    assert np.max(sums) - np.min(sums) <= 1e-12
-
-
 def test_discounted_forward_is_martingale(table1):
     m = table1
     spec = McSpec(n_paths=40_000, n_steps=100, seed=23)
@@ -120,25 +112,13 @@ def test_discounted_forward_is_martingale(table1):
     assert abs(float(growth.mean()) - target) <= 4.0 * se
 
 
-def test_put_call_parity_pathwise(table1):
-    m = table1
-    spec = McSpec(n_paths=4_096, n_steps=50, seed=31)
-    strike = 0.97 * m.s0
-    call = mc_prices(m, spec, [strike], is_call=True)[0]
-    put = mc_prices(m, spec, [strike], is_call=False)[0]
-    st = simulate_q(m, spec)  # same seed: same paths
-    df = math.exp(-m.r * m.t_mat)
-    expected = df * float((m.s0 * np.exp(st.x) - strike).mean())
-    assert call.estimate - put.estimate == pytest.approx(expected, abs=1e-10)
-
-
 def test_price_converges_to_closed_form_without_volofvol(table1_xi0):
     m = table1_xi0
     spec = McSpec(n_paths=40_000, n_steps=200, seed=37)
     strike = m.s0
     got = mc_prices(m, spec, [strike])[0]
     _, var = _discrete_moments(m, spec)
-    ref = bs_price(m.s0, strike, m.r, m.q, var, True, m.t_mat)
+    ref = bs_price(m.s0, strike, m.r, m.q, var, m.t_mat)
     assert abs(got.estimate - ref) <= 3.5 * got.std_error
 
 
@@ -153,22 +133,42 @@ def test_negative_strike_rejected(table1):
             mc_prices(table1, McSpec(n_paths=16, n_steps=4, seed=1), [strike, 1.0])
 
 
+def test_stats_are_exact_under_power_of_two_scaling(table1):
+    # _stats scales the samples by a power of two, which is exact: on
+    # moderate samples it gives the plain formulas' bits, scaled samples give
+    # scaled results, and where the plain squared deviations overflow (past
+    # about 1e154) the standard error stays finite
+    samples = np.exp(simulate_q(table1, McSpec(n_paths=1001, n_steps=10, seed=6)).x)
+    n = len(samples)
+    plain = montecarlo._stats(samples)
+    assert plain.estimate == float(samples.mean())
+    assert plain.std_error == float(samples.std(ddof=1) / math.sqrt(n))
+    assert plain.n_effective == n
+    for k in (-900, -300, 7, 600, 1000):
+        scaled = montecarlo._stats(np.ldexp(samples, k))
+        assert scaled.estimate == math.ldexp(plain.estimate, k)
+        assert scaled.std_error == math.ldexp(plain.std_error, k)
+        assert scaled.n_effective == n
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(float(np.ldexp(samples, 600).std(ddof=1)))
+    # all payoffs 0, as far out of the money: the largest sample is 0
+    assert montecarlo._stats(np.zeros(4)) == PathStats(0.0, 0.0, 4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(strikes=st.lists(st.floats(0.0, 200.0), min_size=3, max_size=6,
                         unique=True).map(sorted),
-       is_call=st.booleans(), antithetic=st.booleans())
-def test_ladder_is_monotone_convex_and_matches_single_strikes(
-        table1, strikes, is_call, antithetic):
+       n_paths=st.integers(2, 512))
+def test_ladder_is_monotone_convex_and_matches_single_strikes(table1, strikes, n_paths):
     # every price is a mean of payoffs monotone and convex in the strike;
     # rounding is monotone, so only convexity needs a rounding allowance
-    spec = McSpec(n_paths=512, n_steps=8, seed=13, antithetic=antithetic)
-    ladder = mc_prices(table1, spec, strikes, is_call=is_call)
+    spec = McSpec(n_paths=n_paths, n_steps=8, seed=13)
+    ladder = mc_prices(table1, spec, strikes)
     assert len(ladder) == len(strikes)
     for strike, got in zip(strikes, ladder):
-        assert got == mc_prices(table1, spec, [strike], is_call=is_call)[0]
+        assert got == mc_prices(table1, spec, [strike])[0]
     px = [p.estimate for p in ladder]
-    steps = np.diff(px)
-    assert np.all(steps <= 0.0) if is_call else np.all(steps >= 0.0)
+    assert np.all(np.diff(px) <= 0.0)
     for (k0, k1, k2), (c0, c1, c2) in zip(zip(strikes, strikes[1:], strikes[2:]),
                                           zip(px, px[1:], px[2:])):
         w = (k2 - k1) / (k2 - k0)
@@ -223,7 +223,7 @@ def test_v_step_deviations_match_high_precision_integrals(table1, h):
     # nu^2 ~ s^(2H - 1) is singular, so s = t1 y^(1/2H) takes the integral
     # to a regular one, nu^2 ds = B_H^2 t1^(2H) / (2H) dy
     m = replace(table1, h=h)
-    grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=50, seed=1))
+    grid = montecarlo._grid(m, McSpec(n_paths=2, n_steps=50, seed=1))
     decay, dev, _, _ = montecarlo._law_steps(m, grid)
     p, b_h = 1.0 + m.m_pi, m.constants.b_h
     with mp.workdps(30):
@@ -247,7 +247,7 @@ def test_x_step_variance_clock_is_exact_without_vol_of_vol(table1_xi0, n_steps):
     # is int (L(s) / L(t_n))^2 ds over the step, in closed form; the steps
     # sum to the CF's variance sigma0^2 G(T), so march and CF share a clock
     m = table1_xi0
-    grid = montecarlo._grid(m, McSpec(n_paths=1, n_steps=n_steps, seed=1))
+    grid = montecarlo._grid(m, McSpec(n_paths=2, n_steps=n_steps, seed=1))
     _, _, log_l, clock = montecarlo._law_steps(m, grid)
     dt = np.diff(grid)
     want = -np.expm1(-2.0 * m.kappa * dt) / (2.0 * m.kappa)
@@ -303,7 +303,7 @@ def test_off_node_observation_times_are_refused(table1):
 @pytest.mark.parametrize("n_steps", [200, 500])
 def test_default_schedule_is_read_on_its_nodes(table1, n_steps):
     # the default (0.25, 0.5) on the default and the benchmark's grids
-    grid = montecarlo._grid(table1, McSpec(n_paths=1, n_steps=n_steps, seed=1))
+    grid = montecarlo._grid(table1, McSpec(n_paths=2, n_steps=n_steps, seed=1))
     assert montecarlo._qv_indices(grid, (0.25, 0.5)) == [n_steps // 2, n_steps]
 
 
@@ -313,7 +313,7 @@ def test_qv_indices_are_the_node_dates_exactly(table1, t_mat, n_steps, data):
     # every increasing set of nodes past the start is read at its own
     # index, and a schedule that holds any date off the nodes is refused
     grid = montecarlo._grid(replace(table1, t_mat=t_mat),
-                            McSpec(n_paths=1, n_steps=n_steps, seed=1))
+                            McSpec(n_paths=2, n_steps=n_steps, seed=1))
     dt = t_mat / n_steps
     idx = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1, max_size=20)))
     for times in ([grid[k] for k in idx], [k * dt for k in idx]):
@@ -330,65 +330,47 @@ def test_qv_indices_are_the_node_dates_exactly(table1, t_mat, n_steps, data):
 # ------------------------------------------------------------ the march
 
 def _halves(spec):
-    """The units (pairs if antithetic) of each half: two halves, the first
-    the larger, or one half of the one unit."""
-    units = spec.n_paths // 2 if spec.antithetic else spec.n_paths
-    return [units - units // 2, units // 2] if units > 1 else [1]
+    """The paths of each half: two halves, the first the larger."""
+    return [spec.n_paths - spec.n_paths // 2, spec.n_paths // 2]
 
 
-def _streams(seed, n_halves=2):
+def _streams(seed):
     """Per half, the x-shock's own stream and the vol Brownian's."""
     gens = [np.random.Generator(np.random.SFC64(child))
-            for child in np.random.SeedSequence(seed).spawn(2 * n_halves)]
+            for child in np.random.SeedSequence(seed).spawn(4)]
     return list(zip(gens[::2], gens[1::2]))
 
 
-def _paired(spec, z):
-    """One normal per path from a draw of m: z, then -z if antithetic."""
-    return np.concatenate([z, -z]) if spec.antithetic else z
-
-
-def _joined(spec, parts):
-    """The halves' arrays as one, each antithetic pair at (i, i + n / 2):
-    the first rows of every half, then their twins."""
-    if not spec.antithetic:
-        return np.concatenate(parts)
-    return np.concatenate([p[:len(p) // 2] for p in parts]
-                          + [p[len(p) // 2:] for p in parts])
-
-
 def _by_halves(march, model, spec, capture=None):
-    """march(model, half spec, own stream, vol stream, capture) per half,
-    joined as `_run` joins them."""
-    halves = _halves(spec)
-    runs = [march(model, replace(spec, n_paths=units * (2 if spec.antithetic else 1)),
-                  own, vol, capture)
-            for units, (own, vol) in zip(halves, _streams(spec.seed, len(halves)))]
-    first = runs[0]
-    snaps = {k: _joined(spec, [r.snaps[k] for r in runs]) for k in first.snaps}
-    return Paths(model, spec, first.grid, *(_joined(spec, [getattr(r, f) for r in runs])
-                                           for f in ("x", "sigma", "v")), snaps)
-
-
-def _serial_half(model, spec, own_stream, vol_stream, capture):
-    """One half marched with every normal drawn in line, out of place: the
-    reference for the in-place march and its bridge.  The vol stream gives
-    one row per step; the x-shock's own stream one row for maturity, then
-    one per captured index, latest first."""
+    """march(model, n_paths, grid, own stream, vol stream, capture) per
+    half, joined as `_run` joins them."""
     grid = montecarlo._grid(model, spec)
-    m_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
+    runs = [march(model, n, grid, own, vol, capture)
+            for n, (own, vol) in zip(_halves(spec), _streams(spec.seed))]
+    snaps = {k: np.concatenate([r[3][k] for r in runs]) for k in runs[0][3]}
+    return Paths(model, spec, grid, *(np.concatenate([r[f] for r in runs])
+                                      for f in range(3)), snaps)
+
+
+def _serial_half(model, n_paths, grid, own_stream, vol_stream, capture):
+    """One half of n_paths marched with every normal drawn in line, out of
+    place: the reference for the in-place march and its bridge.  The vol
+    stream gives one row per step; the x-shock's own stream one row for
+    maturity, then one per captured index, latest first.  Returns x, sigma,
+    v and the captures."""
+    n_steps = len(grid) - 1
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     drift_x = model.r - model.q
     decay, dev, log_l, clock = montecarlo._law_steps(model, grid)
-    part = np.zeros(spec.n_paths)  # sum rho sigma sqrt(w) z_vol
-    q = np.zeros(spec.n_paths)     # sum sigma^2 w
-    sig = np.full(spec.n_paths, model.sigma0)
-    v = np.full(spec.n_paths, model.v0)
+    part = np.zeros(n_paths)  # sum rho sigma sqrt(w) z_vol
+    q = np.zeros(n_paths)     # sum sigma^2 w
+    sig = np.full(n_paths, model.sigma0)
+    v = np.full(n_paths, model.v0)
     capture = set() if capture is None else set(capture)
     parts = {}
-    for n in range(spec.n_steps):
-        w = _paired(spec, vol_stream.standard_normal(m_draw))
+    for n in range(n_steps):
+        w = vol_stream.standard_normal(n_paths)
         part = part + sig * (rho * math.sqrt(clock[n])) * w
         q = q + sig * clock[n] * sig
         v = decay[n] * v + dev[n] * w
@@ -399,18 +381,17 @@ def _serial_half(model, spec, own_stream, vol_stream, capture):
         part_k, q_k = parts[k]
         return part_k + drift_x * grid[k] - 0.5 * q_k + rho_perp * s
 
-    s = np.sqrt(q) * _paired(spec, own_stream.standard_normal(m_draw))
-    x = x_at(spec.n_steps, s)
-    snaps = {spec.n_steps: x} if spec.n_steps in capture else {}
+    s = np.sqrt(q) * own_stream.standard_normal(n_paths)
+    x = x_at(n_steps, s)
+    snaps = {n_steps: x} if n_steps in capture else {}
     q_next = q
-    for k in sorted(capture - {spec.n_steps}, reverse=True):
+    for k in sorted(capture - {n_steps}, reverse=True):
         q_k = parts[k][1]
-        f = np.divide(q_k, q_next, out=np.zeros(spec.n_paths), where=q_next > 0.0)
-        s = f * s + np.sqrt(q_k * (1.0 - f)) \
-            * _paired(spec, own_stream.standard_normal(m_draw))
+        f = np.divide(q_k, q_next, out=np.zeros(n_paths), where=q_next > 0.0)
+        s = f * s + np.sqrt(q_k * (1.0 - f)) * own_stream.standard_normal(n_paths)
         snaps[k] = x_at(k, s)
         q_next = q_k
-    return Paths(model, spec, grid, x, sig, v, snaps)
+    return x, sig, v, snaps
 
 
 def _serial_run(model, spec, capture=None):
@@ -418,27 +399,26 @@ def _serial_run(model, spec, capture=None):
     return _by_halves(_serial_half, model, spec, capture)
 
 
-def _per_step_half(model, spec, own_stream, vol_stream, capture):
+def _per_step_half(model, n_paths, grid, own_stream, vol_stream, capture):
     """x marched step by step on both normals, each step drawing the x-shock's
     own normal next to the vol Brownian's."""
-    grid = montecarlo._grid(model, spec)
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     decay, dev, log_l, clock = montecarlo._law_steps(model, grid)
-    x = np.zeros(spec.n_paths)
-    sig = np.full(spec.n_paths, model.sigma0)
-    v = np.full(spec.n_paths, model.v0)
+    x = np.zeros(n_paths)
+    sig = np.full(n_paths, model.sigma0)
+    v = np.full(n_paths, model.v0)
     snaps = {}
-    for n in range(spec.n_steps):
-        z_own = own_stream.standard_normal(spec.n_paths)
-        z_vol = vol_stream.standard_normal(spec.n_paths)
+    for n in range(len(grid) - 1):
+        z_own = own_stream.standard_normal(n_paths)
+        z_vol = vol_stream.standard_normal(n_paths)
         x += (model.r - model.q) * (grid[n + 1] - grid[n]) - 0.5 * clock[n] * sig * sig \
             + sig * math.sqrt(clock[n]) * (rho * z_vol + rho_perp * z_own)
         v = decay[n] * v + dev[n] * z_vol
         sig = np.exp(log_l[n + 1] + model.xi * (v - model.v0))
         if n + 1 in capture:
             snaps[n + 1] = x.copy()
-    return Paths(model, spec, grid, x, sig, v, snaps)
+    return x, sig, v, snaps
 
 
 def _per_step_run(model, spec, capture):
@@ -448,15 +428,12 @@ def _per_step_run(model, spec, capture):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(1, 300),
-       n_steps=st.integers(1, 40), antithetic=st.booleans())
-@example(seed=0, n_paths=1, n_steps=1, antithetic=False)
-@example(seed=1, n_paths=2, n_steps=1, antithetic=True)
-def test_march_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
-    if antithetic:
-        n_paths += n_paths % 2
-    spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
-                  antithetic=antithetic)
+@given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(2, 300),
+       n_steps=st.integers(1, 40))
+@example(seed=0, n_paths=2, n_steps=1)
+@example(seed=1, n_paths=3, n_steps=1)
+def test_march_is_bitwise_serial(table1, seed, n_paths, n_steps):
+    spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed)
     got = simulate_q(table1, spec)
     ref = _serial_run(table1, spec)
     assert got.x.tobytes() == ref.x.tobytes()
@@ -472,24 +449,20 @@ def test_march_is_bitwise_serial(table1, seed, n_paths, n_steps, antithetic):
 def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
     # V and sigma read only the vol Brownian's streams: a march of V alone,
     # fed by each half's vol stream, gives them bit for bit
-    for antithetic in (False, True):
-        spec = McSpec(n_paths=64, n_steps=12, seed=3, antithetic=antithetic)
-        grid = montecarlo._grid(table1, spec)
-        decay, dev, log_l, _ = montecarlo._law_steps(table1, grid)
-        parts = []
-        for units, (_, v_stream) in zip(_halves(spec), _streams(spec.seed)):
-            v = np.full(2 * units if antithetic else units, table1.v0)
-            for n in range(spec.n_steps):
-                w = v_stream.standard_normal(units)
-                if antithetic:
-                    w = np.concatenate([w, -w])
-                v = decay[n] * v + dev[n] * w
-            parts.append(v)
-        v = _joined(spec, parts)
-        sig = np.exp(log_l[-1] + table1.xi * (v - table1.v0))
-        got = simulate_q(table1, spec)
-        assert got.v.tobytes() == v.tobytes()
-        assert got.sigma.tobytes() == sig.tobytes()
+    spec = McSpec(n_paths=63, n_steps=12, seed=3)
+    grid = montecarlo._grid(table1, spec)
+    decay, dev, log_l, _ = montecarlo._law_steps(table1, grid)
+    parts = []
+    for n_paths, (_, v_stream) in zip(_halves(spec), _streams(spec.seed)):
+        v = np.full(n_paths, table1.v0)
+        for n in range(spec.n_steps):
+            v = decay[n] * v + dev[n] * v_stream.standard_normal(n_paths)
+        parts.append(v)
+    v = np.concatenate(parts)
+    sig = np.exp(log_l[-1] + table1.xi * (v - table1.v0))
+    got = simulate_q(table1, spec)
+    assert got.v.tobytes() == v.tobytes()
+    assert got.sigma.tobytes() == sig.tobytes()
 
 
 @pytest.mark.parametrize("march", [
@@ -498,7 +471,7 @@ def test_vol_path_is_a_march_of_the_vol_stream_alone(table1):
 ], ids=["simulate_q", "simulate_paths"])
 def test_march_of_two_units_starts_one_thread(table1, monkeypatch, march):
     # the second half marches on one worker thread, joined before the march
-    # returns; a march of one unit is one half, on the calling thread
+    # returns, down to the two paths of the smallest march
     started = []
     start = threading.Thread.start
 
@@ -508,11 +481,10 @@ def test_march_of_two_units_starts_one_thread(table1, monkeypatch, march):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
-    for n_paths, antithetic, threads in ((64, False, 1), (2, False, 1), (1, False, 0),
-                                         (2, True, 0)):
+    for n_paths in (64, 3, 2):
         started.clear()
-        march(table1, McSpec(n_paths=n_paths, n_steps=12, seed=4, antithetic=antithetic))
-        assert len(started) == threads
+        march(table1, McSpec(n_paths=n_paths, n_steps=12, seed=4))
+        assert len(started) == 1
         assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
 
@@ -539,8 +511,7 @@ def test_three_concurrent_callers_each_read_bitwise_serial_run(table1):
     # three simulations at once on three threads, switching every
     # microsecond: each must still read its own streams' normals, as the
     # serial march does
-    specs = [McSpec(n_paths=16, n_steps=150, seed=seed, antithetic=seed == 1)
-             for seed in range(3)]
+    specs = [McSpec(n_paths=15 + seed, n_steps=150, seed=seed) for seed in range(3)]
     got = {}
 
     def run_all():
@@ -643,7 +614,7 @@ def test_no_thread_outlives_a_march(table1, monkeypatch, failing):
 
 def test_march_beside_another_thread_is_bitwise_serial(table1):
     # a live thread of the caller's changes neither the halves nor their bits
-    spec = McSpec(n_paths=302, n_steps=20, seed=5, antithetic=True)
+    spec = McSpec(n_paths=301, n_steps=20, seed=5)
     obs = (0.1, 0.25, 0.5)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -666,19 +637,15 @@ def test_march_beside_another_thread_is_bitwise_serial(table1):
 # -------------------------------------------------- one march, many estimators
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(1, 300),
-       n_steps=st.integers(2, 40), antithetic=st.booleans())
-@example(seed=0, n_paths=1, n_steps=2, antithetic=False)
-@example(seed=1, n_paths=2, n_steps=2, antithetic=True)
-def test_every_horizon_is_bitwise_its_own_simulation(table1, seed, n_paths, n_steps,
-                                                     antithetic):
+@given(seed=st.integers(0, 2 ** 63), n_paths=st.integers(2, 300),
+       n_steps=st.integers(2, 40))
+@example(seed=0, n_paths=2, n_steps=2)
+@example(seed=1, n_paths=3, n_steps=2)
+def test_every_horizon_is_bitwise_its_own_simulation(table1, seed, n_paths, n_steps):
     # a march that also captures x for the realized variance ends where a
     # serial simulation ends, and the realized variance read off it is the
     # one its own serial run gives
-    if antithetic:
-        n_paths += n_paths % 2
-    spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed,
-                  antithetic=antithetic)
+    spec = McSpec(n_paths=n_paths, n_steps=n_steps, seed=seed)
     obs = (table1.t_mat * (n_steps // 2) / n_steps, table1.t_mat)
     paths = simulate_paths(table1, spec, obs)
     ref = _serial_run(table1, spec)
@@ -705,31 +672,14 @@ def test_shared_paths_serve_each_estimator_as_its_own_run(table1):
         mc_quadratic_variation(table1, spec, (0.2, 0.5), paths=paths)
 
 
-def test_antithetic_normals_negated_once_per_step(table1, monkeypatch):
-    calls = []
-    negative = np.negative
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return negative(*args, **kwargs)
-
-    monkeypatch.setattr(np, "negative", counted)
-    spec = McSpec(n_paths=64, n_steps=8, seed=4, antithetic=True)
-    simulate_paths(table1, spec, (0.25, 0.5))
-    # each half, 16 pairs, negates its own draws: a vol draw per step, then
-    # the x-shock's own at maturity and at 0.25 (index 4); 0.5 is maturity
-    # itself
-    assert calls == [(16,)] * (2 * (spec.n_steps + 2))
-
-
 def test_paths_of_another_spec_or_model_are_refused(table1):
-    # a plain path set read under an antithetic spec would pair unrelated
-    # paths and report a wrong standard error
+    # a path set read under another spec would pass for that spec's own
+    # draws, or be read on another grid
     spec = McSpec(n_paths=256, n_steps=20, seed=8)
     obs = (0.25, 0.5)
     paths = simulate_paths(table1, spec, obs)
-    for model, other in ((table1, replace(spec, antithetic=True)),
-                         (table1, replace(spec, seed=9)),
+    for model, other in ((table1, replace(spec, seed=9)),
+                         (table1, replace(spec, n_steps=40)),
                          (replace(table1, xi=0.1), spec)):
         with pytest.raises(ValueError, match="another model or spec"):
             mc_prices(model, other, [100.0], paths=paths)
@@ -754,9 +704,8 @@ def test_bridge_keeps_the_law_of_the_per_step_march(table1):
         idx = montecarlo._qv_indices(montecarlo._grid(m, spec), obs)
         for name, paths in (("bridge", simulate_paths(m, spec, obs)),
                             ("per-step", _per_step_run(m, spec, set(idx)))):
-            stats = {("x", k): montecarlo._stats(paths.snaps[k], False)
-                     for k in idx[:-1]}
-            stats["x", "T"] = montecarlo._stats(paths.x, False)
+            stats = {("x", k): montecarlo._stats(paths.snaps[k]) for k in idx[:-1]}
+            stats["x", "T"] = montecarlo._stats(paths.x)
             for strike, st in zip(strikes, mc_prices(m, spec, strikes, paths=paths)):
                 stats["call", strike] = st
             stats["qv", None] = mc_quadratic_variation(m, spec, obs, paths=paths)

@@ -55,9 +55,14 @@ def _cf0(m):
 # ----------------------------------------------------------- closed form
 
 def test_bs_put_call_parity():
+    # the call less the put's own closed form, taken here with erfc, is the
+    # discounted forward less the discounted strike
     spot, strike, r, q, tv, T = 100.0, 93.0, 0.03, 0.01, 0.04, 0.75
-    c = bs_price(spot, strike, r, q, tv, True, T)
-    p = bs_price(spot, strike, r, q, tv, False, T)
+    c = bs_price(spot, strike, r, q, tv, T)
+    fwd, s = spot * math.exp((r - q) * T), math.sqrt(tv)
+    d1 = (math.log(fwd / strike) + 0.5 * tv) / s
+    p = math.exp(-r * T) * 0.5 * (strike * math.erfc((d1 - s) / math.sqrt(2.0))
+                                  - fwd * math.erfc(d1 / math.sqrt(2.0)))
     lhs = c - p
     rhs = spot * math.exp(-q * T) - strike * math.exp(-r * T)
     assert lhs == pytest.approx(rhs, abs=1e-12 * spot)
@@ -65,19 +70,19 @@ def test_bs_put_call_parity():
 
 def test_bs_zero_variance_is_discounted_intrinsic():
     spot, strike, r, q, T = 100.0, 90.0, 0.05, 0.0, 1.0
-    c = bs_price(spot, strike, r, q, 0.0, True, T)
+    c = bs_price(spot, strike, r, q, 0.0, T)
     assert c == pytest.approx(spot - strike * math.exp(-r * T), rel=1e-14)
-    p = bs_price(spot, 120.0, r, q, 0.0, False, T)
-    assert p == pytest.approx(120.0 * math.exp(-r * T) - spot, rel=1e-14)
+    # out of the money, the forward 105.1 below the strike
+    assert bs_price(spot, 120.0, r, q, 0.0, T) == 0.0
 
 
 def test_bs_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        bs_price(-1.0, 100.0, 0.0, 0.0, 0.04, True, 1.0)
+        bs_price(-1.0, 100.0, 0.0, 0.0, 0.04, 1.0)
     with pytest.raises(ValueError):
-        bs_price(100.0, 100.0, 0.0, 0.0, -0.04, True, 1.0)
+        bs_price(100.0, 100.0, 0.0, 0.0, -0.04, 1.0)
     with pytest.raises(ValueError):
-        bs_price(100.0, 100.0, 0.0, 0.0, 0.04, True, -1.0)
+        bs_price(100.0, 100.0, 0.0, 0.0, 0.04, -1.0)
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -89,7 +94,7 @@ def test_black_scholes_refuses_non_finite_inputs(bad):
     good = dict(spot=1.0, strike=1.0, r=0.0, q=0.0, total_variance=0.04, t_mat=0.5)
     for name in good:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            bs_price(**{**good, name: bad}, is_call=True)
+            bs_price(**{**good, name: bad})
     good_iv = dict(price=0.05, spot=1.0, strike=1.0, r=0.0, q=0.0, t_mat=0.5)
     for name in good_iv:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -114,18 +119,8 @@ def test_fourier_matches_closed_form(table1_xi0):
         for ks in (0.85, 1.0, 1.15):
             strike = ks * m.s0
             got = fourier_prices(cf, m.s0, [strike], m.r, m.q, m.t_mat)[0]
-            ref = bs_price(m.s0, strike, m.r, m.q, tv, True, m.t_mat)
+            ref = bs_price(m.s0, strike, m.r, m.q, tv, m.t_mat)
             assert abs(got - ref) <= 1e-6 * m.s0, (kap, ks)
-
-
-def test_fourier_put_via_parity(table1_xi0):
-    m = table1_xi0
-    tv = _flat_variance(m)
-    strike = 1.1 * m.s0
-    got = fourier_prices(_cf0(m), m.s0, [strike], m.r, m.q, m.t_mat,
-                         is_call=False)[0]
-    ref = bs_price(m.s0, strike, m.r, m.q, tv, False, m.t_mat)
-    assert abs(got - ref) <= 1e-6 * m.s0
 
 
 def test_fourier_damping_invariance(table1_xi0):
@@ -175,7 +170,7 @@ def test_fourier_refuses_an_undecayed_integrand(table1_xi0):
                        spec=FourierPricingSpec(u_max=2.0))
     got = fourier_prices(_cf0(m), m.s0, [m.s0], m.r, m.q, m.t_mat,
                          spec=FourierPricingSpec(u_max=1500.0))[0]
-    ref = bs_price(m.s0, m.s0, m.r, m.q, _flat_variance(m), True, m.t_mat)
+    ref = bs_price(m.s0, m.s0, m.r, m.q, _flat_variance(m), m.t_mat)
     assert abs(got - ref) <= 1e-6 * m.s0
 
 
@@ -186,8 +181,8 @@ def test_fourier_widens_u_max_until_the_integrand_decays(table1_xi0):
     var = _flat_variance(m)
     for strike in (0.8, 0.9, 1.0, 1.1, 1.2):
         got = fourier_prices(_cf0(m), m.s0, [strike], m.r, m.q, m.t_mat)[0]
-        assert got == pytest.approx(bs_price(m.s0, strike, m.r, m.q, var, True,
-                                             m.t_mat), abs=5e-12)
+        assert got == pytest.approx(bs_price(m.s0, strike, m.r, m.q, var, m.t_mat),
+                                    abs=5e-12)
 
 
 def test_widened_first_order_ladder_is_contour_independent(table1):
@@ -226,11 +221,8 @@ def test_ladder_equals_single_strike_prices(table1, order):
     m = table1
     strikes = [80.0, 95.0, 100.0, 105.0, 120.0]
     cf = lambda u: cf_values(u, m, cfg)
-    for is_call in (True, False):
-        got = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat, is_call=is_call)
-        want = [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat, is_call=is_call)[0]
-                for k in strikes]
-        assert got == want, is_call
+    got = fourier_prices(cf, m.s0, strikes, m.r, m.q, m.t_mat)
+    assert got == [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat)[0] for k in strikes]
 
 
 @pytest.mark.parametrize("order, distinct, per_strike", [(0, 227, 1135), (1, 257, 1165)])
@@ -338,10 +330,6 @@ def test_fourier_ladder_parity_monotone_convex(m):
     cf = _cf0(m)
     strikes = [m.s0 * (0.6 + 0.1 * i) for i in range(11)]
     calls = [fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat)[0] for k in strikes]
-    for k, c in zip(strikes, calls):
-        p = fourier_prices(cf, m.s0, [k], m.r, m.q, m.t_mat, is_call=False)[0]
-        fwd = m.s0 * math.exp(-m.q * m.t_mat) - k * math.exp(-m.r * m.t_mat)
-        assert abs(c - p - fwd) <= 1e-9
     # rounding allowance: the integral's absolute tolerance, 1e-11, in price
     # units (the worst residual seen over 1000 drawn models was 7e-12)
     slack = 1e-11 * m.s0
@@ -356,7 +344,7 @@ def test_implied_vol_round_trip():
     spot, r, q, T = 100.0, 0.02, 0.01, 0.5
     for vol in (0.1, 0.35):
         for strike in (80.0, 100.0, 125.0):
-            price = bs_price(spot, strike, r, q, vol * vol * T, True, T)
+            price = bs_price(spot, strike, r, q, vol * vol * T, T)
             iv = implied_vol(price, spot, strike, r, q, T)
             assert iv == pytest.approx(vol, abs=1e-9)
 
@@ -367,8 +355,8 @@ def test_implied_vol_round_trip():
 def test_implied_vol_round_trip_property(vol, money):
     spot, r, q, T = 50.0, 0.01, 0.0, 2.0
     strike = spot * math.exp(money)
-    price = bs_price(spot, strike, r, q, vol * vol * T, False, T)
-    iv = implied_vol(price, spot, strike, r, q, T, is_call=False)
+    price = bs_price(spot, strike, r, q, vol * vol * T, T)
+    iv = implied_vol(price, spot, strike, r, q, T)
     assert iv == pytest.approx(vol, abs=1e-8)
 
 
