@@ -6,7 +6,7 @@ is its one-u form).  The zero order z0 is exponential-affine,
 
     z0(t) = exp[alpha(t) + gamma(t) sigma^2 + beta_bar(t) sigma v],
 
-and is available in two independent modes: a closed-form coefficient set
+and its three coefficients come in two independent modes: a closed form
 ("paper-closed-form") and the exact solution of the terminal-value ODEs
 of the xi = 0 reduction ("affine-ode").  The two differ in their
 correlation structure; the gap between them is measured, never hidden.
@@ -41,11 +41,8 @@ from .model import AdolModel, m_t
 from .numerics import QuadratureError
 
 __all__ = [
-    "CfCoefficients",
     "CorrectionConfig",
     "ResidualStats",
-    "coeffs_paper",
-    "coeffs_affine_ode",
     "cf_zero",
     "zero_order_fn",
     "j_state",
@@ -64,24 +61,6 @@ def _variant(mode: str) -> str:
     if mode not in (MODE_PAPER, MODE_AFFINE):
         raise ValueError(f"unknown cf mode {mode!r}")
     return mode
-
-
-@dataclass(frozen=True)
-class CfCoefficients:
-    """Coefficient functions of the exponential-affine zero order.
-
-    All three vanish at t = T (terminal condition z(T) = 1).  The set is
-    built for one frequency u or a 1-d array of them.  Each coefficient
-    takes a time or an array of times, and its value carries the axes of u
-    first, then those of the times (see _lead); a coefficient that is one
-    constant may return it as a scalar.  u is carried along because the
-    correction operators need it.
-    """
-
-    alpha: Callable[[float], complex]
-    gamma: Callable[[float], complex]
-    beta_bar: Callable[[float], complex]
-    u: complex | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,8 +87,8 @@ class ResidualStats:
 
 def _frequencies(u) -> complex | np.ndarray:
     """A frequency as a complex, or an array of them as a complex array;
-    every coefficient set is built through here, so a non-finite frequency
-    is refused before any arithmetic meets it."""
+    every zero-order coefficient is built through here, so a non-finite
+    frequency is refused before any arithmetic meets it."""
     u = complex(u) if np.ndim(u) == 0 else np.asarray(u, dtype=complex)
     finite = np.isfinite(u)
     if not finite.all():
@@ -128,7 +107,7 @@ def _lead(x, *like):
 
 
 # --------------------------------------------------------------------------
-# zero-order coefficients, closed-form mode
+# zero-order coefficients
 # --------------------------------------------------------------------------
 
 def _unit_response(kappa: float, tau):
@@ -144,21 +123,38 @@ def _unit_response(kappa: float, tau):
     return np.where(small, tau, -np.expm1(-x) / (2.0 * kappa))[()]
 
 
-def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
-    """Closed-form coefficient set; requires H < 1/2 (1/nu(0) = 0 there)."""
+def _z0_coefficients(u, model: AdolModel, mode: str, t):
+    """The zero order's coefficients (alpha, gamma, beta_bar) at a frequency
+    u or a 1-d array of them, and at a time t or an array of times: each
+    carries the axes of u first, then those of t (see _lead).  All three
+    vanish at t = T (terminal condition z(T) = 1); beta_bar is the scalar
+    0j in affine-ode mode.
+
+    The affine-ode mode solves the terminal-value ODEs of the xi = 0
+    reduction, which the exponential-affine substitution gives: the cross
+    coefficient closes at exactly zero, the drift coefficient integrates a
+    constant, and the quadratic coefficient is -u(u+i)/2 times the
+    unit-forcing response G of G' = 2 kappa G - 1, G(T) = 0, solved
+    exactly.  Only G is shared with the closed-form mode, whose amplitude
+    and cross coefficient differ, so the affine result can arbitrate it; the
+    PDE residual checks G independently.  The closed form requires H < 1/2
+    (1/nu(0) = 0 there) and t >= 0.
+    """
+    u = _frequencies(u)
+    kappa, T = model.kappa, model.t_mat
+    if _variant(mode) == MODE_AFFINE:
+        drift = 1j * u * (model.r - model.q)
+        scale = -0.5 * u * (1j + u)
+        return _lead(drift, t) * (T - t), _lead(scale, t) * _unit_response(kappa, T - t), 0j
     if model.h >= 0.5:
         raise ValueError("closed-form beta_bar is defined only for H < 1/2")
-    u = _frequencies(u)
+    if np.any(np.less(t, 0.0)):
+        raise ValueError(f"time must be nonnegative, got {t}")
     c = model.constants
-    kappa, rho, T = model.kappa, model.rho, model.t_mat
-    r_minus_q = model.r - model.q
+    rho = model.rho
     g_amp = u * (1.0 + u * (1.0 - rho) ** 2)
-
-    def alpha(t: float) -> complex:
-        return -1j * _lead(u, t) * r_minus_q * (t - T)
-
-    def gamma(t: float) -> complex:
-        return -0.5 * _lead(g_amp, t) * _unit_response(kappa, T - t)
+    alpha = -1j * _lead(u, t) * (model.r - model.q) * (t - T)
+    gamma = -0.5 * _lead(g_amp, t) * _unit_response(kappa, T - t)
 
     # primitive of (kappa + m(s))/nu(s); plain power laws since m is one
     e1 = 1.5 - c.h
@@ -169,78 +165,35 @@ def coeffs_paper(u: complex, model: AdolModel) -> CfCoefficients:
 
     # 1/nu(t) = t^(1/2-H) / B_H, which is 0 at t = 0 for H < 1/2
     inv_nu_T = T ** (0.5 - c.h) / c.b_h
-
-    def beta_bar(t: float) -> complex:
-        if np.any(np.less(t, 0.0)):
-            raise ValueError(f"time must be nonnegative, got {t}")
-        inv_nu_t = t ** (0.5 - c.h) / c.b_h
-        return 1j * rho * _lead(u, t) * (
-            np.exp(kappa * (t - T)) * inv_nu_T - inv_nu_t - (_ikm(t) - _ikm(T))
-        )
-
-    return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=beta_bar, u=u)
+    inv_nu_t = t ** (0.5 - c.h) / c.b_h
+    beta_bar = 1j * rho * _lead(u, t) * (
+        np.exp(kappa * (t - T)) * inv_nu_T - inv_nu_t - (_ikm(t) - _ikm(T))
+    )
+    return alpha, gamma, beta_bar
 
 
-# --------------------------------------------------------------------------
-# zero-order coefficients, affine-ode mode
-# --------------------------------------------------------------------------
-
-def coeffs_affine_ode(u: complex, model: AdolModel) -> CfCoefficients:
-    """Independently derived coefficient set from the xi = 0 reduction.
-
-    The exponential-affine substitution turns the xi = 0 pricing equation
-    into terminal-value ODEs: the cross coefficient closes at exactly
-    zero, the drift coefficient integrates a constant, and the quadratic
-    coefficient is -u(u+i)/2 times the unit-forcing response G of
-    G' = 2 kappa G - 1, G(T) = 0, solved exactly.  Only G is shared with
-    the closed-form mode, whose amplitude and cross coefficient differ, so
-    the result can arbitrate it; the PDE residual checks G independently.
-    """
-    u = _frequencies(u)
-    drift = 1j * u * (model.r - model.q)
-    scale = -0.5 * u * (1j + u)
-    kappa, T = model.kappa, model.t_mat
-
-    def alpha(t: float) -> complex:
-        return _lead(drift, t) * (T - t)
-
-    def gamma(t: float) -> complex:
-        return _lead(scale, t) * _unit_response(kappa, T - t)
-
-    def zero(t: float) -> complex:
-        return 0.0 + 0.0j
-
-    return CfCoefficients(alpha=alpha, gamma=gamma, beta_bar=zero, u=u)
-
-
-def _coeffs_for(u: complex, model: AdolModel, mode: str) -> CfCoefficients:
-    if _variant(mode) == MODE_PAPER:
-        return coeffs_paper(u, model)
-    return coeffs_affine_ode(u, model)
+def _cf_zero(u, model: AdolModel, mode: str) -> complex | np.ndarray:
+    s0, v0 = model.sigma0, model.v0
+    a, g, b = _z0_coefficients(u, model, mode, 0.0)
+    z = np.exp(a + g * s0 * s0 + b * s0 * v0)
+    return complex(z) if np.ndim(z) == 0 else z
 
 
 def cf_zero(u, model: AdolModel, mode: str = MODE_AFFINE) -> complex | np.ndarray:
     """Zero-order CF value at inception (x = 0), at a frequency or at each
     of a 1-d array of them."""
-    co = _coeffs_for(u, model, mode)
-    return _cf_zero_from(co, model)
-
-
-def _cf_zero_from(co: CfCoefficients, model: AdolModel) -> complex | np.ndarray:
-    s0, v0 = model.sigma0, model.v0
-    expo = co.alpha(0.0) + co.gamma(0.0) * s0 * s0 + co.beta_bar(0.0) * s0 * v0
-    z = np.exp(expo)
-    return complex(z) if np.ndim(z) == 0 else z
+    return _cf_zero(u, model, mode)
 
 
 def zero_order_fn(u: complex, model: AdolModel,
                   mode: str = MODE_AFFINE) -> Callable[[float, float, float], complex]:
-    """The zero-order solution as a function of (t, sigma, v), for residual checks."""
-    co = _coeffs_for(u, model, mode)
+    """The zero-order solution as a function of (t, sigma, v), for residual
+    checks; a bad u, mode or H is refused here, not at the first call."""
+    _z0_coefficients(u, model, mode, model.t_mat)
 
     def fn(t: float, sigma: float, v: float) -> complex:
-        return cmath.exp(co.alpha(t) + co.gamma(t) * sigma * sigma
-                         + co.beta_bar(t) * sigma * v)
+        a, g, b = _z0_coefficients(u, model, mode, t)
+        return cmath.exp(a + g * sigma * sigma + b * sigma * v)
 
     return fn
 
@@ -352,14 +305,16 @@ def _log_l(model: AdolModel, t, at_0):
 # to T.  The figures set its quadratic-at-centre closed form against
 # quadrature; the corrections themselves ride the flow further down.
 
-def j_state(model: AdolModel, co: CfCoefficients, chis) -> tuple[np.ndarray, np.ndarray]:
-    """J's kernel centre and pole weight at an array of source times in (0, T]."""
+def j_state(model: AdolModel, u, chis) -> tuple[np.ndarray, np.ndarray]:
+    """J's kernel centre and pole weight at frequency u and an array of
+    source times in (0, T]; the pole weight reads the closed-form gamma."""
     chis = np.asarray(chis, dtype=float)
     T = model.t_mat
     if not np.all((chis > 0.0) & (chis <= T * (1.0 + 1e-12))):
         raise ValueError(f"source times must lie in (0, {T}]")
     decay, var = _v_law(model, chis, T)
-    return decay * model.v0 + var, co.gamma(chis) * decay * decay * model.sigma0 * model.v0
+    gamma = _z0_coefficients(u, model, MODE_PAPER, chis)[1]
+    return decay * model.v0 + var, gamma * decay * decay * model.sigma0 * model.v0
 
 
 def _j_integrand(x, center, k, chi):
@@ -544,46 +499,45 @@ def _flow(model: AdolModel, u, t, sigma, chis, at_t, at_chis):
     return sigma * np.exp(-kap * dt), decay, shift, var, log_pref
 
 
-def _z1_field(model: AdolModel, co: CfCoefficients, t, sigma, chis, at_t, at_chis):
+def _z1_field(model: AdolModel, mode: str, u, t, sigma, chis, at_t, at_chis):
     """Integrand terms of the z1 field started at (t, sigma): the source
     Phi1 z0 at each time chi, carried back along the flow, is, as a
     function of the state v at t, the sum over the sigma legs s +- hs of
     e^(expo + kap v) (p + q v).  Returns kap, expo, p and q with a leading
-    leg axis, then co.u's axes, then the broadcast shape of t, sigma and
+    leg axis, then u's axes, then the broadcast shape of t, sigma and
     chis; chis has all of that shape's axes, as the coefficients' values
     align on them, and at_t and at_chis are as for _flow.
 
     On a leg s_l the tilt is c = b s_l, and V's mean under it is
     decay v + shift + c var, so the exponent and p are polynomials in s_l.
     """
-    s, decay, shift, var, log_pref = _flow(model, co.u, t, sigma, chis, at_t, at_chis)
+    s, decay, shift, var, log_pref = _flow(model, u, t, sigma, chis, at_t, at_chis)
     hs = _SIGMA_STEP * np.maximum(1.0, np.abs(s))
-    a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
+    a, g, b = _z0_coefficients(u, model, mode, chis)
     nu, m = nu_t(chis, model.constants), m_t(chis, model)
-    # the leg signs on the axis before co.u's
-    signs = _LEGS.reshape((2,) + (1,) * (np.ndim(co.u) + np.ndim(s)))
+    # the leg signs on the axis before u's
+    signs = _LEGS.reshape((2,) + (1,) * (np.ndim(u) + np.ndim(s)))
     legs = s + signs * hs
     expo = a + log_pref + legs * (b * shift + legs * (g + 0.5 * b * b * var))
     p = legs * (b * s * (nu * nu - m * var)) \
-        + s * ((1j * model.rho * _lead(co.u, s)) * (nu * s) - m * shift)
+        + s * ((1j * model.rho * _lead(u, s)) * (nu * s) - m * shift)
     diff = signs * (0.5 / hs)
     return legs * (b * decay), expo, diff * p, diff * (-m * s * decay)
 
 
-def _z1_terms(model: AdolModel, co: CfCoefficients, chis: np.ndarray,
-              at_chis) -> np.ndarray:
+def _z1_terms(model: AdolModel, mode: str, u, chis: np.ndarray, at_chis) -> np.ndarray:
     """The z1 integrand at inception at each time chi of a 1-d array, from
-    the flow tables at_chis there: co.u's axes first, the node axis last.
+    the flow tables at_chis there: u's axes first, the node axis last.
     The two legs are summed first, so a z0 that does not depend on sigma
     (u = 0, or u = -i in affine-ode mode) gives exact zeros."""
-    kap, expo, p, q = _z1_field(model, co, 0.0, model.sigma0, chis, (0.0, 0.0), at_chis)
+    kap, expo, p, q = _z1_field(model, mode, u, 0.0, model.sigma0, chis, (0.0, 0.0), at_chis)
     x = np.exp(expo + kap * model.v0) * (p + q * model.v0)
     return x[0] + x[1]
 
 
-def _z1(model: AdolModel, co: CfCoefficients):
-    """z1 at inception at co.u, _z1_terms on _z1_rule_sum's rule."""
-    return _z1_rule_sum(model, co.u, _flow_tables(model), functools.partial(_z1_terms, model, co))
+def _z1(model: AdolModel, mode: str, u):
+    """z1 at inception at u, _z1_terms on _z1_rule_sum's rule."""
+    return _z1_rule_sum(model, u, _flow_tables(model), functools.partial(_z1_terms, model, mode, u))
 
 
 def _z1_rule_sum(model: AdolModel, u, tables: Callable, integral_terms: Callable):
@@ -675,8 +629,8 @@ def _z2_nodes(model: AdolModel, panels: int):
 _Z2_BLOCK = 10
 
 
-def _z2(model: AdolModel, co: CfCoefficients):
-    """z2 at inception at co.u: the expectation over V of Phi2 z0 + Phi1 z1
+def _z2(model: AdolModel, mode: str, u):
+    """z2 at inception at u: the expectation over V of Phi2 z0 + Phi1 z1
     at each outer node.  At each outer sigma leg the z1 field is a sum of
     terms e^(kap v) (A + B v), and Phi1 = nu^2 s d2/(ds dv) + (i u rho nu s - m v) s d/ds
     of a term is e^(kap V) times (A + B V)(w + beta V) + nu^2 s B, with
@@ -693,13 +647,12 @@ def _z2(model: AdolModel, co: CfCoefficients):
     outer leg, outer node, inner node); the inner legs are summed first, as
     in _z1_terms."""
     chis, wts, at_out, inner, iw, at_in = _z2_nodes(model, _Z2_PANELS)
-    u = co.u
     s, decay, shift, var, log_pref = _flow(model, u, 0.0, model.sigma0, chis,
                                            (0.0, 0.0), at_out)
     mean = decay * model.v0 + shift
     hs = _SIGMA_STEP * np.maximum(1.0, np.abs(s))
     nu, m = nu_t(chis, model.constants), m_t(chis, model)
-    a, g, b = co.alpha(chis), co.gamma(chis), co.beta_bar(chis)
+    a, g, b = _z0_coefficients(u, model, mode, chis)
     legs = s + np.multiply.outer(np.array([1.0, 0.0, -1.0]), hs)
     lu = legs.reshape(legs.shape[:1] + (1,) * np.ndim(u) + legs.shape[1:])
     z0 = np.exp(a + lu * (b * mean + lu * (g + 0.5 * b * b * var)))
@@ -714,7 +667,7 @@ def _z2(model: AdolModel, co: CfCoefficients):
 
     step = max(1, _Z2_BLOCK // np.size(u))
     for k in (slice(i, i + step) for i in range(0, len(chis), step)):
-        kap, expo, fa, fb = _z1_field(model, co, chis[k, None], legs[::2, k, None],
+        kap, expo, fa, fb = _z1_field(model, mode, u, chis[k, None], legs[::2, k, None],
                                       inner[None, k], (at_out[0][k, None], at_out[1][k, None]),
                                       (at_in[0][None, k], at_in[1][None, k]))
         mu, sig = mean[..., None, k, None], var[None, k, None]
@@ -730,13 +683,13 @@ def _z2(model: AdolModel, co: CfCoefficients):
 def cf_values(u: np.ndarray, model: AdolModel,
               cfg: CorrectionConfig | None = None) -> np.ndarray:
     """CF of the log-return ln(S_T/S_0), truncated at cfg.order in xi, at
-    each frequency of the 1-d array u: one coefficient set, one z1 time
-    rule and one z2 grid serve every u at once."""
+    each frequency of the 1-d array u: one z1 time rule and one z2 grid
+    serve every u at once."""
     cfg = cfg or CorrectionConfig()
     u = np.asarray(u, dtype=complex)
     if u.ndim != 1:
         raise ValueError(f"cf_values takes a 1-d array of frequencies, got shape {u.shape}")
-    z = _cf_zero_from(_coeffs_for(u, model, cfg.mode), model)
+    z = _cf_zero(u, model, cfg.mode)
     if model.xi != 0.0 and cfg.order >= 1:
         if model.h >= 0.5:
             raise ValueError("correction pipeline requires H < 1/2")
@@ -744,14 +697,13 @@ def cf_values(u: np.ndarray, model: AdolModel,
         nonzero = u != 0
         if nonzero.any():
             us = u[nonzero]
-            co = _coeffs_for(us, model, cfg.mode)
-            zc = z[nonzero] + model.xi * _z1(model, co)
+            zc = z[nonzero] + model.xi * _z1(model, cfg.mode, us)
             if cfg.order >= 2:
                 # at most _Z2_BLOCK frequencies per call, so z2's memory
                 # does not grow with len(u)
                 parts = np.array_split(us, math.ceil(len(us) / _Z2_BLOCK))
                 zc = zc + model.xi ** 2 * np.concatenate(
-                    [_z2(model, _coeffs_for(part, model, cfg.mode)) for part in parts])
+                    [_z2(model, cfg.mode, part) for part in parts])
             z[nonzero] = zc
     return z
 
@@ -777,8 +729,11 @@ def pde_residual(cf_fn: Callable[[float, float, float], complex], u: complex,
 
     Every term is built from central differences; per point the absolute
     residual is normalized by the largest single term so the statistic is
-    scale-free.
+    scale-free.  An empty probe is refused: it would report no residual.
     """
+    n = len(sample_points)
+    if n == 0:
+        raise ValueError("pde_residual needs at least one sample point")
     u = complex(u)
     c = model.constants
     kappa, xi, rho = model.kappa, model.xi, model.rho
@@ -814,5 +769,4 @@ def pde_residual(cf_fn: Callable[[float, float, float], complex], u: complex,
         res = abs(sum(terms)) / max(scale, 1e-300)
         max_r = max(max_r, res)
         sum_r += res
-    n = len(sample_points)
-    return ResidualStats(max_abs=max_r, mean_abs=sum_r / max(n, 1), n_points=n)
+    return ResidualStats(max_abs=max_r, mean_abs=sum_r / n, n_points=n)

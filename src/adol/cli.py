@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _j_integrand,
-                     _unit_response, cf_values, cf_zero, coeffs_paper, j_closed,
-                     j_integral, j_state, pde_residual, tau_closed_gap, zero_order_fn)
+                     _unit_response, cf_values, cf_zero, j_closed, j_integral, j_state,
+                     pde_residual, tau_closed_gap, zero_order_fn)
 from .do_process import do_constants
 from .model import XI_MARGIN, AdolModel, f_ht, small_param_check
 from .montecarlo import (McSpec, Paths, _grid, _qv_indices, mc_prices,
@@ -258,13 +258,12 @@ def cmd_constants(cfg: dict, out_dir: Path, check: bool) -> int:
 def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     # the figures draw the reference model, the schema's defaults, whatever the config
     model = _model_from({"model": {key: rule[1] for key, rule in _MODEL_KEYS.items()}})
-    co = coeffs_paper(1.0, model)
     T = model.t_mat
     breaches = 0
 
     # figs 1-2: the spatial integrand against sigma' at two source times
     for name, chi in (("fig1_integrand.csv", 0.5 * T), ("fig2_integrand.csv", 0.9 * T)):
-        center, k = j_state(model, co, chi)
+        center, k = j_state(model, 1.0, chi)
         mean, half = center + 2.0 * chi, 6.0 * math.sqrt(2.0 * chi)
         xs = np.linspace(mean - half, mean + half, 201)
         val = _j_integrand(xs, center, k, chi)
@@ -275,7 +274,7 @@ def cmd_figures(cfg: dict, out_dir: Path, check: bool) -> int:
     # fig 3: closed form vs quadrature on the 100-point source-time grid; an
     # inapplicable closed form gives a NaN gap, which breaches too
     chis = np.linspace(0.05 * T, T, 100)
-    center, k = j_state(model, co, chis)
+    center, k = j_state(model, 1.0, chis)
     jq = j_integral(center, k, chis)
     jc, a2 = j_closed(center, k, chis)
     bps = np.abs(jc - jq) / np.abs(jq) * 1e4

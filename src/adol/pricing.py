@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charfn import _log_l, _unit_response, _v_law, coeffs_affine_ode
+from .charfn import MODE_AFFINE, _log_l, _unit_response, _v_law, _z0_coefficients
 from .model import AdolModel
 from .numerics import QuadratureError, QuadratureSpec, integrate_adaptive, norm_cdf
 
@@ -276,8 +276,8 @@ def _forward_cf_on(u: complex, t1: float, t2: float, model: AdolModel,
                    sig: np.ndarray, w: np.ndarray) -> complex:
     """The affine zero-order CF with maturity t2, at t1, averaged over the
     time-t1 vols `sig` with weights `w`."""
-    co = coeffs_affine_ode(u, replace(model, t_mat=t2))
-    return complex(w @ np.exp(co.alpha(t1) + co.gamma(t1) * sig * sig))
+    alpha, gamma, _ = _z0_coefficients(u, replace(model, t_mat=t2), MODE_AFFINE, t1)
+    return complex(w @ np.exp(alpha + gamma * sig * sig))
 
 
 def _leg_curvature(phi: Callable[[float], complex], h: float) -> complex:

@@ -16,18 +16,19 @@ from typing import Callable
 
 import numpy as np
 
-from adol.charfn import (CfCoefficients, CorrectionConfig, _m_cum, _power_nodes,
-                         _unit_response, _v_law, _z1_rule_sum)
+from adol.charfn import (CorrectionConfig, _m_cum, _power_nodes, _unit_response, _v_law,
+                         _z0_coefficients, _z1_rule_sum)
 from adol.model import AdolModel
 from adol.pricing import _hermite_rule
 
 
 @dataclass(frozen=True)
 class KernelConfig(CorrectionConfig):
-    """CorrectionConfig plus the kernel's own knobs: sigma_step and
-    z2_panels are its copies of charfn's _SIGMA_STEP and _Z2_PANELS,
-    hermite_n sizes the Gaussian rule over V, v_step is the relative step of
-    the v difference.  Its time rule is charfn's, at charfn's tolerances."""
+    """CorrectionConfig, whose mode picks the zero order's coefficients,
+    plus the kernel's own knobs: sigma_step and z2_panels are its copies of
+    charfn's _SIGMA_STEP and _Z2_PANELS, hermite_n sizes the Gaussian rule
+    over V, v_step is the relative step of the v difference.  Its time rule
+    is charfn's, at charfn's tolerances."""
 
     sigma_step: float = 1e-3
     z2_panels: int = 10
@@ -64,15 +65,16 @@ def _flow_state(model: AdolModel, u: complex, tables: Callable, t: float,
     return sigma * np.exp(-kap * dt), nodes, pref
 
 
-def _column(f: Callable, chis: np.ndarray) -> np.ndarray:
-    """f on the whole chis array as a complex column; a scalar serves every chi."""
-    val = np.asarray(f(chis), dtype=complex)
+def _column(val, chis: np.ndarray) -> np.ndarray:
+    """A coefficient on the whole chis array as a complex column; a scalar
+    serves every chi."""
+    val = np.asarray(val, dtype=complex)
     if val.shape != chis.shape:
         val = np.full(chis.shape, val)
     return val[:, None]
 
 
-def _z0_slices(co: CfCoefficients, chis: np.ndarray):
+def _z0_slices(model: AdolModel, mode: str, u: complex, chis: np.ndarray):
     """z0 at each time chi as a function of (sigma, v) arrays whose second
     to last axis runs over chis.
 
@@ -83,7 +85,7 @@ def _z0_slices(co: CfCoefficients, chis: np.ndarray):
     equal the full evaluation's, whose cross term is an exact zero.  The
     returned function's v_free attribute says which case holds.
     """
-    a, g, b = (_column(f, chis) for f in (co.alpha, co.gamma, co.beta_bar))
+    a, g, b = (_column(x, chis) for x in _z0_coefficients(u, model, mode, chis))
     v_free = not b.any()
 
     if v_free:
@@ -149,7 +151,7 @@ def _steps(cfg: KernelConfig, s, nodes):
     return cfg.sigma_step * np.maximum(1.0, np.abs(s)), hv
 
 
-def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
+def _z1_integrand(model: AdolModel, u: complex, cfg: KernelConfig,
                   tables: Callable, t: float, sigma, v,
                   chis: np.ndarray, at_t=None, at_chis=None) -> np.ndarray:
     """The first-order integrand: the source Phi1 z0 at each time chi in
@@ -163,38 +165,39 @@ def _z1_integrand(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
     formed.
     """
     x_h, w_h = _hermite_rule(cfg.hermite_n)
-    s_tr, nodes, pref = _flow_state(model, co.u, tables, t, sigma, v, chis, x_h,
+    s_tr, nodes, pref = _flow_state(model, u, tables, t, sigma, v, chis, x_h,
                                     at_t, at_chis)
     s_tr = s_tr[..., None]
-    z0 = _z0_slices(co, chis)
+    z0 = _z0_slices(model, cfg.mode, u, chis)
     hs, hv = _steps(cfg, s_tr, None if z0.v_free else nodes)
     nu, m = _nu_m(model, chis)
     src = _stencil_phi1([z0(a, b) for a, b in _phi1_legs(s_tr, nodes, hs, hv)],
-                        nu, m, co.u, model.rho, s_tr, nodes, hs, hv)
+                        nu, m, u, model.rho, s_tr, nodes, hs, hv)
     return pref * (src @ w_h)
 
 
-def _z1_value(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
+def _z1_value(model: AdolModel, u: complex, cfg: KernelConfig,
               tables: Callable) -> complex:
     """z1 at inception from the Hermite-stencil kernel (_z1_rule_sum)."""
-    return _z1_rule_sum(model, co.u, tables, lambda nodes, at_nodes: _z1_integrand(
-        model, co, cfg, tables, 0.0, model.sigma0, model.v0, nodes, at_chis=at_nodes))
+    return _z1_rule_sum(model, u, tables, lambda nodes, at_nodes: _z1_integrand(
+        model, u, cfg, tables, 0.0, model.sigma0, model.v0, nodes, at_chis=at_nodes))
 
 
-def _z2_point(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
+def _z2_point(model: AdolModel, u: complex, cfg: KernelConfig,
               tables: Callable) -> complex:
     # fixed substituted panels on both time axes: the whole term enters at
     # xi^2, and the cf pins admit only the panel value (see _power_nodes)
     T = model.t_mat
     x_h, w_h = _hermite_rule(cfg.hermite_n)
     chis, wts = _power_nodes(0.0, T, model.h, cfg.z2_panels + 6, 10)
-    s_tr, nodes, pref = _flow_state(model, co.u, tables, 0.0, model.sigma0,
+    s_tr, nodes, pref = _flow_state(model, u, tables, 0.0, model.sigma0,
                                     model.v0, chis, x_h)
     s_tr = s_tr[:, None]
     hs, hv = _steps(cfg, s_tr, nodes)
     nu, m = _nu_m(model, chis)
     # a v-free slice leaves Phi2 z0 without the node axis the z1 field needs
-    src = np.broadcast_to(_stencil_phi2(_z0_slices(co, chis), nu, s_tr, nodes, hs),
+    src = np.broadcast_to(_stencil_phi2(_z0_slices(model, cfg.mode, u, chis), nu, s_tr,
+                                        nodes, hs),
                           nodes.shape).copy()
     nh = len(x_h)
     for j, chi in enumerate(chis):
@@ -206,9 +209,9 @@ def _z2_point(model: AdolModel, co: CfCoefficients, cfg: KernelConfig,
         inner, iw = _power_nodes(chi, T, model.h, cfg.z2_panels, 8)
         at_chi = tables(chi)
         # one 8-node panel per call: larger blocks measured slower end to end
-        z1g = sum(_z1_integrand(model, co, cfg, tables, chi, sg, vg, inner[i:i + 8], at_chi)
+        z1g = sum(_z1_integrand(model, u, cfg, tables, chi, sg, vg, inner[i:i + 8], at_chi)
                   @ iw[i:i + 8] for i in range(0, len(inner), 8))
         (sp_vp, sp_vm, sp_v), (sm_vp, sm_vm, sm_v) = z1g.reshape(2, 3, nh)
         src[j] += _stencil_phi1([sp_v, sm_v, sp_vp, sp_vm, sm_vp, sm_vm], nu[j], m[j],
-                                co.u, model.rho, sj, vj, hsj, hvj)
+                                u, model.rho, sj, vj, hsj, hvj)
     return complex(wts @ (pref * (src @ w_h)))

@@ -26,7 +26,6 @@ from adol.charfn import (
     cf_total,
     cf_values,
     cf_zero,
-    coeffs_paper,
     j_closed,
     j_integral,
     j_state,
@@ -49,8 +48,9 @@ def correction(order: int, u: complex, model: AdolModel,
         raise ValueError("correction order must be 1 or 2")
     if model.h >= 0.5:
         raise ValueError("correction pipeline requires H < 1/2")
-    co = cfm._coeffs_for(complex(u), model, (cfg or CorrectionConfig()).mode)
-    return complex(cfm._z1(model, co) if order == 1 else cfm._z2(model, co))
+    mode = (cfg or CorrectionConfig()).mode
+    z = cfm._z1 if order == 1 else cfm._z2
+    return complex(z(model, mode, complex(u)))
 
 
 @pytest.fixture
@@ -67,19 +67,23 @@ def cf_settings(monkeypatch):
 # ----------------------------------------------------------- coefficients
 
 def test_closed_form_gamma_pin(table1):
-    co = coeffs_paper(1.0, table1)
-    assert co.gamma(0.0).real == pytest.approx(-0.3512700411851261, rel=1e-12)
-    assert co.gamma(0.0).imag == 0.0
+    gamma = cfm._z0_coefficients(1.0, table1, MODE_PAPER, 0.0)[1]
+    assert gamma.real == pytest.approx(-0.3512700411851261, rel=1e-12)
+    assert gamma.imag == 0.0
     # terminal conditions close the exponent at T
     T = table1.t_mat
-    assert abs(co.gamma(T)) <= 1e-14
-    assert abs(co.alpha(T)) <= 1e-14
-    assert abs(co.beta_bar(T)) <= 1e-14
+    alpha, gamma, beta_bar = cfm._z0_coefficients(1.0, table1, MODE_PAPER, T)
+    assert abs(gamma) <= 1e-14
+    assert abs(alpha) <= 1e-14
+    assert abs(beta_bar) <= 1e-14
 
 
 def test_paper_mode_requires_rough(table1):
     with pytest.raises(ValueError):
-        coeffs_paper(1.0, replace(table1, h=0.6))
+        cfm._z0_coefficients(1.0, replace(table1, h=0.6), MODE_PAPER, 0.0)
+    # refused when the function is made, not at its first evaluation
+    with pytest.raises(ValueError):
+        zero_order_fn(1.0, replace(table1, h=0.6), MODE_PAPER)
 
 
 def test_affine_matches_lognormal_cf(table1_xi0):
@@ -112,7 +116,6 @@ def test_beta_bar_primitive_vs_quadrature(table1):
     m = table1
     c = m.constants
     T, kap, u = m.t_mat, m.kappa, 1.3
-    co = coeffs_paper(u, m)
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=4000)
 
     def integrand(s: float) -> float:
@@ -122,7 +125,7 @@ def test_beta_bar_primitive_vs_quadrature(table1):
         quad = integrate_adaptive(np.vectorize(integrand), t, T, spec).real
         ref = 1j * m.rho * u * (math.exp(kap * (t - T)) / nu_t(T, c)
                                 - 1.0 / nu_t(t, c) + quad)
-        got = co.beta_bar(t)
+        got = cfm._z0_coefficients(u, m, MODE_PAPER, t)[2]
         assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0), t
 
 
@@ -368,10 +371,9 @@ def _j_reference(center: float, k: complex, chi: float) -> complex:
 
 
 def test_j_matches_high_precision_quadrature(j_model):
-    co = coeffs_paper(1.0, j_model)
     T = j_model.t_mat
     chis = np.array([0.05, 0.2, 0.5, 0.8, 1.0]) * T
-    center, k = j_state(j_model, co, chis)
+    center, k = j_state(j_model, 1.0, chis)
     assert k[-1] == 0.0  # gamma vanishes at T
     got = j_integral(center, k, chis)
     for i, chi in enumerate(chis.tolist()):
@@ -380,9 +382,8 @@ def test_j_matches_high_precision_quadrature(j_model):
 
 
 def test_j_routes_agree(j_model):
-    co = coeffs_paper(1.0, j_model)
     chis = np.array([0.3, 0.6, 0.9]) * j_model.t_mat
-    center, k = j_state(j_model, co, chis)
+    center, k = j_state(j_model, 1.0, chis)
     jq = j_integral(center, k, chis)
     jc = j_closed(center, k, chis)[0]
     assert np.all(np.abs(jc - jq) / np.abs(jq) <= 1e-3)
@@ -390,9 +391,8 @@ def test_j_routes_agree(j_model):
 
 def test_j_degenerate_closed_form(j_model):
     # with a vanishing pole weight the integral is a pure Gaussian moment
-    co0 = coeffs_paper(0.0, j_model)
     chi = 0.5 * j_model.t_mat
-    center, k = j_state(j_model, co0, chi)
+    center, k = j_state(j_model, 0.0, chi)
     assert k == 0.0
     ref = 2.0 * math.sqrt(math.pi * chi) * math.exp(center + chi)
     for got in (j_integral(center, k, chi), j_closed(center, k, chi)[0]):
@@ -400,12 +400,11 @@ def test_j_degenerate_closed_form(j_model):
 
 
 def test_j_rejects_bad_inputs(j_model):
-    co = coeffs_paper(1.0, j_model)
     T = j_model.t_mat
     for bad in (0.0, -0.1, 1.1 * T):
         with pytest.raises(ValueError, match="source times"):
-            j_state(j_model, co, np.array([0.25, bad]))
-    center, k = j_state(j_model, co, 0.25)
+            j_state(j_model, 1.0, np.array([0.25, bad]))
+    center, k = j_state(j_model, 1.0, 0.25)
     # positive pole weight makes the integral divergent, an imaginary one
     # leaves the pole undamped
     for bad in (-k, 1j * k):
@@ -424,9 +423,8 @@ def test_j_refuses_a_missed_half_rule(j_model):
 
 
 def test_j_closed_routes_signal_inapplicability(j_model):
-    co = coeffs_paper(1.0, j_model)
     chi = 0.25
-    _, k = j_state(j_model, co, chi)
+    _, k = j_state(j_model, 1.0, chi)
     # the expansion centre exactly on the pole, then a2 >= 0
     for center, kk in ((2.0 * chi, k), (2.0 * chi + 0.1, 1.0 + 0j)):
         val, a2 = j_closed(center, kk, chi)
@@ -441,7 +439,6 @@ def _oracle_z1(u: float, m: AdolModel) -> complex:
     uu = complex(u)
     c = m.constants
     kap, rho, T = m.kappa, m.rho, m.t_mat
-    co = cfm._coeffs_for(uu, m, MODE_AFFINE)
     z0 = cf_zero(u, m, MODE_AFFINE)
     p = 1.0 + m.m_pi
     tight = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=4000)
@@ -458,7 +455,8 @@ def _oracle_z1(u: float, m: AdolModel) -> complex:
         s_chi = m.sigma0 * np.exp(-kap * chis)
         damped = np.array([e_damp(chi) for chi in chis.tolist()])
         mu = np.exp(-big_m(chis)) * (m.v0 + 1j * uu * rho * m.sigma0 * damped)
-        return (2.0 * co.gamma(chis) * s_chi ** 2
+        gamma = cfm._z0_coefficients(uu, m, MODE_AFFINE, chis)[1]
+        return (2.0 * gamma * s_chi ** 2
                 * (1j * uu * rho * nu_t(chis, c) * s_chi - m_t(chis, m) * mu))
 
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=2000)
@@ -481,11 +479,11 @@ def test_flow_reproduces_zero_order(table1):
     chis = np.array([0.15, 0.35, 0.5])
     for kap in (2.0, 0.0):
         m = replace(table1, kappa=kap)
-        co = cfm._coeffs_for(u, m, MODE_AFFINE)
+        alpha, gamma, _ = cfm._z0_coefficients(u, m, MODE_AFFINE, chis)
         z00 = cf_zero(u, m, MODE_AFFINE)
         s, _, _, _, log_pref = cfm._flow(m, u, 0.0, m.sigma0, chis, (0.0, 0.0),
                                          cfm._flow_tables(m)(chis))
-        towed = np.exp(log_pref + co.alpha(chis) + co.gamma(chis) * s * s)
+        towed = np.exp(log_pref + alpha + gamma * s * s)
         for chi, val in zip(chis, towed):
             assert abs(val - z00) <= 1e-12, (kap, chi)
 
@@ -580,10 +578,8 @@ def adaptive_flow(table1):
 def _reference_z1(m: AdolModel, u: complex, mode: str, flow) -> complex:
     """z1 from the moment form's integrand with both of its numerical pieces
     swapped out: adaptive quadrature in time over adaptive flow transforms."""
-    co = cfm._coeffs_for(complex(u), m, mode)
-
     def integrand(chis: np.ndarray) -> np.ndarray:
-        return cfm._z1_terms(m, co, chis, flow(chis))
+        return cfm._z1_terms(m, mode, complex(u), chis, flow(chis))
 
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=4000)
     return integrate_adaptive(integrand, 0.0, m.t_mat, spec)
@@ -616,7 +612,7 @@ def test_corrections_vanish_at_zero_frequency(table1):
             assert cf_total(0.0, table1, replace(cfg, order=order)) == 1, (mode, order)
 
 
-def test_v_free_slices_equal_the_full_evaluation(table1, cf_settings):
+def test_v_free_slices_equal_the_full_evaluation(table1, cf_settings, monkeypatch):
     # a cross coefficient of 1e-300 rounds away in every exponent, yet sends
     # z0 through the kernel's full (state, time, Hermite) evaluation; the
     # kernel's affine slice that skips v must give the same numbers, not
@@ -624,35 +620,49 @@ def test_v_free_slices_equal_the_full_evaluation(table1, cf_settings):
     # tilt that rounds away leaves its numbers as they are too
     kcfg = hk.KernelConfig(mode=MODE_AFFINE, z2_panels=3)
     cf_settings(_Z2_PANELS=3)
-    co = cfm._coeffs_for(1.0 + 0.0j, table1, MODE_AFFINE)
-    full = replace(co, beta_bar=lambda t: 1e-300 + 0.0j)
+    u = 1.0 + 0.0j
     tables = cfm._flow_tables(table1)
     x_h, _ = hk._hermite_rule(kcfg.hermite_n)
     chis, _ = cfm._power_nodes(0.0, table1.t_mat, table1.h, 16, 10)
-    s_tr, nodes, _ = hk._flow_state(table1, co.u, tables, 0.0, table1.sigma0,
+    s_tr, nodes, _ = hk._flow_state(table1, u, tables, 0.0, table1.sigma0,
                                     table1.v0, chis, x_h)
-    assert hk._z0_slices(co, chis)(s_tr[:, None], nodes).shape == (len(chis), 1)
-    assert hk._z0_slices(full, chis)(s_tr[:, None], nodes).shape == nodes.shape
 
-    def integrand(c):
-        return hk._z1_integrand(table1, c, kcfg, tables, 0.0, table1.sigma0,
-                                table1.v0, chis)
+    def values():
+        """The slice at the flow's states, the kernel's integrand, z1 and
+        z2, and charfn's z1 and z2."""
+        return (hk._z0_slices(table1, MODE_AFFINE, u, chis)(s_tr[:, None], nodes),
+                hk._z1_integrand(table1, u, kcfg, tables, 0.0, table1.sigma0,
+                                 table1.v0, chis),
+                hk._z1_value(table1, u, kcfg, tables), hk._z2_point(table1, u, kcfg, tables),
+                cfm._z1(table1, MODE_AFFINE, u), cfm._z2(table1, MODE_AFFINE, u))
 
-    assert np.array_equal(integrand(co), integrand(full))
-    assert hk._z1_value(table1, co, kcfg, tables) == hk._z1_value(table1, full, kcfg, tables)
-    assert hk._z2_point(table1, co, kcfg, tables) == hk._z2_point(table1, full, kcfg, tables)
-    assert cfm._z1(table1, co) == cfm._z1(table1, full)
-    assert cfm._z2(table1, co) == cfm._z2(table1, full)
+    free = values()
+    coefficients = cfm._z0_coefficients
+
+    def tilted(*args):
+        alpha, gamma, _ = coefficients(*args)
+        return alpha, gamma, 1e-300 + 0.0j
+
+    for module in (cfm, hk):
+        monkeypatch.setattr(module, "_z0_coefficients", tilted)
+    full = values()
+    assert free[0].shape == (len(chis), 1)
+    assert full[0].shape == nodes.shape
+    assert np.array_equal(free[1], full[1])
+    assert free[2] == full[2]
+    assert free[3] == full[3]
+    assert free[4] == full[4]
+    assert free[5] == full[5]
 
 
-def _z1_untabulated(m, co, tables):
+def _z1_untabulated(m, mode, u, tables):
     """_z1 with the flow tables evaluated at the rule's nodes on every call,
     in place of the per-model tabulation."""
     chis, w, k = cfm._z1_rule(m.t_mat)
     even = k % 2 == 0
 
     def terms(nodes):
-        return cfm._z1_terms(m, co, nodes, tables(nodes))
+        return cfm._z1_terms(m, mode, u, nodes, tables(nodes))
 
     f_even = terms(chis[even])
     fine = 2.0 * complex(f_even @ w[even])
@@ -670,15 +680,16 @@ def test_z1_reads_the_tabulated_rule_bitwise(table1, mode, cf_settings):
     for rel_tol in (1e-7, 1e-8):
         cf_settings(_Z1_REL_TOL=rel_tol)
         for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
-            co = cfm._coeffs_for(complex(u), table1, mode)
-            assert cfm._z1(table1, co) == _z1_untabulated(table1, co, tables), (rel_tol, u)
+            u = complex(u)
+            assert cfm._z1(table1, mode, u) == _z1_untabulated(table1, mode, u, tables), \
+                (rel_tol, u)
 
 
-def _looped_exponent(co, chis, s, v):
-    """The z0 exponent as the slices once formed it: each coefficient called
+def _looped_exponent(m, mode, u, chis, s, v):
+    """The z0 exponent as the slices once formed it: the coefficients taken
     once per node, on a scalar."""
-    a, g, b = (np.array([complex(f(float(c))) for c in chis])[:, None]
-               for f in (co.alpha, co.gamma, co.beta_bar))
+    a, g, b = (col[:, None] for col in np.array(
+        [[complex(x) for x in cfm._z0_coefficients(u, m, mode, float(c))] for c in chis]).T)
     return a + g * s * s + b * s * v
 
 
@@ -697,51 +708,50 @@ def test_z0_slices_equal_the_per_node_loop(table1, kappa):
     s = (m.sigma0 * np.exp(-kappa * chis))[:, None]
     v = m.v0 + np.array([-1.5 + 0.2j, 0.0, 2.0 - 0.1j])
     for u in (1.0, 2.5 - 1.5j, 20.0 - 2.5j):
-        co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
-        want = np.exp(_looped_exponent(co, chis, s, v))
-        got = np.broadcast_to(hk._z0_slices(co, chis)(s, v), want.shape)
+        u = complex(u)
+        want = np.exp(_looped_exponent(m, MODE_AFFINE, u, chis, s, v))
+        got = np.broadcast_to(hk._z0_slices(m, MODE_AFFINE, u, chis)(s, v), want.shape)
         assert np.array_equal(got, want), u
-        co = coeffs_paper(u, m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = hk._z0_slices(co, chis)(s, v)
-        expo = _looped_exponent(co, chis, s, v)
+            got = hk._z0_slices(m, MODE_PAPER, u, chis)(s, v)
+        expo = _looped_exponent(m, MODE_PAPER, u, chis, s, v)
         scale = np.abs(np.exp(expo)) * np.maximum(1.0, np.abs(expo))
         assert np.all(np.abs(got - np.exp(expo)) <= 1e-15 * scale), u
     with pytest.raises(ValueError, match="nonnegative"):
-        co.beta_bar(np.array([0.1, -1e-3]))
+        cfm._z0_coefficients(u, m, MODE_PAPER, np.array([0.1, -1e-3]))
 
 
-def _six_leg_integrand(m, co, cfg, tables, t, sigma, v, chis):
+def _six_leg_integrand(m, u, cfg, tables, t, sigma, v, chis):
     """_z1_integrand with the full six-leg Phi1 stencil written out: the mixed
     difference is formed even where the z0 slice ignores v."""
     x_h, w_h = hk._hermite_rule(cfg.hermite_n)
-    s_tr, nodes, pref = hk._flow_state(m, co.u, tables, t, sigma, v, chis, x_h)
+    s_tr, nodes, pref = hk._flow_state(m, u, tables, t, sigma, v, chis, x_h)
     s = s_tr[..., None]
     hs = cfg.sigma_step * np.maximum(1.0, np.abs(s))
     hv = cfg.v_step * np.maximum(1.0, np.abs(nodes))
     nu, mr = hk._nu_m(m, chis)
-    z0 = hk._z0_slices(co, chis)
+    z0 = hk._z0_slices(m, cfg.mode, u, chis)
     f_sv = (z0(s + hs, nodes + hv) - z0(s + hs, nodes - hv)
             - z0(s - hs, nodes + hv) + z0(s - hs, nodes - hv)) / (4.0 * hs * hv)
     f_s = (z0(s + hs, nodes) - z0(s - hs, nodes)) / (2.0 * hs)
-    src = nu * nu * s * f_sv + (1j * co.u * m.rho * nu * s - mr * nodes) * s * f_s
+    src = nu * nu * s * f_sv + (1j * u * m.rho * nu * s - mr * nodes) * s * f_s
     return pref * (src @ w_h)
 
 
-def _fused_leg_z2(m, co, cfg, tables):
+def _fused_leg_z2(m, u, cfg, tables):
     """z2 with the inner z1 field on one fused batch of 6 x hermite_n states,
     one per (stencil leg, Hermite node), in blocks of 8 inner nodes."""
     T = m.t_mat
     x_h, w_h = hk._hermite_rule(cfg.hermite_n)
     chis, wts = cfm._power_nodes(0.0, T, m.h, cfg.z2_panels + 6, 10)
-    s_tr, nodes, pref = hk._flow_state(m, co.u, tables, 0.0, m.sigma0, m.v0, chis, x_h)
+    s_tr, nodes, pref = hk._flow_state(m, u, tables, 0.0, m.sigma0, m.v0, chis, x_h)
     s_tr = s_tr[:, None]
     hs = cfg.sigma_step * np.maximum(1.0, np.abs(s_tr))
     hv = cfg.v_step * np.maximum(1.0, np.abs(nodes))
     nu, mr = hk._nu_m(m, chis)
-    src = np.broadcast_to(hk._stencil_phi2(hk._z0_slices(co, chis), nu, s_tr, nodes, hs),
-                          nodes.shape).copy()
+    src = np.broadcast_to(hk._stencil_phi2(hk._z0_slices(m, cfg.mode, u, chis), nu, s_tr,
+                                           nodes, hs), nodes.shape).copy()
     nh = len(x_h)
     for j, chi in enumerate(chis):
         sj, hsj, hvj, vj = s_tr[j, 0], hs[j, 0], hv[j], nodes[j]
@@ -750,12 +760,12 @@ def _fused_leg_z2(m, co, cfg, tables):
         sb = np.repeat([a for a, _ in legs], nh)
         vb = np.concatenate([b for _, b in legs])
         inner, iw = cfm._power_nodes(chi, T, m.h, cfg.z2_panels, 8)
-        f = sum(_six_leg_integrand(m, co, cfg, tables, chi, sb, vb, inner[i:i + 8])
+        f = sum(_six_leg_integrand(m, u, cfg, tables, chi, sb, vb, inner[i:i + 8])
                 @ iw[i:i + 8] for i in range(0, len(inner), 8)).reshape(6, nh)
         f_sv = (f[0] - f[1] - f[2] + f[3]) / (4.0 * hsj * hvj)
         f_s = (f[4] - f[5]) / (2.0 * hsj)
         src[j] += nu[j] * nu[j] * sj * f_sv \
-            + (1j * co.u * m.rho * nu[j] * sj - mr[j] * vj) * sj * f_s
+            + (1j * u * m.rho * nu[j] * sj - mr[j] * vj) * sj * f_s
     return complex(wts @ (pref * (src @ w_h)))
 
 
@@ -766,9 +776,8 @@ def test_z2_two_sigma_grid_is_bitwise_the_fused_batch(table1, mode, panels, herm
     cfg = hk.KernelConfig(mode=mode, z2_panels=panels, hermite_n=hermite_n)
     tables = cfm._flow_tables(table1)
     for u in (1.0, 2.5 - 1.5j):
-        co = cfm._coeffs_for(complex(u), table1, mode)
-        assert hk._z2_point(table1, co, cfg, tables) == \
-            _fused_leg_z2(table1, co, cfg, tables), u
+        u = complex(u)
+        assert hk._z2_point(table1, u, cfg, tables) == _fused_leg_z2(table1, u, cfg, tables), u
 
 
 @pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
@@ -784,15 +793,15 @@ def test_z1_integrand_is_bitwise_the_six_leg_stencil(table1, mode):
     sg = np.array([[0.31], [0.29]])
     vg = np.array([[4.0 + 0.1j, 5.0, 6.0 - 0.2j]])
     for u in (1.0, 2.5 - 1.5j):
-        co = cfm._coeffs_for(complex(u), table1, mode)
-        assert hk._z0_slices(co, chis).v_free == (mode == MODE_AFFINE)
-        got = hk._z1_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
+        u = complex(u)
+        assert hk._z0_slices(table1, mode, u, chis).v_free == (mode == MODE_AFFINE)
+        got = hk._z1_integrand(table1, u, cfg, tables, 0.0, table1.sigma0,
                                 table1.v0, chis)
-        want = _six_leg_integrand(table1, co, cfg, tables, 0.0, table1.sigma0,
+        want = _six_leg_integrand(table1, u, cfg, tables, 0.0, table1.sigma0,
                                   table1.v0, chis)
         assert np.array_equal(got, want), u
-        got = hk._z1_integrand(table1, co, cfg, tables, t, sg, vg, inner, tables(t))
-        want = _six_leg_integrand(table1, co, cfg, tables, t, sg, vg, inner)
+        got = hk._z1_integrand(table1, u, cfg, tables, t, sg, vg, inner, tables(t))
+        want = _six_leg_integrand(table1, u, cfg, tables, t, sg, vg, inner)
         assert got.shape == (2, 3, len(inner))
         assert np.array_equal(got, want), u
 
@@ -817,11 +826,11 @@ def test_affine_moment_form_matches_the_hermite_stencil_kernel(table1, name, cf_
     cf_settings(_Z2_PANELS=3)
     kcfg = hk.KernelConfig(mode=MODE_AFFINE, z2_panels=3)
     for u in _MOMENT_FORM_US:
-        co = cfm._coeffs_for(complex(u), m, MODE_AFFINE)
-        want = hk._z1_value(m, co, kcfg, tables)
-        assert abs(cfm._z1(m, co) - want) <= 1e-11 * abs(want), u
-        want = hk._z2_point(m, co, kcfg, tables)
-        assert abs(cfm._z2(m, co) - want) <= 1e-11 * abs(want), u
+        u = complex(u)
+        want = hk._z1_value(m, u, kcfg, tables)
+        assert abs(cfm._z1(m, MODE_AFFINE, u) - want) <= 1e-11 * abs(want), u
+        want = hk._z2_point(m, u, kcfg, tables)
+        assert abs(cfm._z2(m, MODE_AFFINE, u) - want) <= 1e-11 * abs(want), u
 
 
 def test_affine_moment_form_honours_the_z2_panels(table1, cf_settings):
@@ -829,22 +838,22 @@ def test_affine_moment_form_honours_the_z2_panels(table1, cf_settings):
     # 2.3e-5 (u = 5) relative; the moment form follows the kernel on both
     tables = cfm._flow_tables(table1)
 
-    def z2(co, panels):
+    def z2(u, panels):
         cf_settings(_Z2_PANELS=panels)
-        return cfm._z2(table1, co)
+        return cfm._z2(table1, MODE_AFFINE, u)
 
     for u in (5.0, 2.5 - 1.5j):
-        co = cfm._coeffs_for(complex(u), table1, MODE_AFFINE)
-        want = hk._z2_point(table1, co, hk.KernelConfig(mode=MODE_AFFINE, z2_panels=16), tables)
-        got = z2(co, 16)
+        u = complex(u)
+        want = hk._z2_point(table1, u, hk.KernelConfig(mode=MODE_AFFINE, z2_panels=16), tables)
+        got = z2(u, 16)
         assert abs(got - want) <= 1e-11 * abs(want), u
-        assert abs(got - z2(co, 3)) > 1e-6 * abs(want), u
+        assert abs(got - z2(u, 3)) > 1e-6 * abs(want), u
 
 
-def _kernel_limit(term, m, co, steps, **knobs):
+def _kernel_limit(term, m, u, steps, **knobs):
     """The kernel's paper-mode value Richardson-extrapolated over the v
     steps (h, h / 2): its v difference has an O(h^2) bias."""
-    f1, f2 = (term(m, co, hk.KernelConfig(mode=MODE_PAPER, v_step=h, **knobs),
+    f1, f2 = (term(m, u, hk.KernelConfig(mode=MODE_PAPER, v_step=h, **knobs),
                    cfm._flow_tables(m)) for h in steps)
     return (4.0 * f2 - f1) / 3.0
 
@@ -862,9 +871,9 @@ def test_paper_z1_is_the_kernel_limit(table1):
         for u in _MOMENT_FORM_US:
             if m.t_mat == 2.0 and u in (5.0, 20.0 - 2.5j):
                 continue
-            co = cfm._coeffs_for(complex(u), m, MODE_PAPER)
-            want = _kernel_limit(hk._z1_value, m, co, (1e-3, 5e-4), hermite_n=40)
-            assert abs(cfm._z1(m, co) - want) <= 1e-9 * abs(want), (m, u)
+            u = complex(u)
+            want = _kernel_limit(hk._z1_value, m, u, (1e-3, 5e-4), hermite_n=40)
+            assert abs(cfm._z1(m, MODE_PAPER, u) - want) <= 1e-9 * abs(want), (m, u)
 
 
 def test_paper_z2_is_the_kernel_limit(table1, cf_settings):
@@ -875,9 +884,9 @@ def test_paper_z2_is_the_kernel_limit(table1, cf_settings):
     m = _moment_form_models(table1)["ref"]
     cf_settings(_Z2_PANELS=2)
     for u in (1.0, 2.5 - 1.5j):
-        co = cfm._coeffs_for(complex(u), m, MODE_PAPER)
-        want = _kernel_limit(hk._z2_point, m, co, (4e-3, 2e-3), z2_panels=2)
-        assert abs(cfm._z2(m, co) - want) <= 2e-7 * abs(want), u
+        u = complex(u)
+        want = _kernel_limit(hk._z2_point, m, u, (4e-3, 2e-3), z2_panels=2)
+        assert abs(cfm._z2(m, MODE_PAPER, u) - want) <= 2e-7 * abs(want), u
 
 
 def test_paper_z1_refusal_is_the_time_rule(table1):
@@ -1022,7 +1031,7 @@ def test_z1_halving_is_decided_per_frequency(table1, monkeypatch, cf_settings):
 
     def z1(us):
         calls.clear()
-        val = cfm._z1(table1, cfm._coeffs_for(np.array(us, dtype=complex), table1, MODE_AFFINE))
+        val = cfm._z1(table1, MODE_AFFINE, np.array(us, dtype=complex))
         return val, len(calls)
 
     (halved, n_halved), (direct, n_direct) = z1([1.0]), z1([20.0 - 2.5j])
@@ -1059,14 +1068,14 @@ def test_z2_batches_stay_within_the_block(table1, monkeypatch, cf_settings):
     sizes, batches = [], []
     z2, field = cfm._z2, cfm._z1_field
 
-    def counting_z2(model, co):
-        sizes.append(np.size(co.u))
-        return z2(model, co)
+    def counting_z2(model, mode, u):
+        sizes.append(np.size(u))
+        return z2(model, mode, u)
 
-    def counting_field(model, co, t, *rest):
+    def counting_field(model, mode, u, t, *rest):
         if np.ndim(t) == 2:  # z2's outer nodes, (nodes, 1)
-            batches.append(np.size(co.u) * np.shape(t)[0])
-        return field(model, co, t, *rest)
+            batches.append(np.size(u) * np.shape(t)[0])
+        return field(model, mode, u, t, *rest)
 
     monkeypatch.setattr(cfm, "_z2", counting_z2)
     monkeypatch.setattr(cfm, "_z1_field", counting_field)
@@ -1085,7 +1094,7 @@ def test_cf_values_refuse_a_scalar_or_a_grid(table1):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_non_finite_frequencies_are_refused(table1, order):
-    # every coefficient set is built through charfn._frequencies, which
+    # every zero-order coefficient is built through charfn._frequencies, which
     # names the bad u before any arithmetic: at order 0 a NaN once came back
     # as nan+nanj, and at orders 1 and 2 the z1 time rule took the blame
     cfg = CorrectionConfig(order=order)
@@ -1144,6 +1153,12 @@ def test_residual_constant_function_is_exact(table1):
     st_ = pde_residual(lambda t, s, v: 1.0 + 0.0j, 0.0, table1, pts)
     assert st_.max_abs == 0.0
     assert st_.n_points == len(pts)
+
+
+def test_residual_refuses_an_empty_probe(table1):
+    # no sample point once read as a perfect residual, 0 over 0 points
+    with pytest.raises(ValueError, match="at least one sample point"):
+        pde_residual(lambda t, s, v: 1.0 + 0.0j, 0.0, table1, [])
 
 
 def test_residual_rejects_origin_points(table1):

@@ -299,7 +299,6 @@ def test_every_default_has_a_product_caller():
 # public names that no other module and no README example reads, each with
 # the reason it stays public
 PUBLIC_WITHOUT_READER = {
-    "charfn.CfCoefficients": "coeffs_paper and coeffs_affine_ode return it",
     "charfn.ResidualStats": "pde_residual returns it",
     "model.SmallParamReport": "small_param_check returns it",
     "montecarlo.PathStats": "mc_prices and mc_quadratic_variation return it",

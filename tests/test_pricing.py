@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -358,6 +359,20 @@ def test_implied_vol_round_trip_property(vol, money):
     price = bs_price(spot, strike, r, q, vol * vol * T, T)
     iv = implied_vol(price, spot, strike, r, q, T)
     assert iv == pytest.approx(vol, abs=1e-8)
+
+
+def test_implied_vol_round_trips_a_deep_out_of_the_money_call():
+    # spot 1, vol 0.2, T 0.5: the exact prices at K = 2.5 and 3 (1.5e-12
+    # and 1.2e-16) lie in the lower tails of both CDF terms, where an
+    # erf-based CDF read the vol as 0.2000000353 and 0.198814
+    spot, vol, T = 1.0, 0.2, 0.5
+    with mp.workdps(40):
+        for strike in (2.5, 3.0):
+            s = mp.mpf(vol) * mp.sqrt(T)
+            d1 = (mp.log(mp.mpf(spot) / strike) + s * s / 2) / s
+            price = float(spot * mp.ncdf(d1) - strike * mp.ncdf(d1 - s))
+            iv = implied_vol(price, spot, strike, 0.0, 0.0, T)
+            assert abs(iv - vol) <= 1e-12 * vol, strike
 
 
 def test_implied_vol_rejects_prices_outside_bounds():
