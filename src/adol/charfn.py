@@ -88,7 +88,10 @@ class ResidualStats:
 def _frequencies(u) -> complex | np.ndarray:
     """A frequency as a complex, or an array of them as a complex array;
     every zero-order coefficient is built through here, so a non-finite
-    frequency is refused before any arithmetic meets it."""
+    frequency is refused before any arithmetic meets it.  A finite lone
+    frequency skips numpy: zero_order_fn's function comes here per call."""
+    if isinstance(u, (complex, float, int, np.number)) and cmath.isfinite(u):
+        return complex(u)
     u = complex(u) if np.ndim(u) == 0 else np.asarray(u, dtype=complex)
     finite = np.isfinite(u)
     if not finite.all():
@@ -578,7 +581,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
+def _power_nodes(lo, hi: float, h: float, n_pan: int,
                  gl_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Panel Gauss-Legendre nodes for time integrals carrying nu powers.
 
@@ -589,17 +592,19 @@ def _power_nodes(lo: float, hi: float, h: float, n_pan: int,
     second-order term at u = 5 moves the CF by 0, 6.2e-9 and 9.8e-9 at 10,
     20 and 40 panels against 1.3e-8 converged.
 
-    The Gauss-Legendre rule itself is built once per size (_legendre_rule):
-    z2 asks for these nodes once per outer node, on a new interval each time.
+    lo is a float or a 1-d array of lower ends, one row of nodes and weights
+    per end (shape np.shape(lo) + (n_pan * gl_n,)), each bitwise the call on
+    that end alone: z2 builds all its outer nodes' inner nodes in one call.
     """
     p = 2.0 * h
     beta = 1.0 / p
     gx, gw = _legendre_rule(gl_n)
-    z_edges = np.linspace(lo ** p, hi ** p, n_pan + 1)
-    mid = 0.5 * (z_edges[1:] + z_edges[:-1])
-    half = 0.5 * (z_edges[1:] - z_edges[:-1])
-    z = (mid[:, None] + half[:, None] * gx).ravel()
-    w = (half[:, None] * gw).ravel()
+    # np.power, not **: a float end then rounds as an array's entries do
+    z_edges = np.linspace(np.power(lo, p), hi ** p, n_pan + 1, axis=-1)
+    mid = 0.5 * (z_edges[..., 1:] + z_edges[..., :-1])
+    half = 0.5 * (z_edges[..., 1:] - z_edges[..., :-1])
+    z = (mid[..., None] + half[..., None] * gx).reshape(np.shape(lo) + (-1,))
+    w = (half[..., None] * gw).reshape(z.shape)
     return z ** beta, w * beta * z ** (beta - 1.0)
 
 
@@ -613,20 +618,20 @@ def _z2_nodes(model: AdolModel, panels: int):
     tables there.  Order 2 alone builds it."""
     T = model.t_mat
     chis, wts = _power_nodes(0.0, T, model.h, panels + 6, 10)
-    inner, iw = (np.array(a) for a in zip(*(_power_nodes(chi, T, model.h, panels, 8)
-                                             for chi in chis)))
+    inner, iw = _power_nodes(chis, T, model.h, panels, 8)
     at_in = tuple(col.reshape(inner.shape) for col in _tables_at(model, inner.ravel()))
     return chis, wts, _tables_at(model, chis), inner, iw, at_in
 
 
 # outer nodes times frequencies per batch of z2's z1 field, whose terms carry
-# two leg axes: the peak RSS of `adol cf --check` at order 2 (10 panels, 160
-# outer nodes, one u per call) read 32.5, 32.6 and 33.2 MB at 8, 10 and 16
-# outer nodes (medians of 14 processes), at equal wall time within the noise.
-# cf_values hands _z2 at most _Z2_BLOCK frequencies per call and _z2 takes
-# at least one outer node per batch, so a batch never holds more than
-# _Z2_BLOCK outer nodes times frequencies
-_Z2_BLOCK = 10
+# two leg axes.  On the cf_o2 benchmark config (10 panels, 160 outer nodes,
+# 5 u; one BLAS thread) the bound 10 / 16 / 20 / 40 gave `adol cf --check` a
+# peak RSS of 32.5 / 32.7 / 33.1 / 34.1 MB (medians of 15 processes) and
+# _z2 on the 5 u 26 / 24 / 22 / 20 ms in process; z2 is bitwise the same at
+# any bound.  cf_values hands _z2 at most _Z2_BLOCK frequencies per call and
+# _z2 takes at least one outer node per batch, so a batch never holds more
+# than _Z2_BLOCK outer nodes times frequencies
+_Z2_BLOCK = 20
 
 
 def _z2(model: AdolModel, mode: str, u):

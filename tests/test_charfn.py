@@ -8,6 +8,7 @@ exact derivatives.  The engine must reproduce it through its
 finite-difference stencil route.
 """
 
+import bisect
 import cmath
 import math
 import warnings
@@ -545,8 +546,11 @@ def test_first_order_kernel_refuses_missed_tolerance(table1, cf_settings):
 
 
 class _AdaptiveFlow:
-    """The flow transforms, each integrated adaptively from 0 at every s.
-    Values are kept by s: adaptive bisection revisits the same nodes."""
+    """The flow transforms, each integrated adaptively up to every s.  Values
+    are kept by s, as adaptive bisection revisits the same nodes, and a new s
+    adds the integral from the nearest s already held (0 at the start): the
+    outer rule visits thousands of times, and each integral from 0 would
+    cover the whole of [0, s] again."""
 
     def __init__(self, m: AdolModel):
         c = m.constants
@@ -557,12 +561,18 @@ class _AdaptiveFlow:
         )
         self.spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13,
                                    max_subdivisions=4000)
-        self.seen: dict[float, tuple[float, float]] = {}
+        self.seen: dict[float, tuple[float, float]] = {0.0: (0.0, 0.0)}
+        self.times = [0.0]  # the keys of seen, sorted
 
     def at(self, s: float) -> tuple[float, float]:
         if s not in self.seen:
-            self.seen[s] = tuple(integrate_adaptive(d, 0.0, s, self.spec).real
-                                 for d in self.ders)
+            i = bisect.bisect(self.times, s)
+            t0 = min(self.times[max(i - 1, 0):i + 1], key=lambda t: abs(t - s))
+            sign = 1.0 if t0 < s else -1.0
+            self.seen[s] = tuple(v + sign * integrate_adaptive(d, min(t0, s), max(t0, s),
+                                                                self.spec).real
+                                 for v, d in zip(self.seen[t0], self.ders))
+            self.times.insert(i, s)
         return self.seen[s]
 
     def __call__(self, s):
@@ -1086,6 +1096,33 @@ def test_z2_batches_stay_within_the_block(table1, monkeypatch, cf_settings):
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), np.abs(got - want) / np.abs(want)
 
 
+@pytest.mark.parametrize("mode", [MODE_AFFINE, MODE_PAPER])
+def test_z2_does_not_depend_on_its_batching(table1, cf_settings, mode):
+    # _Z2_BLOCK bounds only how many outer nodes one batch of z2's z1 field
+    # holds: every outer node's sum is the same arithmetic at any bound
+    us = np.array([1.0, 2.5, 5.0, 0.5 - 2.5j, 20.0 - 2.5j, 2.5 - 1.5j])
+    values = []
+    for block in (1, 10, 20, 40):
+        cf_settings(_Z2_BLOCK=block)
+        values.append(cfm._z2(table1, mode, us))
+    for block, got in zip((10, 20, 40), values[1:]):
+        assert np.array_equal(got, values[0]), (block, got - values[0])
+
+
+def test_power_nodes_take_an_array_of_lower_ends(table1):
+    # z2 builds the inner nodes of all its outer nodes in one call: each row
+    # is bitwise the call on that row's lower end, and a float end gives 1-d
+    # nodes and weights
+    T, h = table1.t_mat, table1.h
+    chis, _ = cfm._power_nodes(0.0, T, h, cfm._Z2_PANELS + 6, 10)
+    inner, iw = cfm._power_nodes(chis, T, h, cfm._Z2_PANELS, 8)
+    assert inner.shape == iw.shape == (len(chis), cfm._Z2_PANELS * 8)
+    for chi, row, wrow in zip(chis, inner, iw):
+        nodes, weights = cfm._power_nodes(chi, T, h, cfm._Z2_PANELS, 8)
+        assert nodes.ndim == weights.ndim == 1
+        assert np.array_equal(nodes, row) and np.array_equal(weights, wrow), chi
+
+
 def test_cf_values_refuse_a_scalar_or_a_grid(table1):
     for bad in (1.0, np.ones((2, 2))):
         with pytest.raises(ValueError, match="1-d array"):
@@ -1096,9 +1133,12 @@ def test_cf_values_refuse_a_scalar_or_a_grid(table1):
 def test_non_finite_frequencies_are_refused(table1, order):
     # every zero-order coefficient is built through charfn._frequencies, which
     # names the bad u before any arithmetic: at order 0 a NaN once came back
-    # as nan+nanj, and at orders 1 and 2 the z1 time rule took the blame
+    # as nan+nanj, and at orders 1 and 2 the z1 time rule took the blame.  A
+    # lone frequency, Python's or numpy's, skips the array check but not the
+    # refusal, which names it as the array check would
     cfg = CorrectionConfig(order=order)
-    for bad in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)):
+    for bad in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0),
+                np.float64(-math.inf), np.complex128(complex(2.0, math.nan))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="frequencies must be finite"):
@@ -1106,8 +1146,11 @@ def test_non_finite_frequencies_are_refused(table1, order):
             for mode in (MODE_AFFINE, MODE_PAPER):
                 with pytest.raises(ValueError, match="frequencies must be finite"):
                     cf_zero(bad, table1, mode)
-                with pytest.raises(ValueError, match="frequencies must be finite"):
+                with pytest.raises(ValueError, match="frequencies must be finite") as lone:
                     zero_order_fn(bad, table1, mode)
+                with pytest.raises(ValueError) as batch:
+                    cf_zero(np.array([bad]), table1, mode)
+                assert str(lone.value) == str(batch.value), (bad, mode)
 
 
 def test_correction_guards(table1):
