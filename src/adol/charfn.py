@@ -28,11 +28,10 @@ clock, summed as the power series it equals.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "CorrectionConfig",
     "ResidualStats",
     "cf_zero",
-    "zero_order_fn",
     "j_state",
     "j_integral",
     "j_closed",
@@ -88,10 +86,7 @@ class ResidualStats:
 def _frequencies(u) -> complex | np.ndarray:
     """A frequency as a complex, or an array of them as a complex array;
     every zero-order coefficient is built through here, so a non-finite
-    frequency is refused before any arithmetic meets it.  A finite lone
-    frequency skips numpy: zero_order_fn's function comes here per call."""
-    if isinstance(u, (complex, float, int, np.number)) and cmath.isfinite(u):
-        return complex(u)
+    frequency is refused before any arithmetic meets it."""
     u = complex(u) if np.ndim(u) == 0 else np.asarray(u, dtype=complex)
     finite = np.isfinite(u)
     if not finite.all():
@@ -186,19 +181,6 @@ def cf_zero(u, model: AdolModel, mode: str = MODE_AFFINE) -> complex | np.ndarra
     """Zero-order CF value at inception (x = 0), at a frequency or at each
     of a 1-d array of them."""
     return _cf_zero(u, model, mode)
-
-
-def zero_order_fn(u: complex, model: AdolModel,
-                  mode: str = MODE_AFFINE) -> Callable[[float, float, float], complex]:
-    """The zero-order solution as a function of (t, sigma, v), for residual
-    checks; a bad u, mode or H is refused here, not at the first call."""
-    _z0_coefficients(u, model, mode, model.t_mat)
-
-    def fn(t: float, sigma: float, v: float) -> complex:
-        a, g, b = _z0_coefficients(u, model, mode, t)
-        return cmath.exp(a + g * sigma * sigma + b * sigma * v)
-
-    return fn
 
 
 # --------------------------------------------------------------------------
@@ -725,43 +707,46 @@ def cf_total(u: complex, model: AdolModel,
 # --------------------------------------------------------------------------
 
 _RESIDUAL_STEP = 2e-4  # relative step of the residual's central differences
+# the stencil's legs in steps of (t, sigma, v): the point, each +- and the sigma-v corners
+_STENCIL = np.array([[0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+                     [0, 0, 0, 1, -1, 0, 0, 1, 1, -1, -1],
+                     [0, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1]], dtype=float)[..., None]
 
 
-def pde_residual(cf_fn: Callable[[float, float, float], complex], u: complex,
-                 model: AdolModel,
-                 sample_points: Sequence[tuple[float, float, float]]) -> ResidualStats:
-    """Finite-difference residual of the pricing equation for z(t, sigma, v).
-
-    Every term is built from central differences; per point the absolute
-    residual is normalized by the largest single term so the statistic is
-    scale-free.  An empty probe is refused: it would report no residual.
-    """
-    n = len(sample_points)
-    if n == 0:
+def pde_residual(u: complex, model: AdolModel, mode: str, sample_points) -> ResidualStats:
+    """Finite-difference residual of the pricing equation for the zero order
+    z at frequency u in the given mode, at each row (t, sigma, v) of the
+    (n, 3) array-like sample_points, scaled per point by its largest term.
+    Every term is a central difference, and all points' stencils take one
+    coefficient call.  An empty probe is refused, as it would report no
+    residual; a z or a term out of float range raises OverflowError."""
+    pts = np.asarray(sample_points, dtype=float)
+    if pts.size == 0:
         raise ValueError("pde_residual needs at least one sample point")
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"sample points must be an (n, 3) array, got shape {pts.shape}")
     u = complex(u)
-    c = model.constants
+    t, s, v = pts.T
+    if not (t > 0.0).all():
+        raise ValueError(f"sample times must be positive, got t = {t[~(t > 0.0)][0]}")
+    # relative steps: to t, so that no leg reaches the origin, and to
+    # max(1, |x|) in sigma and v
+    ht, hs, hv = steps = _RESIDUAL_STEP * np.vstack([t, np.maximum(1.0, np.abs(pts[:, 1:].T))])
     kappa, xi, rho = model.kappa, model.xi, model.rho
-    max_r, sum_r = 0.0, 0.0
-    for (t, s, v) in sample_points:
-        ht = _RESIDUAL_STEP * max(1.0, abs(t))
-        hs = _RESIDUAL_STEP * max(1.0, abs(s))
-        hv = _RESIDUAL_STEP * max(1.0, abs(v))
-        if t - ht <= 0.0:
-            raise ValueError(f"sample point t={t} too close to the origin for step {ht}")
-        z = cf_fn(t, s, v)
-        z_t = (cf_fn(t + ht, s, v) - cf_fn(t - ht, s, v)) / (2.0 * ht)
-        z_up, z_dn = cf_fn(t, s + hs, v), cf_fn(t, s - hs, v)
-        z_ss = (z_up - 2.0 * z + z_dn) / (hs * hs)
-        z_s = (z_up - z_dn) / (2.0 * hs)
-        z_vp, z_vm = cf_fn(t, s, v + hv), cf_fn(t, s, v - hv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt, ss, vv = pts.T[:, None] + _STENCIL * steps[:, None]
+        a, g, b = _z0_coefficients(u, model, mode, tt)
+        z, z_tp, z_tm, z_sp, z_sm, z_vp, z_vm, z_pp, z_pm, z_mp, z_mm = \
+            np.exp(a + g * ss * ss + b * ss * vv)
+        z_t = (z_tp - z_tm) / (2.0 * ht)
+        z_ss = (z_sp - 2.0 * z + z_sm) / (hs * hs)
+        z_s = (z_sp - z_sm) / (2.0 * hs)
         z_vv = (z_vp - 2.0 * z + z_vm) / (hv * hv)
         z_v = (z_vp - z_vm) / (2.0 * hv)
-        z_sv = (cf_fn(t, s + hs, v + hv) - cf_fn(t, s + hs, v - hv)
-                - cf_fn(t, s - hs, v + hv) + cf_fn(t, s - hs, v - hv)) / (4.0 * hs * hv)
-        nu = nu_t(t, c)
+        z_sv = (z_pp - z_pm - z_mp + z_mm) / (4.0 * hs * hv)
+        nu = nu_t(t, model.constants)
         m = m_t(t, model)
-        terms = (
+        terms = np.array([
             z_t,
             0.5 * xi * xi * nu * nu * s * s * z_ss,
             0.5 * nu * nu * z_vv,
@@ -769,9 +754,8 @@ def pde_residual(cf_fn: Callable[[float, float, float], complex], u: complex,
             (-(kappa + xi * m * v) + 1j * u * rho * xi * nu * s) * s * z_s,
             (1j * u * rho * nu * s - m * v) * z_v,
             (-0.5 * u * (1j + u) * s * s + 1j * u * (model.r - model.q)) * z,
-        )
-        scale = max(abs(term) for term in terms)
-        res = abs(sum(terms)) / max(scale, 1e-300)
-        max_r = max(max_r, res)
-        sum_r += res
-    return ResidualStats(max_abs=max_r, mean_abs=sum_r / n, n_points=n)
+        ])
+        res = np.abs(terms.sum(axis=0)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
+    if not np.isfinite(res).all():
+        raise OverflowError(f"the zero order at u = {u} left float range on the probe")
+    return ResidualStats(float(res.max()), float(res.mean()), len(res))

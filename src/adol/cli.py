@@ -3,7 +3,7 @@
 Every command is deterministic given its config; re-runs are byte-identical
 except for the timestamp carried in the single '#' metadata line of each
 CSV.  Exit codes: 0 success, 1 config/validation error, 2 numerical
-failure, 3 tolerance breach in --check mode.
+failure or exhausted memory, 3 tolerance breach in --check mode.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .charfn import (MODE_AFFINE, MODE_PAPER, CorrectionConfig, _j_integrand,
                      _unit_response, cf_values, cf_zero, j_closed, j_integral, j_state,
-                     pde_residual, tau_closed_gap, zero_order_fn)
+                     pde_residual, tau_closed_gap)
 from .do_process import do_constants
 from .model import XI_MARGIN, AdolModel, f_ht, small_param_check
 from .montecarlo import (McSpec, Paths, _grid, _qv_indices, mc_prices,
@@ -437,41 +437,33 @@ def cmd_mc(cfg: dict, out_dir: Path, check: bool, *,
 
 def cmd_ledger(cfg: dict, out_dir: Path, check: bool) -> int:
     model = _model_from(cfg)
-    breaches = 0
-    grid = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0]
-    gaps = []
-    for u in grid:
-        za = cf_zero(u, model, MODE_AFFINE)
-        zp = cf_zero(u, model, MODE_PAPER) if model.h < 0.5 else complex("nan")
-        gaps.append({"u": u, MODE_AFFINE: [za.real, za.imag],
-                     MODE_PAPER: [zp.real, zp.imag], "gap_abs": abs(za - zp)})
+    modes = (MODE_AFFINE, MODE_PAPER) if model.h < 0.5 else (MODE_AFFINE,)
+    grid = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+    za = cf_zero(grid, model, MODE_AFFINE)
+    zp = (cf_zero(grid, model, MODE_PAPER) if MODE_PAPER in modes
+          else np.full(grid.shape, complex("nan")))
+    gaps = [{"u": u, MODE_AFFINE: [a.real, a.imag], MODE_PAPER: [p.real, p.imag],
+             "gap_abs": abs(a - p)} for u, a, p in zip(grid.tolist(), za, zp)]
     T = model.t_mat
     pts = [(t, s, v)
            for t in (0.3 * T, 0.6 * T, 0.9 * T)
            for s in (0.7 * model.sigma0, model.sigma0, 1.3 * model.sigma0)
            for v in (0.5 * model.v0, model.v0)]
-    res = {}
-    for mode in (MODE_AFFINE, MODE_PAPER):
-        if mode == MODE_PAPER and model.h >= 0.5:
-            continue
-        fn = zero_order_fn(1.0, model, mode)
-        st = pde_residual(fn, 1.0, model, pts)
-        res[mode] = {"max": st.max_abs, "mean": st.mean_abs, "points": st.n_points}
-    if model.xi == 0.0 and check and res[MODE_AFFINE]["max"] > 1e-6:
-        breaches += 1
-    tau_gap = tau_closed_gap(model) if model.h < 0.5 else math.nan
+    stats = {mode: pde_residual(1.0, model, mode, pts) for mode in modes}
+    res = {mode: {"max": st.max_abs, "mean": st.mean_abs, "points": st.n_points}
+           for mode, st in stats.items()}
     doc = {
         "config": cfg,
         "zero_order_mode_gap": gaps,
         "pde_residuals": res,
-        "tau_closed_vs_quadrature_gap": tau_gap,
+        "tau_closed_vs_quadrature_gap": tau_closed_gap(model) if model.h < 0.5 else math.nan,
     }
     # strict JSON: NaN and the infinities are written as null
     doc = json.loads(json.dumps(doc, default=float), parse_constant=lambda _: None)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ledger.json").write_text(json.dumps(doc, indent=2, sort_keys=True,
                                                     allow_nan=False) + "\n")
-    return breaches
+    return int(model.xi == 0.0 and check and stats[MODE_AFFINE].max_abs > 1e-6)
 
 
 def cmd_check(cfg: dict, out_dir: Path, check: bool) -> int:
@@ -532,6 +524,9 @@ def main(argv=None) -> int:
         return 1
     except (QuadratureError, ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     if check and breaches:
         print(f"check: {breaches} tolerance breach(es)", file=sys.stderr)

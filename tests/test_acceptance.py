@@ -25,7 +25,6 @@ from adol.charfn import (
     j_state,
     pde_residual,
     tau_closed_gap,
-    zero_order_fn,
 )
 from adol.do_process import do_constants, nu_t
 from adol.model import m_t, small_param_check
@@ -202,9 +201,8 @@ def test_criterion_10_zero_order_solves_its_equation(table1, table1_xi0):
             float(rng.uniform(0.5 * m0.sigma0, 1.5 * m0.sigma0)),
             float(rng.uniform(0.5 * m0.v0, 1.5 * m0.v0)))
            for _ in range(100)]
-    res = pde_residual(zero_order_fn(1.0, m0, MODE_AFFINE), 1.0, m0, pts)
-    paper = pde_residual(zero_order_fn(1.0, table1, MODE_PAPER), 1.0,
-                         table1, pts)
+    res = pde_residual(1.0, m0, MODE_AFFINE, pts)
+    paper = pde_residual(1.0, table1, MODE_PAPER, pts)
     ok = res.max_abs <= 1e-6
     _report(10, ok, f"affine residual max {res.max_abs:.2e} at 100 random "
                     f"interior points; closed-form-mode residual "

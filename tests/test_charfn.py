@@ -32,7 +32,6 @@ from adol.charfn import (
     j_state,
     pde_residual,
     tau_closed_gap,
-    zero_order_fn,
 )
 from adol.do_process import nu_t
 from adol.model import AdolModel, m_t
@@ -82,9 +81,8 @@ def test_closed_form_gamma_pin(table1):
 def test_paper_mode_requires_rough(table1):
     with pytest.raises(ValueError):
         cfm._z0_coefficients(1.0, replace(table1, h=0.6), MODE_PAPER, 0.0)
-    # refused when the function is made, not at its first evaluation
     with pytest.raises(ValueError):
-        zero_order_fn(1.0, replace(table1, h=0.6), MODE_PAPER)
+        pde_residual(1.0, replace(table1, h=0.6), MODE_PAPER, _probe_points(table1))
 
 
 def test_affine_matches_lognormal_cf(table1_xi0):
@@ -131,13 +129,6 @@ def test_beta_bar_primitive_vs_quadrature(table1):
 
 
 # ------------------------------------------------------------- zero order
-
-def test_cf_zero_equals_inception_slice(table1):
-    for mode in (MODE_AFFINE, MODE_PAPER):
-        fn = zero_order_fn(1.7, table1, mode)
-        assert cf_zero(1.7, table1, mode) == pytest.approx(
-            fn(0.0, table1.sigma0, table1.v0), rel=1e-14)
-
 
 # admissible models for the zero-order properties; kappa = 0 is drawn
 # exactly, as it takes the limit branch of the closed form
@@ -1147,7 +1138,7 @@ def test_non_finite_frequencies_are_refused(table1, order):
                 with pytest.raises(ValueError, match="frequencies must be finite"):
                     cf_zero(bad, table1, mode)
                 with pytest.raises(ValueError, match="frequencies must be finite") as lone:
-                    zero_order_fn(bad, table1, mode)
+                    pde_residual(bad, table1, mode, _probe_points(table1))
                 with pytest.raises(ValueError) as batch:
                     cf_zero(np.array([bad]), table1, mode)
                 assert str(lone.value) == str(batch.value), (bad, mode)
@@ -1186,25 +1177,103 @@ def _probe_points(m: AdolModel):
 def test_residual_affine_deterministic_limit(table1_xi0):
     pts = _probe_points(table1_xi0)
     for u in (0.7, 1.0, 3.0):
-        fn = zero_order_fn(complex(u), table1_xi0, MODE_AFFINE)
-        st_ = pde_residual(fn, complex(u), table1_xi0, pts)
+        st_ = pde_residual(u, table1_xi0, MODE_AFFINE, pts)
         assert st_.max_abs <= 1e-6, u
 
 
 def test_residual_constant_function_is_exact(table1):
+    # at u = 0 every coefficient is 0, so z is the constant 1 at every leg
     pts = _probe_points(table1)
-    st_ = pde_residual(lambda t, s, v: 1.0 + 0.0j, 0.0, table1, pts)
-    assert st_.max_abs == 0.0
-    assert st_.n_points == len(pts)
+    for mode in (MODE_AFFINE, MODE_PAPER):
+        st_ = pde_residual(0.0, table1, mode, pts)
+        assert st_.max_abs == 0.0 and st_.mean_abs == 0.0, mode
+        assert st_.n_points == len(pts)
+
+
+def _residual_point_by_point(u, m, mode, points):
+    """The residual's max and mean from a loop over the points, each z leg
+    one scalar coefficient call and one cmath.exp, as pde_residual once
+    took them: the reference for its array form."""
+    def z(t, s, v):
+        a, g, b = cfm._z0_coefficients(u, m, mode, t)
+        return cmath.exp(a + g * s * s + b * s * v)
+
+    out = []
+    for t, s, v in points:
+        ht, hs, hv = 2e-4 * t, 2e-4 * max(1.0, abs(s)), 2e-4 * max(1.0, abs(v))
+        z0, z_sp, z_sm, z_vp, z_vm = z(t, s, v), z(t, s + hs, v), z(t, s - hs, v), \
+            z(t, s, v + hv), z(t, s, v - hv)
+        z_sv = (z(t, s + hs, v + hv) - z(t, s + hs, v - hv) - z(t, s - hs, v + hv)
+                + z(t, s - hs, v - hv)) / (4.0 * hs * hv)
+        nu, mt = nu_t(t, m.constants), m_t(t, m)
+        terms = [
+            (z(t + ht, s, v) - z(t - ht, s, v)) / (2.0 * ht),
+            0.5 * m.xi ** 2 * nu * nu * s * s * (z_sp - 2.0 * z0 + z_sm) / (hs * hs),
+            0.5 * nu * nu * (z_vp - 2.0 * z0 + z_vm) / (hv * hv),
+            m.xi * nu * nu * s * z_sv,
+            (-(m.kappa + m.xi * mt * v) + 1j * u * m.rho * m.xi * nu * s) * s
+            * (z_sp - z_sm) / (2.0 * hs),
+            (1j * u * m.rho * nu * s - mt * v) * (z_vp - z_vm) / (2.0 * hv),
+            (-0.5 * u * (1j + u) * s * s + 1j * u * (m.r - m.q)) * z0,
+        ]
+        out.append(abs(sum(terms)) / max(abs(term) for term in terms))
+    return max(out), sum(out) / len(out)
+
+
+def test_residual_matches_the_point_by_point_loop(table1):
+    # at xi = 0.05 both modes' residuals are far above rounding, so the
+    # array form must give the loop's values to rounding: an ulp of one z
+    # leg moves a second difference by eps / (2e-4)^2, about 6e-9 of it
+    pts = _probe_points(table1)
+    for mode in (MODE_AFFINE, MODE_PAPER):
+        for u in (1.0, 3.0 - 0.5j):
+            got = pde_residual(u, table1, mode, pts)
+            want = _residual_point_by_point(u, table1, mode, pts)
+            assert got.max_abs == pytest.approx(want[0], rel=1e-8), (mode, u)
+            assert got.mean_abs == pytest.approx(want[1], rel=1e-8), (mode, u)
+
+
+def test_residual_of_a_point_does_not_depend_on_the_others(table1):
+    # all points share one coefficient call and one array of stencil legs;
+    # each point's residual must still be its own
+    pts = _probe_points(table1)
+    for mode in (MODE_AFFINE, MODE_PAPER):
+        whole = pde_residual(1.0, table1, mode, pts)
+        alone = [pde_residual(1.0, table1, mode, [p]) for p in pts]
+        assert all(st_.n_points == 1 and st_.max_abs == st_.mean_abs for st_ in alone)
+        assert whole.max_abs == max(st_.max_abs for st_ in alone), mode
+        assert whole.mean_abs == pytest.approx(
+            sum(st_.mean_abs for st_ in alone) / len(pts), rel=1e-14), mode
+
+
+def test_residual_overflow_raises(table1):
+    # the zero order's exponent leaves float range at u = -600i: the refusal
+    # is an ArithmeticError, and no warning is emitted on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in (MODE_AFFINE, MODE_PAPER):
+            with pytest.raises(ArithmeticError, match="float range"):
+                pde_residual(-600j, table1, mode, _probe_points(table1))
 
 
 def test_residual_refuses_an_empty_probe(table1):
     # no sample point once read as a perfect residual, 0 over 0 points
-    with pytest.raises(ValueError, match="at least one sample point"):
-        pde_residual(lambda t, s, v: 1.0 + 0.0j, 0.0, table1, [])
+    for empty in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            pde_residual(0.0, table1, MODE_AFFINE, empty)
+
+
+def test_residual_refuses_points_that_are_not_rows_of_three(table1):
+    # a flat triple or a transposed probe is refused, never reshaped
+    for bad in ([0.2, 0.3, 5.0], np.array(_probe_points(table1)).T, [(0.2, 0.3)]):
+        with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+            pde_residual(1.0, table1, MODE_AFFINE, bad)
 
 
 def test_residual_rejects_origin_points(table1):
-    with pytest.raises(ValueError):
-        pde_residual(lambda t, s, v: 1.0 + 0.0j, 0.0, table1,
-                     [(1e-6, 0.3, 5.0)])
+    # the t step is relative, so a point just past the origin is probed and
+    # only the origin and the times before it are refused
+    for t in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="sample times must be positive"):
+            pde_residual(0.0, table1, MODE_AFFINE, [(0.2, 0.3, 5.0), (t, 0.3, 5.0)])
+    assert pde_residual(0.0, table1, MODE_AFFINE, [(1e-6, 0.3, 5.0)]).max_abs == 0.0

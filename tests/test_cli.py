@@ -473,6 +473,16 @@ def test_ledger_is_strict_json_above_half(tmp_path):
     assert list(doc["pde_residuals"]) == ["affine-ode"]
 
 
+def test_ledger_probes_a_short_maturity(tmp_path):
+    # the residual's t step is relative: at T = 5e-4 the probe's first time,
+    # 1.5e-4, was once inside an absolute step of 2e-4 and refused
+    cfgp = _write(tmp_path, {"model": {"t_mat": 0.0005}})
+    out = tmp_path / "out"
+    assert main(["ledger", "--config", cfgp, "--out", str(out), "--check"]) == 0
+    doc = _strict_json((out / "ledger.json").read_text())
+    assert doc["pde_residuals"]["affine-ode"]["max"] <= 1e-6
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -484,6 +494,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert main(["cf", "--config", cfgp, "--out", str(out)]) == 2
     assert "numerical failure: tanh-sinh rule for z1 missed its tolerance" \
         in capsys.readouterr().err
+
+
+def test_exhausted_memory_exits_2_and_says_so(tmp_path, capsys, monkeypatch):
+    # numpy's failed allocation once escaped main as a traceback with exit 1,
+    # the code of a bad config; the march here fails without allocating
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(montecarlo, "_march", exhausted)
+    path = _write(tmp_path, {"mc": {"n_paths": 64, "n_steps": 20}})
+    assert main(["mc", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_non_finite_cf_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
