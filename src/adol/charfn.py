@@ -94,6 +94,16 @@ def _frequencies(u) -> complex | np.ndarray:
     return u
 
 
+def _in_float_range(z, u, what: str):
+    """z, the values of `what` at the frequencies u (which broadcast to z's
+    shape), or an OverflowError naming the first u where z is not finite."""
+    bad = ~np.isfinite(z)
+    if bad.any():
+        u_bad = complex(np.broadcast_to(u, np.shape(z))[bad][0])
+        raise OverflowError(f"{what} at u = {u_bad} left float range")
+    return z
+
+
 def _lead(x, *like):
     """The array x with a trailing unit axis per axis of the broadcast of
     `like`, the time or state arrays it meets, so that its axes lead: every
@@ -172,8 +182,10 @@ def _z0_coefficients(u, model: AdolModel, mode: str, t):
 
 def _cf_zero(u, model: AdolModel, mode: str) -> complex | np.ndarray:
     s0, v0 = model.sigma0, model.v0
-    a, g, b = _z0_coefficients(u, model, mode, 0.0)
-    z = np.exp(a + g * s0 * s0 + b * s0 * v0)
+    # u * u itself overflows past |u| ~ 1e154, and its product with 0j is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, g, b = _z0_coefficients(u, model, mode, 0.0)
+        z = _in_float_range(np.exp(a + g * s0 * s0 + b * s0 * v0), u, "the zero order")
     return complex(z) if np.ndim(z) == 0 else z
 
 
@@ -535,18 +547,20 @@ def _z1_rule_sum(model: AdolModel, u, tables: Callable, integral_terms: Callable
     misses both _Z1_ABS_TOL and _Z1_REL_TOL, the step is halved once: the
     odd nodes are evaluated for every u, and only the u that missed take
     the halved value.  If the halved rule still misses at some u, the
-    estimate is refused, naming that u.
+    estimate is refused, naming that u; an estimate out of float range is
+    refused as such (OverflowError).
     """
     chis, w, k = _z1_rule(model.t_mat)
     at_even, at_odd = tables.z1_rule_values
     even = k % 2 == 0
     f_even = integral_terms(chis[even], at_even)
-    fine = 2.0 * (f_even @ w[even])
+    fine = _in_float_range(2.0 * (f_even @ w[even]), u, "the z1 estimate")
     coarse = 4.0 * (f_even[..., k[even] % 4 == 0] @ w[k % 4 == 0])
     met = np.abs(fine - coarse) <= np.maximum(_Z1_ABS_TOL, _Z1_REL_TOL * np.abs(fine))
     if met.all():
         return fine
-    finer = 0.5 * fine + integral_terms(chis[~even], at_odd) @ w[~even]
+    finer = _in_float_range(0.5 * fine + integral_terms(chis[~even], at_odd) @ w[~even], u,
+                            "the z1 estimate")
     err = np.abs(finer - fine)
     missed = ~met & ~(err <= np.maximum(_Z1_ABS_TOL, _Z1_REL_TOL * np.abs(finer)))
     if missed.any():
@@ -671,7 +685,9 @@ def cf_values(u: np.ndarray, model: AdolModel,
               cfg: CorrectionConfig | None = None) -> np.ndarray:
     """CF of the log-return ln(S_T/S_0), truncated at cfg.order in xi, at
     each frequency of the 1-d array u: one z1 time rule and one z2 grid
-    serve every u at once."""
+    serve every u at once.  A value out of float range at a finite u (the
+    zero order past |u| ~ 1e154, or at a deep imaginary u) raises
+    OverflowError naming that u."""
     cfg = cfg or CorrectionConfig()
     u = np.asarray(u, dtype=complex)
     if u.ndim != 1:
@@ -684,14 +700,16 @@ def cf_values(u: np.ndarray, model: AdolModel,
         nonzero = u != 0
         if nonzero.any():
             us = u[nonzero]
-            zc = z[nonzero] + model.xi * _z1(model, cfg.mode, us)
-            if cfg.order >= 2:
-                # at most _Z2_BLOCK frequencies per call, so z2's memory
-                # does not grow with len(u)
-                parts = np.array_split(us, math.ceil(len(us) / _Z2_BLOCK))
-                zc = zc + model.xi ** 2 * np.concatenate(
-                    [_z2(model, cfg.mode, part) for part in parts])
-            z[nonzero] = zc
+            # terms out of float range are refused below, by u, not warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                zc = z[nonzero] + model.xi * _z1(model, cfg.mode, us)
+                if cfg.order >= 2:
+                    # at most _Z2_BLOCK frequencies per call, so z2's memory
+                    # does not grow with len(u)
+                    parts = np.array_split(us, math.ceil(len(us) / _Z2_BLOCK))
+                    zc = zc + model.xi ** 2 * np.concatenate(
+                        [_z2(model, cfg.mode, part) for part in parts])
+            z[nonzero] = _in_float_range(zc, us, f"the order-{cfg.order} series")
     return z
 
 
@@ -756,6 +774,5 @@ def pde_residual(u: complex, model: AdolModel, mode: str, sample_points) -> Resi
             (-0.5 * u * (1j + u) * s * s + 1j * u * (model.r - model.q)) * z,
         ])
         res = np.abs(terms.sum(axis=0)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
-    if not np.isfinite(res).all():
-        raise OverflowError(f"the zero order at u = {u} left float range on the probe")
+    _in_float_range(res, u, "the zero order")
     return ResidualStats(float(res.max()), float(res.mean()), len(res))

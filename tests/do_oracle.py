@@ -2,10 +2,9 @@
 test oracle.
 
 adol.do_process ships what the product reads of the projection: its
-closed-form constants and the amplitude nu(t).  The martingale M, the
-rescaled V(t) = psi(t) M(t) and the fractional Brownian motion that V
-tracks are simulated here from their exact laws, on a strictly increasing
-1-d array of positive times, to check those constants.
+closed-form constants and the amplitude nu(t).  The martingale M and the
+rescaled V(t) = psi(t) M(t) are simulated here from their exact laws, on a
+strictly increasing 1-d array of positive times, to check those constants.
 """
 
 from __future__ import annotations
@@ -38,17 +37,9 @@ def cov_m(s: float, t: float, c: DoConstants) -> float:
     return c.c_h * c.alpha_h * beta_sym(1.5 - c.h) * min(s, t) ** (2.0 - 2.0 * c.h)
 
 
-def cov_fbm(s, t, h: float):
-    """Fractional Brownian motion covariance (1/2)(t^2H + s^2H - |t-s|^2H);
-    arrays broadcast."""
-    hh = 2.0 * h
-    return 0.5 * (abs(t) ** hh + abs(s) ** hh - abs(t - s) ** hh)
-
-
 def _normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     # a pure function of the seed and the shape.  Row-major fill: path j's
-    # draws depend on the path count in simulate_mh's (n_times, n_paths)
-    # layout, and not in simulate_fbm_exact's (n_paths, n_times)
+    # draws depend on the path count in simulate_mh's (n_times, n_paths) layout
     return np.random.Generator(np.random.Philox(key=int(seed))).standard_normal(shape)
 
 
@@ -64,11 +55,3 @@ def simulate_mh(times: np.ndarray, c: DoConstants, n_paths: int, seed: int) -> n
 def simulate_vh(times: np.ndarray, c: DoConstants, n_paths: int, seed: int) -> np.ndarray:
     """Exact paths of V(t) = psi(t) M(t) at the times, shape (n_paths, n_times)."""
     return simulate_mh(times, c, n_paths, seed) * np.array([psi_h(t, c) for t in times])
-
-
-def simulate_fbm_exact(times: np.ndarray, h: float, n_paths: int, seed: int) -> np.ndarray:
-    """Exact fractional BM paths at the times by a Cholesky factor of their
-    dense covariance, shape (n_paths, n_times)."""
-    t = np.asarray(times, dtype=float)
-    chol = np.linalg.cholesky(cov_fbm(t[:, None], t[None, :], h))
-    return _normals(seed, (n_paths, len(t))) @ chol.T

@@ -7,7 +7,6 @@ runtime-bounded checks time the complete computation they constrain.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert main(["cf", "--config", cfgp, "--out", str(out)]) == 2
     assert "numerical failure: tanh-sinh rule for z1 missed its tolerance" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("cf", {"cf": {"u_max": 1e160, "n_u": 2}}),
+    # the damped contour u = v - 301i: the zero order's exponent overflows
+    ("price", {"pricing": {"damping": 300}}),
+])
+def test_cf_out_of_float_range_exits_2_and_says_so(tmp_path, capsys, command, cfg):
+    # the u = 1e160 row once came back nan in every column with exit 0,
+    # --check included, and the damping as two RuntimeWarnings and a
+    # non-finite integrand
+    args = [command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--check"] * (command == "cf")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the zero order at u = ") and "left float range" in err
 
 
 def test_exhausted_memory_exits_2_and_says_so(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from adol.do_process import DoConstants, do_constants, nu_t
 
-from do_oracle import cov_fbm, cov_m, psi_h, simulate_fbm_exact, simulate_mh, simulate_vh
+from do_oracle import cov_m, psi_h, simulate_mh, simulate_vh
 
 
 # ------------------------------------------------------------- constants
@@ -115,16 +115,6 @@ def test_nu_power_law():
         nu_t(np.array([0.1, -0.2]), do_constants(0.5))
 
 
-def test_projection_variance_identity():
-    # psi^2(t) cov_m(t,t) reproduces (1 - d^2) t^(2H) exactly
-    for h in (0.2, 0.3, 0.4, 0.45, 0.6, 0.75):
-        c = do_constants(h)
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            lhs = psi_h(t, c) ** 2 * cov_m(t, t, c)
-            rhs = (1.0 - c.d_h_sq) * t ** (2.0 * h)
-            assert lhs == pytest.approx(rhs, rel=1e-10), (h, t)
-
-
 def test_cov_m_min_structure():
     c = do_constants(0.3)
     assert cov_m(0.3, 0.8, c) == pytest.approx(cov_m(0.3, 0.3, c), rel=1e-15)
@@ -132,15 +122,6 @@ def test_cov_m_min_structure():
     assert cov_m(0.6, 0.6, c) > cov_m(0.3, 0.3, c)
     with pytest.raises(ValueError):
         cov_m(-0.1, 0.5, c)
-
-
-def test_cov_fbm_oracle():
-    assert cov_fbm(0.4, 0.9, 0.5) == pytest.approx(0.4, rel=1e-14)
-    h = 0.3
-    s, t = 0.4, 0.9
-    ref = 0.5 * (t ** 0.6 + s ** 0.6 - (t - s) ** 0.6)
-    assert cov_fbm(s, t, h) == pytest.approx(ref, rel=1e-14)
-    assert cov_fbm(t, t, h) == pytest.approx(t ** (2 * h), rel=1e-14)
 
 
 # ------------------------------------------------------------- simulators
@@ -181,26 +162,3 @@ def test_simulate_vh_variance():
         var_hat = paths[:, i].var(ddof=1)
         se = var_ref * math.sqrt(2.0 / (n - 1))
         assert abs(var_hat - var_ref) <= 4.0 * se, (ti, var_hat, var_ref)
-
-
-def test_simulate_fbm_covariance():
-    times = np.array([0.3, 0.6, 1.0])
-    h = 0.3
-    n = 60_000
-    paths = simulate_fbm_exact(times, h, n, seed=99)
-    for i, ti in enumerate(times):
-        for j, tj in enumerate(times):
-            ref = cov_fbm(ti, tj, h)
-            hat = float(np.mean(paths[:, i] * paths[:, j]))
-            se = 2.0 * math.sqrt(cov_fbm(ti, ti, h) * cov_fbm(tj, tj, h) / n)
-            assert abs(hat - ref) <= 4.0 * se, (ti, tj)
-
-
-def test_simulate_fbm_standard_bm_increments():
-    times = np.linspace(0.25, 1.0, 4)
-    paths = simulate_fbm_exact(times, 0.5, 40_000, seed=7)
-    inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1),
-                  axis=1)
-    corr = np.corrcoef(inc.T)
-    off = corr - np.eye(4)
-    assert np.max(np.abs(off)) <= 0.03

@@ -1,5 +1,5 @@
 """Every name a module imports is used in it, every dataclass field is read,
-and every private definition is referenced.
+and every private definition is referenced; in tests/, every helper is.
 
 Standard-library checks, so the suite needs no linter: each module under
 src/adol is parsed with ast.  A name that an import binds but the module
@@ -10,7 +10,9 @@ too, unless it is allowed below with its reason.  So is a module-level
 `_private` function or class that nothing in the package references
 outside its own definition, and so is a name in a library module's
 `__all__` that no other module and no README python block reads, unless it
-is allowed below with its reason.  The law of V's tables and cumulative
+is allowed below with its reason; likewise a module-level function or class
+under tests/ that is neither a test nor a fixture and that nothing under
+tests/ references.  The law of V's tables and cumulative
 integrals are named in charfn alone.  Each dataclass that cli.py builds
 by keyword gets every init field set there, and each defaulted parameter of
 a public function is passed by a call outside its own module or by a README
@@ -126,15 +128,19 @@ def _referenced(node: ast.AST) -> set[str]:
     return names
 
 
-def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """module.name for each module-level _private function or class that no
-    top-level statement references, its own definition aside."""
+def _is_private(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    return node.name.startswith("_") and not node.name.startswith("__")
+
+
+def dead_definitions(sources: dict[str, str], candidate=_is_private) -> list[str]:
+    """module.name for each module-level function or class that `candidate`
+    selects (by default a _private one) and that no top-level statement
+    references, its own definition aside."""
     defined, used = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             names = _referenced(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and node.name.startswith("_") and not node.name.startswith("__"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and candidate(node):
                 defined.append((module, node.name))
                 names.discard(node.name)
             used |= names
@@ -168,6 +174,55 @@ def test_dead_definition_scanner_flags_only_unreferenced_privates():
 def test_every_private_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_definitions(sources) == []
+
+
+def _is_helper(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """Neither a test (test_*, Test*) nor a pytest fixture: pytest calls
+    those by name, so no reference to them is needed."""
+    fixture = False
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        fixture |= getattr(d, "id", getattr(d, "attr", None)) == "fixture"
+    return not (fixture or node.name.startswith(("test_", "Test")))
+
+
+def test_helper_scanner_flags_only_unreferenced_helpers():
+    sources = {
+        "conftest": ("import pytest\n"
+                     "from pytest import fixture\n"
+                     "@fixture(scope='session')\n"
+                     "def model():\n"
+                     "    return _Model()\n"
+                     "class _Model:\n"
+                     "    pass\n"),
+        "oracle": ("def kept(x):\n"
+                   "    return x\n"
+                   "def orphan(x):\n"
+                   "    return orphan(x - 1)\n"),
+        "test_a": ("import oracle\n"
+                   "from oracle import kept\n"
+                   "@pytest.fixture\n"
+                   "def tables():\n"
+                   "    return 1\n"
+                   "def _read_by_the_tool():\n"
+                   "    pass\n"
+                   "def _left_behind():\n"
+                   "    pass\n"
+                   "class TestGroup:\n"
+                   "    pass\n"
+                   "def test_one(model, tables):\n"
+                   "    assert kept(model)\n"),
+        "update_golden": "from test_a import _read_by_the_tool\n",
+    }
+    assert dead_definitions(sources, _is_helper) == ["oracle.orphan", "test_a._left_behind"]
+
+
+def test_every_test_helper_is_referenced():
+    # a helper or an oracle piece whose last test was retired goes with it;
+    # update_golden.py, which reads test_golden's helpers, counts as a reader
+    tests = Path(__file__).resolve().parent
+    sources = {p.stem: p.read_text() for p in sorted(tests.glob("*.py"))}
+    assert dead_definitions(sources, _is_helper) == []
 
 
 # the privates behind charfn's law of V (_v_law, _log_l): every other

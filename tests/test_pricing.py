@@ -431,30 +431,12 @@ def _dense_schedule(T: float, n: int = 16) -> VarSwapSpec:
                                                for i in range(n)))
 
 
-def test_varswap_matches_deterministic_integral(table1_xi0):
-    m = table1_xi0
-    spec = _dense_schedule(m.t_mat)
-    ref = _flat_variance(m) / m.t_mat
-    got = varswap_strike(m, spec)
-    assert abs(got - ref) / ref <= 0.01
-
-
 def test_varswap_analytic_matches_curvature_route(table1_xi0):
     m = table1_xi0
     spec = _dense_schedule(m.t_mat)
     fd = varswap_strike(m, spec)
     cl = varswap_strike_analytic(m, spec)
     assert fd == pytest.approx(cl, rel=1e-5)
-
-
-def test_varswap_consistent_with_path_quadratic_variation(table1_xi0):
-    m = table1_xi0
-    spec = _dense_schedule(m.t_mat)
-    strike = varswap_strike(m, spec)
-    # 208 steps: the 16 dates are nodes of the grid
-    mc = McSpec(n_paths=20_000, n_steps=208, seed=41)
-    qv = mc_quadratic_variation(m, mc, spec.observation_times)
-    assert abs(strike - qv.estimate) <= 3.0 * qv.std_error
 
 
 def test_varswap_stencil_matches_forward_cf_route(table1):

@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python tests/update_golden.py
 
-Runs every command set of test_golden.py, prints per file and column the
-largest relative move from the goldens it replaces (inf for changed text, a
-new or lost file, or a changed exit code or stderr), then writes the new
-goldens.  A change that moves values on purpose pastes this table into its
-change log.
+Runs every command set of test_golden.py at each of its seeds, prints per
+run, file and column the largest relative move (test_golden.moves) from the
+goldens it replaces (inf for changed text, a new or lost file, or a changed
+exit code or stderr), then writes the new goldens.  A change that moves
+values on purpose pastes this table into its change log.
 """
 
 import json
@@ -16,7 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from test_golden import GOLDEN, REL_TOL, SETS, moves, run_set
+from test_golden import GOLDEN, REL_TOL, RUNS, moves, run_set
 
 
 def main() -> int:
@@ -24,7 +24,7 @@ def main() -> int:
     old_runs = json.loads(runs_file.read_text()) if runs_file.exists() else {}
     runs, table = {}, []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(SETS):
+        for name in sorted(RUNS):
             runs[name], bodies = run_set(name, Path(tmp) / name)
             if runs[name] != old_runs.get(name):
                 table.append((name, "runs.json", name, math.inf))
@@ -43,7 +43,7 @@ def main() -> int:
             for file, body in bodies.items():
                 (old_dir / file).write_text(body)
     runs_file.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
-    print("| set | file | column | largest relative move |")
+    print("| run | file | column | largest relative move |")
     print("|---|---|---|---|")
     for name, file, column, gap in table:
         print(f"| {name} | {file} | {column} | {gap:.3g} |")
